@@ -73,6 +73,13 @@ def _emit(report: dict, out_path, *, timing=None):
         click.echo(text, nl=False)
 
 
+def _capped(cfg, exc, out_path):
+    """Report a run stopped by ``--cap-seconds``; returns exit code 1."""
+    click.echo(f"error: resource cap exceeded: {exc}", err=True)
+    _emit({"config": cfg.to_dict(), "verdict": "resource-capped", "detail": str(exc)}, out_path)
+    return 1
+
+
 def _apply_mem_cap(cap_mb):
     if not cap_mb:
         return
@@ -98,21 +105,10 @@ def _config_from_flags(config_path, field_flag, seed):
         raise SystemExit(_usage_error(f"bad configuration: {exc}"))
 
 
-def _batch(task, base_seed, trials, jobs):
-    """Run ``task(seed)`` for seeds base_seed..base_seed+trials-1, merged in
-    seed order regardless of scheduling."""
-    seeds = [base_seed + k for k in range(trials)]
-    if trials <= 1 or jobs == 1:
-        return [task(s) for s in seeds]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = {s: pool.submit(task, s) for s in seeds}
-        return [futs[s].result() for s in seeds]
-
-
 _common = [
     click.option("--config", "config_path", type=click.Path(), help="JSON configuration"),
     click.option("--seed", type=int, default=None, help="base random seed"),
-    click.option("--trials", type=int, default=1, show_default=True),
+    click.option("--trials", type=click.IntRange(min=0), default=1, show_default=True),
     click.option("--field", "field_flag", default=None, help='"Q" or a prime'),
     click.option("--out", "out_path", type=click.Path(), default=None),
     click.option("--cap-seconds", type=float, default=None),
@@ -156,8 +152,7 @@ def mustafin_fibre(config_path, seed, trials, field_flag, out_path, cap_seconds,
     try:
         fibre = varieties.special_fibre(cfg, cap_seconds=cap_seconds, trace_log=trace)
     except ResourceCapExceeded as exc:
-        _emit({"config": cfg.to_dict(), "verdict": "resource-capped", "detail": str(exc)}, out_path)
-        raise SystemExit(1)
+        raise SystemExit(_capped(cfg, exc, out_path))
     if trace:
         for line in trace:
             click.echo(line, err=True)
@@ -295,6 +290,8 @@ def degen_group():
 
 
 def _load_curve(curve_path, cfg):
+    if not curve_path:
+        raise SystemExit(_usage_error("--curve is required"))
     payload = _load_json(curve_path, "curve")
     try:
         return degeneration.SubvarietyInput.from_strings(
@@ -319,10 +316,13 @@ def degen_model(curve_path, config_path, seed, trials, field_flag, out_path, cap
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     X = _load_curve(curve_path, cfg)
-    model = degeneration.integral_model(
-        degeneration.model_ideal(cfg, X, cap_seconds=cap_seconds),
-        cap_seconds=cap_seconds,
-    )
+    try:
+        model = degeneration.integral_model(
+            degeneration.model_ideal(cfg, X, cap_seconds=cap_seconds),
+            cap_seconds=cap_seconds,
+        )
+    except ResourceCapExceeded as exc:
+        raise SystemExit(_capped(cfg, exc, out_path))
     _emit(
         {
             "config": cfg.to_dict(),
@@ -341,7 +341,10 @@ def degen_fibre(curve_path, config_path, seed, trials, field_flag, out_path, cap
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     X = _load_curve(curve_path, cfg)
-    fib = degeneration.special_fibre_of_model(cfg, X, cap_seconds=cap_seconds)
+    try:
+        fib = degeneration.special_fibre_of_model(cfg, X, cap_seconds=cap_seconds)
+    except ResourceCapExceeded as exc:
+        raise SystemExit(_capped(cfg, exc, out_path))
     _emit(
         {
             "config": cfg.to_dict(),
@@ -360,7 +363,10 @@ def degen_support(curve_path, config_path, seed, trials, field_flag, out_path, c
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     X = _load_curve(curve_path, cfg)
-    rep = degeneration.support_analysis(cfg, X, cap_seconds=cap_seconds)
+    try:
+        rep = degeneration.support_analysis(cfg, X, cap_seconds=cap_seconds)
+    except ResourceCapExceeded as exc:
+        raise SystemExit(_capped(cfg, exc, out_path))
     report = {"config": cfg.to_dict(), **rep.to_dict()}
     report["verdict"] = "pass" if rep.delta is not None and not rep.aborted else "fail"
     _emit(report, out_path)

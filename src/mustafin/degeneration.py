@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .coeffs import DomainError
 from .groebner import (
+    ResourceCapExceeded,
     buchberger,
     divide_var_power,
     intersect_monomial_ideals,
@@ -355,10 +356,15 @@ def support_analysis(
 
     The ambient decomposition is verified first; a failure aborts with
     "genericity violated, resample" since every containment certificate
-    below rests on it.
+    below rests on it.  A check cut short by ``cap_seconds`` raises
+    ``ResourceCapExceeded``, as a capped later stage does.
     """
     if not skip_ambient_check:
         amb = conjecture_check(config, "both-containments", cap_seconds=cap_seconds)
+        if amb.capped:
+            raise ResourceCapExceeded(
+                f"ambient decomposition check exceeded {cap_seconds:g}s"
+            )
         if not amb.equal:
             return SupportReport(
                 None, [], False, aborted="genericity violated, resample"

@@ -12,6 +12,20 @@ Two engines share one reduction framework:
   the leading-term syzygy module over a Euclidean domain.  All pairs are
   processed: ring mode runs at desk scale only, correctness over speed.
 
+Field mode has one reduction kernel, ``_Reducers``, behind ``normal_form``,
+``interreduce``, ``is_groebner`` and the Buchberger loop.  It works on packed
+monomials: an exponent tuple becomes one int with a fixed-width field per
+variable, so a product is an addition and a divisibility test is a
+subtraction and a mask (see ``_Packing``).  A field of w bytes holds
+exponents up to 2^(8w - 1) - 1.  Every computation starts with one-byte
+fields (exponents up to 127); an input or intermediate monomial past the
+bound raises an overflow inside the kernel, never a silent carry, and the
+computation reruns with fields twice as wide (``_widening``).  The
+table holds each basis element's packed leading monomial, leading
+coefficient and monic tail once per basis, and the working polynomial keeps
+a heap of order keys, so each step finds its largest term without a scan.
+Ring mode keeps the plain ``MPoly`` representation.
+
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
 running Buchberger under ``WeightedPiOrder`` while dividing every inserted
@@ -39,7 +53,6 @@ from .polyring import (
     TermOrder,
     VarUniverse,
     WeightedPiOrder,
-    mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -178,68 +191,260 @@ def reduce_one_step(f: MPoly, E, order: TermOrder):
     return h, ReductionStep(tuple(reducers), tuple(coeffs), tuple(quotients))
 
 
-def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
-    """Normal form of f modulo G: rewrite leading terms while possible, move
-    irreducible leading terms to the remainder, continue on the tail."""
-    basis = [g for g in G if g]
-    if getattr(f.domain, "is_field", False):
-        steps = [] if want_trace else None
-        nf = _nf_field(f, basis, order, trace_steps=steps)
-        return (nf, ReductionTrace(steps)) if want_trace else nf
-    return _nf_ring(f, basis, order, want_trace)
+# ---------------------------------------------------------------------------
+# packed monomials and the field-mode kernel
+
+class _PackingOverflow(DomainError):
+    """A monomial has an exponent above the bound of its packing."""
 
 
-def _nf_field(f: MPoly, basis, order, *, trace_steps=None, key_cache=None):
-    dom, uni = f.domain, f.universe
-    kc = key_cache if key_cache is not None else {}
-    okey = order.key
-    blms = [g.leading_term(order)[1] for g in basis]
-    bterms = [g.terms for g in basis]
-    blcs = [t[lm] for t, lm in zip(bterms, blms)]
-    div, mul, sub_, neg, iz = dom.div, dom.mul, dom.sub, dom.neg, dom.is_zero
-    work = dict(f.terms)
-    remainder: dict = {}
+class _Packing:
+    """Exponent tuples of one length as ints: a field of ``width`` bytes per
+    variable, the first variable in the most significant field.  Exponents
+    stay at most ``bound`` = 2^(8 width - 1) - 1, so the top bit of every
+    field is a guard bit that is clear in every valid monomial.  A product of
+    two valid monomials is their sum (no carry leaves a field), and it is
+    valid exactly when its guard bits are clear; a divides b exactly when
+    b - a is nonnegative with clear guard bits.  Sorting by (degree, packed)
+    sorts by (degree, exponent tuple)."""
 
-    def key_of(m):
-        k = kc.get(m)
+    __slots__ = ("nvars", "width", "bound", "guard")
+
+    def __init__(self, nvars: int, width: int = 1):
+        self.nvars, self.width = nvars, width
+        self.bound = (1 << (8 * width - 1)) - 1
+        self.guard = int.from_bytes((b"\x80" + bytes(width - 1)) * nvars, "big")
+
+    def pack(self, mono) -> int:
+        w = self.width
+        try:
+            raw = bytes(mono) if w == 1 else b"".join([e.to_bytes(w, "big") for e in mono])
+        except (ValueError, OverflowError):  # an exponent outside the fields
+            if min(mono) < 0:
+                raise DomainError("negative exponent") from None
+            raise self.overflow() from None
+        p = int.from_bytes(raw, "big")
+        if p & self.guard:
+            raise self.overflow()
+        return p
+
+    def unpack(self, p: int) -> tuple:
+        w = self.width
+        raw = p.to_bytes(self.nvars * w, "big")
+        if w == 1:
+            return tuple(raw)
+        return tuple([int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w)])
+
+    def degree(self, p: int) -> int:
+        return sum(self.unpack(p))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum: a field of (a | guard) - b keeps its guard bit
+        exactly when a's exponent is at least b's."""
+        ge = ((a | self.guard) - b) & self.guard
+        take_a = ge - (ge >> (8 * self.width - 1))
+        return (a & take_a) | (b & ~take_a)
+
+    def overflow(self) -> _PackingOverflow:
+        return _PackingOverflow(f"exponent above the packing bound {self.bound}")
+
+
+def _widening(run, nvars: int):
+    """``run(packing)`` with one-byte fields, run again with fields twice as
+    wide whenever a monomial overflows them.  Nothing the kernel decides
+    depends on the width, so the result is the one a wide enough first
+    packing would give."""
+    width = 1
+    while True:
+        try:
+            return run(_Packing(nvars, width))
+        except _PackingOverflow:
+            width *= 2
+
+
+def _flatten(key):
+    for part in key:
+        if isinstance(part, tuple):
+            yield from _flatten(part)
+        else:
+            yield part
+
+
+def _flat_key(order: TermOrder, nvars: int):
+    """``order.key`` when it is a flat tuple of ints, as for every order in
+    ``polyring``; else a function flattening it."""
+    if all(isinstance(x, int) for x in order.key((0,) * nvars)):
+        return order.key
+    return lambda mono: tuple(_flatten(order.key(mono)))
+
+
+class _Reducers:
+    """A basis in packed form, in basis order: for every element its packed
+    leading monomial, its leading coefficient and its tail (the other terms,
+    divided by the leading coefficient; packed when first used).
+
+    ``reduce`` computes normal forms against it: the largest remaining term
+    is rewritten by the first element, in basis order, whose leading
+    monomial divides it, or else moved to the remainder.  The working
+    polynomial is a dict with a heap of negated order keys beside it; keys
+    and first divisors are cached per monomial for the life of the table.
+    """
+
+    __slots__ = (
+        "order", "universe", "domain", "pk", "lms", "lcs", "tails", "_polys", "_keys",
+        "_divisors", "_flat_key",
+    )
+
+    def __init__(self, order: TermOrder, universe: VarUniverse, domain, pk: _Packing, basis=()):
+        self.order, self.universe, self.domain, self.pk = order, universe, domain, pk
+        self.lms: list[int] = []
+        self.lcs: list = []
+        self.tails: list = []
+        self._polys: list[MPoly] = []
+        self._keys: dict = {}
+        self._divisors: dict = {}
+        self._flat_key = _flat_key(order, universe.nvars)
+        for g in basis:
+            self.append(g)
+
+    def append(self, g: MPoly):
+        lc, lm = g.leading_term(self.order)
+        self.lms.append(self.pk.pack(lm))
+        self.lcs.append(lc)
+        self.tails.append(None)
+        self._polys.append(g)
+
+    def _tail(self, j: int) -> list:
+        g, pack, mul = self._polys[j], self.pk.pack, self.domain.mul
+        lm = g.leading_term(self.order)[1]
+        inv = self.domain.inv(self.lcs[j])
+        tail = [(pack(m), mul(c, inv)) for m, c in g.terms.items() if m != lm]
+        self.tails[j] = tail
+        return tail
+
+    def key(self, p: int) -> tuple:
+        """Negated flat order key of a packed monomial."""
+        k = self._keys.get(p)
         if k is None:
-            k = okey(m)
-            kc[m] = k
+            k = self._keys[p] = tuple([-x for x in self._flat_key(self.pk.unpack(p))])
         return k
 
-    while work:
-        lm = max(work, key=key_of)
-        lc = work[lm]
-        for j, glm in enumerate(blms):
-            ok = True
-            for a, b in zip(glm, lm):
-                if a > b:
-                    ok = False
-                    break
-            if not ok:
+    def pack_poly(self, f: MPoly) -> dict:
+        pack = self.pk.pack
+        return {pack(m): c for m, c in f.terms.items()}
+
+    def to_poly(self, terms: dict) -> MPoly:
+        unpack = self.pk.unpack
+        return MPoly(
+            self.universe, self.domain, {unpack(m): c for m, c in terms.items()}, _clean=True
+        )
+
+    def spoly(self, i: int, j: int) -> dict:
+        """S-polynomial of elements i and j, made from their monic tails
+        (the leading terms cancel)."""
+        lms, guard = self.lms, self.pk.guard
+        l = self.pk.lcm(lms[i], lms[j])
+        ti = self.tails[i]
+        if ti is None:
+            ti = self._tail(i)
+        tj = self.tails[j]
+        if tj is None:
+            tj = self._tail(j)
+        qi, qj = l - lms[i], l - lms[j]
+        work = {m + qi: c for m, c in ti}
+        sub, neg, iz = self.domain.sub, self.domain.neg, self.domain.is_zero
+        for m, c in tj:
+            mm = m + qj
+            cur = work.get(mm)
+            if cur is None:
+                work[mm] = neg(c)
+            else:
+                s = sub(cur, c)
+                if iz(s):
+                    del work[mm]
+                else:
+                    work[mm] = s
+        for m in work:
+            if m & guard:
+                raise self.pk.overflow()
+        return work
+
+    def reduce(self, work: dict, *, skip: int | None = None, trace_steps=None) -> dict:
+        """Normal form of the packed polynomial ``work`` (consumed), with
+        element ``skip`` left out of the basis."""
+        lms, lcs, tails = self.lms, self.lcs, self.tails
+        guard = self.pk.guard
+        divisors = self._divisors
+        if skip is not None:
+            lms = list(lms)
+            lms[skip] = guard  # exceeds every valid monomial, so divides none
+            divisors = {}
+        none_yet = ~len(lms)
+        dom = self.domain
+        mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
+        keys, key = self._keys, self.key
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap = [(keys.get(m) or key(m), m) for m in work]
+        heapq.heapify(heap)
+        remainder: dict = {}
+        while heap:
+            lm = heappop(heap)[1]
+            lc = work.pop(lm, None)
+            if lc is None:  # cancelled after it was pushed
                 continue
-            q = tuple(b - a for a, b in zip(glm, lm))
-            c = div(lc, blcs[j])
-            for m, gv in bterms[j].items():
-                mm = tuple(x + y for x, y in zip(m, q))
+            j = divisors.get(lm, -1)
+            if j < 0 and j != none_yet:
+                for j, glm in enumerate(lms):
+                    q = lm - glm
+                    if q >= 0 and not q & guard:
+                        break
+                else:
+                    j = none_yet
+                divisors[lm] = j
+            if j < 0:
+                remainder[lm] = lc
+                if trace_steps is not None:
+                    trace_steps.append(ReductionStep((), (), (self.pk.unpack(lm),)))
+                continue
+            q = lm - lms[j]
+            tail = tails[j]
+            if tail is None:
+                tail = self._tail(j)
+            for m, gv in tail:
+                mm = m + q
                 cur = work.get(mm)
                 if cur is None:
-                    work[mm] = neg(mul(c, gv))
+                    if mm & guard:
+                        raise self.pk.overflow()
+                    work[mm] = neg(mul(lc, gv))
+                    heappush(heap, (keys.get(mm) or key(mm), mm))
                 else:
-                    s = sub_(cur, mul(c, gv))
+                    s = sub(cur, mul(lc, gv))
                     if iz(s):
                         del work[mm]
                     else:
                         work[mm] = s
             if trace_steps is not None:
-                trace_steps.append(ReductionStep((j,), (c,), (q,)))
-            break
-        else:
-            remainder[lm] = lc
-            del work[lm]
-            if trace_steps is not None:
-                trace_steps.append(ReductionStep((), (), (lm,)))
-    return MPoly(uni, dom, remainder, _clean=True)
+                trace_steps.append(
+                    ReductionStep((j,), (dom.div(lc, lcs[j]),), (self.pk.unpack(q),))
+                )
+        return remainder
+
+
+def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
+    """Normal form of f modulo G: rewrite leading terms while possible, move
+    irreducible leading terms to the remainder, continue on the tail."""
+    basis = [g for g in G if g]
+    if not getattr(f.domain, "is_field", False):
+        return _nf_ring(f, basis, order, want_trace)
+
+    def run(pk):
+        steps = [] if want_trace else None
+        red = _Reducers(order, f.universe, f.domain, pk, basis)
+        return red.to_poly(red.reduce(red.pack_poly(f), trace_steps=steps)), steps
+
+    nf, steps = _widening(run, f.universe.nvars)
+    return (nf, ReductionTrace(steps)) if want_trace else nf
 
 
 def _nf_ring(f: MPoly, basis, order, want_trace):
@@ -312,35 +517,42 @@ def divide_var_power(f: MPoly, pos: int, e: int) -> MPoly:
 # Buchberger, field mode
 
 
-def _gm_update(lms, pairs, t, order):
+def _gm_update(red: _Reducers, pairs, t):
     """Gebauer-Moeller update of the pair set when element t is appended."""
+    lms, guard, lcm = red.lms, red.pk.guard, red.pk.lcm
     lm_t = lms[t]
     kept = []
     for (i, j) in pairs:
-        l_ij = mono_lcm(lms[i], lms[j])
+        l_ij = lcm(lms[i], lms[j])
+        q = l_ij - lm_t
         if (
-            mono_divides(lm_t, l_ij)
-            and l_ij != mono_lcm(lms[i], lm_t)
-            and l_ij != mono_lcm(lms[j], lm_t)
+            q >= 0
+            and not q & guard
+            and l_ij != lcm(lms[i], lm_t)
+            and l_ij != lcm(lms[j], lm_t)
         ):
             continue
         kept.append((i, j))
-    cands = [(i, mono_lcm(lms[i], lm_t)) for i in range(t)]
-    cands.sort(key=lambda kv: order.key(kv[1]))
-    survivors: list[tuple[int, tuple]] = []
-    seen_lcms: list[tuple] = []
+    cands = [(i, lcm(lms[i], lm_t)) for i in range(t)]
+    # ascending in the order: red.key is negated, and a reversed sort is stable
+    cands.sort(key=lambda kv: red.key(kv[1]), reverse=True)
+    survivors: list[tuple[int, int]] = []
+    seen_lcms: list[int] = []
     for i, l in cands:
-        if any(mono_divides(l2, l) and l2 != l for l2 in seen_lcms):
-            continue
-        survivors.append((i, l))
-        seen_lcms.append(l)
+        for l2 in seen_lcms:
+            q = l - l2
+            if q > 0 and not q & guard:
+                break
+        else:
+            survivors.append((i, l))
+            seen_lcms.append(l)
     out_new = []
     used = set()
     for i, l in survivors:
         if l in used:
             continue
         used.add(l)
-        if mono_coprime(lms[i], lm_t):
+        if l == lms[i] + lm_t:  # coprime leading monomials
             continue
         out_new.append((i, t))
     return kept + out_new
@@ -396,7 +608,7 @@ def _buchberger_field(
     gb_prefix=0,
 ):
     t0 = time.monotonic()
-    key_cache: dict = {}
+    log_start = len(trace_log) if trace_log is not None else 0
     okey = order.key
 
     def prep(f):
@@ -406,90 +618,103 @@ def _buchberger_field(
                 f = divide_var_power(f, sat_var, c)
         return field_normalize(f, order)
 
-    G: list[MPoly] = [field_normalize(g, order) for g in gens[:gb_prefix]]
-    lms = [g.leading_term(order)[1] for g in G]
-    pairs: list = []
-    for f in sorted(gens[gb_prefix:], key=lambda g: okey(g.leading_term(order)[1])):
-        r = _nf_field(prep(f), G, order, key_cache=key_cache)
-        if r:
-            r = prep(r)
-            G.append(r)
-            lms.append(r.leading_term(order)[1])
-            pairs = _gm_update(lms, pairs, len(G) - 1, order)
-    heap = [(okey(mono_lcm(lms[i], lms[j])), i, j) for i, j in pairs]
-    heapq.heapify(heap)
-    alive = {(i, j) for i, j in pairs}
-
-    while heap:
-        if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
-            raise ResourceCapExceeded(
-                f"buchberger exceeded {cap_seconds:.0f}s ({len(G)} basis elements)"
-            )
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in alive:
-            continue
-        alive.discard((i, j))
-        l = mono_lcm(lms[i], lms[j])
-        gi, gj = G[i], G[j]
-        ci = domain.inv(gi.terms[lms[i]])
-        cj = domain.inv(gj.terms[lms[j]])
-        s = gi.mono_shift(mono_div(l, lms[i])).scale(ci) - gj.mono_shift(
-            mono_div(l, lms[j])
-        ).scale(cj)
-        r = _nf_field(s, G, order, key_cache=key_cache)
+    def run(pk):
         if trace_log is not None:
-            trace_log.append(f"pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}")
-        if not r:
-            continue
-        if sat_var is not None:
-            # content division can re-enable reduction; run to a fixpoint
-            while r:
-                c = var_content(r, sat_var)
-                if not c:
-                    break
-                r = divide_var_power(r, sat_var, c)
-                r = _nf_field(r, G, order, key_cache=key_cache)
+            del trace_log[log_start:]  # lines of a narrower run
+        red = _Reducers(order, universe, domain, pk)
+
+        def nf(f):
+            return red.to_poly(red.reduce(red.pack_poly(f)))
+
+        G: list[MPoly] = [field_normalize(g, order) for g in gens[:gb_prefix]]
+        for g in G:
+            red.append(g)
+        pairs: list = []
+        for f in sorted(gens[gb_prefix:], key=lambda g: okey(g.leading_term(order)[1])):
+            r = nf(prep(f))
+            if r:
+                r = prep(r)
+                G.append(r)
+                red.append(r)
+                pairs = _gm_update(red, pairs, len(G) - 1)
+
+        def pair_key(i, j):
+            return (okey(pk.unpack(pk.lcm(red.lms[i], red.lms[j]))), i, j)
+
+        heap = [pair_key(i, j) for i, j in pairs]
+        heapq.heapify(heap)
+        alive = set(pairs)
+
+        while heap:
+            if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
+                raise ResourceCapExceeded(
+                    f"buchberger exceeded {cap_seconds:g}s ({len(G)} basis elements)"
+                )
+            _, i, j = heapq.heappop(heap)
+            if (i, j) not in alive:
+                continue
+            alive.discard((i, j))
+            r = red.reduce(red.spoly(i, j))
+            if trace_log is not None:
+                l = pk.unpack(pk.lcm(red.lms[i], red.lms[j]))
+                trace_log.append(f"pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}")
             if not r:
                 continue
-        r = field_normalize(r, order)
-        G.append(r)
-        lms.append(r.leading_term(order)[1])
-        new_pairs = _gm_update(lms, list(alive), len(G) - 1, order)
-        added = set(new_pairs) - alive
-        removed = alive - set(new_pairs)
-        alive = set(new_pairs)
-        for (a, b) in added:
-            heapq.heappush(heap, (okey(mono_lcm(lms[a], lms[b])), a, b))
-        # removed pairs stay in the heap but are skipped via ``alive``
-    if not reduced:
+            r = red.to_poly(r)
+            if sat_var is not None:
+                # content division can re-enable reduction; run to a fixpoint
+                while r:
+                    c = var_content(r, sat_var)
+                    if not c:
+                        break
+                    r = nf(divide_var_power(r, sat_var, c))
+                if not r:
+                    continue
+            r = field_normalize(r, order)
+            G.append(r)
+            red.append(r)
+            new_pairs = _gm_update(red, list(alive), len(G) - 1)
+            added = set(new_pairs) - alive
+            alive = set(new_pairs)
+            for (a, b) in added:
+                heapq.heappush(heap, pair_key(a, b))
+            # removed pairs stay in the heap but are skipped via ``alive``
         return G
-    return interreduce(G, order)
+
+    G = _widening(run, universe.nvars)
+    return interreduce(G, order) if reduced else G
 
 
 def interreduce(G, order: TermOrder):
     """The reduced basis: minimal leading monomials, fully reduced tails,
     normalized leading coefficients, sorted ascending by leading monomial."""
-    items = sorted(
-        [g for g in G if g], key=lambda g: order.key(g.leading_term(order)[1])
-    )
+    okey = order.key
+    items = sorted([g for g in G if g], key=lambda g: okey(g.leading_term(order)[1]))
     if not items:
         return []
-    key_cache: dict = {}
-    minimal: list[MPoly] = []
-    lms: list = []
-    for g in items:
-        lm = g.leading_term(order)[1]
-        if any(mono_divides(l, lm) for l in lms):
-            continue
-        minimal.append(g)
-        lms.append(lm)
-    out = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _nf_field(g, others, order, key_cache=key_cache)
-        if r:
-            out.append(field_normalize(r, order))
-    out.sort(key=lambda g: order.key(g.leading_term(order)[1]))
+
+    def run(pk):
+        minimal: list[MPoly] = []
+        lms: list[int] = []
+        for g in items:
+            lm = pk.pack(g.leading_term(order)[1])
+            for l in lms:
+                q = lm - l
+                if q >= 0 and not q & pk.guard:
+                    break
+            else:
+                minimal.append(g)
+                lms.append(lm)
+        red = _Reducers(order, items[0].universe, items[0].domain, pk, minimal)
+        out = []
+        for idx, g in enumerate(minimal):
+            r = red.reduce(red.pack_poly(g), skip=idx)
+            if r:
+                out.append(field_normalize(red.to_poly(r), order))
+        return out
+
+    out = _widening(run, items[0].universe.nvars)
+    out.sort(key=lambda g: okey(g.leading_term(order)[1]))
     return out
 
 
@@ -600,23 +825,24 @@ def is_groebner(G, order: TermOrder, *, ring_mode: bool = False):
         domain = _FieldAsEuclidean(domain)
         G = [MPoly(g.universe, domain, dict(g.terms), _clean=True) for g in G]
         field = False
+    if field:
+        return _widening(lambda pk: _is_groebner_field(G, order, pk), G[0].universe.nvars)
     for j in range(len(G)):
         for i in range(j):
-            if field:
-                gi, gj = G[i], G[j]
-                (ci, mi) = gi.leading_term(order)
-                (cj, mj) = gj.leading_term(order)
-                l = mono_lcm(mi, mj)
-                s = gi.mono_shift(mono_div(l, mi)).scale(
-                    domain.inv(ci)
-                ) - gj.mono_shift(mono_div(l, mj)).scale(domain.inv(cj))
-                if normal_form(s, G, order):
-                    return False, s
-                continue
             _, s, g = _spair_gpair(G[i], G[j], order, domain)
             for cand in (s, g):
                 if cand is not None and _nf_ring(cand, G, order, False):
                     return False, cand
+    return True, None
+
+
+def _is_groebner_field(G, order, pk):
+    red = _Reducers(order, G[0].universe, G[0].domain, pk, G)
+    for j in range(len(G)):
+        for i in range(j):
+            s = red.spoly(i, j)
+            if red.reduce(dict(s)):
+                return False, red.to_poly(s)
     return True, None
 
 
@@ -821,10 +1047,29 @@ def _append_aux_order(order: TermOrder, uni: VarUniverse, big: VarUniverse) -> T
 
 def minimalize_monomials(monos) -> list:
     """Divisibility-minimal subset, sorted (degree, exponents)."""
-    out: list[tuple] = []
-    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
-        if not any(mono_divides(o, m) for o in out):
-            out.append(m)
+    monos = list(monos)
+    if not monos:
+        return []
+
+    def run(pk):
+        packed = {pk.pack(m) for m in monos}
+        return [pk.unpack(p) for p in _minimal_packed(pk, packed)]
+
+    return _widening(run, len(monos[0]))
+
+
+def _minimal_packed(pk: _Packing, packed) -> list:
+    """Divisibility-minimal subset of a set of packed monomials, sorted
+    (degree, exponents)."""
+    guard, degree = pk.guard, pk.degree
+    out: list[int] = []
+    for _, p in sorted((degree(p), p) for p in packed):
+        for o in out:
+            q = p - o
+            if q >= 0 and not q & guard:
+                break
+        else:
+            out.append(p)
     return out
 
 
@@ -839,19 +1084,21 @@ def intersect_monomial_ideals(ideals) -> Ideal:
         if not I.is_monomial():
             raise DomainError("intersection requires monomial generators")
 
-    def monos(I):
-        return [next(iter(g.terms)) for g in I.generators]
+    def run(pk):
+        # an lcm is a fieldwise maximum, so only packing an input can overflow
+        def monos(I):
+            return [pk.pack(next(iter(g.terms))) for g in I.generators]
 
-    current = minimalize_monomials(monos(ideals[0]))
-    for I in ideals[1:]:
-        other = monos(I)
-        if not other or not current:
-            current = []
-            break
-        current = minimalize_monomials(
-            [mono_lcm(a, b) for a in current for b in other]
-        )
-    gens = [MPoly.term(uni, dom, dom.one, m) for m in sorted(current)]
+        current = _minimal_packed(pk, set(monos(ideals[0])))
+        lcm = pk.lcm
+        for I in ideals[1:]:
+            other = monos(I)
+            if not other or not current:
+                return []
+            current = _minimal_packed(pk, {lcm(a, b) for a in current for b in other})
+        return sorted(map(pk.unpack, current))
+
+    gens = [MPoly.term(uni, dom, dom.one, m) for m in _widening(run, uni.nvars)]
     return Ideal(gens, uni, dom)
 
 

@@ -101,10 +101,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_coprime(a: tuple, b: tuple) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def multidegree(mono: tuple, blocks) -> tuple:
     """Per-block total degree; additive under monomial multiplication."""
     return tuple(sum(mono[i] for i in blk) for blk in blocks)
@@ -117,7 +113,8 @@ def multidegree(mono: tuple, blocks) -> tuple:
 class TermOrder:
     """Total order on exponent tuples with 1 minimal and translation
     invariance.  Concrete orders supply ``key``; larger key = larger
-    monomial."""
+    monomial.  The orders here return a flat tuple of ints of fixed length;
+    the Groebner kernel flattens a nested key."""
 
     name = "order"
 
@@ -158,7 +155,7 @@ class DegRevLex(TermOrder):
     name: str = "degrevlex"
 
     def key(self, mono):
-        return (sum(mono), tuple(-e for e in reversed(mono)))
+        return (sum(mono), *[-e for e in reversed(mono)])
 
 
 @dataclass(frozen=True)
@@ -174,9 +171,12 @@ class Block(TermOrder):
     name: str = "block"
 
     def key(self, mono):
-        return tuple(
-            sub.key(tuple(mono[i] for i in idx)) for idx, sub in self.segments
-        )
+        # segment keys have fixed lengths, so concatenating them compares
+        # segment by segment
+        out: list = []
+        for idx, sub in self.segments:
+            out.extend(sub.key(tuple([mono[i] for i in idx])))
+        return tuple(out)
 
 
 def block_elim(universe: VarUniverse, front_vars, rest_order=None) -> Block:
@@ -201,7 +201,7 @@ class WeightedOrder(TermOrder):
 
     def key(self, mono):
         w = sum(a * b for a, b in zip(mono, self.weights))
-        return (w, sum(mono), tuple(-e for e in reversed(mono)))
+        return (w, sum(mono), *[-e for e in reversed(mono)])
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class WeightedPiOrder(TermOrder):
 
     def key(self, mono):
         w = sum(a * b for a, b in zip(mono, self.weights))
-        return (w, -mono[self.pi_index], sum(mono), tuple(-e for e in reversed(mono)))
+        return (w, -mono[self.pi_index], sum(mono), *[-e for e in reversed(mono)])
 
 
 def default_order(universe: VarUniverse) -> TermOrder:

@@ -250,3 +250,52 @@ def test_env_var_default_field(runner, tmp_path, monkeypatch):
     res = runner.invoke(mustafin_group, ["fibre", "--config", str(cfg)])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["config"]["field"] == {"Fp": 101}
+
+
+@pytest.mark.parametrize("command", ["model", "fibre", "support"])
+def test_degen_cap_is_a_resource_cap_not_a_traceback(
+    runner, d3_config, line_curve, tmp_path, command
+):
+    # support stops in the ambient check, model and fibre in the model stage
+    out = tmp_path / "capped.json"
+    res = runner.invoke(
+        degen_group,
+        [command, "--config", d3_config, "--curve", line_curve,
+         "--cap-seconds", "1e-06", "--out", str(out)],
+    )
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "resource cap exceeded" in res.stderr
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "resource-capped"
+    assert "exceeded 1e-06s" in rep["detail"]
+    assert "genericity" not in res.output
+
+
+@pytest.mark.parametrize("command", ["model", "fibre", "support"])
+def test_degen_without_curve_is_a_usage_error(runner, d3_config, command):
+    res = runner.invoke(degen_group, [command, "--config", d3_config])
+    assert res.exit_code == 2
+    assert "--curve is required" in res.stderr
+
+
+def test_conjecture_trials_must_be_natural(runner, d2_config):
+    res = runner.invoke(mustafin_group, ["conjecture", "--config", d2_config, "--trials", "-3"])
+    assert res.exit_code == 2
+    assert "--trials" in res.output
+    res0 = runner.invoke(mustafin_group, ["conjecture", "--config", d2_config, "--trials", "0"])
+    assert res0.exit_code == 0, res0.output
+    assert json.loads(res0.output)["trials"] == []
+
+
+@pytest.mark.parametrize("command", ["fibre", "conjecture"])
+def test_exponents_past_one_byte_fields(runner, tmp_path, command):
+    # the 2x2 minors carry pi^128, past the one-byte packing of the kernel
+    cfg = tmp_path / "big.json"
+    cfg.write_text(
+        json.dumps({"d": 3, "n": 1, "n_vec": [1, 64], "entries": "random", "seed": 1})
+    )
+    out = tmp_path / "out.json"
+    res = runner.invoke(mustafin_group, [command, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["verdict"] == "pass"

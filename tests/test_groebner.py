@@ -1,26 +1,39 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
+import re
+
 from mustafin.groebner import (
+    ReductionStep,
     ReductionTrace,
     buchberger,
     eliminate,
     hilbert_function,
     ideal_membership,
+    interreduce,
     intersect_monomial_ideals,
     is_groebner,
+    minimalize_monomials,
     normal_form,
     radical_membership,
     reduce_one_step,
+    ResourceCapExceeded,
     saturate,
+    _Packing,
+    _Reducers,
 )
 from mustafin.polyring import (
+    Block,
     DegRevLex,
     Ideal,
     Lex,
     MPoly,
+    TermOrder,
     VarUniverse,
+    WeightedPiOrder,
     grid_universe,
     parse_poly,
 )
@@ -254,3 +267,173 @@ def test_groebner_basis_record_and_verify():
     # a cached basis regenerates the ideal: every generator reduces to zero
     for g in I.generators:
         assert not normal_form(g, list(gb.elements), LEX)
+
+
+# ---------------------------------------------------------------------------
+# the field-mode kernel against textbook division
+
+
+def textbook_division(f, basis, order):
+    """Slow reference: rewrite the largest remaining term by the first basis
+    element whose leading monomial divides it, else move it to the
+    remainder; plain MPoly arithmetic throughout."""
+    uni, dom = f.universe, f.domain
+    work, remainder, steps = f, MPoly.zero(uni, dom), []
+    while work:
+        lc, lm = work.leading_term(order)
+        for j, g in enumerate(basis):
+            glc, glm = g.leading_term(order)
+            if all(a <= b for a, b in zip(glm, lm)):
+                q = tuple(b - a for a, b in zip(glm, lm))
+                c = dom.div(lc, glc)
+                work = work - g * MPoly.term(uni, dom, c, q)
+                steps.append(ReductionStep((j,), (c,), (q,)))
+                break
+        else:
+            t = MPoly.term(uni, dom, lc, lm)
+            remainder, work = remainder + t, work - t
+            steps.append(ReductionStep((), (), (lm,)))
+    return remainder, steps
+
+
+U3 = VarUniverse(("x", "y", "pi"))
+F7 = GF(7)
+KERNEL_ORDERS = [
+    DegRevLex(),
+    Block((((0,), DegRevLex()), ((1, 2), DegRevLex())), name="elim-x"),
+    WeightedPiOrder((2, 1, 1), 2),
+]
+terms3 = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 6)), max_size=6
+)
+polys3 = terms3.map(lambda items: MPoly(U3, F7, dict(items)))
+
+
+@given(
+    st.sampled_from(KERNEL_ORDERS),
+    polys3,
+    st.lists(polys3.filter(bool), min_size=1, max_size=4),
+)
+@settings(max_examples=120, deadline=None)
+def test_normal_form_matches_textbook_division(order, f, basis):
+    nf, trace = normal_form(f, basis, order, want_trace=True)
+    expected, steps = textbook_division(f, basis, order)
+    assert nf == expected
+    assert trace.steps == steps
+    assert normal_form(f, basis, order) == expected
+    replayed, _leads = trace.replay(f, basis, order)
+    assert replayed == expected
+
+
+class SquaredDegRevLex(TermOrder):
+    """Degrevlex through a nested key, which the kernel has to flatten."""
+
+    def key(self, mono):
+        return (sum(mono) ** 2, tuple(-e for e in reversed(mono)))
+
+
+def test_order_with_a_nested_key_is_flattened():
+    x, y, pi = (MPoly.var(U3, F7, v) for v in ("x", "y", "pi"))
+    gens = [x * x - y * pi, x * y - pi * pi, y * y * y - x]
+    order = SquaredDegRevLex()
+    assert buchberger(gens, order) == buchberger(gens, DegRevLex())
+    f = x * x * y + y * y * pi + x
+    assert normal_form(f, gens, order) == normal_form(f, gens, DegRevLex())
+
+
+def test_packing_fields_of_one_and_two_bytes():
+    narrow, wide = _Packing(2), _Packing(2, 2)
+    assert (narrow.bound, wide.bound) == (127, 32767)
+    with pytest.raises(DomainError):
+        narrow.pack((128, 0))
+    with pytest.raises(DomainError):
+        wide.pack((0, 32768))
+    for pk in (narrow, wide):
+        a, b = pk.pack((5, 100)), pk.pack((90, 7))
+        assert pk.unpack(a + b) == (95, 107)
+        assert pk.unpack(pk.lcm(a, b)) == (90, 100)
+        assert pk.degree(a) == 105
+    a, b = wide.pack((300, 2)), wide.pack((9, 4000))
+    assert wide.unpack(wide.lcm(a, b)) == (300, 4000)
+
+    def divides(pk, a, b):
+        d = b - a
+        return d >= 0 and not d & pk.guard
+
+    assert divides(wide, wide.pack((9, 2)), a) and not divides(wide, a, wide.pack((9, 2)))
+    assert not divides(wide, b, a) and not divides(wide, a, b)
+
+
+def test_overflow_inside_a_reduction_reruns_wider():
+    top = MPoly.term(U, F, F.one, (127, 0))
+    y_first = Lex(perm=(1, 0))
+    # y x^127 is rewritten through y -> x into x^128, past one-byte fields:
+    # the kernel refuses the monomial instead of carrying into y
+    red = _Reducers(y_first, U, F, _Packing(2), [Y - X])
+    with pytest.raises(DomainError):
+        red.reduce(red.pack_poly(top * Y))
+    # the public entry points run again with wider fields
+    assert normal_form(top * Y, [Y - X], y_first) == top * X
+    assert normal_form(top * X, [Y], LEX) == top * X
+    assert buchberger([top * Y, Y - X], y_first) == [top * X, Y - X]
+
+
+def scaled(f, k):
+    return MPoly(f.universe, f.domain, {tuple(k * e for e in m): c for m, c in f.terms.items()})
+
+
+def without_lcm(log):
+    return [re.sub(r"lcm \(.*?\)", "", line) for line in log]
+
+
+# k = 30 keeps the inputs in one-byte fields and overflows them midway
+# through the run; k = 50 overflows them when the inputs are packed
+@pytest.mark.parametrize("k", [30, 50])
+@pytest.mark.parametrize("order", KERNEL_ORDERS + [WeightedPiOrder((1, 1, 1), 2)])
+def test_exponents_past_one_byte_give_the_scaled_run(order, k):
+    """Raising every variable to the k-th power keeps each order and maps
+    every step of a run to a step of the scaled run, so with exponents past
+    one-byte fields the kernel must give the scaled basis, trace and normal
+    form."""
+    x, y, pi = (MPoly.var(U3, F7, v) for v in ("x", "y", "pi"))
+    gens = [x * x - y * pi, x * y - pi * pi, y * y * y - x * pi * pi]
+    sat = 2 if isinstance(order, WeightedPiOrder) and order.weights == (1, 1, 1) else None
+    log, big_log = [], []
+    gb = buchberger(gens, order, sat_var=sat, trace_log=log)
+    big = buchberger([scaled(g, k) for g in gens], order, sat_var=sat, trace_log=big_log)
+    assert big == [scaled(g, k) for g in gb]
+    assert without_lcm(big_log) == without_lcm(log)
+    assert is_groebner(big, order) == (True, None)
+    assert interreduce(big, order) == big
+    f = scaled(x * x * y * pi + y * y * pi + x * x * x, k)
+    nf, trace = normal_form(f, big, order, want_trace=True)
+    expected, steps = textbook_division(f, big, order)
+    assert nf == expected and trace.steps == steps
+    assert minimalize_monomials([(0, 400, 1), (200, 0, 0), (0, 400, 2)]) == [
+        (200, 0, 0),
+        (0, 400, 1),
+    ]
+
+
+monos4 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@given(st.lists(monos4, max_size=25))
+@settings(max_examples=150, deadline=None)
+def test_minimalize_monomials_matches_naive_filter(monos):
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    distinct = set(monos)
+    naive = [
+        m
+        for m in sorted(distinct, key=lambda m: (sum(m), m))
+        if not any(o != m and divides(o, m) for o in distinct)
+    ]
+    assert minimalize_monomials(monos) == naive
+
+
+def test_buchberger_cap_message_keeps_subsecond_caps():
+    gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
+    with pytest.raises(ResourceCapExceeded, match=r"exceeded 1e-06s"):
+        buchberger(gens, DegRevLex(), cap_seconds=1e-6)

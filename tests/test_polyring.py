@@ -12,6 +12,7 @@ from mustafin.polyring import (
     MPoly,
     UniverseError,
     VarUniverse,
+    WeightedOrder,
     WeightedPiOrder,
     default_order,
     format_poly,
@@ -99,6 +100,7 @@ orders = st.sampled_from(
         Block((((0,), Lex()), ((1, 2), DegRevLex()))),
         WeightedPiOrder((3, 1, 1), 2),
         WeightedPiOrder((0, 2, 1), 2),
+        WeightedOrder((2, 0, 1)),
     ]
 )
 
@@ -113,6 +115,9 @@ def test_order_axioms(order, a, b, c):
     assert order.compare(a, b) == order.compare(shift, shift2)
     if a != (0, 0, 0):
         assert order.compare(a, (0, 0, 0)) == 1
+    # every order here keys by a flat tuple of ints of one length
+    ka, kb = order.key(a), order.key(b)
+    assert all(type(x) is int for x in ka + kb) and len(ka) == len(kb)
 
 
 coeffs = st.integers(0, 32002)
