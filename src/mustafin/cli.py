@@ -73,10 +73,11 @@ def _emit(report: dict, out_path, *, timing=None):
         click.echo(text, nl=False)
 
 
-def _capped(cfg, exc, out_path):
-    """Report a run stopped by ``--cap-seconds``; returns exit code 1."""
+def _capped(exc, out_path, **context):
+    """Report a run stopped by its time cap, with the ``context`` entries
+    (such as the config) in the report; returns exit code 1."""
     click.echo(f"error: resource cap exceeded: {exc}", err=True)
-    _emit({"config": cfg.to_dict(), "verdict": "resource-capped", "detail": str(exc)}, out_path)
+    _emit({**context, "verdict": "resource-capped", "detail": str(exc)}, out_path)
     return 1
 
 
@@ -152,7 +153,7 @@ def mustafin_fibre(config_path, seed, trials, field_flag, out_path, cap_seconds,
     try:
         fibre = varieties.special_fibre(cfg, cap_seconds=cap_seconds, trace_log=trace)
     except ResourceCapExceeded as exc:
-        raise SystemExit(_capped(cfg, exc, out_path))
+        raise SystemExit(_capped(exc, out_path, config=cfg.to_dict()))
     if trace:
         for line in trace:
             click.echo(line, err=True)
@@ -322,7 +323,7 @@ def degen_model(curve_path, config_path, seed, trials, field_flag, out_path, cap
             cap_seconds=cap_seconds,
         )
     except ResourceCapExceeded as exc:
-        raise SystemExit(_capped(cfg, exc, out_path))
+        raise SystemExit(_capped(exc, out_path, config=cfg.to_dict()))
     _emit(
         {
             "config": cfg.to_dict(),
@@ -344,7 +345,7 @@ def degen_fibre(curve_path, config_path, seed, trials, field_flag, out_path, cap
     try:
         fib = degeneration.special_fibre_of_model(cfg, X, cap_seconds=cap_seconds)
     except ResourceCapExceeded as exc:
-        raise SystemExit(_capped(cfg, exc, out_path))
+        raise SystemExit(_capped(exc, out_path, config=cfg.to_dict()))
     _emit(
         {
             "config": cfg.to_dict(),
@@ -366,7 +367,7 @@ def degen_support(curve_path, config_path, seed, trials, field_flag, out_path, c
     try:
         rep = degeneration.support_analysis(cfg, X, cap_seconds=cap_seconds)
     except ResourceCapExceeded as exc:
-        raise SystemExit(_capped(cfg, exc, out_path))
+        raise SystemExit(_capped(exc, out_path, config=cfg.to_dict()))
     report = {"config": cfg.to_dict(), **rep.to_dict()}
     report["verdict"] = "pass" if rep.delta is not None and not rep.aborted else "fail"
     _emit(report, out_path)
@@ -480,11 +481,14 @@ def spec_check(gens_path, assignment_path, cap_seconds2, config_path, seed, tria
 
         rng = _random.Random(("cli-check", seed or 0).__repr__())
         assignment = {p: dom.random(rng) for p in params}
-    obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap_seconds2 or cap_seconds)
-    rep = spec_mod.check_specialization(
-        gens, elem, assignment, obstructions=obs, cap_seconds=cap_seconds2 or cap_seconds
-    )
-    report = {"assignment": {k: str(v) for k, v in sorted(assignment.items())}, **rep.to_dict()}
+    shown = {k: str(v) for k, v in sorted(assignment.items())}
+    cap = cap_seconds2 or cap_seconds
+    try:
+        obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap)
+        rep = spec_mod.check_specialization(gens, elem, assignment, obstructions=obs, cap_seconds=cap)
+    except ResourceCapExceeded as exc:
+        raise SystemExit(_capped(exc, out_path, assignment=shown))
+    report = {"assignment": shown, **rep.to_dict()}
     report["verdict"] = "pass" if rep.ok else "fail"
     _emit(report, out_path)
     raise SystemExit(0 if rep.ok else 1)

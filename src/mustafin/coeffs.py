@@ -456,22 +456,3 @@ class PiRing:
 
     def __hash__(self):
         return hash(("PiRing", self.base))
-
-
-# module-level conveniences mirroring the operation names used elsewhere
-
-
-def pi_valuation(ring: PiRing, f) -> int:
-    return ring.pi_valuation(f)
-
-
-def reduce_mod_pi(ring: PiRing, f):
-    return ring.reduce_mod_pi(f)
-
-
-def is_okunit(ring: PiRing, f) -> bool:
-    return ring.is_okunit(f)
-
-
-def extended_gcd(ring: PiRing, f, g):
-    return ring.extended_gcd(f, g)

@@ -185,10 +185,10 @@ def model_ideal(
             acc = acc + g_big[0][r][l] * x0[l]
         w0.append(acc)
     # ambient generators with y[l] := (g_0 . x_col0)_l; the y variables are
-    # absent from `big`, so substitute through a temporary extension
+    # absent from `big`, so substitute from a temporary extension into `big`
     wide = big.extend([f"y[{l}]" for l in range(1, d + 1)])
-    assignment = {f"y[{l}]": w0[l - 1].relabel(wide) for l in range(1, d + 1)}
-    gens = [f.relabel(wide).substitute(assignment).relabel(big) for f in X.generators]
+    assignment = {f"y[{l}]": w0[l - 1] for l in range(1, d + 1)}
+    gens = [f.relabel(wide).substitute(assignment, big) for f in X.generators]
     one = MPoly.const(big, dom, dom.one)
     for j in range(1, n + 1):
         adj = _adjugate(g_big[j], big, dom)

@@ -12,8 +12,9 @@ Two engines share one reduction framework:
   the leading-term syzygy module over a Euclidean domain.  All pairs are
   processed: ring mode runs at desk scale only, correctness over speed.
 
-Field mode has one reduction kernel, ``_Reducers``, behind ``normal_form``,
-``interreduce``, ``is_groebner`` and the Buchberger loop.  It works on packed
+Both modes share one reduction kernel, ``_Reducers``, behind
+``normal_form``, ``interreduce``, ``is_groebner``, ``ideal_membership`` and
+the Buchberger loops.  It works on packed
 monomials: an exponent tuple becomes one int with a fixed-width field per
 variable, so a product is an addition and a divisibility test is a
 subtraction and a mask (see ``_Packing``).  A field of w bytes holds
@@ -24,7 +25,10 @@ computation reruns with fields twice as wide (``_widening``).  The
 table holds each basis element's packed leading monomial, leading
 coefficient and monic tail once per basis, and the working polynomial keeps
 a heap of order keys, so each step finds its largest term without a scan.
-Ring mode keeps the plain ``MPoly`` representation.
+In ring mode a step may combine several elements through a Bezout identity
+of their leading coefficients, exactly as ``reduce_one_step`` does; that
+textbook step on ``MPoly`` arithmetic remains for the obstruction harvest in
+``specialize``.
 
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
@@ -36,6 +40,7 @@ saturated ideal.  Everything else takes the textbook route: adjoin
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import time
@@ -55,7 +60,7 @@ from .polyring import (
     WeightedPiOrder,
     mono_div,
     mono_divides,
-    mono_lcm,
+    multidegree,
     order_eliminates,
 )
 
@@ -281,22 +286,29 @@ def _flat_key(order: TermOrder, nvars: int):
 class _Reducers:
     """A basis in packed form, in basis order: for every element its packed
     leading monomial, its leading coefficient and its tail (the other terms,
-    divided by the leading coefficient; packed when first used).
+    packed when first used; over a field divided by the leading
+    coefficient).
 
-    ``reduce`` computes normal forms against it: the largest remaining term
-    is rewritten by the first element, in basis order, whose leading
-    monomial divides it, or else moved to the remainder.  The working
-    polynomial is a dict with a heap of negated order keys beside it; keys
-    and first divisors are cached per monomial for the life of the table.
+    ``reduce`` computes normal forms against it.  Over a field the largest
+    remaining term is rewritten by the first element, in basis order, whose
+    leading monomial divides it.  Over a Euclidean domain (``ring``) it is
+    rewritten by the shortest prefix of those elements whose leading
+    coefficients have a gcd dividing its coefficient, with the extended-gcd
+    cofactors, exactly as ``reduce_one_step`` does.  A term no element
+    rewrites moves to the remainder.  The working polynomial is a dict with
+    a heap of negated order keys beside it; keys, first divisors and (ring
+    mode) divisor lists with their gcd chains are cached per monomial for the
+    life of the table.
     """
 
     __slots__ = (
-        "order", "universe", "domain", "pk", "lms", "lcs", "tails", "_polys", "_keys",
+        "order", "universe", "domain", "pk", "ring", "lms", "lcs", "tails", "_polys", "_keys",
         "_divisors", "_flat_key",
     )
 
     def __init__(self, order: TermOrder, universe: VarUniverse, domain, pk: _Packing, basis=()):
         self.order, self.universe, self.domain, self.pk = order, universe, domain, pk
+        self.ring = not getattr(domain, "is_field", False)
         self.lms: list[int] = []
         self.lcs: list = []
         self.tails: list = []
@@ -317,8 +329,11 @@ class _Reducers:
     def _tail(self, j: int) -> list:
         g, pack, mul = self._polys[j], self.pk.pack, self.domain.mul
         lm = g.leading_term(self.order)[1]
-        inv = self.domain.inv(self.lcs[j])
-        tail = [(pack(m), mul(c, inv)) for m, c in g.terms.items() if m != lm]
+        if self.ring:
+            tail = [(pack(m), c) for m, c in g.terms.items() if m != lm]
+        else:
+            inv = self.domain.inv(self.lcs[j])
+            tail = [(pack(m), mul(c, inv)) for m, c in g.terms.items() if m != lm]
         self.tails[j] = tail
         return tail
 
@@ -369,16 +384,72 @@ class _Reducers:
                 raise self.pk.overflow()
         return work
 
-    def reduce(self, work: dict, *, skip: int | None = None, trace_steps=None) -> dict:
+    def combinations(self, i: int, j: int) -> list:
+        """The combinations of elements i and j that a basis must reduce to
+        zero, as packed dicts: over a field the S-polynomial; over a
+        Euclidean domain the S-combination (leading terms cancelled through
+        the coefficient lcm) and, unless one leading coefficient divides the
+        other, the G-combination (their gcd, by the extended Euclidean
+        algorithm)."""
+        if not self.ring:
+            return [self.spoly(i, j)]
+        dom = self.domain
+        lms, ci, cj = self.lms, self.lcs[i], self.lcs[j]
+        l = self.pk.lcm(lms[i], lms[j])
+        qi, qj = l - lms[i], l - lms[j]
+        d, (u, v) = dom.extended_gcd(ci, cj)
+        out = [
+            self._combine(
+                ((i, qi, dom.exact_div(cj, d)), (j, qj, dom.neg(dom.exact_div(ci, d))))
+            )
+        ]
+        if not (dom.divides(ci, cj) or dom.divides(cj, ci)):
+            g = self._combine(((i, qi, u), (j, qj, v)))
+            g[l] = d  # u*ci + v*cj; the tails stay below l
+            out.append(g)
+        return out
+
+    def _combine(self, parts) -> dict:
+        """Sum of c * x^q * tail_j over the (j, q, c) in ``parts``."""
+        dom = self.domain
+        add, mul, iz = dom.add, dom.mul, dom.is_zero
+        work: dict = {}
+        for j, q, c in parts:
+            if iz(c):
+                continue
+            tail = self.tails[j]
+            if tail is None:
+                tail = self._tail(j)
+            for m, gv in tail:
+                mm = m + q
+                cur = work.get(mm)
+                if cur is None:
+                    work[mm] = mul(c, gv)
+                else:
+                    s = add(cur, mul(c, gv))
+                    if iz(s):
+                        del work[mm]
+                    else:
+                        work[mm] = s
+        guard = self.pk.guard
+        for m in work:
+            if m & guard:
+                raise self.pk.overflow()
+        return work
+
+    def reduce(self, work: dict, *, skip=(), trace_steps=None) -> dict:
         """Normal form of the packed polynomial ``work`` (consumed), with
-        element ``skip`` left out of the basis."""
+        the elements whose indices are in ``skip`` left out of the basis."""
         lms, lcs, tails = self.lms, self.lcs, self.tails
         guard = self.pk.guard
         divisors = self._divisors
-        if skip is not None:
+        if skip:
             lms = list(lms)
-            lms[skip] = guard  # exceeds every valid monomial, so divides none
+            for k in skip:
+                lms[k] = guard  # exceeds every valid monomial, so divides none
             divisors = {}
+        if self.ring:
+            return self._reduce_ring(work, lms, divisors, trace_steps)
         none_yet = ~len(lms)
         dom = self.domain
         mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
@@ -430,13 +501,105 @@ class _Reducers:
                 )
         return remainder
 
+    def _reduce_ring(self, work: dict, lms: list, chains: dict, trace_steps) -> dict:
+        """The Euclidean branch of ``reduce``.  ``chains`` maps a monomial to
+        the indices of the elements whose leading monomials divide it, the
+        running (gcd, cofactors) over their leading coefficients, grown only
+        as far as some coefficient has needed, and the table length it has
+        scanned (elements appended later are scanned when next needed)."""
+        lcs, tails, guard, unpack = self.lcs, self.tails, self.pk.guard, self.pk.unpack
+        dom = self.domain
+        mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
+        divides, xgcd = dom.divides, dom.extended_gcd
+        keys, key = self._keys, self.key
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap = [(keys.get(m) or key(m), m) for m in work]
+        heapq.heapify(heap)
+        remainder: dict = {}
+        while heap:
+            lm = heappop(heap)[1]
+            lc = work.pop(lm, None)
+            if lc is None:  # cancelled after it was pushed
+                continue
+            entry = chains.get(lm)
+            if entry is None:
+                entry = chains[lm] = [[], [], 0]
+            divs, chain, scanned = entry
+            if scanned < len(lms):  # new elements come last in basis order
+                for j in range(scanned, len(lms)):
+                    q = lm - lms[j]
+                    if q >= 0 and not q & guard:
+                        divs.append(j)
+                entry[2] = len(lms)
+            k = 0
+            while True:
+                if k == len(chain):
+                    if k == len(divs):
+                        break
+                    glc = lcs[divs[k]]
+                    if k:
+                        g_run, combo = chain[-1]
+                        d, (u, v) = xgcd(g_run, glc)
+                        chain.append((d, tuple([mul(u, c) for c in combo]) + (v,)))
+                    else:
+                        d, (u, _) = xgcd(glc, dom.zero)
+                        chain.append((d, (u,)))
+                g_run, combo = chain[k]
+                if divides(g_run, lc):
+                    break
+                k += 1
+            if k == len(divs):
+                remainder[lm] = lc
+                if trace_steps is not None:
+                    trace_steps.append(ReductionStep((), (), (unpack(lm),)))
+                continue
+            scale = dom.exact_div(lc, g_run)
+            step = []
+            for j, c0 in zip(divs, combo):
+                c = mul(scale, c0)
+                if iz(c):
+                    continue
+                q = lm - lms[j]
+                tail = tails[j]
+                if tail is None:
+                    tail = self._tail(j)
+                # the leading terms cancel: the cofactors combine the leading
+                # coefficients to g_run, and scale * g_run = lc
+                for m, gv in tail:
+                    mm = m + q
+                    cur = work.get(mm)
+                    if cur is None:
+                        if mm & guard:
+                            raise self.pk.overflow()
+                        work[mm] = neg(mul(c, gv))
+                        heappush(heap, (keys.get(mm) or key(mm), mm))
+                    else:
+                        s = sub(cur, mul(c, gv))
+                        if iz(s):
+                            del work[mm]
+                        else:
+                            work[mm] = s
+                step.append((j, c, q))
+            if trace_steps is not None:
+                trace_steps.append(
+                    ReductionStep(
+                        tuple([j for j, _, _ in step]),
+                        tuple([c for _, c, _ in step]),
+                        tuple([unpack(q) for _, _, q in step]),
+                    )
+                )
+        return remainder
+
 
 def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
     """Normal form of f modulo G: rewrite leading terms while possible, move
-    irreducible leading terms to the remainder, continue on the tail."""
-    basis = [g for g in G if g]
-    if not getattr(f.domain, "is_field", False):
-        return _nf_ring(f, basis, order, want_trace)
+    irreducible leading terms to the remainder, continue on the tail.  Over
+    a Euclidean domain a step may combine several elements of G."""
+    return _normal_form(f, [g for g in G if g], order, want_trace)
+
+
+def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):
+    """``normal_form`` against a basis with no zero element."""
 
     def run(pk):
         steps = [] if want_trace else None
@@ -445,29 +608,6 @@ def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
 
     nf, steps = _widening(run, f.universe.nvars)
     return (nf, ReductionTrace(steps)) if want_trace else nf
-
-
-def _nf_ring(f: MPoly, basis, order, want_trace):
-    dom, uni = f.domain, f.universe
-    steps = [] if want_trace else None
-    work = f
-    remainder = MPoly.zero(uni, dom)
-    while work:
-        step = reduce_one_step(work, basis, order)
-        if step is None:
-            lc, lm = work.leading_term(order)
-            t = MPoly.term(uni, dom, lc, lm)
-            remainder = remainder + t
-            work = work - t
-            if steps is not None:
-                steps.append(ReductionStep((), (), (lm,)))
-        else:
-            work, s = step
-            if steps is not None:
-                steps.append(s)
-    if want_trace:
-        return remainder, ReductionTrace(steps)
-    return remainder
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +848,7 @@ def interreduce(G, order: TermOrder):
         red = _Reducers(order, items[0].universe, items[0].domain, pk, minimal)
         out = []
         for idx, g in enumerate(minimal):
-            r = red.reduce(red.pack_poly(g), skip=idx)
+            r = red.reduce(red.pack_poly(g), skip=(idx,))
             if r:
                 out.append(field_normalize(red.to_poly(r), order))
         return out
@@ -762,51 +902,43 @@ class _FieldAsEuclidean:
         return hash(("FieldAsEuclidean", self._f))
 
 
-def _spair_gpair(gi, gj, order, dom):
-    (ci, mi) = gi.leading_term(order)
-    (cj, mj) = gj.leading_term(order)
-    l = mono_lcm(mi, mj)
-    d, (u, v) = dom.extended_gcd(ci, cj)
-    s = gi.mono_shift(mono_div(l, mi)).scale(dom.exact_div(cj, d)) - gj.mono_shift(
-        mono_div(l, mj)
-    ).scale(dom.exact_div(ci, d))
-    g = None
-    if not (dom.divides(ci, cj) or dom.divides(cj, ci)):
-        g = gi.mono_shift(mono_div(l, mi)).scale(u) + gj.mono_shift(
-            mono_div(l, mj)
-        ).scale(v)
-    return l, s, g
-
-
 def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
     t0 = time.monotonic()
-    G = list(gens)
-    queue = [(j, i) for j in range(len(G)) for i in range(j)]
-    while queue:
-        if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
-            raise ResourceCapExceeded("ring-mode buchberger exceeded budget")
-        j, i = queue.pop(0)
-        l, s, g = _spair_gpair(G[i], G[j], order, domain)
-        for cand in (s, g):
-            if cand is None:
-                continue
-            r = _nf_ring(cand, G, order, False)
-            if trace_log is not None:
-                trace_log.append(
-                    f"ring pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}"
-                )
-            if r:
-                t = len(G)
-                G.append(r)
-                queue.extend((t, k) for k in range(t))
-    out: list[MPoly] = []
-    for idx in range(len(G)):
-        others = [h for k, h in enumerate(G) if k != idx and h]
-        if _nf_ring(G[idx], others, order, False):
-            out.append(G[idx])
-        else:
-            G[idx] = MPoly.zero(universe, domain)
-    return out
+    log_start = len(trace_log) if trace_log is not None else 0
+
+    def run(pk):
+        if trace_log is not None:
+            del trace_log[log_start:]  # lines of a narrower run
+        red = _Reducers(order, universe, domain, pk, gens)
+        G = list(gens)
+        queue = collections.deque((j, i) for j in range(len(G)) for i in range(j))
+        while queue:
+            if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
+                raise ResourceCapExceeded("ring-mode buchberger exceeded budget")
+            j, i = queue.popleft()
+            for cand in red.combinations(i, j):
+                r = red.reduce(cand)
+                if trace_log is not None:
+                    l = pk.unpack(pk.lcm(red.lms[i], red.lms[j]))
+                    trace_log.append(
+                        f"ring pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}"
+                    )
+                if r:
+                    t = len(G)
+                    G.append(red.to_poly(r))
+                    red.append(G[t])
+                    queue.extend((t, k) for k in range(t))
+        # drop every element that the others, in basis order, reduce to zero
+        dropped: set = set()
+        out: list[MPoly] = []
+        for idx, g in enumerate(G):
+            if red.reduce(red.pack_poly(g), skip=dropped | {idx}):
+                out.append(g)
+            else:
+                dropped.add(idx)
+        return out
+
+    return _widening(run, universe.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -819,30 +951,19 @@ def is_groebner(G, order: TermOrder, *, ring_mode: bool = False):
     G = [g for g in G if g]
     if len(G) <= 1:
         return True, None
-    domain = G[0].domain
-    field = getattr(domain, "is_field", False)
-    if ring_mode and field:
-        domain = _FieldAsEuclidean(domain)
+    if ring_mode and getattr(G[0].domain, "is_field", False):
+        domain = _FieldAsEuclidean(G[0].domain)
         G = [MPoly(g.universe, domain, dict(g.terms), _clean=True) for g in G]
-        field = False
-    if field:
-        return _widening(lambda pk: _is_groebner_field(G, order, pk), G[0].universe.nvars)
-    for j in range(len(G)):
-        for i in range(j):
-            _, s, g = _spair_gpair(G[i], G[j], order, domain)
-            for cand in (s, g):
-                if cand is not None and _nf_ring(cand, G, order, False):
-                    return False, cand
-    return True, None
+    return _widening(lambda pk: _is_groebner_packed(G, order, pk), G[0].universe.nvars)
 
 
-def _is_groebner_field(G, order, pk):
+def _is_groebner_packed(G, order, pk):
     red = _Reducers(order, G[0].universe, G[0].domain, pk, G)
     for j in range(len(G)):
         for i in range(j):
-            s = red.spoly(i, j)
-            if red.reduce(dict(s)):
-                return False, red.to_poly(s)
+            for cand in red.combinations(i, j):
+                if red.reduce(dict(cand)):
+                    return False, red.to_poly(cand)
     return True, None
 
 
@@ -859,7 +980,6 @@ def ideal_membership(
         dom = _FieldAsEuclidean(f.domain)
         f = MPoly(f.universe, dom, dict(f.terms), _clean=True)
         gb = [MPoly(g.universe, dom, dict(g.terms), _clean=True) for g in gb]
-        return not _nf_ring(f, list(gb), order, False)
     return not normal_form(f, list(gb), order)
 
 
@@ -1121,12 +1241,17 @@ def hilbert_function(
 ) -> dict:
     """Standard-monomial counts per multidegree in the box prod [0..b_j].
 
-    ``blocks`` lists variable positions per block.  The ideal must be
-    homogeneous per block, with field coefficients.
+    ``blocks`` lists disjoint variable positions per block.  The ideal must
+    be homogeneous per block, with field coefficients.  Monomials are packed
+    (``_Packing``): a box monomial is the sum of its blocks' packed parts, and
+    it is tested only against the leading monomials whose multidegree it
+    bounds.
     """
     if not getattr(I.domain, "is_field", False):
         raise DomainError("hilbert function needs field coefficients")
     uni = I.universe
+    if len({p for blk in blocks for p in blk}) != sum(len(blk) for blk in blocks):
+        raise DomainError("blocks must be disjoint")
     for g in I.generators:
         if not g.is_multihomogeneous(blocks):
             raise DomainError("ideal is not multihomogeneous for the blocks")
@@ -1136,17 +1261,36 @@ def hilbert_function(
         if not I.is_zero()
         else []
     )
-    table: dict[tuple, int] = {}
-    for mdeg in itertools.product(*[range(b + 1) for b in box]):
-        count = 0
-        per_block = [list(compositions(dg, len(blk))) for blk, dg in zip(blocks, mdeg)]
-        for combo in itertools.product(*per_block):
-            mono = [0] * uni.nvars
-            for blk, exps in zip(blocks, combo):
-                for p, e in zip(blk, exps):
-                    mono[p] = e
-            mono_t = tuple(mono)
-            if not any(mono_divides(lm, mono_t) for lm in lms):
-                count += 1
-        table[mdeg] = count
-    return table
+
+    def run(pk):
+        guard = pk.guard
+        leads = [(pk.pack(m), multidegree(m, blocks)) for m in lms]
+        # per block and degree, the packed monomials of that block alone
+        parts = []
+        for blk, b in zip(blocks, box):
+            per_degree = []
+            for dg in range(b + 1):
+                packed = []
+                for exps in compositions(dg, len(blk)):
+                    mono = [0] * uni.nvars
+                    for p, e in zip(blk, exps):
+                        mono[p] = e
+                    packed.append(pk.pack(mono))
+                per_degree.append(packed)
+            parts.append(per_degree)
+        table: dict[tuple, int] = {}
+        for mdeg in itertools.product(*[range(b + 1) for b in box]):
+            cands = [l for l, md in leads if all(a <= b for a, b in zip(md, mdeg))]
+            count = 0
+            for combo in itertools.product(*[per[dg] for per, dg in zip(parts, mdeg)]):
+                p = sum(combo)
+                for l in cands:
+                    q = p - l
+                    if q >= 0 and not q & guard:
+                        break
+                else:
+                    count += 1
+            table[mdeg] = count
+        return table
+
+    return _widening(run, uni.nvars)

@@ -101,6 +101,27 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _terms_mul(a: dict, b: dict, dom) -> dict:
+    """Product of two term dicts (monomial -> nonzero coefficient)."""
+    mul, add, iz = dom.mul, dom.add, dom.is_zero
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple([x + y for x, y in zip(m1, m2)])
+            p = mul(c1, c2)
+            cur = out.get(m)
+            if cur is None:
+                if not iz(p):
+                    out[m] = p
+            else:
+                s = add(cur, p)
+                if iz(s):
+                    del out[m]
+                else:
+                    out[m] = s
+    return out
+
+
 def multidegree(mono: tuple, blocks) -> tuple:
     """Per-block total degree; additive under monomial multiplication."""
     return tuple(sum(mono[i] for i in blk) for blk in blocks)
@@ -349,22 +370,9 @@ class MPoly:
 
     def __mul__(self, other):
         self._check(other)
-        dom = self.domain
-        mul, add, iz = dom.mul, dom.add, dom.is_zero
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                p = mul(c1, c2)
-                if m in out:
-                    s = add(out[m], p)
-                    if iz(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-                elif not iz(p):
-                    out[m] = p
-        return MPoly(self.universe, dom, out, _clean=True)
+        return MPoly(
+            self.universe, self.domain, _terms_mul(self.terms, other.terms, self.domain), _clean=True
+        )
 
     def scale(self, c):
         dom = self.domain
@@ -467,35 +475,88 @@ class MPoly:
             out[tuple(nm)] = c
         return MPoly(new_universe, self.domain, out, _clean=True)
 
-    def substitute(self, assignment: dict):
+    def substitute(self, assignment: dict, universe: VarUniverse | None = None):
         """Image under the ring homomorphism sending named variables to
-        polynomials or coefficients; unassigned variables map to themselves."""
+        polynomials or coefficients; unassigned variables map to themselves.
+
+        The image lives in ``universe`` (default: this polynomial's), which
+        must hold every unassigned variable in use and every variable of the
+        polynomial values.  Coefficient values are multiplied into each
+        term's coefficient and polynomial values into its term dict, both
+        from powers cached per call; all terms accumulate into one dict.
+        """
         uni, dom = self.universe, self.domain
-        values = {}
+        target = universe or uni
+        mul, add, iz = dom.mul, dom.add, dom.is_zero
+        scalars: dict[int, object] = {}
+        polys: dict[int, dict] = {}
         for name, val in assignment.items():
             pos = uni.index(name)
             if isinstance(val, MPoly):
-                values[pos] = val.relabel(uni) if val.universe is not uni else val
+                if val.universe.names != target.names:
+                    val = val.relabel(target)
+                polys[pos] = val.terms
             else:
-                values[pos] = MPoly.const(uni, dom, val)
-        out = MPoly.zero(uni, dom)
-        one = MPoly.const(uni, dom, dom.one)
-        pow_cache: dict[tuple[int, int], MPoly] = {}
+                scalars[pos] = val
+        dest = [target._index.get(name) for name in uni.names]
+
+        scalar_pows: dict[tuple[int, int], object] = {}
+        poly_pows: dict[tuple[int, int], dict] = {}
+
+        def scalar_pow(i, e):
+            key = (i, e)
+            p = scalar_pows.get(key)
+            if p is None:
+                p = scalars[i] if e == 1 else mul(scalar_pow(i, e // 2), scalar_pow(i, e - e // 2))
+                scalar_pows[key] = p
+            return p
+
+        def poly_pow(i, e):
+            key = (i, e)
+            p = poly_pows.get(key)
+            if p is None:
+                p = polys[i] if e == 1 else _terms_mul(poly_pow(i, e // 2), poly_pow(i, e - e // 2), dom)
+                poly_pows[key] = p
+            return p
+
+        out: dict = {}
+        nv = target.nvars
         for m, c in self.terms.items():
-            residual = [0] * uni.nvars
-            factor = one
+            mono = [0] * nv
+            factor = None
             for i, e in enumerate(m):
                 if not e:
                     continue
-                if i in values:
-                    key = (i, e)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[i] ** e
-                    factor = factor * pow_cache[key]
+                if i in scalars:
+                    c = mul(c, scalar_pow(i, e))
+                elif i in polys:
+                    p = poly_pow(i, e)
+                    factor = p if factor is None else _terms_mul(factor, p, dom)
+                elif dest[i] is None:
+                    raise UniverseError(f"variable {uni.names[i]} missing from target")
                 else:
-                    residual[i] = e
-            out = out + factor.mono_shift(tuple(residual)).scale(c)
-        return out
+                    mono[dest[i]] = e
+            if iz(c):
+                continue
+            if factor is None:
+                pieces = ((tuple(mono), c),)
+            else:
+                pieces = [
+                    (tuple([a + b for a, b in zip(mono, fm)]), mul(c, fc))
+                    for fm, fc in factor.items()
+                ]
+            for mm, v in pieces:
+                cur = out.get(mm)
+                if cur is None:
+                    if not iz(v):
+                        out[mm] = v
+                else:
+                    s = add(cur, v)
+                    if iz(s):
+                        del out[mm]
+                    else:
+                        out[mm] = s
+        return MPoly(target, dom, out, _clean=True)
 
     # equality / hashing ---------------------------------------------------
     def __eq__(self, other):

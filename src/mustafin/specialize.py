@@ -21,15 +21,24 @@ reduction strategy; different strategies give different, individually
 sufficient sets.  ``check_specialization`` verifies a concrete assignment
 directly: the specialized set must be a basis over the pi-coefficient ring,
 and substitution must commute with saturation.
+
+Each piece of algebra is done once.  ``subst`` only checks for missing
+parameters, shrinks the universe and spreads pi-ring values over the pi
+variable; the substitution itself is ``MPoly.substitute``, one pass into one
+term dict.  The ``ObstructionSet`` carries the symbolic basis it was read
+from, and ``check_specialization`` reuses it for the same generators
+instead of computing it per check.  The basis test over the pi-coefficient
+ring runs on the packed ring-mode kernel of ``groebner``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coeffs import DomainError, base_field
 from .groebner import (
+    _normal_form,
     buchberger,
     divide_var_power,
     is_groebner,
@@ -44,6 +53,7 @@ from .polyring import (
     Ideal,
     MPoly,
     VarUniverse,
+    default_order,
     format_poly,
     mono_div,
     mono_lcm,
@@ -71,48 +81,33 @@ def subst(assignment: dict, target):
         return Ideal(gens, uni, target.domain)
     f = target
     uni, dom = f.universe, f.domain
-    missing = {
-        name
-        for name in f.variables()
-        if name.startswith("A[") and name not in assignment
-    }
+    unassigned = [
+        i for i, name in enumerate(uni.names) if name.startswith("A[") and name not in assignment
+    ]
+    missing = {uni.names[i] for i in unassigned if any(m[i] for m in f.terms)}
     if missing:
         raise DomainError(f"assignment misses parameters {sorted(missing)}")
     small = _shrunk_universe(uni, assignment)
-    values: dict[str, MPoly] = {}
+    values = {}
     for name, val in assignment.items():
         if name not in uni:
             continue
         if isinstance(val, MPoly):
-            values[name] = val.relabel(small)
-        elif isinstance(val, tuple):  # pi-ring element
+            val = val.relabel(small)
+        elif isinstance(val, tuple):  # pi-ring element, spread over the pi variable
             if len(val) > 1 and "pi" not in small:
                 raise DomainError("pi-polynomial value needs a pi variable")
-            acc = MPoly.zero(small, dom)
+            pi_pos = small.index("pi") if len(val) > 1 else None
+            terms = {}
             for k, c in enumerate(val):
-                if dom.is_zero(c):
-                    continue
-                mono = [0] * small.nvars
-                if k:
-                    mono[small.index("pi")] = k
-                acc = acc + MPoly.term(small, dom, c, tuple(mono))
-            values[name] = acc
-        else:
-            values[name] = MPoly.const(small, dom, val)
-    out = MPoly.zero(small, dom)
-    for m, c in f.terms.items():
-        factor = MPoly.const(small, dom, c)
-        residual = [0] * small.nvars
-        for pos, e in enumerate(m):
-            if not e:
-                continue
-            name = uni.names[pos]
-            if name in values:
-                factor = factor * values[name] ** e
-            else:
-                residual[small.index(name)] = e
-        out = out + factor.mono_shift(tuple(residual))
-    return out
+                if not dom.is_zero(c):
+                    mono = [0] * small.nvars
+                    if k:
+                        mono[pi_pos] = k
+                    terms[tuple(mono)] = c
+            val = MPoly(small, dom, terms, _clean=True)
+        values[name] = val
+    return f.substitute(values, small)
 
 
 def _shrunk_universe(uni: VarUniverse, assignment) -> VarUniverse:
@@ -196,11 +191,20 @@ def _adjoin_saturator(gens, a_elem):
 class ObstructionSet:
     """Parameter conditions under which the symbolic basis specializes to a
     basis: unit_conditions must take pi-valuation 0, nonzero_conditions must
-    stay nonzero."""
+    stay nonzero.
+
+    ``basis`` is the symbolic basis the conditions were read from and
+    ``lifted`` the generators <gens, 1 - t*a> it is a basis of, so that
+    ``check_specialization`` on the same generators need not compute it
+    again.  Both are None for an incomplete set and for one parsed from
+    text.
+    """
 
     unit_conditions: list
     nonzero_conditions: list
     incomplete: bool = False
+    basis: list | None = field(default=None, compare=False, repr=False)
+    lifted: list | None = field(default=None, compare=False, repr=False)
 
     def texts(self) -> dict:
         return {
@@ -278,7 +282,9 @@ def obstruction_polynomials(
                 j
             ].mono_shift(mono_div(l, mj)).scale(dom.inv(cj))
             harvest(s)
-    return ObstructionSet(unit_conditions, nonzero, incomplete)
+    if incomplete:
+        return ObstructionSet(unit_conditions, nonzero, True)
+    return ObstructionSet(unit_conditions, nonzero, False, gb, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +327,11 @@ def check_specialization(
         return SpecializationReport(True, True)
     dom = gens[0].domain
     big, aux, lifted = _adjoin_saturator(gens, a_elem)
-    order, _group = _symbolic_order(big, aux)
-    gb = buchberger(lifted, order, universe=big, domain=dom, cap_seconds=cap_seconds)
+    if obstructions is not None and obstructions.basis is not None and obstructions.lifted == lifted:
+        gb = obstructions.basis
+    else:
+        order, _group = _symbolic_order(big, aux)
+        gb = buchberger(lifted, order, universe=big, domain=dom, cap_seconds=cap_seconds)
 
     # (1) basis property of the specialized set over the pi-coefficient ring
     spec_gb = [h for h in (subst(assignment, g) for g in gb) if h]
@@ -333,11 +342,7 @@ def check_specialization(
     if ok_gb:
         for g in lifted:
             sg = subst(assignment, g)
-            if not sg:
-                continue
-            from .groebner import _nf_ring  # deliberate: same reduction core
-
-            if _nf_ring(to_pi_coefficients(sg), ring_gb, ring_order, False):
+            if sg and _normal_form(to_pi_coefficients(sg), ring_gb, ring_order):
                 ok_gb = False
                 break
 
@@ -366,7 +371,8 @@ def check_specialization(
 
 
 def _same_ideal(A: Ideal, B: Ideal) -> bool:
-    order = DegRevLex()
+    # the order ``saturate`` caches its result under, so B's basis is reused
+    order = default_order(A.universe)
     gb_a = list(A.groebner_basis(order)) if not A.is_zero() else []
     gb_b = list(B.groebner_basis(order)) if not B.is_zero() else []
     return all(not normal_form(g, gb_b, order) for g in A.generators) and all(

@@ -272,6 +272,32 @@ def test_degen_cap_is_a_resource_cap_not_a_traceback(
     assert "genericity" not in res.output
 
 
+def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, tmp_path):
+    # the obstruction basis is left incomplete under the cap, so the check
+    # computes it again and stops in the same cap
+    from mustafin import GF, varieties
+
+    minors = varieties.minors_ideal(varieties.LatticeConfig(3, 1, (1, 2), GF(32003), "symbolic"))
+    gens = tmp_path / "minors.json"
+    gens.write_text(
+        json.dumps(
+            {
+                "variables": list(minors.universe.names),
+                "generators": [g.text() for g in minors.generators],
+                "element": "pi",
+            }
+        )
+    )
+    res = runner.invoke(spec_group, ["check", "--gens", str(gens), "--cap", "0.001"])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error: resource cap exceeded: " in res.stderr
+    rep = json.loads(res.stdout)
+    assert rep["verdict"] == "resource-capped"
+    assert "exceeded 0.001s" in rep["detail"]
+    assert len(rep["assignment"]) == 18
+
+
 @pytest.mark.parametrize("command", ["model", "fibre", "support"])
 def test_degen_without_curve_is_a_usage_error(runner, d3_config, command):
     res = runner.invoke(degen_group, [command, "--config", d3_config])

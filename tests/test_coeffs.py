@@ -9,10 +9,6 @@ from mustafin.coeffs import (
     PiRing,
     QQ,
     base_field,
-    extended_gcd,
-    is_okunit,
-    pi_valuation,
-    reduce_mod_pi,
 )
 
 F = GF(32003)
@@ -43,38 +39,38 @@ def test_base_field_resolution():
 
 def test_pi_valuation_examples():
     # pi^2 * (1 + pi) has valuation 2
-    assert pi_valuation(RQ, RQ.mul(q(0, 0, 1), q(1, 1))) == 2
+    assert RQ.pi_valuation(RQ.mul(q(0, 0, 1), q(1, 1))) == 2
     # 3 + pi has valuation 0
-    assert pi_valuation(RQ, q(3, 1)) == 0
+    assert RQ.pi_valuation(q(3, 1)) == 0
     with pytest.raises(DomainError):
-        pi_valuation(RQ, RQ.zero)
+        RQ.pi_valuation(RQ.zero)
 
 
 def test_reduce_mod_pi_examples():
-    assert reduce_mod_pi(RQ, q(3, 5)) == Fraction(3)
-    assert reduce_mod_pi(RQ, q(0, 1)) == 0
-    assert reduce_mod_pi(RQ, RQ.zero) == 0
+    assert RQ.reduce_mod_pi(q(3, 5)) == Fraction(3)
+    assert RQ.reduce_mod_pi(q(0, 1)) == 0
+    assert RQ.reduce_mod_pi(RQ.zero) == 0
 
 
 def test_is_okunit_examples():
-    assert is_okunit(RQ, q(1, 1))
-    assert not is_okunit(RQ, RQ.mul(q(0, 1), q(1, 1)))
-    assert not is_okunit(RQ, RQ.zero)
+    assert RQ.is_okunit(q(1, 1))
+    assert not RQ.is_okunit(RQ.mul(q(0, 1), q(1, 1)))
+    assert not RQ.is_okunit(RQ.zero)
 
 
 def test_extended_gcd_examples():
     # gcd(pi, 1 + pi) = 1
-    d, (u, v) = extended_gcd(RQ, q(0, 1), q(1, 1))
+    d, (u, v) = RQ.extended_gcd(q(0, 1), q(1, 1))
     assert d == RQ.one
     assert RQ.add(RQ.mul(u, q(0, 1)), RQ.mul(v, q(1, 1))) == d
     # gcd(pi^2, pi^3) = pi^2
-    d, _ = extended_gcd(RQ, q(0, 0, 1), q(0, 0, 0, 1))
+    d, _ = RQ.extended_gcd(q(0, 0, 1), q(0, 0, 0, 1))
     assert d == q(0, 0, 1)
     # gcd(f, 0) is the monic scalar multiple of f
-    d, (u, v) = extended_gcd(RQ, q(0, 2), RQ.zero)
+    d, (u, v) = RQ.extended_gcd(q(0, 2), RQ.zero)
     assert d == q(0, 1) and u == q("1/2") and v == RQ.zero
     with pytest.raises(DomainError):
-        extended_gcd(RQ, RQ.zero, RQ.zero)
+        RQ.extended_gcd(RQ.zero, RQ.zero)
 
 
 small_q = st.fractions(

@@ -1,3 +1,4 @@
+import itertools
 import pytest
 from fractions import Fraction
 
@@ -22,8 +23,10 @@ from mustafin.groebner import (
     reduce_one_step,
     ResourceCapExceeded,
     saturate,
+    _FieldAsEuclidean,
     _Packing,
     _Reducers,
+    compositions,
 )
 from mustafin.polyring import (
     Block,
@@ -437,3 +440,227 @@ def test_buchberger_cap_message_keeps_subsecond_caps():
     gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
     with pytest.raises(ResourceCapExceeded, match=r"exceeded 1e-06s"):
         buchberger(gens, DegRevLex(), cap_seconds=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# ring mode on the packed kernel against the reduce_one_step loop
+
+
+def textbook_nf_ring(f, basis, order):
+    """Slow reference for ring mode: apply ``reduce_one_step`` while it
+    rewrites the leading term, else move that term to the remainder; plain
+    MPoly arithmetic throughout."""
+    uni, dom = f.universe, f.domain
+    work, remainder, steps = f, MPoly.zero(uni, dom), []
+    while work:
+        step = reduce_one_step(work, basis, order)
+        if step is None:
+            lc, lm = work.leading_term(order)
+            t = MPoly.term(uni, dom, lc, lm)
+            remainder, work = remainder + t, work - t
+            steps.append(ReductionStep((), (), (lm,)))
+        else:
+            work, s = step
+            steps.append(s)
+    return remainder, steps
+
+
+def textbook_combinations(gi, gj, order):
+    """The S-combination and, unless one leading coefficient divides the
+    other, the G-combination of two elements over a Euclidean domain."""
+    uni, dom = gi.universe, gi.domain
+    (ci, mi), (cj, mj) = gi.leading_term(order), gj.leading_term(order)
+    l = tuple(max(a, b) for a, b in zip(mi, mj))
+    qi = tuple(a - b for a, b in zip(l, mi))
+    qj = tuple(a - b for a, b in zip(l, mj))
+    d, (u, v) = dom.extended_gcd(ci, cj)
+    s = gi * MPoly.term(uni, dom, dom.exact_div(cj, d), qi) - gj * MPoly.term(
+        uni, dom, dom.exact_div(ci, d), qj
+    )
+    if dom.divides(ci, cj) or dom.divides(cj, ci):
+        return [s]
+    return [s, gi * MPoly.term(uni, dom, u, qi) + gj * MPoly.term(uni, dom, v, qj)]
+
+
+def textbook_is_groebner_ring(G, order):
+    for j in range(len(G)):
+        for i in range(j):
+            for cand in textbook_combinations(G[i], G[j], order):
+                if textbook_nf_ring(cand, G, order)[0]:
+                    return False, cand
+    return True, None
+
+
+UR = VarUniverse(("x", "y", "z"))
+R7 = PiRing(F7)
+E7 = _FieldAsEuclidean(F7)
+RING_ORDERS = [
+    DegRevLex(),
+    Lex(),
+    Block((((0,), DegRevLex()), ((1, 2), DegRevLex())), name="elim-x"),
+]
+pi_coeffs = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(R7.element).filter(bool)
+ring_coeffs = st.one_of(
+    st.tuples(st.just(R7), pi_coeffs), st.tuples(st.just(E7), st.integers(1, 6))
+)
+
+
+@st.composite
+def ring_case(draw):
+    """A polynomial and a basis over PiRing(F7) or over F7 run as a
+    Euclidean domain, every exponent times a factor k: with k = 30 the
+    inputs fit one-byte fields and a product can leave them, with k = 50
+    the inputs overflow them when packed."""
+    dom = draw(st.sampled_from([R7, E7]))
+    coeff = pi_coeffs if dom is R7 else st.integers(1, 6)
+    k = draw(st.sampled_from([1, 1, 30, 50]))
+    mono = st.tuples(*[st.integers(0, 2)] * 3).map(lambda m: tuple(k * e for e in m))
+    poly = st.dictionaries(mono, coeff, max_size=4).map(lambda t: MPoly(UR, dom, t))
+    return draw(poly), draw(st.lists(poly.filter(bool), min_size=1, max_size=4))
+
+
+@given(st.sampled_from(RING_ORDERS), ring_case())
+@settings(max_examples=150, deadline=None)
+def test_ring_mode_kernel_matches_the_reduce_one_step_loop(order, case):
+    f, basis = case
+    nf, trace = normal_form(f, basis, order, want_trace=True)
+    expected, steps = textbook_nf_ring(f, basis, order)
+    assert nf == expected
+    assert trace.steps == steps
+    assert normal_form(f, basis, order) == expected
+    replayed, _leads = trace.replay(f, basis, order)
+    assert replayed == expected
+    assert is_groebner(basis, order) == textbook_is_groebner_ring(basis, order)
+
+
+def textbook_buchberger_ring(gens, order):
+    """The ring-mode Buchberger loop on plain MPoly arithmetic: every pair,
+    FIFO, both combinations reduced against the growing basis; then each
+    element the others reduce to zero is dropped."""
+    G, log = list(gens), []
+    queue = [(j, i) for j in range(len(G)) for i in range(j)]
+    while queue:
+        j, i = queue.pop(0)
+        l = tuple(max(a, b) for a, b in zip(G[i].leading_term(order)[1], G[j].leading_term(order)[1]))
+        for cand in textbook_combinations(G[i], G[j], order):
+            r = textbook_nf_ring(cand, G, order)[0]
+            log.append(f"ring pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}")
+            if r:
+                G.append(r)
+                queue.extend((len(G) - 1, k) for k in range(len(G) - 1))
+    out = []
+    for idx in range(len(G)):
+        others = [h for k, h in enumerate(G) if k != idx and h]
+        if textbook_nf_ring(G[idx], others, order)[0]:
+            out.append(G[idx])
+        else:
+            G[idx] = MPoly.zero(G[idx].universe, G[idx].domain)
+    return out, log
+
+
+def test_ring_table_takes_in_elements_appended_after_a_reduction():
+    # the Buchberger loop appends to a table whose divisor lists are cached
+    # per monomial: x*y is irreducible by pi*x alone, not once x + y is in
+    xr, yr = (MPoly.var(U, R, v) for v in ("x", "y"))
+    f = xr * yr
+    red = _Reducers(LEX, U, R, _Packing(2), [xr.scale(R.pi)])
+    assert red.to_poly(red.reduce(red.pack_poly(f))) == f
+    red.append(xr + yr)
+    expected = textbook_nf_ring(f, [xr.scale(R.pi), xr + yr], LEX)[0]
+    assert expected != f
+    assert red.to_poly(red.reduce(red.pack_poly(f))) == expected
+
+
+@st.composite
+def ring_generators(draw):
+    """Two small generators: ring mode processes every pair, and over
+    PiRing larger inputs grow past desk scale."""
+    dom = draw(st.sampled_from([R7, E7]))
+    coeff = pi_coeffs.filter(lambda c: len(c) <= 2) if dom is R7 else st.integers(1, 6)
+    k = draw(st.sampled_from([1, 1, 30, 50]))
+    mono = st.tuples(*[st.integers(0, 2)] * 3).map(lambda m: tuple(k * e for e in m))
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda t: MPoly(UR, dom, t))
+    return draw(st.lists(poly, min_size=2, max_size=2))
+
+
+@given(st.sampled_from(RING_ORDERS), ring_generators())
+@settings(max_examples=60, deadline=None)
+def test_ring_buchberger_matches_the_textbook_loop(order, gens):
+    log = []
+    # every run here takes well under a second; a cap turns a runaway loop
+    # (a stale divisor cache) into a failure instead of a hang
+    gb = buchberger(gens, order, ring_mode=True, trace_log=log, cap_seconds=5)
+    expected, expected_log = textbook_buchberger_ring(gens, order)
+    assert gb == expected
+    assert log == expected_log
+
+
+def test_ring_mode_overflow_of_one_byte_fields_reruns_wider():
+    # y x^127 against {pi y - x, (1 + pi) y}: the gcd step rewrites y through
+    # both elements and makes x^128, past one-byte fields
+    xr, yr = (MPoly.var(U, R, v) for v in ("x", "y"))
+    basis = [yr.scale(R.pi) - xr, yr.scale(R.element([Fraction(1), Fraction(1)]))]
+    y_first = Lex(perm=(1, 0))
+    f = MPoly.term(U, R, R.one, (127, 1))
+    red = _Reducers(y_first, U, R, _Packing(2), basis)
+    with pytest.raises(DomainError):
+        red.reduce(red.pack_poly(f))
+    nf, trace = normal_form(f, basis, y_first, want_trace=True)
+    expected, steps = textbook_nf_ring(f, basis, y_first)
+    assert (nf, trace.steps) == (expected, steps)
+    assert len(steps[0].reducers) == 2
+    assert is_groebner(basis, y_first) == textbook_is_groebner_ring(basis, y_first)
+
+
+def test_ring_buchberger_log_and_basis_survive_widening():
+    # every exponent times 50 overflows one-byte fields at packing; the
+    # scaled run must make the same pairs and the scaled basis
+    xr, yr = (MPoly.var(U, R, v) for v in ("x", "y"))
+    gens = [xr.scale(R.pi) + yr, xr * yr.scale(R.element([Fraction(1), Fraction(1)])) - xr]
+    log, big_log = [], []
+    gb = buchberger(gens, LEX, ring_mode=True, trace_log=log)
+    big = buchberger([scaled(g, 50) for g in gens], LEX, ring_mode=True, trace_log=big_log)
+    assert big == [scaled(g, 50) for g in gb]
+    assert without_lcm(big_log) == without_lcm(log)
+    assert is_groebner(gb, LEX) == (True, None)
+    assert is_groebner(big, LEX) == (True, None)
+    for g in gens:
+        assert ideal_membership(g, Ideal(gens), LEX, ring_mode=True)
+
+
+def textbook_hilbert_function(I, blocks, box, order):
+    """The tuple-divisibility count per multidegree, kept as a reference."""
+    lms = [g.leading_term(order)[1] for g in I.groebner_basis(order)] if not I.is_zero() else []
+    table = {}
+    for mdeg in itertools.product(*[range(b + 1) for b in box]):
+        count = 0
+        per_block = [list(compositions(dg, len(blk))) for blk, dg in zip(blocks, mdeg)]
+        for combo in itertools.product(*per_block):
+            mono = [0] * I.universe.nvars
+            for blk, exps in zip(blocks, combo):
+                for p, e in zip(blk, exps):
+                    mono[p] = e
+            if not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms):
+                count += 1
+        table[mdeg] = count
+    return table
+
+
+@given(st.lists(monos4, max_size=5), st.sampled_from([(2, 3), (3, 1), (4, 4)]))
+@settings(max_examples=80, deadline=None)
+def test_hilbert_function_matches_tuple_divisibility(monos, box):
+    uni = VarUniverse(("a", "b", "c", "d"))
+    blocks = [[0, 1], [2, 3]]
+    I = Ideal([MPoly.term(uni, F, F.one, m) for m in monos], uni, F)
+    assert hilbert_function(I, blocks, box) == textbook_hilbert_function(
+        I, blocks, box, DegRevLex()
+    )
+
+
+def test_hilbert_function_past_one_byte_fields_and_overlapping_blocks():
+    I = Ideal([MPoly.term(U, F, F.one, (129, 1)), MPoly.term(U, F, F.one, (0, 3))])
+    hf = hilbert_function(I, [[0, 1]], (131,))
+    assert hf == textbook_hilbert_function(I, [[0, 1]], (131,), DegRevLex())
+    assert (hf[(129,)], hf[(130,)], hf[(131,)]) == (3, 2, 1)
+    with pytest.raises(DomainError):
+        hilbert_function(I, [[0, 1], [1]], (1, 1))

@@ -1,7 +1,12 @@
-import pytest
+import dataclasses
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mustafin.specialize as specialize
 from mustafin.coeffs import DomainError, GF, PiRing
-from mustafin.polyring import MPoly, VarUniverse
+from mustafin.polyring import MPoly, UniverseError, VarUniverse, parse_poly
 from mustafin.specialize import (
     ObstructionSet,
     check_specialization,
@@ -185,3 +190,141 @@ def test_commutation_on_sampled_assignments():
         assert rep.ok, rep.diagnosis
         checked += 1
     assert checked >= 3
+
+
+# ---------------------------------------------------------------------------
+# subst against the per-term substitution
+
+
+def subst_oracle(assignment, f):
+    """Reference substitution: one MPoly per term and per power, added up."""
+    uni, dom = f.universe, f.domain
+    missing = {n for n in f.variables() if n.startswith("A[") and n not in assignment}
+    if missing:
+        raise DomainError(f"assignment misses parameters {sorted(missing)}")
+    small = specialize._shrunk_universe(uni, assignment)
+    values = {}
+    for name, val in assignment.items():
+        if name not in uni:
+            continue
+        if isinstance(val, MPoly):
+            values[name] = val.relabel(small)
+        elif isinstance(val, tuple):
+            if len(val) > 1 and "pi" not in small:
+                raise DomainError("pi-polynomial value needs a pi variable")
+            acc = MPoly.zero(small, dom)
+            for k, c in enumerate(val):
+                if not dom.is_zero(c):
+                    mono = [0] * small.nvars
+                    if k:
+                        mono[small.index("pi")] = k
+                    acc = acc + MPoly.term(small, dom, c, tuple(mono))
+            values[name] = acc
+        else:
+            values[name] = MPoly.const(small, dom, val)
+    out = MPoly.zero(small, dom)
+    for m, c in f.terms.items():
+        factor = MPoly.const(small, dom, c)
+        residual = [0] * small.nvars
+        for pos, e in enumerate(m):
+            if e:
+                name = uni.names[pos]
+                if name in values:
+                    factor = factor * values[name] ** e
+                else:
+                    residual[small.index(name)] = e
+        out = out + factor.mono_shift(tuple(residual))
+    return out
+
+
+F7 = GF(7)
+R7 = PiRing(F7)
+SUBST_UNI = VarUniverse(("x", "y", "A[1][1][0]", "A[2][1][0]", "pi"))
+VALUE_UNI = VarUniverse(("y", "pi"))
+subst_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 5), st.integers(1, 6), max_size=6
+).map(lambda t: MPoly(SUBST_UNI, F7, t))
+values = st.one_of(
+    st.integers(0, 6),  # a coefficient, zero included
+    st.lists(st.integers(0, 6), max_size=3).map(R7.element),  # a pi-ring element
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, 6), max_size=3).map(
+        lambda t: MPoly(VALUE_UNI, F7, t)
+    ),
+)
+
+
+@given(
+    subst_polys,
+    st.dictionaries(st.sampled_from(["A[1][1][0]", "A[2][1][0]", "x", "pi", "z"]), values),
+)
+@settings(max_examples=300, deadline=None)
+def test_subst_matches_the_per_term_oracle(f, assignment):
+    """Coefficient, pi-tuple and polynomial values; unassigned variables and
+    parameters; a name outside the universe; values needing a pi variable
+    that was substituted away."""
+    try:
+        expected = subst_oracle(assignment, f)
+    except (DomainError, UniverseError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            subst(assignment, f)
+        return
+    got = subst(assignment, f)
+    assert got == expected
+    assert got.universe == expected.universe
+    assert got.universe.names == tuple(n for n in SUBST_UNI.names if n not in assignment)
+
+
+def test_substitute_into_a_target_universe():
+    uni = VarUniverse(("x", "y", "t"))
+    x, y, t = (MPoly.var(uni, F7, v) for v in uni.names)
+    small = VarUniverse(("y", "x"))
+    f = x * x * t + y * t * t + x.scale(F7.from_int(3))
+    yx = MPoly.var(small, F7, "y") + MPoly.var(small, F7, "x")
+    got = f.substitute({"t": yx}, small)
+    assert got.universe is small
+    assert got == (f.substitute({"t": yx.relabel(uni)})).relabel(small)
+    with pytest.raises(UniverseError):
+        f.substitute({"x": F7.one}, VarUniverse(("x", "t")))
+
+
+# ---------------------------------------------------------------------------
+# the symbolic basis carried on ObstructionSet
+
+
+def test_check_reuses_the_obstruction_basis_only_for_its_generators(monkeypatch):
+    uni, x, y, A1, A2, pi = example_setup(F)
+    gens = [pi * A1 * x + A2 * y]
+    obs = obstruction_polynomials(gens, pi)
+    assert obs.basis is not None and obs.lifted is not None
+    mismatched = obstruction_polynomials(gens + [A1 * x * x], pi)
+    capped = obstruction_polynomials(gens, pi, cap_seconds=1e-9)
+    assert capped.incomplete and capped.basis is None
+    texts = obs.texts()
+    parsed = ObstructionSet(
+        [parse_poly(t, uni, F) for t in texts["unit_conditions"]],
+        [parse_poly(t, uni, F) for t in texts["nonzero_conditions"]],
+    )
+    assert parsed.texts() == texts and parsed.basis is None
+
+    calls = []
+    real = specialize.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specialize, "buchberger", counting)
+    ring = PiRing(F)
+    for assignment in (
+        {"A[1][1][0]": F.from_int(5), "A[2][1][0]": F.from_int(7)},
+        {"A[1][1][0]": F.from_int(5), "A[2][1][0]": ring.pi},
+    ):
+        for given_obs, builds in ((obs, 0), (mismatched, 1), (capped, 1), (parsed, 1)):
+            fresh = check_specialization(
+                gens, pi, assignment,
+                obstructions=dataclasses.replace(given_obs, basis=None, lifted=None),
+            )
+            calls.clear()
+            rep = check_specialization(gens, pi, assignment, obstructions=given_obs)
+            assert len(calls) == builds
+            assert rep == fresh
