@@ -29,7 +29,6 @@ from .polyring import (
     MPoly,
     VarUniverse,
     WeightedPiOrder,
-    default_order,
     mono_divides,
 )
 from . import degeneration, specialize, varieties
@@ -208,114 +207,69 @@ def _monos_up_to(nv, dd):
     return out
 
 
+def _echelon(vec, pivots, dom, combo=None):
+    """Reduce the dict-vector ``vec`` (key -> nonzero coefficient) in place
+    against ``pivots`` (leading key -> (row, combination)), largest key
+    first, until it is zero or its largest key has no pivot; a nonzero
+    remainder then becomes that key's pivot, scaled to leading coefficient
+    one.  ``combo`` (input index -> coefficient) undergoes the same row
+    operations.  Returns True iff ``vec`` reduced to zero."""
+    combo = {} if combo is None else combo
+    while vec:
+        lead = max(vec)
+        if lead not in pivots:
+            inv = dom.inv(vec[lead])
+            pivots[lead] = (
+                {k: dom.mul(inv, v) for k, v in vec.items()},
+                {k: dom.mul(inv, v) for k, v in combo.items()},
+            )
+            return False
+        factor = vec[lead]
+        row, row_combo = pivots[lead]
+        for target, source in ((vec, row), (combo, row_combo)):
+            for k, v in source.items():
+                w = dom.sub(target.get(k, dom.zero), dom.mul(factor, v))
+                if dom.is_zero(w):
+                    target.pop(k, None)
+                else:
+                    target[k] = w
+    return True
+
+
 def _zfree_span(columns, zpos, dom):
-    """Members of the span of ``columns`` with no z-variable, by exact
-    Gaussian elimination on the z-involving coordinates."""
-    all_monos = sorted({m for col in columns for m in col.terms})
-    z_monos = [m for m in all_monos if m[zpos]]
-    idx = {m: i for i, m in enumerate(z_monos)}
-    rows = len(z_monos)
-    cols = len(columns)
-    matrix = [[dom.zero] * cols for _ in range(rows)]
-    for c, col in enumerate(columns):
-        for m, v in col.terms.items():
-            if m[zpos]:
-                matrix[idx[m]][c] = v
-    # reduce to echelon form, tracking free columns
-    pivot_of_col = {}
-    pivot_row = 0
-    for c in range(cols):
-        sel = None
-        for r in range(pivot_row, rows):
-            if not dom.is_zero(matrix[r][c]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        matrix[pivot_row], matrix[sel] = matrix[sel], matrix[pivot_row]
-        inv = dom.inv(matrix[pivot_row][c])
-        matrix[pivot_row] = [dom.mul(inv, v) for v in matrix[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and not dom.is_zero(matrix[r][c]):
-                f = matrix[r][c]
-                matrix[r] = [
-                    dom.sub(a, dom.mul(f, b))
-                    for a, b in zip(matrix[r], matrix[pivot_row])
-                ]
-        pivot_of_col[c] = pivot_row
-        pivot_row += 1
-        if pivot_row == rows:
-            break
+    """Members of the span of ``columns`` with no z-variable: for each of
+    the first ten columns whose z-part reduces to zero against the earlier
+    columns, its tracked combination (the kernel vector that the reduced
+    row-echelon form assigns to that free column)."""
+    pivots: dict = {}
     out = []
-    free_cols = [c for c in range(cols) if c not in pivot_of_col]
-    for fc in free_cols[:10]:
-        coeffs = [dom.zero] * cols
-        coeffs[fc] = dom.one
-        for c, r in pivot_of_col.items():
-            coeffs[c] = dom.neg(matrix[r][fc])
-        combo = None
-        for c, lam in enumerate(coeffs):
-            if dom.is_zero(lam):
-                continue
-            piece = columns[c].scale(lam)
-            combo = piece if combo is None else combo + piece
-        if combo:
-            out.append(combo)
+    free = 0
+    for c, col in enumerate(columns):
+        combo = {c: dom.one}
+        if not _echelon({m: v for m, v in col.terms.items() if m[zpos]}, pivots, dom, combo):
+            continue
+        member = MPoly.zero(col.universe, dom)
+        for k, lam in sorted(combo.items()):
+            member = member + columns[k].scale(lam)
+        if member:
+            out.append(member)
+        free += 1
+        if free == 10:
+            break
     return out
 
 
-def _la_membership(f, gens, deg_bound, order):
+def _la_membership(f, gens, deg_bound):
     """Degree-bounded linear-algebra membership oracle: is f a combination
-    sum h_i g_i with deg(h_i) <= deg_bound - deg(g_i)?  Exact Gaussian
-    elimination over the coefficient field."""
+    sum h_i g_i with deg(h_i) <= deg_bound - deg(g_i)?  Exact elimination
+    over the coefficient field: f reduces to zero against the echelon form
+    of the products m * g_i."""
     uni, dom = f.universe, f.domain
-
-    columns = []
+    pivots: dict = {}
     for g in gens:
-        dg = g.total_degree()
-        for q in _monos_up_to(uni.nvars, deg_bound - dg):
-            columns.append(g.mono_shift(q))
-    row_monos = sorted({m for col in columns for m in col.terms} | set(f.terms))
-    idx = {m: i for i, m in enumerate(row_monos)}
-    matrix = [[dom.zero] * len(columns) for _ in row_monos]
-    for c, col in enumerate(columns):
-        for m, v in col.terms.items():
-            matrix[idx[m]][c] = v
-    rhs = [dom.zero] * len(row_monos)
-    for m, v in f.terms.items():
-        rhs[idx[m]] = v
-    # gaussian elimination
-    rows, cols = len(matrix), len(columns)
-    pivot_row = 0
-    for col in range(cols):
-        sel = None
-        for r in range(pivot_row, rows):
-            if not dom.is_zero(matrix[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        matrix[pivot_row], matrix[sel] = matrix[sel], matrix[pivot_row]
-        rhs[pivot_row], rhs[sel] = rhs[sel], rhs[pivot_row]
-        inv = dom.inv(matrix[pivot_row][col])
-        matrix[pivot_row] = [dom.mul(inv, v) for v in matrix[pivot_row]]
-        rhs[pivot_row] = dom.mul(inv, rhs[pivot_row])
-        for r in range(rows):
-            if r != pivot_row and not dom.is_zero(matrix[r][col]):
-                factor = matrix[r][col]
-                matrix[r] = [
-                    dom.sub(a, dom.mul(factor, b))
-                    for a, b in zip(matrix[r], matrix[pivot_row])
-                ]
-                rhs[r] = dom.sub(rhs[r], dom.mul(factor, rhs[pivot_row]))
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    # consistent iff no nonzero rhs in a zero row
-    for r in range(rows):
-        if all(dom.is_zero(v) for v in matrix[r]) and not dom.is_zero(rhs[r]):
-            return False
-    return True
+        for q in _monos_up_to(uni.nvars, deg_bound - g.total_degree()):
+            _echelon(dict(g.mono_shift(q).terms), pivots, dom)
+    return _echelon(dict(f.terms), pivots, dom)
 
 
 def criterion_5(ctx, quick=False):
@@ -375,10 +329,10 @@ def criterion_5(ctx, quick=False):
         f = _random_poly(rng, uni, dom, max_deg=3)
         if f:
             nf_member = not normal_form(f, gb, order)
-            la_gb = _la_membership(f, gb, f.total_degree(), order)
+            la_gb = _la_membership(f, gb, f.total_degree())
             if nf_member != la_gb:
                 failures.append(f"oracle(gb) trial {trial}")
-            if _la_membership(f, gens, 6, order) and not nf_member:
+            if _la_membership(f, gens, 6) and not nf_member:
                 failures.append(f"oracle(gens) trial {trial}")
 
     # saturation properties
@@ -392,7 +346,7 @@ def criterion_5(ctx, quick=False):
         I = Ideal(gens, uni, dom)
         S1 = saturate(I, [a])
         S2 = saturate(S1, [a])
-        if not _equal_ideals(S1, S2):
+        if not specialize._same_ideal(S1, S2):
             failures.append(f"sat idempotence {trial}")
         gbS = list(S1.groebner_basis(order)) if not S1.is_zero() else []
         for g in I.generators:
@@ -469,7 +423,7 @@ def criterion_5(ctx, quick=False):
         pi = MPoly.var(I.universe, FIELD, "pi")
         fast = saturate(I, [pi], pi_fast_weights=cfg.weights)
         slow = saturate(I, [pi])
-        if not _equal_ideals(fast, slow):
+        if not specialize._same_ideal(fast, slow):
             failures.append(f"sat fast/slow d=2 seed {seed}")
 
     # Hilbert additivity on monomial ideals
@@ -502,15 +456,6 @@ def criterion_5(ctx, quick=False):
         "engine property suite",
         not failures,
         {"checked_ideals": n_ideals, "failures": failures[:10]},
-    )
-
-
-def _equal_ideals(A: Ideal, B: Ideal) -> bool:
-    order = default_order(A.universe)
-    gb_a = list(A.groebner_basis(order)) if not A.is_zero() else []
-    gb_b = list(B.groebner_basis(order)) if not B.is_zero() else []
-    return all(not normal_form(g, gb_b, order) for g in A.generators) and all(
-        not normal_form(g, gb_a, order) for g in B.generators
     )
 
 

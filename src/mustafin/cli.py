@@ -6,9 +6,17 @@ pipeline, borel), ``degen`` (model, fibre, support, bound), ``spec``
 (acceptance).  All input and output is JSON; polynomial strings use the
 canonical grammar, so reports can be fed back in as inputs.
 
+Each command takes only the options it reads (the README lists them per
+command); any other option is a usage error.  --trials and --jobs exist
+only on the batch commands ``conjecture`` and ``pipeline``, whose trials go
+through one seeded runner; --jobs > 1 spreads them over worker processes.
+--timing exists on ``mustafin fibre|conjecture|pipeline`` and --verbose on
+``mustafin fibre``.
+
 Reports are byte-identical across reruns with the same inputs and seeds;
 wall-clock timing is only embedded with --timing.  Exit codes: 0 for a
-passing verdict, 1 for a failing one, 2 for usage or configuration errors.
+passing verdict, 1 for a failing one (or a run stopped by its resource
+cap), 2 for usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -106,24 +114,56 @@ def _config_from_flags(config_path, field_flag, seed):
         raise SystemExit(_usage_error(f"bad configuration: {exc}"))
 
 
-_common = [
-    click.option("--config", "config_path", type=click.Path(), help="JSON configuration"),
-    click.option("--seed", type=int, default=None, help="base random seed"),
-    click.option("--trials", type=click.IntRange(min=0), default=1, show_default=True),
-    click.option("--field", "field_flag", default=None, help='"Q" or a prime'),
-    click.option("--out", "out_path", type=click.Path(), default=None),
-    click.option("--cap-seconds", type=float, default=None),
-    click.option("--cap-mb", type=int, default=None),
-    click.option("--jobs", type=int, default=None, help="worker processes for batches"),
-    click.option("--timing", is_flag=True, default=False, help="embed wall-clock times"),
-    click.option("--verbose", is_flag=True, default=False),
-]
+_OPTIONS = {
+    "config": click.option("--config", "config_path", type=click.Path(), help="JSON configuration"),
+    "seed": click.option("--seed", type=int, default=None, help="base random seed"),
+    "trials": click.option("--trials", type=click.IntRange(min=0), default=1, show_default=True),
+    "field": click.option("--field", "field_flag", default=None, help='"Q" or a prime'),
+    "out": click.option("--out", "out_path", type=click.Path(), default=None),
+    "cap-seconds": click.option("--cap-seconds", type=float, default=None, help="time cap"),
+    "cap-mb": click.option("--cap-mb", type=int, default=None, help="address-space cap"),
+    "jobs": click.option("--jobs", type=int, default=None, help="worker processes for trials"),
+    "timing": click.option("--timing", is_flag=True, default=False, help="embed wall-clock times"),
+    "verbose": click.option("--verbose", is_flag=True, default=False, help="engine trace on stderr"),
+}
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _options(*names):
+    """Attach the named shared options; a command lists only those it reads."""
+
+    def attach(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return attach
+
+
+def _trial(payload):
+    """One trial, in this process or in a worker: (check, config data,
+    keyword arguments) -> the check's report as a dict."""
+    check, data, kwargs = payload
+    return check(varieties.LatticeConfig.from_dict(data), **kwargs).to_dict()
+
+
+def _run_trials(check, cfg, data, trials, jobs, **kwargs):
+    """Run ``check`` on ``trials`` configurations: seeds cfg.seed,
+    cfg.seed + 1, ... when the entries are random and trials > 1, else the
+    configuration as given (none for trials = 0); ``jobs`` > 1 spreads them
+    over worker processes."""
+    if data.get("entries") == "random" and trials > 1:
+        base_seed = cfg.seed if cfg.seed is not None else 0
+        datas = [{**data, "seed": base_seed + k} for k in range(trials)]
+    else:
+        datas = [data][:trials]
+    payloads = [(check, d, kwargs) for d in datas]
+    try:
+        if jobs and jobs > 1 and len(payloads) > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(_trial, payloads))
+        return [_trial(p) for p in payloads]
+    except DomainError as exc:
+        raise SystemExit(_usage_error(str(exc)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +175,9 @@ def mustafin_group():
     """Mustafin varieties: fibres, decomposition checks, the d=4 pipeline."""
 
 
-def _conjecture_trial(payload):
-    data, mode, cap = payload
-    cfg = varieties.LatticeConfig.from_dict(data)
-    rep = varieties.conjecture_check(cfg, mode, cap_seconds=cap)
-    return rep.to_dict()
-
-
 @mustafin_group.command("fibre")
-@_with_common
-def mustafin_fibre(config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out", "cap-seconds", "cap-mb", "timing", "verbose")
+def mustafin_fibre(config_path, seed, field_flag, out_path, cap_seconds, cap_mb, timing, verbose):
     """Ideal of the special fibre of the configured Mustafin variety."""
     _apply_mem_cap(cap_mb)
     cfg, data = _config_from_flags(config_path, field_flag, seed)
@@ -167,40 +200,15 @@ def mustafin_fibre(config_path, seed, trials, field_flag, out_path, cap_seconds,
 
 @mustafin_group.command("conjecture")
 @click.option("--mode", type=click.Choice(["both-containments", "forward-only"]), default="both-containments", show_default=True)
-@_with_common
-def mustafin_conjecture(mode, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "trials", "field", "out", "cap-seconds", "cap-mb", "jobs", "timing")
+def mustafin_conjecture(mode, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing):
     """Check the fibre decomposition on one or many seeded configurations."""
     _apply_mem_cap(cap_mb)
     cfg, data = _config_from_flags(config_path, field_flag, seed)
-    base_seed = cfg.seed if cfg.seed is not None else 0
     t0 = time.monotonic()
-    if trials == 0:
-        _emit(
-            {
-                "config": cfg.to_dict(),
-                "mode": mode,
-                "trials": [],
-                "pass_rate": None,
-                "failing_seeds": [],
-                "capped_seeds": [],
-                "verdict": "pass",
-            },
-            out_path,
-        )
-        raise SystemExit(0)
-    if data.get("entries") == "random" and trials > 1:
-        payloads = []
-        for k in range(trials):
-            d2 = dict(data)
-            d2["seed"] = base_seed + k
-            payloads.append((d2, mode, cap_seconds))
-        if jobs and jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_conjecture_trial, payloads))
-        else:
-            results = [_conjecture_trial(p) for p in payloads]
-    else:
-        results = [_conjecture_trial((data, mode, cap_seconds))]
+    results = _run_trials(
+        varieties.conjecture_check, cfg, data, trials, jobs, mode=mode, cap_seconds=cap_seconds
+    )
     completed = [r for r in results if not r["capped"]]
     passes = [r for r in completed if r["equal"]]
     report = {
@@ -210,47 +218,26 @@ def mustafin_conjecture(mode, config_path, seed, trials, field_flag, out_path, c
         "pass_rate": (len(passes) / len(completed)) if completed else None,
         "failing_seeds": [r["seed"] for r in completed if not r["equal"]],
         "capped_seeds": [r["seed"] for r in results if r["capped"]],
-        "verdict": "pass" if completed and len(passes) == len(completed) else "fail",
+        # no trials at all pass vacuously; only capped trials do not
+        "verdict": "pass" if len(passes) == len(completed) and (completed or not results) else "fail",
     }
     _emit(report, out_path, timing=time.monotonic() - t0 if timing else None)
     raise SystemExit(0 if report["verdict"] == "pass" else 1)
 
 
-def _pipeline_trial(payload):
-    data, = payload
-    cfg = varieties.LatticeConfig.from_dict(data)
-    return varieties.minor_pipeline_d4(cfg).to_dict()
-
-
 @mustafin_group.command("pipeline")
-@_with_common
-def mustafin_pipeline(config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "trials", "field", "out", "cap-mb", "jobs", "timing")
+def mustafin_pipeline(config_path, seed, trials, field_flag, out_path, cap_mb, jobs, timing):
     """Replay the d=4 minor combination pipeline with stage checks."""
     _apply_mem_cap(cap_mb)
     cfg, data = _config_from_flags(config_path, field_flag, seed)
-    base_seed = cfg.seed if cfg.seed is not None else 0
     t0 = time.monotonic()
-    payloads = []
-    if data.get("entries") == "random" and trials > 1:
-        for k in range(trials):
-            d2 = dict(data)
-            d2["seed"] = base_seed + k
-            payloads.append((d2,))
-    else:
-        payloads.append((data,))
-    try:
-        if jobs and jobs > 1 and len(payloads) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_pipeline_trial, payloads))
-        else:
-            results = [_pipeline_trial(p) for p in payloads]
-    except DomainError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    results = _run_trials(varieties.minor_pipeline_d4, cfg, data, trials, jobs)
     ok = [r for r in results if r["ok"]]
     report = {
         "config": cfg.to_dict(),
         "trials": results,
-        "pass_rate": len(ok) / len(results),
+        "pass_rate": len(ok) / len(results) if results else None,
         "failing_seeds": [r["seed"] for r in results if not r["ok"]],
         "verdict": "pass" if len(ok) == len(results) else "fail",
     }
@@ -259,8 +246,8 @@ def mustafin_pipeline(config_path, seed, trials, field_flag, out_path, cap_secon
 
 
 @mustafin_group.command("borel")
-@_with_common
-def mustafin_borel(config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out", "cap-mb")
+def mustafin_borel(config_path, seed, field_flag, out_path, cap_mb):
     """Borel-fixedness of the expected fibre ideal for the configured d, n."""
     _apply_mem_cap(cap_mb)
     cfg, data = _config_from_flags(config_path, field_flag, seed)
@@ -311,8 +298,8 @@ _curve_opt = click.option("--curve", "curve_path", type=click.Path(), required=F
 
 @degen_group.command("model")
 @_curve_opt
-@_with_common
-def degen_model(curve_path, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out", "cap-seconds", "cap-mb")
+def degen_model(curve_path, config_path, seed, field_flag, out_path, cap_seconds, cap_mb):
     """Integral model ideal of the subvariety (pi-saturated)."""
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
@@ -336,8 +323,8 @@ def degen_model(curve_path, config_path, seed, trials, field_flag, out_path, cap
 
 @degen_group.command("fibre")
 @_curve_opt
-@_with_common
-def degen_fibre(curve_path, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out", "cap-seconds", "cap-mb")
+def degen_fibre(curve_path, config_path, seed, field_flag, out_path, cap_seconds, cap_mb):
     """Special fibre of the model of the subvariety."""
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
@@ -358,8 +345,8 @@ def degen_fibre(curve_path, config_path, seed, trials, field_flag, out_path, cap
 
 @degen_group.command("support")
 @_curve_opt
-@_with_common
-def degen_support(curve_path, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out", "cap-seconds", "cap-mb")
+def degen_support(curve_path, config_path, seed, field_flag, out_path, cap_seconds, cap_mb):
     """Stratification level (delta) and star-likeness of the fibre."""
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
@@ -378,8 +365,8 @@ def degen_support(curve_path, config_path, seed, trials, field_flag, out_path, c
 @_curve_opt
 @click.option("--dim", "dim_flag", type=int, default=None)
 @click.option("--deg", "deg_flag", type=int, default=None)
-@_with_common
-def degen_bound(curve_path, dim_flag, deg_flag, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out")
+def degen_bound(curve_path, dim_flag, deg_flag, config_path, seed, field_flag, out_path):
     """Upper bound for the number of irreducible fibre components."""
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     if curve_path:
@@ -434,25 +421,23 @@ def _gens_from_payload(payload, field):
 
 @spec_group.command("obstructions")
 @click.option("--gens", "gens_path", type=click.Path(), default=None, help="JSON {variables, generators, element}")
-@click.option("--cap", "cap_seconds2", type=float, default=None)
-@_with_common
-def spec_obstructions(gens_path, cap_seconds2, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "field", "out", "cap-seconds", "cap-mb")
+def spec_obstructions(gens_path, config_path, field_flag, out_path, cap_seconds, cap_mb):
     """Unit and nonzero conditions for specializing a saturating basis."""
     _apply_mem_cap(cap_mb)
-    cap = cap_seconds2 or cap_seconds
     if gens_path:
         payload = _load_json(gens_path, "generators")
         gens, elem, _uni, _dom = _gens_from_payload(payload, _resolve_field(field_flag, payload))
         shape = None
     else:
-        cfg, _ = _config_from_flags(config_path, field_flag, seed)
+        cfg, _ = _config_from_flags(config_path, field_flag, None)
         if cfg.d > 3 or cfg.n > 2:
             raise SystemExit(
                 _usage_error("symbolic runs are capped at d<=3, n<=2; larger cases are certified statistically (see `spec check`)")
             )
         gens, elem = _symbolic_minors(cfg)
         shape = (cfg.d, cfg.n)
-    obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap)
+    obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap_seconds)
     report = {"shape": list(shape) if shape else None, **obs.texts(), "verdict": "pass" if not obs.incomplete else "incomplete"}
     _emit(report, out_path)
     raise SystemExit(0 if not obs.incomplete else 1)
@@ -461,9 +446,8 @@ def spec_obstructions(gens_path, cap_seconds2, config_path, seed, trials, field_
 @spec_group.command("check")
 @click.option("--gens", "gens_path", type=click.Path(), required=True)
 @click.option("--assignment", "assignment_path", type=click.Path(), default=None)
-@click.option("--cap", "cap_seconds2", type=float, default=None)
-@_with_common
-def spec_check(gens_path, assignment_path, cap_seconds2, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("seed", "field", "out", "cap-seconds", "cap-mb")
+def spec_check(gens_path, assignment_path, seed, field_flag, out_path, cap_seconds, cap_mb):
     """Verify a concrete specialization of a symbolic saturating basis."""
     _apply_mem_cap(cap_mb)
     payload = _load_json(gens_path, "generators")
@@ -482,10 +466,11 @@ def spec_check(gens_path, assignment_path, cap_seconds2, config_path, seed, tria
         rng = _random.Random(("cli-check", seed or 0).__repr__())
         assignment = {p: dom.random(rng) for p in params}
     shown = {k: str(v) for k, v in sorted(assignment.items())}
-    cap = cap_seconds2 or cap_seconds
     try:
-        obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap)
-        rep = spec_mod.check_specialization(gens, elem, assignment, obstructions=obs, cap_seconds=cap)
+        obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap_seconds)
+        rep = spec_mod.check_specialization(
+            gens, elem, assignment, obstructions=obs, cap_seconds=cap_seconds
+        )
     except ResourceCapExceeded as exc:
         raise SystemExit(_capped(exc, out_path, assignment=shown))
     report = {"assignment": shown, **rep.to_dict()}
@@ -496,9 +481,9 @@ def spec_check(gens_path, assignment_path, cap_seconds2, config_path, seed, tria
 
 @spec_group.command("sample")
 @click.option("--obstructions", "obs_path", type=click.Path(), default=None)
-@click.option("--cap", "max_attempts", type=int, default=200, show_default=True)
-@_with_common
-def spec_sample(obs_path, max_attempts, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@click.option("--cap", "max_attempts", type=int, default=200, show_default=True, help="maximum attempts")
+@_options("config", "seed", "field", "out")
+def spec_sample(obs_path, max_attempts, config_path, seed, field_flag, out_path):
     """Sample a generic parameter assignment for the configured shape."""
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     obs = None
@@ -535,8 +520,8 @@ def syz_group():
 
 @syz_group.command("admissible")
 @click.option("--data", "data_path", type=click.Path(), required=True, help="JSON {rho, degrees, witnesses}")
-@_with_common
-def syz_admissible(data_path, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("config", "seed", "field", "out", "cap-mb")
+def syz_admissible(data_path, config_path, seed, field_flag, out_path, cap_mb):
     """Membership checks plus the substituted tuple for a syzygy datum."""
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
@@ -570,8 +555,8 @@ def suite_group():
 @suite_group.command("acceptance")
 @click.option("--quick", is_flag=True, default=False, help="reduced trial counts")
 @click.option("--criteria", default=None, help="comma-separated subset, e.g. 1,2,5")
-@_with_common
-def suite_acceptance(quick, criteria, config_path, seed, trials, field_flag, out_path, cap_seconds, cap_mb, jobs, timing, verbose):
+@_options("out", "cap-mb")
+def suite_acceptance(quick, criteria, out_path, cap_mb):
     """Run the acceptance criteria and print one line per criterion."""
     _apply_mem_cap(cap_mb)
     from . import acceptance

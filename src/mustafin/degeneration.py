@@ -47,6 +47,8 @@ from .polyring import (
 )
 from .varieties import (
     LatticeConfig,
+    _det,
+    _pipoly_to_mpoly,
     component_vectors,
     conjecture_check,
     fibre_universe,
@@ -97,38 +99,19 @@ class SubvarietyInput:
         return cls(gens, dim, degree)
 
 
-def _adjugate(matrix, uni, dom):
-    """Adjugate of a small matrix of polynomials (cofactor transpose)."""
-    d = len(matrix)
-    if d == 1:
-        return [[MPoly.const(uni, dom, dom.one)]]
-
-    def minor_det(rows, cols):
-        sub = [[matrix[r][c] for c in cols] for r in rows]
-        return _poly_det(sub, uni, dom)
-
+def _adjugate(config: LatticeConfig, j: int, uni: VarUniverse):
+    """Adjugate (cofactor transpose) of g_j, computed over the pi-ring of
+    the configuration; entries are returned as polynomials in ``uni``."""
+    d, ring = config.d, config.pi_ring
+    exps = (0,) + config.n_vec
+    g = [[ring.shift(config.entries[j][r][i], exps[i]) for i in range(d)] for r in range(d)]
     adj = [[None] * d for _ in range(d)]
     for i in range(d):
-        for j in range(d):
-            rows = [r for r in range(d) if r != j]
-            cols = [c for c in range(d) if c != i]
-            m = minor_det(rows, cols)
-            if (i + j) % 2:
-                m = -m
-            adj[i][j] = m
+        for r in range(d):
+            minor = [[g[a][b] for b in range(d) if b != i] for a in range(d) if a != r]
+            c = _det(minor, ring)
+            adj[i][r] = _pipoly_to_mpoly(uni, config.field, ring, ring.neg(c) if (i + r) % 2 else c)
     return adj
-
-
-def _poly_det(matrix, uni, dom):
-    d = len(matrix)
-    if d == 1:
-        return matrix[0][0]
-    out = MPoly.zero(uni, dom)
-    for j in range(d):
-        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * _poly_det(sub, uni, dom)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
 
 
 def _elim_block_order(big: VarUniverse, groups):
@@ -175,14 +158,13 @@ def model_ideal(
     names.append("pi")
     big = VarUniverse(tuple(names), (d, n))
 
-    g = build_g(config)
-    g_big = [[[entry.relabel(big) for entry in row] for row in mat] for mat in g]
+    g0 = [[entry.relabel(big) for entry in row] for row in build_g(config)[0]]
     x0 = [MPoly.var(big, dom, f"x[{i}][0]") for i in range(1, d + 1)]
     w0 = []
     for r in range(d):
         acc = MPoly.zero(big, dom)
         for l in range(d):
-            acc = acc + g_big[0][r][l] * x0[l]
+            acc = acc + g0[r][l] * x0[l]
         w0.append(acc)
     # ambient generators with y[l] := (g_0 . x_col0)_l; the y variables are
     # absent from `big`, so substitute from a temporary extension into `big`
@@ -191,7 +173,7 @@ def model_ideal(
     gens = [f.relabel(wide).substitute(assignment, big) for f in X.generators]
     one = MPoly.const(big, dom, dom.one)
     for j in range(1, n + 1):
-        adj = _adjugate(g_big[j], big, dom)
+        adj = _adjugate(config, j, big)
         for i in range(d):
             w_ij = MPoly.zero(big, dom)
             for l in range(d):
@@ -233,13 +215,11 @@ def model_ideal_via_graph(
     names.append("pi")
     big = VarUniverse(tuple(names), (d, n))
 
-    g = build_g(config)
-    g_big = [[[entry.relabel(big) for entry in row] for row in mat] for mat in g]
     yvec = [MPoly.var(big, dom, f"y[{l}]") for l in range(1, d + 1)]
     gens = [f.relabel(big) for f in X.generators]
     one = MPoly.const(big, dom, dom.one)
     for j in range(n + 1):
-        adj = _adjugate(g_big[j], big, dom)
+        adj = _adjugate(config, j, big)
         for i in range(d):
             m_ij = MPoly.zero(big, dom)
             for l in range(d):

@@ -914,7 +914,9 @@ def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
         queue = collections.deque((j, i) for j in range(len(G)) for i in range(j))
         while queue:
             if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
-                raise ResourceCapExceeded("ring-mode buchberger exceeded budget")
+                raise ResourceCapExceeded(
+                    f"buchberger exceeded {cap_seconds:g}s ({len(G)} basis elements)"
+                )
             j, i = queue.popleft()
             for cand in red.combinations(i, j):
                 r = red.reduce(cand)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import DomainError, PiRing
+from .coeffs import DomainError
 from .groebner import buchberger, divide_var_power, var_content
 from .polyring import (
     MPoly,
@@ -24,8 +24,8 @@ from .polyring import (
     to_pi_coefficients,
     from_pi_coefficients,
 )
-from .degeneration import ambient_universe, SubvarietyInput
-from .varieties import LatticeConfig, build_g
+from .degeneration import _adjugate, ambient_universe, SubvarietyInput
+from .varieties import LatticeConfig, _det
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,14 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
     dom = config.field
     ring = config.pi_ring
     amb = ambient_universe(d)
-    g = build_g(config)
-    g_amb = [[[e.relabel(amb) for e in row] for row in mat] for mat in g]
     yvec = [MPoly.var(amb, dom, f"y[{l}]") for l in range(1, d + 1)]
 
     # adj(g_j) . y, one linear form per grid row
     images: dict[str, MPoly] = {}
-    from .degeneration import _adjugate
-
     for j in range(n + 1):
         if degs[j] == 0:
             continue
-        adj = _adjugate(g_amb[j], amb, dom)
+        adj = _adjugate(config, j, amb)
         for r in range(d):
             form = MPoly.zero(amb, dom)
             for l in range(d):
@@ -140,8 +136,7 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
     for j, e in enumerate(degs):
         if j == i or e == 0:
             continue
-        red = config.entries[j]
-        det_j = _pi_det(red, ring)
+        det_j = _det(config.entries[j], ring)
         for _ in range(e):
             det_unit = ring.mul(det_unit, det_j)
     content = var_content(out, amb.index("pi"))
@@ -156,18 +151,6 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
     except DomainError:
         pass  # unit multiple is fine; zero loci and memberships agree
     return h, content - N * total - val
-
-
-def _pi_det(matrix, ring: PiRing):
-    d = len(matrix)
-    if d == 1:
-        return matrix[0][0]
-    out = ring.zero
-    for j in range(d):
-        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = ring.mul(matrix[0][j], _pi_det(sub, ring))
-        out = ring.add(out, term) if j % 2 == 0 else ring.sub(out, term)
-    return out
 
 
 def sigma_membership(F: MPoly, i: int, d: int, n: int) -> bool:

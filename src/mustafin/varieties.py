@@ -176,7 +176,9 @@ class LatticeConfig:
 
 
 def _det(matrix, dom):
-    """Exact determinant by cofactor expansion (matrices here are tiny)."""
+    """Exact determinant by cofactor expansion along the first row, over
+    any domain with ``zero``/``add``/``sub``/``mul`` (a field or the
+    pi-ring); the matrices here are at most d x d."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -420,18 +422,6 @@ def ideal_Iv(vec: ComponentVector, n: int | None = None, universe: VarUniverse |
         for i in range(1, vj + 1):
             gens.append(MPoly.var(uni, dom, f"x[{i}][{j}]"))
     return Ideal(gens, uni, dom)
-
-
-def component_length(vec: ComponentVector):
-    return vec.support, vec.length
-
-
-def primary_flag(vec: ComponentVector) -> bool:
-    return vec.primary
-
-
-def star_flag(vec: ComponentVector) -> bool:
-    return vec.star
 
 
 def expected_intersection(d: int, n: int, domain) -> Ideal:

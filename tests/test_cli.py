@@ -288,7 +288,7 @@ def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, tmp_path):
             }
         )
     )
-    res = runner.invoke(spec_group, ["check", "--gens", str(gens), "--cap", "0.001"])
+    res = runner.invoke(spec_group, ["check", "--gens", str(gens), "--cap-seconds", "0.001"])
     assert res.exit_code == 1, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "error: resource cap exceeded: " in res.stderr
@@ -325,3 +325,77 @@ def test_exponents_past_one_byte_fields(runner, tmp_path, command):
     res = runner.invoke(mustafin_group, [command, "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["verdict"] == "pass"
+
+
+def test_pipeline_zero_trials_is_an_empty_report(runner, d2_config):
+    # the same empty report as `conjecture --trials 0`, without running a trial
+    res = runner.invoke(mustafin_group, ["pipeline", "--config", d2_config, "--trials", "0"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["trials"] == [] and rep["pass_rate"] is None
+    assert rep["failing_seeds"] == [] and rep["verdict"] == "pass"
+    res_c = runner.invoke(mustafin_group, ["conjecture", "--config", d2_config, "--trials", "0"])
+    rep_c = json.loads(res_c.output)
+    assert rep_c["trials"] == [] and rep_c["pass_rate"] is None and rep_c["verdict"] == "pass"
+
+
+def test_trials_in_worker_processes_give_the_same_report(runner, d2_config, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        res = runner.invoke(
+            mustafin_group,
+            ["conjecture", "--config", d2_config, "--trials", "3", "--jobs", jobs, "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert [t["seed"] for t in json.loads(outs[0])["trials"]] == [1, 2, 3]
+
+
+SHARED = {"--config", "--seed", "--field", "--out"}
+COMMAND_OPTIONS = {
+    (mustafin_group, "fibre"): SHARED | {"--cap-seconds", "--cap-mb", "--timing", "--verbose"},
+    (mustafin_group, "conjecture"): SHARED
+    | {"--mode", "--trials", "--cap-seconds", "--cap-mb", "--jobs", "--timing"},
+    (mustafin_group, "pipeline"): SHARED | {"--trials", "--cap-mb", "--jobs", "--timing"},
+    (mustafin_group, "borel"): SHARED | {"--cap-mb"},
+    (degen_group, "model"): SHARED | {"--curve", "--cap-seconds", "--cap-mb"},
+    (degen_group, "fibre"): SHARED | {"--curve", "--cap-seconds", "--cap-mb"},
+    (degen_group, "support"): SHARED | {"--curve", "--cap-seconds", "--cap-mb"},
+    (degen_group, "bound"): SHARED | {"--curve", "--dim", "--deg"},
+    (spec_group, "obstructions"): {"--gens", "--config", "--field", "--out", "--cap-seconds", "--cap-mb"},
+    (spec_group, "check"): {"--gens", "--assignment", "--seed", "--field", "--out", "--cap-seconds", "--cap-mb"},
+    (spec_group, "sample"): SHARED | {"--obstructions", "--cap"},
+    (syz_group, "admissible"): SHARED | {"--data", "--cap-mb"},
+    (suite_group, "acceptance"): {"--quick", "--criteria", "--out", "--cap-mb"},
+}
+
+
+def test_every_command_is_listed():
+    listed = {(g.name, name) for g, name in COMMAND_OPTIONS}
+    groups = (mustafin_group, degen_group, spec_group, syz_group, suite_group)
+    assert listed == {(g.name, name) for g in groups for name in g.commands}
+
+
+@pytest.mark.parametrize(
+    "group,name", list(COMMAND_OPTIONS), ids=[f"{g.name}-{n}" for g, n in COMMAND_OPTIONS]
+)
+def test_command_takes_exactly_the_options_it_reads(group, name):
+    command = group.commands[name]
+    assert {o for p in command.params for o in p.opts} == COMMAND_OPTIONS[(group, name)]
+
+
+@pytest.mark.parametrize(
+    "group,args",
+    [
+        (suite_group, ["acceptance", "--jobs", "2"]),
+        (spec_group, ["check", "--gens", "g.json", "--config", "x.json"]),
+        (spec_group, ["obstructions", "--cap", "1"]),
+        (mustafin_group, ["borel", "--trials", "2"]),
+    ],
+)
+def test_unread_options_are_usage_errors(runner, group, args):
+    res = runner.invoke(group, args)
+    assert res.exit_code == 2
+    assert "No such option" in res.output

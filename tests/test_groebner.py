@@ -442,6 +442,15 @@ def test_buchberger_cap_message_keeps_subsecond_caps():
         buchberger(gens, DegRevLex(), cap_seconds=1e-6)
 
 
+@pytest.mark.parametrize("ring_mode", [False, True])
+def test_cap_message_names_the_budget_and_the_basis_size(ring_mode):
+    gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
+    with pytest.raises(
+        ResourceCapExceeded, match=r"^buchberger exceeded 1e-06s \(3 basis elements\)$"
+    ):
+        buchberger(gens, DegRevLex(), ring_mode=ring_mode, cap_seconds=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # ring mode on the packed kernel against the reduce_one_step loop
 

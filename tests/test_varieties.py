@@ -8,7 +8,6 @@ from mustafin.varieties import (
     LatticeConfig,
     borel_fixed_check,
     build_g,
-    component_length,
     component_vectors,
     conjecture_check,
     expected_fibre_d4,
@@ -19,10 +18,8 @@ from mustafin.varieties import (
     minor_pipeline_d4,
     minors_ideal,
     mustafin_ideal,
-    primary_flag,
     random_config,
     special_fibre,
-    star_flag,
 )
 
 F = GF(32003)
@@ -158,11 +155,10 @@ def test_ideal_Iv_examples():
 
 def test_component_flags():
     v = ComponentVector((1, 2, 2), 3)
-    support, length = component_length(v)
-    assert support == (0,) and length == 1
-    assert not primary_flag(v) and star_flag(v)
-    assert primary_flag(ComponentVector((0, 2, 2), 3))
-    assert component_length(ComponentVector((1, 1, 2), 3))[1] == 2
+    assert v.support == (0,) and v.length == 1
+    assert not v.primary and v.star
+    assert ComponentVector((0, 2, 2), 3).primary
+    assert ComponentVector((1, 1, 2), 3).length == 2
     # primary vectors at d=3, n=2 have exactly one coordinate below d-1
     for v in component_vectors(3, 2):
         if v.primary:
