@@ -29,12 +29,12 @@ import time
 import click
 
 from .coeffs import DEFAULT_PRIME, DomainError, base_field
-from .groebner import ResourceCapExceeded
+from .groebner import Deadline, ResourceCapExceeded
 from . import varieties
 from . import degeneration
 from . import specialize as spec_mod
 from . import syzygy as syz_mod
-from .polyring import parse_poly
+from .polyring import default_order, parse_poly
 
 
 def _resolve_field(field_flag, config_data):
@@ -85,7 +85,10 @@ def _capped(exc, out_path, **context):
     """Report a run stopped by its time cap, with the ``context`` entries
     (such as the config) in the report; returns exit code 1."""
     click.echo(f"error: resource cap exceeded: {exc}", err=True)
-    _emit({**context, "verdict": "resource-capped", "detail": str(exc)}, out_path)
+    report = {**context, "verdict": "resource-capped", "detail": str(exc)}
+    if exc.phase:
+        report["phase"] = exc.phase
+    _emit(report, out_path)
     return 1
 
 
@@ -300,21 +303,21 @@ _curve_opt = click.option("--curve", "curve_path", type=click.Path(), required=F
 @_curve_opt
 @_options("config", "seed", "field", "out", "cap-seconds", "cap-mb")
 def degen_model(curve_path, config_path, seed, field_flag, out_path, cap_seconds, cap_mb):
-    """Integral model ideal of the subvariety (pi-saturated)."""
+    """Integral model ideal of the subvariety (pi-saturated), as its reduced
+    basis under the grevlex-pi-last order."""
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     X = _load_curve(curve_path, cfg)
+    deadline = Deadline(cap_seconds)
     try:
-        model = degeneration.integral_model(
-            degeneration.model_ideal(cfg, X, cap_seconds=cap_seconds),
-            cap_seconds=cap_seconds,
-        )
+        model = deadline.run("model", degeneration.model_ideal, cfg, X)
+        basis = deadline.run("model", model.groebner_basis, default_order(model.universe))
     except ResourceCapExceeded as exc:
         raise SystemExit(_capped(exc, out_path, config=cfg.to_dict()))
     _emit(
         {
             "config": cfg.to_dict(),
-            "generators": sorted(g.text() for g in model.generators),
+            "generators": sorted(g.text() for g in basis),
             "verdict": "pass",
         },
         out_path,

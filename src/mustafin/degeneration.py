@@ -2,23 +2,33 @@
 
 Given a lattice configuration and a subvariety X = V(I') in coordinates
 y[1..d], the model ideal is the multihomogeneous ideal of the closure of the
-image of X under the product of the inverse lattice trivializations.  The
-underlying graph ideal is
+image of X under the product of the inverse lattice trivializations, with
+coefficients in L[pi].  It is one pi-saturation on the content-division
+fast path.  Write u_j = g_j . x_col j for the column forms of factor j.  A
+generator f of degree e is lifted into every multidegree b of the n+1
+factors with |b| = e: in each monomial of f the first b_0 of its y-factors
+become entries of u_0, the next b_1 entries of u_1, and so on.  The model is
 
-    < I'(y),  alpha_j * x[i][j] - (adj(g_j) . y)_i,  1 - t_j * alpha_j >
+    sat( <2x2 minors of (u_0 | ... | u_n),  F_b(f) for f in I', |b| = deg f>,  pi ).
 
-with y, then the saturation auxiliaries t_j, then the scalings alpha_j
-eliminated (the adjugate stands in for the inverse; its determinant factor
-is absorbed by alpha_j, which is saturated away regardless).  The default
-``model_ideal`` shortcuts the y-elimination by anchoring through factor 0
-(y is proportional to g_0 . x_col0 on the graph); ``model_ideal_via_graph``
-is the literal formulation and the tests compare the two.  Clearing pi and
-saturating gives the integral model; reducing mod pi its special fibre.
+It is exact:
 
-``support_analysis`` locates that fibre inside the stratification of the
-ambient fibre by the component vectors: level l keeps the vectors with
-support of size at most l, and delta is the least level whose monomial
-intersection ideal is radically contained in the fibre ideal.
+* every entry of every u_j has weight n_{d-1}, so all generators are
+  weight-homogeneous and the fast path applies;
+* modulo the prime ideal of the minors, multidegree a of K[x] (K = L(pi))
+  is K[y]_{|a|} and F_b maps to lambda^b f, so over K the generators span
+  (I')_{|a|} in every multidegree: the ideal of the image;
+* no multinomial coefficients occur, so this holds in every characteristic.
+
+Reducing the model mod pi gives its special fibre.  ``support_analysis``
+locates that fibre inside the stratification of the ambient fibre by the
+component vectors: level l keeps the vectors with support of size at most
+l, and delta is the least level whose monomial intersection ideal is
+radically contained in the fibre ideal.
+
+A time cap applies to a whole command: ``support_analysis`` and
+``special_fibre_of_model`` start one ``Deadline`` and give each inner call
+only the time left; a capped run names the phase it stopped in.
 """
 
 from __future__ import annotations
@@ -28,8 +38,9 @@ from dataclasses import dataclass, field
 
 from .coeffs import DomainError
 from .groebner import (
-    ResourceCapExceeded,
+    Deadline,
     buchberger,
+    compositions,
     divide_var_power,
     intersect_monomial_ideals,
     radical_membership,
@@ -37,23 +48,21 @@ from .groebner import (
     var_content,
 )
 from .polyring import (
-    Block,
     DegRevLex,
     Ideal,
     MPoly,
     VarUniverse,
-    grid_universe,
     parse_poly,
 )
 from .varieties import (
     LatticeConfig,
-    _det,
-    _pipoly_to_mpoly,
+    column_forms,
     component_vectors,
     conjecture_check,
-    fibre_universe,
     ideal_Iv,
-    build_g,
+    fibre_universe,
+    minors_ideal,
+    reduce_ideal_mod_pi,
 )
 
 
@@ -99,148 +108,56 @@ class SubvarietyInput:
         return cls(gens, dim, degree)
 
 
-def _adjugate(config: LatticeConfig, j: int, uni: VarUniverse):
-    """Adjugate (cofactor transpose) of g_j, computed over the pi-ring of
-    the configuration; entries are returned as polynomials in ``uni``."""
-    d, ring = config.d, config.pi_ring
-    exps = (0,) + config.n_vec
-    g = [[ring.shift(config.entries[j][r][i], exps[i]) for i in range(d)] for r in range(d)]
-    adj = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for r in range(d):
-            minor = [[g[a][b] for b in range(d) if b != i] for a in range(d) if a != r]
-            c = _det(minor, ring)
-            adj[i][r] = _pipoly_to_mpoly(uni, config.field, ring, ring.neg(c) if (i + r) % 2 else c)
-    return adj
-
-
-def _elim_block_order(big: VarUniverse, groups):
-    """Block order: the listed variable-name groups in order, then the grid
-    variables, then pi."""
-    segments = []
-    for names in groups:
-        if names:
-            segments.append((tuple(big.index(v) for v in names), DegRevLex()))
-    xpos = tuple(i for i, name in enumerate(big.names) if name.startswith("x["))
-    segments.append((xpos, DegRevLex()))
-    segments.append(((big.index("pi"),), DegRevLex()))
-    return Block(tuple(segments), name="model-elim")
+def _lifts(f: MPoly, cols, uni: VarUniverse, n: int) -> list:
+    """The lifts F_b of a homogeneous f in y[1..d] (coefficients may hold
+    pi), one per b in N^{n+1} with |b| = deg f: the k-th y-factor of each
+    monomial, counted in variable order, becomes the matching entry of the
+    column form of factor j when b_0 + .. + b_{j-1} <= k < b_0 + .. + b_j."""
+    dom = f.domain
+    d = len(cols[0])
+    ypos = [f.universe.index(f"y[{l}]") for l in range(1, d + 1)]
+    pipos, upi = f.universe.index("pi"), uni.index("pi")
+    terms = []
+    for m, c in f.terms.items():
+        pimono = [0] * uni.nvars
+        pimono[upi] = m[pipos]
+        factors = [l for l in range(d) for _ in range(m[ypos[l]])]
+        terms.append((MPoly.term(uni, dom, c, tuple(pimono)), factors))
+    degree = len(terms[0][1])
+    out = []
+    for b in compositions(degree, n + 1):
+        owner = [j for j in range(n + 1) for _ in range(b[j])]
+        F = MPoly.zero(uni, dom)
+        for coeff, factors in terms:
+            for k, l in enumerate(factors):
+                coeff = coeff * cols[owner[k]][l]
+            F = F + coeff
+        out.append(F)
+    return out
 
 
 def model_ideal(
     config: LatticeConfig, X: SubvarietyInput, *, cap_seconds: float | None = None
 ) -> Ideal:
-    """Multihomogeneous ideal of the closure of the image of X under the
-    inverse trivializations, with pi-polynomial coefficients.
-
-    A point of the image determines its preimage through factor 0: the
-    ambient coordinates are proportional to g_0 . x_col0.  Substituting that
-    for y removes the ambient variables from the elimination entirely; what
-    remains are the scaled graph relations of the other factors,
-
-        alpha_j * x[i][j] = (adj(g_j) . g_0 . x_col0)_i,   j = 1..n,
-
-    with every alpha_j forced invertible (1 - t_j alpha_j) and then
-    eliminated.  The invertibility of the alpha_j also removes the locus
-    x_col0 = 0, so no spurious components survive.  The slower formulation
-    keeping y explicit is ``model_ideal_via_graph``; both produce the same
-    ideal and the tests compare them on small inputs.
-    """
+    """Integral model of X: the pi-saturation of the ambient minors and of
+    the lifts of every generator of X into every column multidegree (see the
+    module docstring for why this is the ideal of the image closure).  The
+    result is a basis under the weighted pi order of the fast path; when a
+    coefficient of X or an entry of the configuration mixes pi powers, the
+    generators are not weight-homogeneous and ``saturate`` takes its
+    elimination route to the same ideal."""
     if config.is_symbolic:
         raise DomainError("model ideal needs concrete entries")
-    d, n = config.d, config.n
-    dom = config.field
-    names = [f"t[{j}]" for j in range(1, n + 1)]
-    names += [f"alpha[{j}]" for j in range(1, n + 1)]
-    for j in range(n + 1):
-        for i in range(1, d + 1):
-            names.append(f"x[{i}][{j}]")
-    names.append("pi")
-    big = VarUniverse(tuple(names), (d, n))
-
-    g0 = [[entry.relabel(big) for entry in row] for row in build_g(config)[0]]
-    x0 = [MPoly.var(big, dom, f"x[{i}][0]") for i in range(1, d + 1)]
-    w0 = []
-    for r in range(d):
-        acc = MPoly.zero(big, dom)
-        for l in range(d):
-            acc = acc + g0[r][l] * x0[l]
-        w0.append(acc)
-    # ambient generators with y[l] := (g_0 . x_col0)_l; the y variables are
-    # absent from `big`, so substitute from a temporary extension into `big`
-    wide = big.extend([f"y[{l}]" for l in range(1, d + 1)])
-    assignment = {f"y[{l}]": w0[l - 1] for l in range(1, d + 1)}
-    gens = [f.relabel(wide).substitute(assignment, big) for f in X.generators]
-    one = MPoly.const(big, dom, dom.one)
-    for j in range(1, n + 1):
-        adj = _adjugate(config, j, big)
-        for i in range(d):
-            w_ij = MPoly.zero(big, dom)
-            for l in range(d):
-                w_ij = w_ij + adj[i][l] * w0[l]
-            gens.append(
-                MPoly.var(big, dom, f"alpha[{j}]")
-                * MPoly.var(big, dom, f"x[{i + 1}][{j}]")
-                - w_ij
-            )
-        gens.append(
-            one - MPoly.var(big, dom, f"t[{j}]") * MPoly.var(big, dom, f"alpha[{j}]")
-        )
-    tnames = [f"t[{j}]" for j in range(1, n + 1)]
-    anames = [f"alpha[{j}]" for j in range(1, n + 1)]
-    order = _elim_block_order(big, [tnames, anames])
-    gb = buchberger(gens, order, universe=big, domain=dom, cap_seconds=cap_seconds)
-    drop = [big.index(v) for v in tnames + anames]
-    kept = [h for h in gb if all(m[p] == 0 for m in h.terms for p in drop)]
-    small = grid_universe(d, n, pi=True)
-    return Ideal([h.relabel(small) for h in kept], small, dom)
-
-
-def model_ideal_via_graph(
-    config: LatticeConfig, X: SubvarietyInput, *, cap_seconds: float | None = None
-) -> Ideal:
-    """Reference formulation keeping the ambient coordinates: the graph
-    ideal in (y, t, alpha, x, pi) with y eliminated first.  Slower; used to
-    cross-check ``model_ideal`` on small inputs."""
-    if config.is_symbolic:
-        raise DomainError("model ideal needs concrete entries")
-    d, n = config.d, config.n
-    dom = config.field
-    names = [f"y[{l}]" for l in range(1, d + 1)]
-    names += [f"t[{j}]" for j in range(n + 1)]
-    names += [f"alpha[{j}]" for j in range(n + 1)]
-    for j in range(n + 1):
-        for i in range(1, d + 1):
-            names.append(f"x[{i}][{j}]")
-    names.append("pi")
-    big = VarUniverse(tuple(names), (d, n))
-
-    yvec = [MPoly.var(big, dom, f"y[{l}]") for l in range(1, d + 1)]
-    gens = [f.relabel(big) for f in X.generators]
-    one = MPoly.const(big, dom, dom.one)
-    for j in range(n + 1):
-        adj = _adjugate(config, j, big)
-        for i in range(d):
-            m_ij = MPoly.zero(big, dom)
-            for l in range(d):
-                m_ij = m_ij + adj[i][l] * yvec[l]
-            gens.append(
-                MPoly.var(big, dom, f"alpha[{j}]")
-                * MPoly.var(big, dom, f"x[{i + 1}][{j}]")
-                - m_ij
-            )
-        gens.append(
-            one - MPoly.var(big, dom, f"t[{j}]") * MPoly.var(big, dom, f"alpha[{j}]")
-        )
-    ynames = [f"y[{l}]" for l in range(1, d + 1)]
-    tnames = [f"t[{j}]" for j in range(n + 1)]
-    anames = [f"alpha[{j}]" for j in range(n + 1)]
-    order = _elim_block_order(big, [ynames, tnames, anames])
-    gb = buchberger(gens, order, universe=big, domain=dom, cap_seconds=cap_seconds)
-    drop = [big.index(v) for v in ynames + tnames + anames]
-    kept = [h for h in gb if all(m[p] == 0 for m in h.terms for p in drop)]
-    small = grid_universe(d, n, pi=True)
-    return Ideal([h.relabel(small) for h in kept], small, dom)
+    minors = minors_ideal(config)
+    uni, dom = minors.universe, config.field
+    cols = column_forms(config)
+    gens = list(minors.generators)
+    for f in X.generators:
+        gens.extend(_lifts(f, cols, uni, config.n))
+    pi = MPoly.var(uni, dom, "pi")
+    return saturate(
+        Ideal(gens, uni, dom), [pi], pi_fast_weights=config.weights, cap_seconds=cap_seconds
+    )
 
 
 def integral_model(tilde_I: Ideal, *, cap_seconds: float | None = None) -> Ideal:
@@ -258,23 +175,23 @@ def integral_model(tilde_I: Ideal, *, cap_seconds: float | None = None) -> Ideal
 
 
 def special_fibre_of_model(
-    config: LatticeConfig, X: SubvarietyInput, *, cap_seconds: float | None = None
+    config: LatticeConfig,
+    X: SubvarietyInput,
+    *,
+    cap_seconds: float | None = None,
+    deadline: Deadline | None = None,
 ) -> Ideal:
-    """Reduction mod pi of the integral model of X, over the residue field."""
-    model = integral_model(
-        model_ideal(config, X, cap_seconds=cap_seconds), cap_seconds=cap_seconds
+    """Reduction mod pi of the model of X, over the residue field, as its
+    reduced degrevlex basis.  ``deadline`` is a caller's running budget;
+    without one, ``cap_seconds`` starts a new one."""
+    if deadline is None:
+        deadline = Deadline(cap_seconds)
+    model = deadline.run("model", model_ideal, config, X)
+    reduced = reduce_ideal_mod_pi(model, config)
+    uni_k, dom = reduced.universe, reduced.domain
+    basis = deadline.run(
+        "fibre", buchberger, list(reduced.generators), DegRevLex(), universe=uni_k, domain=dom
     )
-    uni_k = fibre_universe(config.d, config.n)
-    dom = config.field
-    if model.is_zero():
-        return Ideal((), uni_k, dom)
-    pos = model.universe.index("pi")
-    gens = []
-    for g in model.generators:
-        kept = {m: c for m, c in g.terms.items() if m[pos] == 0}
-        if kept:
-            gens.append(MPoly(model.universe, dom, kept, _clean=True).relabel(uni_k))
-    basis = buchberger(gens, DegRevLex(), universe=uni_k, domain=dom, cap_seconds=cap_seconds)
     out = Ideal(basis, uni_k, dom)
     out._gb_cache[(DegRevLex(), False)] = tuple(basis)
     return out
@@ -316,10 +233,13 @@ def _family_ideal(vecs, d, n, domain) -> Ideal:
     return intersect_monomial_ideals([ideal_Iv(v, n, uni, domain) for v in vecs])
 
 
-def _radically_contains(J: Ideal, F: Ideal, *, cap_seconds=None):
-    """Is every generator of J in the radical of F?  Returns (ok, witness)."""
+def _radically_contains(J: Ideal, F: Ideal, known: dict, deadline: Deadline, phase: str):
+    """Is every generator of J in the radical of F?  Returns (ok, witness).
+    ``known`` memoizes the answers per generator for one fibre F."""
     for g in J.generators:
-        if not radical_membership(g, F, cap_seconds=cap_seconds):
+        if g not in known:
+            known[g] = deadline.run(phase, radical_membership, g, F)
+        if not known[g]:
             return False, g.text()
     return True, ""
 
@@ -336,36 +256,37 @@ def support_analysis(
 
     The ambient decomposition is verified first; a failure aborts with
     "genericity violated, resample" since every containment certificate
-    below rests on it.  A check cut short by ``cap_seconds`` raises
-    ``ResourceCapExceeded``, as a capped later stage does.
+    below rests on it.  ``cap_seconds`` bounds the whole analysis; running
+    past it raises ``ResourceCapExceeded`` naming the phase: ambient check,
+    model, fibre, level l, star or minimal support.
     """
+    deadline = Deadline(cap_seconds)
     if not skip_ambient_check:
-        amb = conjecture_check(config, "both-containments", cap_seconds=cap_seconds)
+        amb = deadline.run("ambient check", conjecture_check, config, "both-containments")
         if amb.capped:
-            raise ResourceCapExceeded(
-                f"ambient decomposition check exceeded {cap_seconds:g}s"
-            )
+            raise deadline.exceeded("ambient check")
         if not amb.equal:
             return SupportReport(
                 None, [], False, aborted="genericity violated, resample"
             )
     d, n = config.d, config.n
     dom = config.field
-    fibre = special_fibre_of_model(config, X, cap_seconds=cap_seconds)
+    fibre = special_fibre_of_model(config, X, deadline=deadline)
     vecs = component_vectors(d, n)
+    known: dict = {}
 
     per_level = []
     delta = None
     for level in range(d):
         fam = [v for v in vecs if v.length <= level]
         J = _family_ideal(fam, d, n, dom)
-        ok, witness = _radically_contains(J, fibre, cap_seconds=cap_seconds)
+        ok, witness = _radically_contains(J, fibre, known, deadline, f"level {level}")
         per_level.append((level, ok, witness))
         if ok and delta is None:
             delta = level
     star_family = [v for v in vecs if v.star]
     star_like, _w = _radically_contains(
-        _family_ideal(star_family, d, n, dom), fibre, cap_seconds=cap_seconds
+        _family_ideal(star_family, d, n, dom), fibre, known, deadline, "star"
     )
 
     minimal: list = []
@@ -374,7 +295,7 @@ def support_analysis(
         for v in list(chosen):
             trial = [w for w in chosen if w is not v]
             J = _family_ideal(trial, d, n, dom)
-            ok, _ = _radically_contains(J, fibre, cap_seconds=cap_seconds)
+            ok, _ = _radically_contains(J, fibre, known, deadline, "minimal support")
             if ok:
                 chosen = trial
         minimal = [(v.v, v.primary) for v in chosen]

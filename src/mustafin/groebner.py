@@ -66,7 +66,39 @@ from .polyring import (
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A Groebner computation ran past its time budget."""
+    """A computation ran past its time budget; ``phase`` names the stage of
+    a multi-step command it stopped in ("" for a single call)."""
+
+    def __init__(self, message: str, phase: str = ""):
+        super().__init__(message)
+        self.phase = phase
+
+
+class Deadline:
+    """One time budget for a whole command.  ``run`` hands each inner call
+    only the time left, as its ``cap_seconds``, and turns a cap hit inside
+    into one naming the phase and the command's cap."""
+
+    def __init__(self, cap_seconds: float | None = None):
+        self.cap = cap_seconds
+        self.end = None if cap_seconds is None else time.monotonic() + cap_seconds
+
+    def exceeded(self, phase: str, detail: str = "") -> ResourceCapExceeded:
+        extra = f" ({detail})" if detail else ""
+        return ResourceCapExceeded(f"{phase}: exceeded {self.cap:g}s{extra}", phase)
+
+    def run(self, phase: str, fn, *args, **kwargs):
+        if self.end is None:
+            return fn(*args, **kwargs)
+        left = self.end - time.monotonic()
+        if left <= 0:
+            raise self.exceeded(phase)
+        try:
+            return fn(*args, cap_seconds=left, **kwargs)
+        except ResourceCapExceeded as exc:
+            if exc.phase:
+                raise
+            raise self.exceeded(phase, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -596,6 +628,21 @@ def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
     irreducible leading terms to the remainder, continue on the tail.  Over
     a Euclidean domain a step may combine several elements of G."""
     return _normal_form(f, [g for g in G if g], order, want_trace)
+
+
+def normal_forms(fs, G, order: TermOrder) -> list:
+    """``normal_form`` of every f in ``fs`` modulo G, against one reducer
+    table built once."""
+    fs = list(fs)
+    if not fs:
+        return []
+    basis = [g for g in G if g]
+
+    def run(pk):
+        red = _Reducers(order, fs[0].universe, fs[0].domain, pk, basis)
+        return [red.to_poly(red.reduce(red.pack_poly(f))) for f in fs]
+
+    return _widening(run, fs[0].universe.nvars)
 
 
 def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):

@@ -5,10 +5,10 @@ a stable name <-> position bijection.  Monomials are plain exponent tuples
 over that universe; polynomials are dicts monomial -> nonzero coefficient.
 
 Canonical variable names follow the grid convention: ``x[i][j]`` for row i,
-column j, plus ``pi``, parameters ``A[i][j][l]``, scaling auxiliaries
-``alpha[j]``, ambient coordinates ``y[l]`` and single fresh auxiliaries like
-``y`` or ``t[k]`` introduced by saturation.  The printer and parser share one
-grammar, so any printed polynomial round-trips.
+column j, plus ``pi``, parameters ``A[i][j][l]``, ambient coordinates
+``y[l]`` and single fresh auxiliaries like ``y`` or ``t[k]`` introduced by
+saturation.  The printer and parser share one grammar, so any printed
+polynomial round-trips.
 """
 
 from __future__ import annotations
@@ -826,7 +826,9 @@ class Ideal:
     def is_monomial(self) -> bool:
         return all(g.is_monomial() for g in self.generators)
 
-    def groebner_basis(self, order: TermOrder | None = None, *, ring_mode=False):
+    def groebner_basis(
+        self, order: TermOrder | None = None, *, ring_mode=False, cap_seconds=None
+    ):
         from . import groebner  # local import to avoid a cycle
 
         order = order or DegRevLex()
@@ -839,6 +841,7 @@ class Ideal:
                     universe=self.universe,
                     domain=self.domain,
                     ring_mode=ring_mode,
+                    cap_seconds=cap_seconds,
                 )
             )
         return self._gb_cache[key]

@@ -19,13 +19,14 @@ from .coeffs import DomainError
 from .groebner import buchberger, divide_var_power, var_content
 from .polyring import (
     MPoly,
+    VarUniverse,
     default_order,
     parse_poly,
     to_pi_coefficients,
     from_pi_coefficients,
 )
-from .degeneration import _adjugate, ambient_universe, SubvarietyInput
-from .varieties import LatticeConfig, _det
+from .degeneration import ambient_universe, SubvarietyInput
+from .varieties import LatticeConfig, _det, _pipoly_to_mpoly
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,21 @@ def check_witness_profile(F: MPoly, i: int, data: SyzygyDatum, d: int):
             raise DomainError(
                 f"witness {i} has degree {dj} in block {j}, expected {want}"
             )
+
+
+def _adjugate(config: LatticeConfig, j: int, uni: VarUniverse):
+    """Adjugate (cofactor transpose) of g_j, computed over the pi-ring of
+    the configuration; entries are returned as polynomials in ``uni``."""
+    d, ring = config.d, config.pi_ring
+    exps = (0,) + config.n_vec
+    g = [[ring.shift(config.entries[j][r][i], exps[i]) for i in range(d)] for r in range(d)]
+    adj = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for r in range(d):
+            minor = [[g[a][b] for b in range(d) if b != i] for a in range(d) if a != r]
+            c = _det(minor, ring)
+            adj[i][r] = _pipoly_to_mpoly(uni, config.field, ring, ring.neg(c) if (i + r) % 2 else c)
+    return adj
 
 
 def upsilon(F: MPoly, i: int, config: LatticeConfig):

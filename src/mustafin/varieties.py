@@ -24,7 +24,7 @@ from .groebner import (
     interreduce,
     intersect_monomial_ideals,
     minimalize_monomials,
-    normal_form,
+    normal_forms,
     saturate,
 )
 from .polyring import (
@@ -507,8 +507,9 @@ def conjecture_check(
         report.equal = fibre.is_zero() and inter.is_zero()
         return report
 
-    for g in inter.generators:
-        if normal_form(g, fibre_gb, korder):
+    remainders = normal_forms(inter.generators, fibre_gb, korder)
+    for g, r in zip(inter.generators, remainders):
+        if r:
             report.forward_failures.append(g.text())
     if mode == "both-containments":
         inter_monos = [next(iter(g.terms)) for g in inter.generators]

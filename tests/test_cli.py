@@ -272,6 +272,43 @@ def test_degen_cap_is_a_resource_cap_not_a_traceback(
     assert "genericity" not in res.output
 
 
+@pytest.mark.parametrize(
+    "command, phase", [("model", "model"), ("fibre", "fibre"), ("support", "model")]
+)
+def test_degen_cap_bounds_the_whole_command(
+    runner, d3_config, line_curve, tmp_path, monkeypatch, command, phase
+):
+    # a stubbed engine needs 0.4 s per field-mode call: every call fits the
+    # 0.6 s cap, two do not, so the command stops in its second engine call
+    # (support: ambient check, then model; fibre: model, then fibre; model:
+    # the saturation, then the grevlex basis)
+    import time
+
+    from mustafin import groebner
+
+    real = groebner._buchberger_field
+
+    def slow(gens, order, universe, domain, sat_var, cap_seconds, *rest, **kw):
+        time.sleep(0.4)
+        if cap_seconds is not None and cap_seconds < 0.4:
+            raise groebner.ResourceCapExceeded(f"stub exceeded {cap_seconds:g}s")
+        return real(gens, order, universe, domain, sat_var, None, *rest, **kw)
+
+    monkeypatch.setattr(groebner, "_buchberger_field", slow)
+    out = tmp_path / "capped.json"
+    res = runner.invoke(
+        degen_group,
+        [command, "--config", d3_config, "--curve", line_curve,
+         "--cap-seconds", "0.6", "--out", str(out)],
+    )
+    assert res.exit_code == 1, res.output
+    assert "resource cap exceeded" in res.stderr
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "resource-capped"
+    assert rep["phase"] == phase
+    assert rep["detail"].startswith(f"{phase}: exceeded 0.6s")
+
+
 def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, tmp_path):
     # the obstruction basis is left incomplete under the cap, so the check
     # computes it again and stops in the same cap

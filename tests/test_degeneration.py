@@ -1,8 +1,21 @@
+"""Models of subvarieties, their special fibres and the support analysis.
+
+The model ideal is checked against the graph formulation below, which
+eliminates the ambient coordinates and one scaling and one inverse
+auxiliary per factor under a block order: the slow oracle.
+"""
+
+import pathlib
 import random
+import time
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from mustafin.coeffs import DomainError, GF
+from mustafin import groebner
+from mustafin.cli import degen_group
+from mustafin.coeffs import QQ, DomainError, GF
 from mustafin.degeneration import (
     SubvarietyInput,
     ambient_universe,
@@ -12,12 +25,14 @@ from mustafin.degeneration import (
     special_fibre_of_model,
     support_analysis,
 )
-from mustafin.groebner import radical_membership
-from mustafin.polyring import Ideal, MPoly, VarUniverse
+from mustafin.groebner import ResourceCapExceeded, buchberger, compositions, radical_membership
+from mustafin.polyring import Block, DegRevLex, Ideal, MPoly, VarUniverse, default_order, grid_universe
+from mustafin.syzygy import _adjugate
 from mustafin.varieties import (
     LatticeConfig,
     fibre_universe,
     random_config,
+    reduce_ideal_mod_pi,
     special_fibre,
 )
 
@@ -25,12 +40,12 @@ F = GF(32003)
 AMB = ambient_universe(3)
 
 
-def identity_config(d, n, n_vec):
+def identity_config(d, n, n_vec, dom=F):
     ident = tuple(
-        tuple(tuple((F.one,) if i == j else () for j in range(d)) for i in range(d))
+        tuple(tuple((dom.one,) if i == j else () for j in range(d)) for i in range(d))
         for _ in range(n + 1)
     )
-    return LatticeConfig(d, n, n_vec, F, ident)
+    return LatticeConfig(d, n, n_vec, dom, ident)
 
 
 def yvar(l):
@@ -45,6 +60,98 @@ def random_line(seed):
         for l in (1, 2, 3):
             f = f + yvar(l).scale(F.random(rng))
     return SubvarietyInput((f,), 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the graph formulation: the slow oracle for the model ideal
+
+
+def _elim_block_order(big: VarUniverse, groups):
+    """Block order: the listed variable-name groups in order, then the grid
+    variables, then pi."""
+    segments = []
+    for names in groups:
+        if names:
+            segments.append((tuple(big.index(v) for v in names), DegRevLex()))
+    xpos = tuple(i for i, name in enumerate(big.names) if name.startswith("x["))
+    segments.append((xpos, DegRevLex()))
+    segments.append(((big.index("pi"),), DegRevLex()))
+    return Block(tuple(segments), name="model-elim")
+
+
+def model_ideal_via_graph(config, X):
+    """The graph ideal
+
+        < I'(y),  alpha_j * x[i][j] - (adj(g_j) . y)_i,  1 - t_j * alpha_j >
+
+    in (y, t, alpha, x, pi) with y, then t, then alpha eliminated (the
+    adjugate stands in for the inverse; its determinant is absorbed by the
+    invertible alpha_j).  Not yet saturated by pi."""
+    d, n = config.d, config.n
+    dom = config.field
+    names = [f"y[{l}]" for l in range(1, d + 1)]
+    names += [f"t[{j}]" for j in range(n + 1)]
+    names += [f"alpha[{j}]" for j in range(n + 1)]
+    for j in range(n + 1):
+        for i in range(1, d + 1):
+            names.append(f"x[{i}][{j}]")
+    names.append("pi")
+    big = VarUniverse(tuple(names), (d, n))
+
+    yvec = [MPoly.var(big, dom, f"y[{l}]") for l in range(1, d + 1)]
+    gens = [f.relabel(big) for f in X.generators]
+    one = MPoly.const(big, dom, dom.one)
+    for j in range(n + 1):
+        adj = _adjugate(config, j, big)
+        for i in range(d):
+            m_ij = MPoly.zero(big, dom)
+            for l in range(d):
+                m_ij = m_ij + adj[i][l] * yvec[l]
+            gens.append(
+                MPoly.var(big, dom, f"alpha[{j}]")
+                * MPoly.var(big, dom, f"x[{i + 1}][{j}]")
+                - m_ij
+            )
+        gens.append(
+            one - MPoly.var(big, dom, f"t[{j}]") * MPoly.var(big, dom, f"alpha[{j}]")
+        )
+    ynames = [f"y[{l}]" for l in range(1, d + 1)]
+    tnames = [f"t[{j}]" for j in range(n + 1)]
+    anames = [f"alpha[{j}]" for j in range(n + 1)]
+    order = _elim_block_order(big, [ynames, tnames, anames])
+    gb = buchberger(gens, order, universe=big, domain=dom)
+    drop = [big.index(v) for v in ynames + tnames + anames]
+    kept = [h for h in gb if all(m[p] == 0 for m in h.terms for p in drop)]
+    small = grid_universe(d, n, pi=True)
+    return Ideal([h.relabel(small) for h in kept], small, dom)
+
+
+def assert_routes_agree(cfg, X):
+    """Reduced bases of the model under ``default_order`` and of the special
+    fibre under degrevlex equal those of the oracle, text for text."""
+    fast = model_ideal(cfg, X)
+    slow = integral_model(model_ideal_via_graph(cfg, X))
+    order = default_order(fast.universe)
+    assert [g.text(order) for g in fast.groebner_basis(order)] == [
+        g.text(order) for g in slow.groebner_basis(order)
+    ]
+    reduced = reduce_ideal_mod_pi(slow, cfg)
+    slow_fibre = buchberger(
+        list(reduced.generators), DegRevLex(), universe=reduced.universe, domain=reduced.domain
+    )
+    fibre = special_fibre_of_model(cfg, X)
+    assert [g.text() for g in fibre.generators] == [g.text() for g in slow_fibre]
+
+
+def random_form(rng, dom, degree, d=3):
+    """A random form of the given degree in y[1..d] with at least two terms."""
+    uni = ambient_universe(d)
+    while True:
+        f = MPoly.zero(uni, dom)
+        for m in compositions(degree, d):
+            f = f + MPoly.term(uni, dom, dom.random(rng), tuple(m) + (0,))
+        if len(f.terms) >= 2:
+            return f
 
 
 def test_subvariety_validation():
@@ -159,19 +266,10 @@ def test_support_analysis_consistency_with_ambient():
 
 
 def test_model_ideal_routes_agree():
-    # the anchored substitution and the full graph formulation give the same
-    # ideal (compare reduced bases in a common order)
-    from mustafin.degeneration import model_ideal_via_graph
-    from mustafin.polyring import default_order
-
+    # the lifted saturation and the full graph formulation give the same
+    # integral model (compare reduced bases in a common order)
     cfg = random_config(3, 1, (1, 2), F, seed=4)
-    X = random_line(21)
-    fast = model_ideal(cfg, X)
-    slow = model_ideal_via_graph(cfg, X)
-    order = default_order(fast.universe)
-    fast_gb = [g.text(order) for g in fast.groebner_basis(order)]
-    slow_gb = [g.text(order) for g in slow.groebner_basis(order)]
-    assert fast_gb == slow_gb
+    assert_routes_agree(cfg, random_line(21))
 
 
 def test_chow_component_bound_values():
@@ -220,3 +318,171 @@ def test_line_model_has_diagonal_curve_slice_counts():
     hf = hilbert_function(I, uni_k.grid_indices(), (2, 2))
     for (a, b), count in hf.items():
         assert count == a + b + 1
+
+
+# ---------------------------------------------------------------------------
+# the lifted saturation against the graph oracle
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("degree", [1, 2], ids=["line", "conic"])
+def test_model_matches_oracle_on_criterion_8_curves(seed, degree):
+    from mustafin.acceptance import _random_curve
+
+    cfg = random_config(3, 2, (1, 2), F, seed=seed)
+    rng = random.Random(("c8-curve", seed).__repr__())
+    # criterion 8 draws the line, then the conic, from one generator
+    curves = [_random_curve(rng, F, 1), _random_curve(rng, F, 2)]
+    assert_routes_agree(cfg, curves[degree - 1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n, n_vec", [(1, (1, 3, 7)), (2, (1, 3, 7))], ids=["n1", "n2"])
+def test_model_matches_oracle_on_d4_lines(seed, n, n_vec):
+    cfg = random_config(4, n, n_vec, F, seed=seed)
+    X = SubvarietyInput((random_form(random.Random(seed), F, 1, d=4),), 2, 1)
+    assert_routes_agree(cfg, X)
+
+
+# (config, generators, degree): identity configurations put a column-0
+# variable into the model; the rest are special inputs on random configs
+SPECIAL_CASES = {
+    "identity-point": (lambda: identity_config(3, 1, (1, 2)), ["y[2]", "y[3]"], 1),
+    "identity-n2-line": (lambda: identity_config(3, 2, (1, 2)), ["y[3]"], 1),
+    "identity-triangle": (lambda: identity_config(3, 1, (1, 2)), ["y[1]*y[2]*y[3]"], 3),
+    "identity-double-line": (lambda: identity_config(3, 2, (1, 2)), ["y[1]^2"], 2),
+    "reducible-conic": (lambda: random_config(3, 2, (1, 2), F, seed=5), ["y[1]*y[2]"], 2),
+    # mixed pi powers are not weight-homogeneous: elimination-route saturation
+    "pi-coefficients": (
+        lambda: random_config(3, 1, (1, 2), F, seed=9),
+        ["y[1] + pi*y[2] + (1 + pi^2)*y[3]"],
+        1,
+    ),
+    "non-saturated": (
+        lambda: random_config(3, 1, (1, 2), F, seed=6),
+        ["y[1]^2", "y[1]*y[2]", "y[1]*y[3]"],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECIAL_CASES))
+def test_model_matches_oracle_on_special_inputs(case):
+    make, texts, degree = SPECIAL_CASES[case]
+    cfg = make()
+    assert_routes_agree(cfg, SubvarietyInput.from_strings(texts, 1, degree, 3, cfg.field))
+
+
+def test_model_matches_oracle_on_a_random_cubic():
+    cfg = random_config(3, 1, (1, 2), F, seed=7)
+    X = SubvarietyInput((random_form(random.Random(7), F, 3),), 1, 3)
+    assert_routes_agree(cfg, X)
+
+
+@pytest.mark.parametrize(
+    "p, degree, n", [(2, 2, 1), (2, 3, 2), (3, 3, 1), (5, 5, 1)], ids=["GF2-conic", "GF2-cubic", "GF3-cubic", "GF5-quintic"]
+)
+def test_model_matches_oracle_in_small_characteristic(p, degree, n):
+    # degree >= p: a multinomial expansion of f(g_0 x) would lose terms here
+    dom = GF(p)
+    rng = random.Random(repr(("small-char", p, degree)))
+    cfg = random_config(3, n, (1, 2), dom, seed=p)
+    X = SubvarietyInput((random_form(rng, dom, degree),), 1, degree)
+    assert_routes_agree(cfg, X)
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["line", "conic"])
+def test_model_matches_oracle_over_QQ(degree):
+    cfg = random_config(3, 1, (1, 2), QQ, seed=3)
+    X = SubvarietyInput((random_form(random.Random(degree), QQ, degree),), 1, degree)
+    assert_routes_agree(cfg, X)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    degree=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    coeffs=st.lists(st.integers(0, 6), min_size=10, max_size=10),
+)
+def test_model_matches_oracle_property(n, degree, seed, coeffs):
+    if n == 2 and degree == 3:
+        degree = 2  # the graph oracle takes about 25 s on a d=3 n=2 cubic
+    dom = GF(7)
+    uni = ambient_universe(3)
+    f = MPoly.zero(uni, dom)
+    for c, m in zip(coeffs, compositions(degree, 3)):
+        f = f + MPoly.term(uni, dom, c, tuple(m) + (0,))
+    if not f:
+        f = MPoly.var(uni, dom, "y[1]") ** degree
+    cfg = random_config(3, n, (1, 2), dom, seed=seed)
+    assert_routes_agree(cfg, SubvarietyInput((f,), 1, degree))
+
+
+# ---------------------------------------------------------------------------
+# CLI outputs recorded from the elimination route, and the support queries
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("curve", ["line", "conic"])
+@pytest.mark.parametrize("command", ["model", "fibre", "support"])
+def test_degen_outputs_match_the_elimination_route(tmp_path, command, curve):
+    # the files were written by `degen <command>` when the model was still
+    # computed by eliminating t_j and alpha_j; the reports must not move
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(
+        degen_group,
+        [command, "--config", str(GOLDEN / "config.json"), "--curve",
+         str(GOLDEN / f"{curve}.json"), "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (GOLDEN / f"{command}-{curve}.out.json").read_bytes()
+
+
+def test_support_analysis_asks_each_radical_query_once(monkeypatch):
+    from mustafin import degeneration
+
+    asked = []
+
+    def counting(f, I, **kwargs):
+        asked.append(f)
+        return radical_membership(f, I, **kwargs)
+
+    cfg = random_config(3, 2, (1, 2), F, seed=11)
+    X = random_line(99)
+    plain = support_analysis(cfg, X)
+    monkeypatch.setattr(degeneration, "radical_membership", counting)
+    memo = support_analysis(cfg, X)
+    assert memo == plain
+    assert asked and len(asked) == len(set(asked))
+
+
+def test_deadline_hands_each_call_the_time_left():
+    seen = []
+
+    def slow(*, cap_seconds):
+        seen.append(cap_seconds)
+        time.sleep(0.05)
+        return cap_seconds
+
+    deadline = groebner.Deadline(10.0)
+    first = deadline.run("model", slow)
+    second = deadline.run("fibre", slow)
+    assert 9.9 < first <= 10.0 and second <= first - 0.05
+    assert groebner.Deadline(None).run("model", lambda: "no cap") == "no cap"
+
+    def capped(*, cap_seconds):
+        raise ResourceCapExceeded(f"buchberger exceeded {cap_seconds:g}s")
+
+    with pytest.raises(ResourceCapExceeded) as info:
+        deadline.run("level 1", capped)
+    assert info.value.phase == "level 1"
+    assert str(info.value).startswith("level 1: exceeded 10s (buchberger exceeded ")
+    # an inner phase survives an outer one
+    with pytest.raises(ResourceCapExceeded) as info:
+        deadline.run("fibre", lambda cap_seconds: deadline.run("model", capped))
+    assert info.value.phase == "model"
+    spent = groebner.Deadline(0.0)
+    with pytest.raises(ResourceCapExceeded, match="^star: exceeded 0s$"):
+        spent.run("star", slow)

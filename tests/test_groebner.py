@@ -19,6 +19,7 @@ from mustafin.groebner import (
     is_groebner,
     minimalize_monomials,
     normal_form,
+    normal_forms,
     radical_membership,
     reduce_one_step,
     ResourceCapExceeded,
@@ -326,6 +327,9 @@ def test_normal_form_matches_textbook_division(order, f, basis):
     assert normal_form(f, basis, order) == expected
     replayed, _leads = trace.replay(f, basis, order)
     assert replayed == expected
+    # the batch entry point reduces against one table: same remainders
+    g = basis[0] * f + basis[-1]
+    assert normal_forms([f, g, f], basis, order) == [expected, normal_form(g, basis, order), expected]
 
 
 class SquaredDegRevLex(TermOrder):
@@ -378,6 +382,8 @@ def test_overflow_inside_a_reduction_reruns_wider():
     # the public entry points run again with wider fields
     assert normal_form(top * Y, [Y - X], y_first) == top * X
     assert normal_form(top * X, [Y], LEX) == top * X
+    assert normal_forms([X, top * Y], [Y - X], y_first) == [X, top * X]
+    assert normal_forms([], [Y - X], y_first) == []
     assert buchberger([top * Y, Y - X], y_first) == [top * X, Y - X]
 
 
@@ -539,6 +545,9 @@ def test_ring_mode_kernel_matches_the_reduce_one_step_loop(order, case):
     assert normal_form(f, basis, order) == expected
     replayed, _leads = trace.replay(f, basis, order)
     assert replayed == expected
+    # the batch entry point reduces against one table: same remainders
+    g = basis[0] * f + basis[-1]
+    assert normal_forms([f, g, f], basis, order) == [expected, normal_form(g, basis, order), expected]
     assert is_groebner(basis, order) == textbook_is_groebner_ring(basis, order)
 
 

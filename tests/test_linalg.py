@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from mustafin.acceptance import _la_membership, _monos_up_to, _zfree_span
 from mustafin.coeffs import GF, QQ, PiRing
-from mustafin.degeneration import _adjugate
 from mustafin.polyring import MPoly, VarUniverse
+from mustafin.syzygy import _adjugate
 from mustafin.varieties import LatticeConfig, _det, random_config
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,19 @@ def test_conjecture_check_trivial_and_d2():
         conjecture_check(random_config(2, 1, (1,), F, seed=1), mode="nope")
 
 
+def test_conjecture_check_forward_failures_on_a_non_generic_config():
+    # identity matrices are not generic: the forward failures are exactly
+    # the intersection generators with a nonzero normal form
+    cfg = identity_config(3, 1, (1, 2))
+    rep = conjecture_check(cfg)
+    korder = fibre_weight_order(cfg)
+    gb = special_fibre(cfg).groebner_basis(korder)
+    inter = expected_intersection(3, 1, F)
+    expected = [g.text() for g in inter.generators if normal_form(g, gb, korder)]
+    assert not rep.equal and len(expected) == 3
+    assert rep.forward_failures == expected
+
+
 def test_conjecture_check_d3_and_hilbert():
     cfg = random_config(3, 2, (1, 2), F, seed=2)
     rep = conjecture_check(cfg)
