@@ -469,10 +469,13 @@ def spec_check(gens_path, assignment_path, seed, field_flag, out_path, cap_secon
         rng = _random.Random(("cli-check", seed or 0).__repr__())
         assignment = {p: dom.random(rng) for p in params}
     shown = {k: str(v) for k, v in sorted(assignment.items())}
+    deadline = Deadline(cap_seconds)
     try:
-        obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap_seconds)
-        rep = spec_mod.check_specialization(
-            gens, elem, assignment, obstructions=obs, cap_seconds=cap_seconds
+        obs = deadline.run("obstructions", spec_mod.obstruction_polynomials, gens, elem)
+        if obs.incomplete:
+            raise deadline.exceeded("obstructions")
+        rep = deadline.run(
+            "check", spec_mod.check_specialization, gens, elem, assignment, obstructions=obs
         )
     except ResourceCapExceeded as exc:
         raise SystemExit(_capped(exc, out_path, assignment=shown))

@@ -26,9 +26,10 @@ table holds each basis element's packed leading monomial, leading
 coefficient and monic tail once per basis, and the working polynomial keeps
 a heap of order keys, so each step finds its largest term without a scan.
 In ring mode a step may combine several elements through a Bezout identity
-of their leading coefficients, exactly as ``reduce_one_step`` does; that
-textbook step on ``MPoly`` arithmetic remains for the obstruction harvest in
-``specialize``.
+of their leading coefficients.  ``_Reducers.reduce`` takes one observer,
+called before every step; the replayable ``normal_form(want_trace=True)``
+and the obstruction harvest in ``specialize`` both read the reduction
+through it.
 
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
@@ -58,8 +59,6 @@ from .polyring import (
     TermOrder,
     VarUniverse,
     WeightedPiOrder,
-    mono_div,
-    mono_divides,
     multidegree,
     order_eliminates,
 )
@@ -67,17 +66,19 @@ from .polyring import (
 
 class ResourceCapExceeded(RuntimeError):
     """A computation ran past its time budget; ``phase`` names the stage of
-    a multi-step command it stopped in ("" for a single call)."""
+    a multi-step command it stopped in ("" for a single call), and
+    ``detail`` is the message of the call that stopped."""
 
-    def __init__(self, message: str, phase: str = ""):
+    def __init__(self, message: str, phase: str = "", detail: str = ""):
         super().__init__(message)
-        self.phase = phase
+        self.phase, self.detail = phase, detail
 
 
 class Deadline:
     """One time budget for a whole command.  ``run`` hands each inner call
     only the time left, as its ``cap_seconds``, and turns a cap hit inside
-    into one naming the phase and the command's cap."""
+    into one naming the phase and the command's cap.  A cap hit in a
+    nested budget keeps its phase and detail but names this cap."""
 
     def __init__(self, cap_seconds: float | None = None):
         self.cap = cap_seconds
@@ -85,7 +86,10 @@ class Deadline:
 
     def exceeded(self, phase: str, detail: str = "") -> ResourceCapExceeded:
         extra = f" ({detail})" if detail else ""
-        return ResourceCapExceeded(f"{phase}: exceeded {self.cap:g}s{extra}", phase)
+        return ResourceCapExceeded(f"{phase}: exceeded {self.cap:g}s{extra}", phase, detail)
+
+    def expired(self) -> bool:
+        return self.end is not None and time.monotonic() >= self.end
 
     def run(self, phase: str, fn, *args, **kwargs):
         if self.end is None:
@@ -97,7 +101,7 @@ class Deadline:
             return fn(*args, cap_seconds=left, **kwargs)
         except ResourceCapExceeded as exc:
             if exc.phase:
-                raise
+                raise self.exceeded(exc.phase, exc.detail) from None
             raise self.exceeded(phase, str(exc)) from None
 
 
@@ -112,28 +116,6 @@ class ReductionStep:
     reducers: tuple[int, ...]
     coeffs: tuple
     quotients: tuple
-
-
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A computed basis together with the data that make it meaningful."""
-
-    elements: tuple
-    order: TermOrder
-    ring_mode: bool = False
-
-    @property
-    def domain(self):
-        return self.elements[0].domain if self.elements else None
-
-    def verify(self):
-        """Re-run the syzygy criterion; returns (ok, witness)."""
-        return is_groebner(list(self.elements), self.order, ring_mode=self.ring_mode)
-
-
-def groebner_basis_of(I: Ideal, order: TermOrder | None = None, *, ring_mode=False) -> GroebnerBasis:
-    order = order or default_order(I.universe)
-    return GroebnerBasis(I.groebner_basis(order, ring_mode=ring_mode), order, ring_mode)
 
 
 @dataclass
@@ -164,68 +146,6 @@ class ReductionTrace:
             if work:
                 leads.append(work.leading_term(order)[0])
         return remainder + work, leads
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-
-def reduce_one_step(f: MPoly, E, order: TermOrder):
-    """One leading-term rewriting step of f modulo E, or None.
-
-    Over a field a single reducer with dividing leading monomial suffices;
-    over a Euclidean domain reducers are collected greedily in basis order
-    until the gcd of their leading coefficients divides lc(f), and the
-    cofactors come from the extended Euclidean algorithm.
-    """
-    if not f:
-        return None
-    dom = f.domain
-    lc, lm = f.leading_term(order)
-    divisors = [
-        (j, g)
-        for j, g in enumerate(E)
-        if g and mono_divides(g.leading_term(order)[1], lm)
-    ]
-    if not divisors:
-        return None
-    if getattr(dom, "is_field", False):
-        j, g = divisors[0]
-        glc, glm = g.leading_term(order)
-        q = mono_div(lm, glm)
-        c = dom.div(lc, glc)
-        h = f - g.mono_shift(q).scale(c)
-        return h, ReductionStep((j,), (c,), (q,))
-    used: list[tuple[int, MPoly]] = []
-    combo: list = []  # running gcd written over the used leading coefficients
-    g_run = None
-    for j, g in divisors:
-        glc = g.leading_term(order)[0]
-        if g_run is None:
-            d, (u, _) = dom.extended_gcd(glc, dom.zero)
-            g_run, combo = d, [u]
-        else:
-            d, (u, v) = dom.extended_gcd(g_run, glc)
-            combo = [dom.mul(u, c) for c in combo] + [v]
-            g_run = d
-        used.append((j, g))
-        if dom.divides(g_run, lc):
-            break
-    else:
-        return None
-    scale = dom.exact_div(lc, g_run)
-    h = f
-    reducers, coeffs, quotients = [], [], []
-    for (j, g), c0 in zip(used, combo):
-        c = dom.mul(scale, c0)
-        if dom.is_zero(c):
-            continue
-        q = mono_div(lm, g.leading_term(order)[1])
-        h = h - g.mono_shift(q).scale(c)
-        reducers.append(j)
-        coeffs.append(c)
-        quotients.append(q)
-    return h, ReductionStep(tuple(reducers), tuple(coeffs), tuple(quotients))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +246,7 @@ class _Reducers:
     leading monomial divides it.  Over a Euclidean domain (``ring``) it is
     rewritten by the shortest prefix of those elements whose leading
     coefficients have a gcd dividing its coefficient, with the extended-gcd
-    cofactors, exactly as ``reduce_one_step`` does.  A term no element
+    cofactors.  A term no element
     rewrites moves to the remainder.  The working polynomial is a dict with
     a heap of negated order keys beside it; keys, first divisors and (ring
     mode) divisor lists with their gcd chains are cached per monomial for the
@@ -469,9 +389,16 @@ class _Reducers:
                 raise self.pk.overflow()
         return work
 
-    def reduce(self, work: dict, *, skip=(), trace_steps=None) -> dict:
+    def reduce(self, work: dict, *, skip=(), observe=None) -> dict:
         """Normal form of the packed polynomial ``work`` (consumed), with
-        the elements whose indices are in ``skip`` left out of the basis."""
+        the elements whose indices are in ``skip`` left out of the basis.
+
+        ``observe``, when given, is called before every step as
+        ``observe(lm, lc, work, step)``: the largest remaining term lc*x^lm,
+        already taken out of ``work``, which holds the rest of the working
+        polynomial; and the step as (index, coefficient, packed quotient)
+        triples, subtracting sum c * x^q * basis[index], or () when the term
+        moves to the remainder."""
         lms, lcs, tails = self.lms, self.lcs, self.tails
         guard = self.pk.guard
         divisors = self._divisors
@@ -481,7 +408,7 @@ class _Reducers:
                 lms[k] = guard  # exceeds every valid monomial, so divides none
             divisors = {}
         if self.ring:
-            return self._reduce_ring(work, lms, divisors, trace_steps)
+            return self._reduce_ring(work, lms, divisors, observe)
         none_yet = ~len(lms)
         dom = self.domain
         mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
@@ -506,10 +433,12 @@ class _Reducers:
                 divisors[lm] = j
             if j < 0:
                 remainder[lm] = lc
-                if trace_steps is not None:
-                    trace_steps.append(ReductionStep((), (), (self.pk.unpack(lm),)))
+                if observe is not None:
+                    observe(lm, lc, work, ())
                 continue
             q = lm - lms[j]
+            if observe is not None:
+                observe(lm, lc, work, ((j, dom.div(lc, lcs[j]), q),))
             tail = tails[j]
             if tail is None:
                 tail = self._tail(j)
@@ -527,19 +456,15 @@ class _Reducers:
                         del work[mm]
                     else:
                         work[mm] = s
-            if trace_steps is not None:
-                trace_steps.append(
-                    ReductionStep((j,), (dom.div(lc, lcs[j]),), (self.pk.unpack(q),))
-                )
         return remainder
 
-    def _reduce_ring(self, work: dict, lms: list, chains: dict, trace_steps) -> dict:
+    def _reduce_ring(self, work: dict, lms: list, chains: dict, observe) -> dict:
         """The Euclidean branch of ``reduce``.  ``chains`` maps a monomial to
         the indices of the elements whose leading monomials divide it, the
         running (gcd, cofactors) over their leading coefficients, grown only
         as far as some coefficient has needed, and the table length it has
         scanned (elements appended later are scanned when next needed)."""
-        lcs, tails, guard, unpack = self.lcs, self.tails, self.pk.guard, self.pk.unpack
+        lcs, tails, guard = self.lcs, self.tails, self.pk.guard
         dom = self.domain
         mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
         divides, xgcd = dom.divides, dom.extended_gcd
@@ -582,16 +507,18 @@ class _Reducers:
                 k += 1
             if k == len(divs):
                 remainder[lm] = lc
-                if trace_steps is not None:
-                    trace_steps.append(ReductionStep((), (), (unpack(lm),)))
+                if observe is not None:
+                    observe(lm, lc, work, ())
                 continue
             scale = dom.exact_div(lc, g_run)
             step = []
             for j, c0 in zip(divs, combo):
                 c = mul(scale, c0)
-                if iz(c):
-                    continue
-                q = lm - lms[j]
+                if not iz(c):
+                    step.append((j, c, lm - lms[j]))
+            if observe is not None:
+                observe(lm, lc, work, step)
+            for j, c, q in step:
                 tail = tails[j]
                 if tail is None:
                     tail = self._tail(j)
@@ -611,15 +538,6 @@ class _Reducers:
                             del work[mm]
                         else:
                             work[mm] = s
-                step.append((j, c, q))
-            if trace_steps is not None:
-                trace_steps.append(
-                    ReductionStep(
-                        tuple([j for j, _, _ in step]),
-                        tuple([c for _, c, _ in step]),
-                        tuple([unpack(q) for _, _, q in step]),
-                    )
-                )
         return remainder
 
 
@@ -649,9 +567,19 @@ def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):
     """``normal_form`` against a basis with no zero element."""
 
     def run(pk):
-        steps = [] if want_trace else None
         red = _Reducers(order, f.universe, f.domain, pk, basis)
-        return red.to_poly(red.reduce(red.pack_poly(f), trace_steps=steps)), steps
+        if not want_trace:
+            return red.to_poly(red.reduce(red.pack_poly(f))), None
+        steps = []
+
+        def record(lm, lc, work, step):
+            if step:
+                js, cs, qs = zip(*step)
+                steps.append(ReductionStep(js, cs, tuple(map(pk.unpack, qs))))
+            else:
+                steps.append(ReductionStep((), (), (pk.unpack(lm),)))
+
+        return red.to_poly(red.reduce(red.pack_poly(f), observe=record)), steps
 
     nf, steps = _widening(run, f.universe.nvars)
     return (nf, ReductionTrace(steps)) if want_trace else nf

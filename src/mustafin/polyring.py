@@ -90,17 +90,6 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: tuple, b: tuple) -> tuple:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise DomainError("inexact monomial division")
-    return out
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def _terms_mul(a: dict, b: dict, dom) -> dict:
     """Product of two term dicts (monomial -> nonzero coefficient)."""
     mul, add, iz = dom.mul, dom.add, dom.is_zero
@@ -147,9 +136,6 @@ class TermOrder:
             raise UniverseError("monomials from different universes")
         k1, k2 = self.key(m1), self.key(m2)
         return (k1 > k2) - (k1 < k2)
-
-    def max_mono(self, monos):
-        return max(monos, key=self.key)
 
     def sorted_desc(self, monos):
         return sorted(monos, key=self.key, reverse=True)
@@ -198,19 +184,6 @@ class Block(TermOrder):
         for idx, sub in self.segments:
             out.extend(sub.key(tuple([mono[i] for i in idx])))
         return tuple(out)
-
-
-def block_elim(universe: VarUniverse, front_vars, rest_order=None) -> Block:
-    """Elimination order: ``front_vars`` (names) dominate everything else."""
-    front = tuple(universe.index(v) for v in front_vars)
-    rest = tuple(i for i in range(universe.nvars) if i not in set(front))
-    return Block(
-        (
-            (front, DegRevLex()),
-            (rest, rest_order or DegRevLex()),
-        ),
-        name=f"elim({','.join(front_vars)})",
-    )
 
 
 @dataclass(frozen=True)
@@ -426,11 +399,6 @@ class MPoly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def degree_in(self, pos: int) -> int:
-        if not self.terms:
-            return -1
-        return max(m[pos] for m in self.terms)
 
     def multidegrees(self, blocks) -> set:
         return {multidegree(m, blocks) for m in self.terms}

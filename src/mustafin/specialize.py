@@ -28,7 +28,11 @@ variable; the substitution itself is ``MPoly.substitute``, one pass into one
 term dict.  The ``ObstructionSet`` carries the symbolic basis it was read
 from, and ``check_specialization`` reuses it for the same generators
 instead of computing it per check.  The basis test over the pi-coefficient
-ring runs on the packed ring-mode kernel of ``groebner``.
+ring runs on the packed ring-mode kernel of ``groebner``, and the harvest
+of nonzero conditions on its field-mode kernel: each S-pair is reduced by
+``_Reducers.reduce``, whose observer reads the coefficient of the grouped
+leading monomial (auxiliary and main variables) from the packed working
+polynomial before each step, by masking the grouped fields.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ from dataclasses import dataclass, field
 
 from .coeffs import DomainError, base_field
 from .groebner import (
+    Deadline,
+    ResourceCapExceeded,
     _normal_form,
+    _Reducers,
+    _widening,
     buchberger,
     divide_var_power,
     is_groebner,
     normal_form,
-    reduce_one_step,
     saturate,
     var_content,
 )
@@ -55,8 +62,6 @@ from .polyring import (
     VarUniverse,
     default_order,
     format_poly,
-    mono_div,
-    mono_lcm,
     to_pi_coefficients,
 )
 
@@ -147,19 +152,6 @@ def _symbolic_order(uni: VarUniverse, aux: str | None):
     return Block(tuple(segments), name="sym"), top + main
 
 
-def _leading_group(f: MPoly, order, group_pos):
-    """Leading monomial in the grouped variables together with its
-    polynomial coefficient in the remaining ones."""
-    gset = set(group_pos)
-    _, lm = f.leading_term(order)
-    lead = tuple(e if i in gset else 0 for i, e in enumerate(lm))
-    coeff = {}
-    for m, c in f.terms.items():
-        if tuple(e if i in gset else 0 for i, e in enumerate(m)) == lead:
-            coeff[tuple(0 if i in gset else e for i, e in enumerate(m))] = c
-    return lead, MPoly(f.universe, f.domain, coeff, _clean=True)
-
-
 def _strip_pi_content(f: MPoly) -> MPoly:
     if not f or "pi" not in f.universe:
         return f
@@ -223,68 +215,63 @@ def obstruction_polynomials(
     cap_seconds: float | None = None,
 ) -> ObstructionSet:
     """Extract unit and nonzero conditions from the symbolic basis of
-    <gens, 1 - t*a> and its criterion-combination reduction chains."""
+    <gens, 1 - t*a> and its criterion-combination reduction chains.
+
+    ``cap_seconds`` bounds the basis and the harvest together.  A capped
+    basis gives an empty incomplete set; a harvest out of time stops before
+    its next S-pair and returns the conditions found so far, incomplete."""
     gens = [g for g in gens if g]
     if not gens:
         return ObstructionSet([], [])
     dom = gens[0].domain
     big, aux, lifted = _adjoin_saturator(gens, a_elem)
     order, group_pos = _symbolic_order(big, aux)
-    from .groebner import ResourceCapExceeded
-
-    incomplete = False
+    deadline = Deadline(cap_seconds)
     try:
-        gb = buchberger(lifted, order, universe=big, domain=dom, cap_seconds=cap_seconds)
+        gb = deadline.run("basis", buchberger, lifted, order, universe=big, domain=dom)
     except ResourceCapExceeded:
-        incomplete = True
-        gb = lifted
+        return ObstructionSet([], [], True)
 
-    unit_conditions: list[MPoly] = []
-    seen: set = set()
-    for g in gb:
-        _, coeff_poly = _leading_group(g, order, group_pos)
-        stripped = _strip_pi_content(coeff_poly)
-        if stripped.is_constant() or stripped in seen:
-            continue
-        seen.add(stripped)
-        unit_conditions.append(stripped)
+    def run(pk):
+        red = _Reducers(order, big, dom, pk, gb)
+        group = set(group_pos)
+        gmask = pk.pack([pk.bound if i in group else 0 for i in range(big.nvars)])
+        # insertion-ordered sets of the stripped coefficients
+        unit, nonzero = {}, {}
 
-    nonzero: list[MPoly] = []
-    seen_nz: set = set()
+        def record(conds, lead, terms):
+            # the coefficient of x^lead: the terms whose grouped part is lead
+            coeff = _strip_pi_content(
+                red.to_poly({m - lead: c for m, c in terms if m & gmask == lead})
+            )
+            if not coeff.is_constant():
+                conds.setdefault(coeff)
 
-    def harvest(work):
-        # walk one reduction chain, recording the leading-group coefficient
-        # each time the group-leading monomial drops
-        last_lead = None
-        guard = 0
-        while work and guard < 10000:
-            guard += 1
-            lead, grp = _leading_group(work, order, group_pos)
-            if lead != last_lead:
-                stripped = _strip_pi_content(grp)
-                if not stripped.is_constant() and stripped not in seen_nz:
-                    seen_nz.add(stripped)
-                    nonzero.append(stripped)
-                last_lead = lead
-            step = reduce_one_step(work, gb, order)
-            if step is None:
-                lc, lm = work.leading_term(order)
-                work = work - MPoly.term(work.universe, dom, lc, lm)
-            else:
-                work = step[0]
+        for k, g in enumerate(gb):
+            record(unit, red.lms[k] & gmask, red.pack_poly(g).items())
 
-    for j in range(len(gb)):
-        for i in range(j):
-            (ci, mi) = gb[i].leading_term(order)
-            (cj, mj) = gb[j].leading_term(order)
-            l = mono_lcm(mi, mj)
-            s = gb[i].mono_shift(mono_div(l, mi)).scale(dom.inv(ci)) - gb[
-                j
-            ].mono_shift(mono_div(l, mj)).scale(dom.inv(cj))
-            harvest(s)
+        last = None
+
+        def observe(lm, lc, work, _step):
+            # one condition each time the grouped leading monomial drops
+            nonlocal last
+            lead = lm & gmask
+            if lead != last:
+                last = lead
+                record(nonzero, lead, [(lm, lc), *work.items()])
+
+        for j in range(len(gb)):
+            for i in range(j):
+                if deadline.expired():
+                    return list(unit), list(nonzero), True
+                last = None
+                red.reduce(red.spoly(i, j), observe=observe)
+        return list(unit), list(nonzero), False
+
+    unit, nonzero, incomplete = _widening(run, big.nvars)
     if incomplete:
-        return ObstructionSet(unit_conditions, nonzero, True)
-    return ObstructionSet(unit_conditions, nonzero, False, gb, lifted)
+        return ObstructionSet(unit, nonzero, True)
+    return ObstructionSet(unit, nonzero, False, gb, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +308,19 @@ def check_specialization(
     """Specialize the symbolic basis of <gens, 1 - t*a> and verify (1) that
     the result is a basis, over the pi-coefficient ring, of the specialized
     ideal, and (2) the commutation subst(sat(I, a)) = sat(subst(I),
-    subst(a)), the latter computed independently."""
+    subst(a)), the latter computed independently.  ``cap_seconds`` bounds
+    the symbolic basis and the saturation together."""
     gens = [g for g in gens if g]
     if not gens:
         return SpecializationReport(True, True)
     dom = gens[0].domain
     big, aux, lifted = _adjoin_saturator(gens, a_elem)
+    deadline = Deadline(cap_seconds)
     if obstructions is not None and obstructions.basis is not None and obstructions.lifted == lifted:
         gb = obstructions.basis
     else:
         order, _group = _symbolic_order(big, aux)
-        gb = buchberger(lifted, order, universe=big, domain=dom, cap_seconds=cap_seconds)
+        gb = deadline.run("basis", buchberger, lifted, order, universe=big, domain=dom)
 
     # (1) basis property of the specialized set over the pi-coefficient ring
     spec_gb = [h for h in (subst(assignment, g) for g in gb) if h]
@@ -355,18 +344,21 @@ def check_specialization(
     s_uni = _shrunk_universe(big, assignment)
     s_uni = VarUniverse(tuple(n for n in s_uni.names if n != aux), s_uni.grid)
     lhs_ideal = Ideal([g.relabel(s_uni) for g in lhs_gens], s_uni, dom)
-    rhs_ideal = saturate(
+    rhs_ideal = deadline.run(
+        "saturation",
+        saturate,
         Ideal([g.relabel(s_uni) for g in spec_gens], s_uni, dom),
         [spec_a.relabel(s_uni)],
-        cap_seconds=cap_seconds,
     )
     comm_ok = _same_ideal(lhs_ideal, rhs_ideal)
 
     diagnosis = ""
     if not (ok_gb and comm_ok):
-        diagnosis = _violation_diagnosis(assignment, obstructions) or (
-            "specialized set is not a basis" if not ok_gb else "saturation does not commute"
-        )
+        violation = "" if obstructions is None else _first_violation(assignment, obstructions)
+        if violation:
+            diagnosis = f"{violation} violated"
+        else:
+            diagnosis = "specialized set is not a basis" if not ok_gb else "saturation does not commute"
     return SpecializationReport(ok_gb, comm_ok, diagnosis)
 
 
@@ -380,16 +372,16 @@ def _same_ideal(A: Ideal, B: Ideal) -> bool:
     )
 
 
-def _violation_diagnosis(assignment, obstructions) -> str:
-    if obstructions is None:
-        return ""
+def _first_violation(assignment, obstructions: ObstructionSet) -> str:
+    """The first condition the assignment violates, as "unit condition X"
+    or "nonzero condition X"; "" when it satisfies them all."""
     for cond in obstructions.unit_conditions:
         val = subst(assignment, cond)
         if (not val) or _pi_valuation_of_poly(val) > 0:
-            return f"unit condition {format_poly(cond)} violated"
+            return f"unit condition {format_poly(cond)}"
     for cond in obstructions.nonzero_conditions:
         if not subst(assignment, cond):
-            return f"nonzero condition {format_poly(cond)} violated"
+            return f"nonzero condition {format_poly(cond)}"
     return ""
 
 
@@ -451,17 +443,7 @@ def generic_sample(
             last_violation = "singular matrix"
             continue
         if obstructions is not None:
-            bad = ""
-            for cond in obstructions.unit_conditions:
-                val = subst(assignment, cond)
-                if (not val) or _pi_valuation_of_poly(val) > 0:
-                    bad = f"unit condition {format_poly(cond)}"
-                    break
-            if not bad:
-                for cond in obstructions.nonzero_conditions:
-                    if not subst(assignment, cond):
-                        bad = f"nonzero condition {format_poly(cond)}"
-                        break
+            bad = _first_violation(assignment, obstructions)
             if bad:
                 last_violation = bad
                 continue

@@ -125,11 +125,6 @@ class LatticeConfig:
                         extras.append(f"A[{i}][{j}][{l}]")
         return grid_universe(self.d, self.n, pi=True, extras_back=extras)
 
-    def entries_pi_constant(self) -> bool:
-        return (not self.is_symbolic) and all(
-            len(e) <= 1 for mat in self.entries for row in mat for e in row
-        )
-
     def to_dict(self) -> dict:
         ring = self.pi_ring
         return {

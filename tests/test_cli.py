@@ -309,9 +309,9 @@ def test_degen_cap_bounds_the_whole_command(
     assert rep["detail"].startswith(f"{phase}: exceeded 0.6s")
 
 
-def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, tmp_path):
-    # the obstruction basis is left incomplete under the cap, so the check
-    # computes it again and stops in the same cap
+@pytest.fixture
+def minors_gens(tmp_path):
+    """The symbolic d=3 n=1 minors as a --gens file."""
     from mustafin import GF, varieties
 
     minors = varieties.minors_ideal(varieties.LatticeConfig(3, 1, (1, 2), GF(32003), "symbolic"))
@@ -325,7 +325,12 @@ def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, tmp_path):
             }
         )
     )
-    res = runner.invoke(spec_group, ["check", "--gens", str(gens), "--cap-seconds", "0.001"])
+    return str(gens)
+
+
+def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, minors_gens):
+    # the obstruction basis does not fit the cap, so the command stops there
+    res = runner.invoke(spec_group, ["check", "--gens", minors_gens, "--cap-seconds", "0.001"])
     assert res.exit_code == 1, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "error: resource cap exceeded: " in res.stderr
@@ -333,6 +338,62 @@ def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, tmp_path):
     assert rep["verdict"] == "resource-capped"
     assert "exceeded 0.001s" in rep["detail"]
     assert len(rep["assignment"]) == 18
+
+
+def test_spec_obstructions_cap_covers_the_harvest(runner, minors_gens, monkeypatch):
+    # each of the 15 S-pairs of the harvest takes 0.05 s more than it
+    # should: the basis fits the 0.3 s cap, the harvest does not
+    import time
+
+    from mustafin import groebner, specialize
+
+    class SlowPairs(groebner._Reducers):
+        def spoly(self, i, j):
+            time.sleep(0.05)
+            return super().spoly(i, j)
+
+    full = json.loads(runner.invoke(spec_group, ["obstructions", "--gens", minors_gens]).stdout)
+    monkeypatch.setattr(specialize, "_Reducers", SlowPairs)
+    start = time.monotonic()
+    res = runner.invoke(spec_group, ["obstructions", "--gens", minors_gens, "--cap-seconds", "0.3"])
+    assert time.monotonic() - start < 0.5
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    rep = json.loads(res.stdout)
+    assert rep["verdict"] == "incomplete" and rep["incomplete"] is True
+    assert rep["unit_conditions"] == full["unit_conditions"]
+    assert 0 < len(rep["nonzero_conditions"]) < len(full["nonzero_conditions"])
+    assert set(rep["nonzero_conditions"]) < set(full["nonzero_conditions"])
+
+
+def test_spec_check_cap_bounds_both_calls(runner, minors_gens, tmp_path, monkeypatch):
+    # a stubbed engine needs 0.4 s per field-mode call: the obstruction basis
+    # fits the 0.6 s cap, and the check reuses it, but the saturation on
+    # the right-hand side no longer fits what is left
+    import time
+
+    from mustafin import groebner
+
+    real = groebner._buchberger_field
+
+    def slow(gens, order, universe, domain, sat_var, cap_seconds, *rest, **kw):
+        time.sleep(0.4)
+        if cap_seconds is not None and cap_seconds < 0.4:
+            raise groebner.ResourceCapExceeded(f"stub exceeded {cap_seconds:g}s")
+        return real(gens, order, universe, domain, sat_var, None, *rest, **kw)
+
+    monkeypatch.setattr(groebner, "_buchberger_field", slow)
+    out = tmp_path / "capped.json"
+    res = runner.invoke(
+        spec_group, ["check", "--gens", minors_gens, "--cap-seconds", "0.6", "--out", str(out)]
+    )
+    assert res.exit_code == 1, res.output
+    assert "resource cap exceeded" in res.stderr
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "resource-capped"
+    assert rep["phase"] == "saturation"
+    # the nested budget of the check reports the command's cap
+    assert rep["detail"].startswith("saturation: exceeded 0.6s (stub exceeded ")
 
 
 @pytest.mark.parametrize("command", ["model", "fibre", "support"])

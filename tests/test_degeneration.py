@@ -483,6 +483,11 @@ def test_deadline_hands_each_call_the_time_left():
     with pytest.raises(ResourceCapExceeded) as info:
         deadline.run("fibre", lambda cap_seconds: deadline.run("model", capped))
     assert info.value.phase == "model"
+    # a nested budget keeps its phase and detail but names the outer cap
+    with pytest.raises(ResourceCapExceeded) as info:
+        deadline.run("check", lambda cap_seconds: groebner.Deadline(cap_seconds).run("saturation", capped))
+    assert info.value.phase == "saturation"
+    assert str(info.value).startswith("saturation: exceeded 10s (buchberger exceeded ")
     spent = groebner.Deadline(0.0)
     with pytest.raises(ResourceCapExceeded, match="^star: exceeded 0s$"):
         spent.run("star", slow)

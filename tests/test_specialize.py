@@ -1,12 +1,21 @@
 import dataclasses
+import hashlib
+import json
+import pathlib
+import time
+from fractions import Fraction
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from click.testing import CliRunner
+from hypothesis import assume, given, reject, settings, strategies as st
 
 import mustafin.specialize as specialize
-from mustafin.coeffs import DomainError, GF, PiRing
-from mustafin.polyring import MPoly, UniverseError, VarUniverse, parse_poly
+from mustafin import groebner
+from mustafin.cli import spec_group
+from mustafin.coeffs import DomainError, GF, PiRing, QQ
+from mustafin.groebner import buchberger
+from mustafin.polyring import MPoly, UniverseError, VarUniverse, mono_divides, parse_poly
 from mustafin.specialize import (
     ObstructionSet,
     check_specialization,
@@ -328,3 +337,193 @@ def test_check_reuses_the_obstruction_basis_only_for_its_generators(monkeypatch)
             rep = check_specialization(gens, pi, assignment, obstructions=given_obs)
             assert len(calls) == builds
             assert rep == fresh
+
+
+# ---------------------------------------------------------------------------
+# the obstruction harvest on the packed kernel against plain MPoly arithmetic
+
+
+def leading_group(f, order, group_pos):
+    """Leading monomial in the grouped variables together with its
+    polynomial coefficient in the remaining ones."""
+    gset = set(group_pos)
+    _, lm = f.leading_term(order)
+    lead = tuple(e if i in gset else 0 for i, e in enumerate(lm))
+    coeff = {}
+    for m, c in f.terms.items():
+        if tuple(e if i in gset else 0 for i, e in enumerate(m)) == lead:
+            coeff[tuple(0 if i in gset else e for i, e in enumerate(m))] = c
+    return lead, MPoly(f.universe, f.domain, coeff, _clean=True)
+
+
+def mpoly_harvest(gb, order, group_pos):
+    """Slow reference for the conditions read from a symbolic basis: the
+    leading-group coefficient of every element, and of every working
+    polynomial of every S-pair's reduction chain whenever its grouped
+    leading monomial drops, read before the step.  A step rewrites the
+    leading term by the first element whose leading monomial divides it,
+    else drops it; plain MPoly arithmetic throughout."""
+    uni, dom = gb[0].universe, gb[0].domain
+    unit, nonzero = [], []
+
+    def record(conds, coeff):
+        stripped = specialize._strip_pi_content(coeff)
+        if not stripped.is_constant() and stripped not in conds:
+            conds.append(stripped)
+
+    for g in gb:
+        record(unit, leading_group(g, order, group_pos)[1])
+    for j in range(len(gb)):
+        for i in range(j):
+            (ci, mi), (cj, mj) = gb[i].leading_term(order), gb[j].leading_term(order)
+            l = tuple(max(a, b) for a, b in zip(mi, mj))
+            work = gb[i].mono_shift(tuple(a - b for a, b in zip(l, mi))).scale(dom.inv(ci))
+            work = work - gb[j].mono_shift(tuple(a - b for a, b in zip(l, mj))).scale(dom.inv(cj))
+            last = None
+            while work:
+                lead, coeff = leading_group(work, order, group_pos)
+                if lead != last:
+                    record(nonzero, coeff)
+                    last = lead
+                lc, lm = work.leading_term(order)
+                for g in gb:
+                    glc, glm = g.leading_term(order)
+                    if mono_divides(glm, lm):
+                        q = tuple(a - b for a, b in zip(lm, glm))
+                        work = work - g.mono_shift(q).scale(dom.div(lc, glc))
+                        break
+                else:
+                    work = work - MPoly.term(uni, dom, lc, lm)
+    return unit, nonzero
+
+
+HARVEST_UNI = VarUniverse(("x", "y", "A[1][1][0]", "A[2][1][0]", "pi"))
+harvest_monos = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)
+)
+harvest_coeffs = {
+    "GF(7)": (F7, st.integers(1, 6).map(F7.from_int)),
+    "QQ": (QQ, st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))),
+}
+
+
+@st.composite
+def harvest_case(draw):
+    """One to three generators over GF(7) or QQ whose coefficients involve
+    the parameters and pi."""
+    dom, coeff = harvest_coeffs[draw(st.sampled_from(sorted(harvest_coeffs)))]
+    poly = st.dictionaries(harvest_monos, coeff, min_size=1, max_size=3).map(
+        lambda t: MPoly(HARVEST_UNI, dom, t)
+    )
+    return draw(st.lists(poly, min_size=1, max_size=3))
+
+
+@given(harvest_case())
+@settings(max_examples=80, deadline=None)
+def test_harvest_matches_the_mpoly_reduction_chains(gens):
+    pi = MPoly.var(HARVEST_UNI, gens[0].domain, "pi")
+    big, aux, lifted = specialize._adjoin_saturator(gens, pi)
+    order, group_pos = specialize._symbolic_order(big, aux)
+    # a few inputs have bases that take minutes, and bases past 12 elements
+    # make the MPoly chains take seconds
+    try:
+        gb = buchberger(lifted, order, universe=big, domain=gens[0].domain, cap_seconds=0.5)
+    except groebner.ResourceCapExceeded:
+        reject()
+    assume(len(gb) <= 12)
+    unit, nonzero = mpoly_harvest(gb, order, group_pos)
+    obs = obstruction_polynomials(gens, pi)
+    assert obs.basis == gb and not obs.incomplete
+    assert obs.unit_conditions == unit
+    assert obs.nonzero_conditions == nonzero
+
+
+# ---------------------------------------------------------------------------
+# `spec obstructions` reports recorded from the MPoly harvest
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# sha256 of the 2.1 MB report on the symbolic d=3 n=2 minors
+D3N2_SHA256 = "fe385d61610f9345c5723a8b30d185bff38baba248e27d0a59e2fd30e22cd540"
+
+
+def run_spec_obstructions(tmp_path, n):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 3, "n": n, "n_vec": [1, 2], "field": {"Fp": 32003}, "entries": "symbolic"}))
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(spec_group, ["obstructions", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return out.read_bytes()
+
+
+def test_spec_obstructions_report_matches_the_mpoly_harvest(tmp_path):
+    # written by `spec obstructions` when the harvest still ran reduce_one_step
+    # on MPoly arithmetic; the packed kernel must not move a byte
+    assert run_spec_obstructions(tmp_path, 1) == (GOLDEN / "obstructions-d3n1.out.json").read_bytes()
+    assert hashlib.sha256(run_spec_obstructions(tmp_path, 2)).hexdigest() == D3N2_SHA256
+
+
+# ---------------------------------------------------------------------------
+# one budget for the basis and the harvest
+
+
+def symbolic_minors_d3n1():
+    from mustafin.varieties import LatticeConfig, minors_ideal
+
+    minors = minors_ideal(LatticeConfig(3, 1, (1, 2), F, "symbolic"))
+    return list(minors.generators), MPoly.var(minors.universe, F, "pi")
+
+
+class SlowPairs(groebner._Reducers):
+    """The kernel with every S-pair of the harvest 0.05 s slower."""
+
+    def spoly(self, i, j):
+        time.sleep(0.05)
+        return super().spoly(i, j)
+
+
+def test_harvest_out_of_budget_returns_what_it_found(monkeypatch):
+    gens, pi = symbolic_minors_d3n1()
+    full = obstruction_polynomials(gens, pi)
+    assert len(full.basis) == 6 and full.nonzero_conditions  # 15 S-pairs
+    monkeypatch.setattr(specialize, "_Reducers", SlowPairs)
+    start = time.monotonic()
+    capped = obstruction_polynomials(gens, pi, cap_seconds=0.3)
+    # the deadline is read before each S-pair, so at most one pair runs past it
+    assert time.monotonic() - start < 0.3 + 0.2
+    assert capped.incomplete and capped.basis is None
+    assert capped.unit_conditions == full.unit_conditions
+    found = capped.nonzero_conditions
+    assert found and len(found) < len(full.nonzero_conditions)
+    assert found == full.nonzero_conditions[: len(found)]
+    # a capped basis harvests nothing
+    none = obstruction_polynomials(gens, pi, cap_seconds=1e-9)
+    assert none.incomplete and none.unit_conditions == none.nonzero_conditions == []
+
+
+# ---------------------------------------------------------------------------
+# the messages of a violated condition
+
+
+def test_violated_condition_messages():
+    uni, x, y, A1, A2, pi = example_setup(F)
+    gens = [pi * A1 * x + A2 * y]
+    ring = PiRing(F)
+    assignment = {"A[1][1][0]": F.from_int(5), "A[2][1][0]": ring.pi}
+    unit = ObstructionSet([A2], [])
+    nonzero = ObstructionSet([], [A2 - pi])
+    assert check_specialization(gens, pi, assignment, obstructions=unit).diagnosis == (
+        "unit condition A[2][1][0] violated"
+    )
+    assert check_specialization(gens, pi, assignment, obstructions=nonzero).diagnosis == (
+        "nonzero condition A[2][1][0] + 32002*pi violated"
+    )
+    # sampling reports the last violation without the suffix; pi never
+    # takes valuation 0 and the zero polynomial is never nonzero
+    small = VarUniverse(("pi",))
+    for obs, text in (
+        (ObstructionSet([MPoly.var(small, F, "pi")], []), "unit condition pi"),
+        (ObstructionSet([], [MPoly.zero(small, F)]), "nonzero condition 0"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            generic_sample(1, F, (2, 1), obs, max_attempts=3)
+        assert str(exc.value) == f"sampling cap 3 exceeded; last violation: {text}"
