@@ -47,7 +47,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import comb, gcd as int_gcd
 
 from .coeffs import DomainError
 from .polyring import (
@@ -685,6 +685,7 @@ def buchberger(
     trace_log: list | None = None,
     reduced: bool = True,
     gb_prefix: int = 0,
+    hilbert=None,
 ):
     """Groebner basis of <gens> with respect to ``order``.
 
@@ -697,6 +698,18 @@ def buchberger(
     with respect to ``order``: pairs among them are skipped.  Sound only
     when the prefix really is one (incremental queries against a cached
     basis).
+
+    ``hilbert = (blocks, target)`` (field mode only) prunes pairs by the
+    Hilbert function (Traverso): a popped pair is skipped, unreduced, once
+    the leading monomials leave exactly ``target(a)`` standard monomials in
+    the block multidegree a of its lcm.  Sound when every generator is
+    homogeneous per block and ``target(a)`` is the number of standard
+    monomials of the final basis in multidegree a, counted over the
+    monomials in the blocks' variables; a variable outside ``blocks`` may
+    only be ``sat_var``, whose content division keeps it out of the leading
+    monomials.  A count that falls below its target proves the target wrong
+    and raises ``DomainError``.  The pruned pairs would reduce to zero, so
+    the basis is the one computed without the target.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -704,23 +717,32 @@ def buchberger(
     universe = universe or gens[0].universe
     domain = domain or gens[0].domain
     if ring_mode:
-        if sat_var is not None:
-            raise DomainError("variable-content saturation is a field-mode path")
+        if sat_var is not None or hilbert is not None:
+            raise DomainError("content saturation and Hilbert targets are field-mode paths")
         if getattr(domain, "is_field", False):
             domain = _FieldAsEuclidean(domain)
             gens = [MPoly(universe, domain, dict(g.terms), _clean=True) for g in gens]
         return _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log)
     if not getattr(domain, "is_field", False):
         raise DomainError("field-mode buchberger over a non-field domain")
+    if hilbert is not None:
+        blocks = hilbert[0]
+        covered = [p for blk in blocks for p in blk]
+        if len(set(covered)) != len(covered):
+            raise DomainError("blocks must be disjoint")
+        if set(range(universe.nvars)) - set(covered) - {sat_var}:
+            raise DomainError("a Hilbert target needs every variable but sat_var in a block")
+        if not all(g.is_multihomogeneous(blocks) for g in gens):
+            raise DomainError("a Hilbert target needs generators homogeneous per block")
     return _buchberger_field(
         gens, order, universe, domain, sat_var, cap_seconds, trace_log, reduced,
-        gb_prefix,
+        gb_prefix, hilbert,
     )
 
 
 def _buchberger_field(
     gens, order, universe, domain, sat_var, cap_seconds, trace_log, reduced,
-    gb_prefix=0,
+    gb_prefix=0, hilbert=None,
 ):
     t0 = time.monotonic()
     log_start = len(trace_log) if trace_log is not None else 0
@@ -759,6 +781,7 @@ def _buchberger_field(
         heap = [pair_key(i, j) for i, j in pairs]
         heapq.heapify(heap)
         alive = set(pairs)
+        gate = _HilbertGate(pk, universe.nvars, *hilbert) if hilbert is not None else None
 
         while heap:
             if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
@@ -769,10 +792,14 @@ def _buchberger_field(
             if (i, j) not in alive:
                 continue
             alive.discard((i, j))
-            r = red.reduce(red.spoly(i, j))
+            l = pk.lcm(red.lms[i], red.lms[j])
+            if gate is not None and gate.complete(red.lms, l):
+                r = None  # pruned: it would reduce to zero
+            else:
+                r = red.reduce(red.spoly(i, j))
             if trace_log is not None:
-                l = pk.unpack(pk.lcm(red.lms[i], red.lms[j]))
-                trace_log.append(f"pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}")
+                outcome = "pruned" if r is None else "new" if r else "0"
+                trace_log.append(f"pair ({i},{j}) lcm {pk.unpack(l)} -> {outcome}")
             if not r:
                 continue
             r = red.to_poly(r)
@@ -986,6 +1013,7 @@ def saturate(
     pi_fast_weights=None,
     cap_seconds: float | None = None,
     trace_log: list | None = None,
+    hilbert=None,
 ) -> Ideal:
     """sat(I, a_1..a_l) = <I, 1 - t_1 a_1, ..., 1 - t_l a_l> ∩ A.
 
@@ -994,6 +1022,13 @@ def saturate(
     single saturating element that is a weight-1 variable under which all
     generators are weight homogeneous, the content-division fast path runs
     instead and returns an equal ideal.
+
+    ``hilbert = (blocks, target)`` goes to ``buchberger`` on the fast path
+    only, and the elimination route ignores it.  It is sound when
+    ``target(a)`` counts the standard monomials of the saturation's special
+    fibre (the saturating variable set to zero) in block multidegree a;
+    every variable but the saturating one must lie in a block.  A target
+    shown wrong by the count raises ``DomainError``.
     """
     elems = list(elems)
     uni, dom = I.universe, I.domain
@@ -1020,6 +1055,7 @@ def saturate(
                     sat_var=pos,
                     cap_seconds=cap_seconds,
                     trace_log=trace_log,
+                    hilbert=hilbert,
                 )
                 out = Ideal(gb, uni, dom)
                 out._gb_cache[(worder, False)] = tuple(gb)
@@ -1213,6 +1249,123 @@ def compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+class _BoxMonomials:
+    """The monomials of one multidegree over disjoint variable blocks, as
+    packed ints.  A monomial of multidegree a is the sum of one packed part
+    per block, a part being a monomial of degree a_j in block j alone; the
+    parts come from ``compositions`` and are built once per (block, degree)."""
+
+    __slots__ = ("pk", "nvars", "blocks", "_parts")
+
+    def __init__(self, pk: _Packing, nvars: int, blocks):
+        self.pk, self.nvars, self.blocks = pk, nvars, blocks
+        self._parts: dict = {}
+
+    def part(self, j: int, dg: int) -> list:
+        out = self._parts.get((j, dg))
+        if out is None:
+            blk = self.blocks[j]
+            out = []
+            for exps in compositions(dg, len(blk)):
+                mono = [0] * self.nvars
+                for p, e in zip(blk, exps):
+                    mono[p] = e
+                out.append(self.pk.pack(mono))
+            self._parts[(j, dg)] = out
+        return out
+
+    def count(self, mdeg) -> int:
+        """How many monomials multidegree ``mdeg`` has."""
+        out = 1
+        for blk, dg in zip(self.blocks, mdeg):
+            out *= comb(dg + len(blk) - 1, dg)
+        return out
+
+    def of(self, mdeg) -> list:
+        """Every monomial of multidegree ``mdeg``, packed."""
+        out = [0]
+        for j, dg in enumerate(mdeg):
+            part = self.part(j, dg)
+            out = [a + b for a in out for b in part]
+        return out
+
+
+# monomials a Hilbert count may hold per pair already popped in its
+# multidegree: one reduction costs about as much as striking a few thousand
+# packed monomials from a set
+_PAIR_COST = 4096
+
+
+class _HilbertGate:
+    """Traverso's Hilbert-driven test for a growing basis whose
+    multihomogeneous ideal has the Hilbert function ``target``: multidegree
+    a is complete once the leading monomials leave exactly target(a)
+    standard monomials in it.  Then no element of multidegree a can bring a
+    new leading monomial, so every pair whose lcm lies in a reduces to zero.
+
+    Counting is lazy and incremental.  A multidegree gets its set of
+    standard packed monomials when it is asked about, as soon as the pairs
+    popped in it reach one per ``_PAIR_COST`` of its monomials (the first
+    pair, unless the multidegree is large and its pairs few: their
+    reductions are then cheaper than the count).  Each leading monomial l of
+    multidegree b <= a strikes out its multiples l + m, m of multidegree
+    a - b, once, when a is next asked about.  A complete multidegree drops
+    its set.  A count below its target means the target is wrong (the
+    leading monomials lie in the initial ideal, whose count it is) and
+    raises ``DomainError``."""
+
+    __slots__ = (
+        "monos", "blocks", "target", "unpack", "leads", "live", "done", "cofactors", "waiting",
+    )
+
+    def __init__(self, pk: _Packing, nvars: int, blocks, target):
+        self.monos = _BoxMonomials(pk, nvars, blocks)
+        self.blocks, self.target, self.unpack = blocks, target, pk.unpack
+        self.leads: list = []  # (packed leading monomial, multidegree)
+        self.live: dict = {}  # multidegree -> (standard monomials, leads struck)
+        self.done: set = set()
+        self.cofactors: dict = {}  # multidegree -> its monomials
+        self.waiting: dict = {}  # multidegree -> pairs popped, while not counted
+
+    def complete(self, lms: list, l: int) -> bool:
+        """Is the multidegree of the packed monomial l complete for the
+        leading monomials ``lms``?  The list may only grow between calls."""
+        blocks, unpack = self.blocks, self.unpack
+        for lm in lms[len(self.leads):]:
+            self.leads.append((lm, multidegree(unpack(lm), blocks)))
+        a = multidegree(unpack(l), blocks)
+        if a in self.done:
+            return True
+        entry = self.live.get(a)
+        if entry is None:
+            pops = self.waiting.get(a, 0) + 1
+            if pops * _PAIR_COST < self.monos.count(a):
+                self.waiting[a] = pops
+                return False
+            entry = (set(self.monos.of(a)), 0)
+        std, struck = entry
+        cofactors = self.cofactors
+        for lm, b in self.leads[struck:]:
+            if all(x <= y for x, y in zip(b, a)):
+                c = tuple([y - x for x, y in zip(b, a)])
+                ms = cofactors.get(c)
+                if ms is None:
+                    ms = cofactors[c] = self.monos.of(c)
+                std.difference_update([lm + m for m in ms])
+        want = self.target(a)
+        if len(std) < want:
+            raise DomainError(
+                f"multidegree {a} has {len(std)} standard monomials, "
+                f"below its Hilbert target {want}"
+            )
+        if len(std) > want:
+            self.live[a] = (std, len(self.leads))
+            return False
+        self.live.pop(a, None)
+        self.done.add(a)
+        return True
+
+
 def hilbert_function(
     I: Ideal, blocks, box, *, order: TermOrder | None = None
 ) -> dict:
@@ -1220,9 +1373,8 @@ def hilbert_function(
 
     ``blocks`` lists disjoint variable positions per block.  The ideal must
     be homogeneous per block, with field coefficients.  Monomials are packed
-    (``_Packing``): a box monomial is the sum of its blocks' packed parts, and
-    it is tested only against the leading monomials whose multidegree it
-    bounds.
+    (``_BoxMonomials``), and a box monomial is tested only against the
+    leading monomials whose multidegree it bounds.
     """
     if not getattr(I.domain, "is_field", False):
         raise DomainError("hilbert function needs field coefficients")
@@ -1242,25 +1394,12 @@ def hilbert_function(
     def run(pk):
         guard = pk.guard
         leads = [(pk.pack(m), multidegree(m, blocks)) for m in lms]
-        # per block and degree, the packed monomials of that block alone
-        parts = []
-        for blk, b in zip(blocks, box):
-            per_degree = []
-            for dg in range(b + 1):
-                packed = []
-                for exps in compositions(dg, len(blk)):
-                    mono = [0] * uni.nvars
-                    for p, e in zip(blk, exps):
-                        mono[p] = e
-                    packed.append(pk.pack(mono))
-                per_degree.append(packed)
-            parts.append(per_degree)
+        monos = _BoxMonomials(pk, uni.nvars, blocks)
         table: dict[tuple, int] = {}
         for mdeg in itertools.product(*[range(b + 1) for b in box]):
             cands = [l for l, md in leads if all(a <= b for a, b in zip(md, mdeg))]
             count = 0
-            for combo in itertools.product(*[per[dg] for per, dg in zip(parts, mdeg)]):
-                p = sum(combo)
+            for p in monos.of(mdeg):
                 for l in cands:
                     q = p - l
                     if q >= 0 and not q & guard:

@@ -15,9 +15,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 from .coeffs import DomainError, PiRing, base_field
 from .groebner import (
+    Deadline,
     ResourceCapExceeded,
     buchberger,
     hilbert_function,
@@ -282,7 +284,15 @@ def mustafin_ideal(
     cap_seconds: float | None = None,
     trace_log: list | None = None,
 ) -> Ideal:
-    """Saturation of the minors ideal with respect to pi."""
+    """Saturation of the minors ideal with respect to pi.
+
+    The saturation is flat over L[pi].  ``LatticeConfig`` rejects every M_l
+    that is singular mod pi, so every g_l is invertible over L(pi) and the
+    generic fibre is the diagonal P^{d-1} in (P^{d-1})^{n+1}.  The special
+    fibre therefore has the diagonal's Hilbert function C(|a|+d-1, d-1) in
+    every column multidegree a, which the fast path gets as its Hilbert
+    target.
+    """
     if config.is_symbolic:
         raise DomainError("saturation needs concrete entries")
     I = minors_ideal(config)
@@ -290,12 +300,14 @@ def mustafin_ideal(
         return I
     uni = I.universe
     pi = MPoly.var(uni, config.field, "pi")
+    d = config.d
     return saturate(
         I,
         [pi],
         pi_fast_weights=config.weights,
         cap_seconds=cap_seconds,
         trace_log=trace_log,
+        hilbert=(uni.grid_indices(), lambda a: comb(sum(a) + d - 1, d - 1)),
     )
 
 
@@ -338,9 +350,11 @@ def special_fibre(
     Along the fast path the reductions are already a basis with respect to
     the weight order restricted to the grid, and are interreduced to the
     canonical form; otherwise a fresh basis over the residue field is
-    computed.
+    computed.  Both steps share one time budget, with phases
+    ``saturation`` and ``fibre``.
     """
-    sat = mustafin_ideal(config, cap_seconds=cap_seconds, trace_log=trace_log)
+    deadline = Deadline(cap_seconds)
+    sat = deadline.run("saturation", mustafin_ideal, config, trace_log=trace_log)
     if sat.is_zero():
         return Ideal((), fibre_universe(config.d, config.n), config.field)
     worder = WeightedPiOrder(config.weights, sat.universe.index("pi"))
@@ -350,12 +364,13 @@ def special_fibre(
     if fast:
         gens = interreduce(list(reduced.generators), korder)
     else:
-        gens = buchberger(
+        gens = deadline.run(
+            "fibre",
+            buchberger,
             list(reduced.generators),
             korder,
             universe=reduced.universe,
             domain=reduced.domain,
-            cap_seconds=cap_seconds,
         )
     out = Ideal(gens, reduced.universe, reduced.domain)
     out._gb_cache[(korder, False)] = tuple(gens)

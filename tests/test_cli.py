@@ -309,6 +309,40 @@ def test_degen_cap_bounds_the_whole_command(
     assert rep["detail"].startswith(f"{phase}: exceeded 0.6s")
 
 
+def test_fibre_cap_bounds_saturation_and_fibre_together(runner, tmp_path, monkeypatch):
+    # entries mixing pi powers take the elimination route, and the fibre
+    # then needs its own basis over the residue field; a stubbed engine
+    # needs 0.4 s per call, so the 0.6 s cap holds one call, not both
+    import time
+
+    from mustafin import groebner
+
+    real = groebner._buchberger_field
+
+    def slow(gens, order, universe, domain, sat_var, cap_seconds, *rest, **kw):
+        time.sleep(0.4)
+        if cap_seconds is not None and cap_seconds < 0.4:
+            raise groebner.ResourceCapExceeded(f"stub exceeded {cap_seconds:g}s")
+        return real(gens, order, universe, domain, sat_var, None, *rest, **kw)
+
+    monkeypatch.setattr(groebner, "_buchberger_field", slow)
+    config = tmp_path / "mixing.json"
+    config.write_text(json.dumps({
+        "d": 2, "n": 1, "n_vec": [1], "field": {"Fp": 32003},
+        "entries": [[["1+pi", "2"], ["3", "1"]], [["1", "0"], ["2+3*pi^2", "1"]]],
+    }))
+    out = tmp_path / "capped.json"
+    res = runner.invoke(
+        mustafin_group, ["fibre", "--config", str(config), "--cap-seconds", "0.6", "--out", str(out)]
+    )
+    assert res.exit_code == 1, res.output
+    assert "resource cap exceeded" in res.stderr
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "resource-capped"
+    assert rep["phase"] == "fibre"
+    assert rep["detail"].startswith("fibre: exceeded 0.6s")
+
+
 @pytest.fixture
 def minors_gens(tmp_path):
     """The symbolic d=3 n=1 minors as a --gens file."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pytest
 from fractions import Fraction
 
@@ -739,3 +740,125 @@ def test_hilbert_function_past_one_byte_fields_and_overlapping_blocks():
     assert (hf[(129,)], hf[(130,)], hf[(131,)]) == (3, 2, 1)
     with pytest.raises(DomainError):
         hilbert_function(I, [[0, 1], [1]], (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-driven pair pruning on the saturation fast path
+
+
+def diagonal_target(d):
+    """Hilbert function of the diagonal P^{d-1} in (P^{d-1})^{n+1}."""
+    return lambda a: math.comb(sum(a) + d - 1, d - 1)
+
+
+def column_minors(field, d, n, seed, exps):
+    """The 2x2 minors of the d x (n+1) matrix whose column l is g_l x_l,
+    g_l = M_l diag(pi^exps[l][0], ..., pi^exps[l][d-1]) with M_l the
+    invertible matrices of ``random_config``, and the weights that make
+    them homogeneous (pi weighs 1, x[i][l] weighs top - exps[l][i-1])."""
+    from mustafin.varieties import random_config
+
+    uni = grid_universe(d, n, pi=True)
+    pi = MPoly.var(uni, field, "pi")
+    mats = random_config(d, n, tuple(range(1, d)), field, seed).entries
+    cols = []
+    for l in range(n + 1):
+        xs = [MPoly.var(uni, field, f"x[{i + 1}][{l}]") * pi ** exps[l][i] for i in range(d)]
+        col = []
+        for r in range(d):
+            f = MPoly.zero(uni, field)
+            for i in range(d):
+                if mats[l][r][i]:
+                    f = f + xs[i].scale(mats[l][r][i][0])
+            col.append(f)
+        cols.append(col)
+    gens = [
+        cols[a][r] * cols[b][s] - cols[a][s] * cols[b][r]
+        for a, b in itertools.combinations(range(n + 1), 2)
+        for r, s in itertools.combinations(range(d), 2)
+    ]
+    top = 1 + max(max(e) for e in exps)
+    weights = [0] * uni.nvars
+    weights[uni.index("pi")] = 1
+    for l in range(n + 1):
+        for i in range(d):
+            weights[uni.index(f"x[{i + 1}][{l}]")] = top - exps[l][i]
+    return Ideal(gens, uni, field), tuple(weights)
+
+
+@st.composite
+def pi_rungs(draw):
+    field = draw(st.sampled_from([GF(2), GF(7), QQ]))
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # a lattice configuration: the same increasing exponents in every column
+        n_vec = sorted(draw(st.sets(st.integers(1, 7), min_size=d - 1, max_size=d - 1)))
+        exps = [[0] + n_vec] * (n + 1)
+    else:
+        # pi-dependent entries: every column scaled by its own pi powers
+        exps = [[draw(st.integers(0, 3)) for _ in range(d)] for _ in range(n + 1)]
+    return field, d, n, draw(st.integers(0, 40)), exps
+
+
+@given(pi_rungs())
+@settings(max_examples=30, deadline=None)
+def test_hilbert_pruning_keeps_the_saturated_basis(rung):
+    # the unpruned fast path is the oracle: same reduced basis, term for
+    # term, and every pair it popped is popped again (pruned or reduced)
+    field, d, n, seed, exps = rung
+    I, weights = column_minors(field, d, n, seed, exps)
+    pi = MPoly.var(I.universe, field, "pi")
+    plain_log, pruned_log = [], []
+    plain = saturate(I, [pi], pi_fast_weights=weights, trace_log=plain_log)
+    pruned = saturate(
+        I, [pi], pi_fast_weights=weights, trace_log=pruned_log,
+        hilbert=(I.universe.grid_indices(), diagonal_target(d)),
+    )
+    worder = WeightedPiOrder(weights, I.universe.index("pi"))
+    assert (worder, False) in pruned._gb_cache
+    assert [g.text(worder) for g in pruned.generators] == [g.text(worder) for g in plain.generators]
+    assert len(pruned_log) == len(plain_log)
+    assert not any(line.endswith("-> pruned") for line in plain_log)
+
+
+def test_hilbert_target_needs_every_other_variable_in_a_block():
+    uni = grid_universe(2, 1, pi=True)
+    I, weights = column_minors(F, 2, 1, 1, [[0, 1], [0, 1]])
+    pi_pos = uni.index("pi")
+    blocks = uni.grid_indices()
+    worder = WeightedPiOrder(weights, pi_pos)
+    gens = list(I.generators)
+    target = diagonal_target(2)
+    with pytest.raises(DomainError, match="every variable but sat_var"):
+        buchberger(gens, worder, sat_var=pi_pos, hilbert=([blocks[0], blocks[1][:1]], target))
+    # pi is outside the blocks, so it must be the saturating variable
+    with pytest.raises(DomainError, match="every variable but sat_var"):
+        buchberger(gens, worder, hilbert=(blocks, target))
+    with pytest.raises(DomainError, match="disjoint"):
+        buchberger(gens, worder, sat_var=pi_pos, hilbert=([blocks[0], blocks[0] + blocks[1]], target))
+    with pytest.raises(DomainError, match="homogeneous per block"):
+        buchberger(gens + [MPoly.var(uni, F, "x[1][0]") + MPoly.var(uni, F, "x[1][1]")],
+                   worder, sat_var=pi_pos, hilbert=(blocks, target))
+    with pytest.raises(DomainError, match="field-mode"):
+        buchberger(gens, worder, ring_mode=True, hilbert=(blocks, target))
+    assert buchberger(gens, worder, sat_var=pi_pos, hilbert=(blocks, target)) == buchberger(
+        gens, worder, sat_var=pi_pos
+    )
+
+
+def test_hilbert_gate_past_one_byte_fields():
+    # the lcm x^129*y^3 has degree 132: its monomials overflow one-byte
+    # fields, and the widened run still prunes the pair
+    I = Ideal([MPoly.term(U, F, F.one, (129, 1)) + MPoly.term(U, F, F.one, (128, 2)),
+               MPoly.term(U, F, F.one, (0, 3))])
+    order = DegRevLex()
+    plain = buchberger(list(I.generators), order)
+
+    def hf(a):
+        return textbook_hilbert_function(Ideal(plain), [[0, 1]], a, order)[a]
+
+    log = []
+    pruned = buchberger(list(I.generators), order, trace_log=log, hilbert=([[0, 1]], hf))
+    assert pruned == plain
+    assert log and all(line.endswith("-> pruned") for line in log)

@@ -1,8 +1,15 @@
-import pytest
+import collections
+import json
+import math
+import pathlib
 
-from mustafin.coeffs import DomainError, GF, QQ
+import pytest
+from click.testing import CliRunner
+
+from mustafin.cli import mustafin_group
+from mustafin.coeffs import DomainError, GF, PiRing, QQ
 from mustafin.groebner import normal_form, saturate
-from mustafin.polyring import DegRevLex, Ideal, MPoly
+from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder
 from mustafin.varieties import (
     ComponentVector,
     LatticeConfig,
@@ -254,3 +261,93 @@ def test_conjecture_check_d4_over_q_forward():
     cfg = random_config(4, 3, (1, 3, 7), QQ, seed=5)
     rep = conjecture_check(cfg, "forward-only", cap_seconds=300)
     assert rep.equal and not rep.capped
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert target of the saturation fast path
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def diagonal_target(d, extra=0):
+    return lambda a: math.comb(sum(a) + d - 1, d - 1) + extra
+
+
+def pi_mixing_config():
+    # 1 + pi and 2 + 3 pi^2 mix pi powers, so the minors are not weight
+    # homogeneous and saturation takes the elimination route
+    ring = PiRing(F)
+    mats = (
+        (("1+pi", "2"), ("3", "1")),
+        (("1", "0"), ("2+3*pi^2", "1")),
+    )
+    return LatticeConfig(2, 1, (1,), F, tuple(
+        tuple(tuple(ring.parse(e) for e in row) for row in mat) for mat in mats
+    ))
+
+
+def test_target_one_too_large_is_caught():
+    # a target above the true Hilbert function must trip the count (or
+    # change the basis) on some rung
+    caught = 0
+    for d, n, n_vec, seed in ((2, 1, (1,), 1), (3, 2, (1, 2), 1), (3, 3, (1, 2), 2), (4, 2, (1, 3, 7), 1)):
+        cfg = random_config(d, n, n_vec, F, seed)
+        I = minors_ideal(cfg)
+        pi = MPoly.var(I.universe, F, "pi")
+        try:
+            wrong = saturate(
+                I, [pi], pi_fast_weights=cfg.weights,
+                hilbert=(I.universe.grid_indices(), diagonal_target(d, extra=1)),
+            )
+        except DomainError as exc:
+            assert "below its Hilbert target" in str(exc)
+            caught += 1
+            continue
+        caught += wrong.generators != mustafin_ideal(cfg).generators
+    assert caught
+
+
+def test_pi_mixing_config_takes_the_elimination_route_without_the_target():
+    cfg = pi_mixing_config()
+    I = minors_ideal(cfg)
+    pi = MPoly.var(I.universe, F, "pi")
+
+    def never(a):
+        raise AssertionError("the elimination route read the Hilbert target")
+
+    log = []
+    sat = saturate(
+        I, [pi], pi_fast_weights=cfg.weights, trace_log=log,
+        hilbert=(I.universe.grid_indices(), never),
+    )
+    worder = WeightedPiOrder(cfg.weights, I.universe.index("pi"))
+    assert (worder, False) not in sat._gb_cache
+    assert log and not any(line.endswith("-> pruned") for line in log)
+    assert sat.generators == saturate(I, [pi]).generators == mustafin_ideal(cfg).generators
+
+
+def test_fibre_verbose_shows_the_pruned_pairs(tmp_path):
+    # every pair the unpruned run pops is popped again: pruned, or reduced
+    # to zero or to a new element
+    cfg = random_config(3, 2, (1, 2), F, 1)
+    path = tmp_path / "d3n2.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    res = CliRunner().invoke(mustafin_group, ["fibre", "--config", str(path), "--verbose"])
+    assert res.exit_code == 0, res.output
+    lines = [line for line in res.stderr.splitlines() if line.startswith("pair (")]
+    outcomes = collections.Counter(line.rsplit(" -> ", 1)[1] for line in lines)
+    assert set(outcomes) <= {"pruned", "0", "new"} and outcomes["pruned"] > 0
+    I = minors_ideal(cfg)
+    plain_log = []
+    saturate(I, [MPoly.var(I.universe, F, "pi")], pi_fast_weights=cfg.weights, trace_log=plain_log)
+    assert sum(outcomes.values()) == len(plain_log)
+
+
+def test_mustafin_fibre_d4_matches_the_unpruned_output(tmp_path):
+    # written by `mustafin fibre` before the Hilbert target existed
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(
+        mustafin_group, ["fibre", "--config", str(GOLDEN / "config-d4n3.json"), "--out", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (GOLDEN / "mustafin-fibre-d4n3.out.json").read_bytes()
