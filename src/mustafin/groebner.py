@@ -25,6 +25,13 @@ computation reruns with fields twice as wide (``_widening``).  The
 table holds each basis element's packed leading monomial, leading
 coefficient and monic tail once per basis, and the working polynomial keeps
 a heap of order keys, so each step finds its largest term without a scan.
+An order key is one int per packed monomial, computed with field
+arithmetic (``_Packing.order_key``, ``TermOrder.packed_key``) and cached
+per table; only an order defined outside ``polyring`` keeps its flattened
+tuple key.  Field-mode Buchberger keeps its pending pairs in a dict from
+pair to the lcm of the leading monomials: each lcm is computed once, when
+the pair is made, and the Gebauer-Moeller update and the pair heap read it
+back (``_gm_update``).
 In ring mode a step may combine several elements through a Bezout identity
 of their leading coefficients.  ``_Reducers.reduce`` takes one observer,
 called before every step; the replayable ``normal_form(want_trace=True)``
@@ -42,6 +49,7 @@ saturated ideal.  Everything else takes the textbook route: adjoin
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import itertools
 import time
@@ -163,14 +171,34 @@ class _Packing:
     two valid monomials is their sum (no carry leaves a field), and it is
     valid exactly when its guard bits are clear; a divides b exactly when
     b - a is nonnegative with clear guard bits.  Sorting by (degree, packed)
-    sorts by (degree, exponent tuple)."""
+    sorts by (degree, exponent tuple).
 
-    __slots__ = ("nvars", "width", "bound", "guard")
+    Every term order of ``polyring`` compiles an integer key on packed
+    monomials from the field arithmetic here (``order_key``): degrees and
+    weighted degrees are sums over the fields, the reverse-lex part reverses
+    the fields, and a block order gathers the fields of each block.  Every
+    width-dependent constant lives in the packing."""
+
+    __slots__ = (
+        "nvars", "width", "field", "bound", "guard", "degree", "_swaps", "_keys",
+    )
 
     def __init__(self, nvars: int, width: int = 1):
         self.nvars, self.width = nvars, width
-        self.bound = (1 << (8 * width - 1)) - 1
+        self.field = 8 * width  # bits per field
+        self.bound = (1 << (self.field - 1)) - 1
         self.guard = int.from_bytes((b"\x80" + bytes(width - 1)) * nvars, "big")
+        self.degree = self._summer(self.mask(range(nvars)))  # p -> total degree
+        # byte swaps inside each field, undoing the byte order that a
+        # whole-int byte reversal leaves there
+        self._swaps = []
+        half = self.field // 2
+        while half >= 8:
+            units = nvars * self.field // (2 * half)
+            low = sum(((1 << half) - 1) << (2 * half * u) for u in range(units))
+            self._swaps.append((half, low))
+            half //= 2
+        self._keys: dict = {}
 
     def pack(self, mono) -> int:
         w = self.width
@@ -192,8 +220,134 @@ class _Packing:
             return tuple(raw)
         return tuple([int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w)])
 
-    def degree(self, p: int) -> int:
-        return sum(self.unpack(p))
+    def mask(self, positions) -> int:
+        """Every bit of the fields of the variables at ``positions``."""
+        full, f, n = (1 << self.field) - 1, self.field, self.nvars
+        return sum(full << f * (n - 1 - i) for i in set(positions))
+
+    def _classes(self, top: int, strict: bool):
+        """Split the fields into c = 2^k interleaved classes (every c-th
+        field) so that a field of f * c bits holds ``top`` (less than its
+        all-ones value when ``strict``).  Returns (c, f * c, E), E selecting
+        the fields whose index from the right is a multiple of c."""
+        f, n = self.field, self.nvars
+        c = 1
+        while top >= (1 << f * c) - strict:
+            c *= 2
+        E = sum(((1 << f) - 1) << f * j for j in range(0, n, c))
+        return c, f * c, E
+
+    def _summer(self, mask: int):
+        """p -> the sum of p's fields inside ``mask``: the classes of fields
+        are added into wide fields that cannot carry, and a wide field of G
+        bits is summed by the residue mod 2^G - 1."""
+        f = self.field
+        c, G, E = self._classes(self.bound * self.nvars, True)
+        mod = (1 << G) - 1
+        if c == 1:
+            return lambda p: (p & mask) % mod
+        if c == 2:
+            e0, e1 = E & mask, E & (mask >> f)
+            return lambda p: ((p & e0) + ((p >> f) & e1)) % mod
+        parts = [(f * r, E & (mask >> f * r)) for r in range(c)]
+
+        def fn(p):
+            out = 0
+            for s, e in parts:
+                out += (p >> s) & e
+            return out % mod
+
+        return fn
+
+    def block_degrees(self, blocks):
+        """p -> the tuple of p's degrees in the variables of each block."""
+        sums = [self._summer(self.mask(blk)) for blk in blocks]
+        return lambda p: tuple([s(p) for s in sums])
+
+    def weigher(self, weights):
+        """(fn, bits): fn(p) is the weighted degree sum_i weights[i] e_i
+        less its least possible value, so it lies in [0, 2^bits).  Each
+        class of fields, spread into wide fields, is multiplied by the
+        weights in reverse field order: the middle wide field of the product
+        is the weighted sum, and no wide field carries into it.  A negative
+        weight acts as its absolute value on the complemented field."""
+        f, n = self.field, self.nvars
+        flip = self.mask([i for i, w in enumerate(weights) if w < 0]) & ~self.guard
+        ws = [abs(w) for w in weights]
+        top = self.bound * sum(ws)
+        c, G, E = self._classes(top, False)
+        m = max(-(-n // c), 1)
+        parts = []
+        for r in range(c):
+            W = sum(ws[n - 1 - j] << G * (m - 1 - j // c) for j in range(r, n, c))
+            if W:
+                parts.append((f * r, W))
+        sh, mod, bits = G * (m - 1), (1 << G) - 1, top.bit_length()
+        if len(parts) == 2 and not flip:  # the common case, unrolled
+            (s0, W0), (s1, W1) = parts
+            return (lambda p: (((p >> s0) & E) * W0 + ((p >> s1) & E) * W1) >> sh & mod), bits
+
+        def fn(p):
+            p ^= flip
+            out = 0
+            for s, W in parts:
+                out += ((p >> s) & E) * W
+            return (out >> sh) & mod
+
+        return fn, bits
+
+    def reverse(self, p: int) -> int:
+        """The fields of p in reverse order."""
+        p = int.from_bytes(p.to_bytes(self.nvars * self.width, "big"), "little")
+        for s, low in self._swaps:
+            p = ((p & low) << s) | ((p >> s) & low)
+        return p
+
+    def gatherer(self, positions):
+        """p -> the fields of p at ``positions``, in that order, as a
+        monomial of ``restrict(len(positions))``: one shift and mask per run
+        of consecutive positions."""
+        f, n, m = self.field, self.nvars, len(positions)
+        if tuple(positions) == tuple(range(n)):
+            return lambda p: p
+        runs = []
+        k = 0
+        while k < m:
+            size = 1
+            while k + size < m and positions[k + size] == positions[k] + size:
+                size += 1
+            runs.append((f * (n - positions[k] - size), (1 << f * size) - 1, f * (m - k - size)))
+            k += size
+        if len(runs) == 1:
+            src, low, _ = runs[0]
+            return lambda p: (p >> src) & low
+
+        def gather(p):
+            out = 0
+            for src, low, dst in runs:
+                out |= ((p >> src) & low) << dst
+            return out
+
+        return gather
+
+    def restrict(self, nvars: int) -> "_Packing":
+        """A packing of the same width over ``nvars`` variables."""
+        return _packing(nvars, self.width)
+
+    def order_key(self, order: TermOrder):
+        """p -> the key of ``order`` on packed monomials, compiled once per
+        packing: an int (``order.packed_key``) for every order of
+        ``polyring``, else the flattened ``order.key`` as a ``_FlatKey``."""
+        fn = self._keys.get(order)
+        if fn is None:
+            compiled = order.packed_key(self)
+            if compiled is not None:
+                fn = compiled[0]
+            else:
+                okey, unpack = order.key, self.unpack
+                fn = lambda p: _FlatKey(_flatten(okey(unpack(p))))  # noqa: E731
+            self._keys[order] = fn
+        return fn
 
     def lcm(self, a: int, b: int) -> int:
         """Fieldwise maximum: a field of (a | guard) - b keeps its guard bit
@@ -206,6 +360,14 @@ class _Packing:
         return _PackingOverflow(f"exponent above the packing bound {self.bound}")
 
 
+@functools.cache
+def _packing(nvars: int, width: int) -> _Packing:
+    """The one packing of its shape: a packing holds only constants and the
+    keys compiled on it, so every table of that shape shares it, and an
+    order's key is compiled once per process."""
+    return _Packing(nvars, width)
+
+
 def _widening(run, nvars: int):
     """``run(packing)`` with one-byte fields, run again with fields twice as
     wide whenever a monomial overflows them.  Nothing the kernel decides
@@ -214,7 +376,7 @@ def _widening(run, nvars: int):
     width = 1
     while True:
         try:
-            return run(_Packing(nvars, width))
+            return run(_packing(nvars, width))
         except _PackingOverflow:
             width *= 2
 
@@ -227,12 +389,14 @@ def _flatten(key):
             yield part
 
 
-def _flat_key(order: TermOrder, nvars: int):
-    """``order.key`` when it is a flat tuple of ints, as for every order in
-    ``polyring``; else a function flattening it."""
-    if all(isinstance(x, int) for x in order.key((0,) * nvars)):
-        return order.key
-    return lambda mono: tuple(_flatten(order.key(mono)))
+class _FlatKey(tuple):
+    """The flattened tuple key of an order without an integer key; negating
+    it negates every entry, as negating an int key reverses the order."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return _FlatKey([-x for x in self])
 
 
 class _Reducers:
@@ -248,14 +412,14 @@ class _Reducers:
     coefficients have a gcd dividing its coefficient, with the extended-gcd
     cofactors.  A term no element
     rewrites moves to the remainder.  The working polynomial is a dict with
-    a heap of negated order keys beside it; keys, first divisors and (ring
-    mode) divisor lists with their gcd chains are cached per monomial for the
-    life of the table.
+    a heap of negated order keys beside it, bare ints that a dict maps back
+    to their monomials; keys, first divisors and (ring mode) divisor lists
+    with their gcd chains are cached per monomial for the life of the table.
     """
 
     __slots__ = (
         "order", "universe", "domain", "pk", "ring", "lms", "lcs", "tails", "_polys", "_keys",
-        "_divisors", "_flat_key",
+        "_monos", "_divisors", "_okey",
     )
 
     def __init__(self, order: TermOrder, universe: VarUniverse, domain, pk: _Packing, basis=()):
@@ -266,8 +430,9 @@ class _Reducers:
         self.tails: list = []
         self._polys: list[MPoly] = []
         self._keys: dict = {}
+        self._monos: dict = {}
         self._divisors: dict = {}
-        self._flat_key = _flat_key(order, universe.nvars)
+        self._okey = pk.order_key(order)
         for g in basis:
             self.append(g)
 
@@ -289,11 +454,13 @@ class _Reducers:
         self.tails[j] = tail
         return tail
 
-    def key(self, p: int) -> tuple:
-        """Negated flat order key of a packed monomial."""
+    def key(self, p: int):
+        """Negated order key of a packed monomial (``_Packing.order_key``),
+        cached for the life of the table."""
         k = self._keys.get(p)
         if k is None:
-            k = self._keys[p] = tuple([-x for x in self._flat_key(self.pk.unpack(p))])
+            k = self._keys[p] = -self._okey(p)
+            self._monos[k] = p
         return k
 
     def pack_poly(self, f: MPoly) -> dict:
@@ -305,6 +472,16 @@ class _Reducers:
         return MPoly(
             self.universe, self.domain, {unpack(m): c for m, c in terms.items()}, _clean=True
         )
+
+    def remainder(self, terms: dict) -> MPoly:
+        """``to_poly`` of a remainder from ``reduce``.  Its terms were moved
+        there in descending order, so its first term is its leading term,
+        which is recorded for ``MPoly.leading_term``."""
+        f = self.to_poly(terms)
+        if terms:
+            m, c = next(iter(f.terms.items()))
+            f._lt = {self.order: (c, m)}
+        return f
 
     def spoly(self, i: int, j: int) -> dict:
         """S-polynomial of elements i and j, made from their monic tails
@@ -412,13 +589,13 @@ class _Reducers:
         none_yet = ~len(lms)
         dom = self.domain
         mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
-        keys, key = self._keys, self.key
+        keys, key, monos = self._keys, self.key, self._monos
         heappush, heappop = heapq.heappush, heapq.heappop
-        heap = [(keys.get(m) or key(m), m) for m in work]
+        heap = [key(m) for m in work]
         heapq.heapify(heap)
         remainder: dict = {}
         while heap:
-            lm = heappop(heap)[1]
+            lm = monos[heappop(heap)]
             lc = work.pop(lm, None)
             if lc is None:  # cancelled after it was pushed
                 continue
@@ -449,7 +626,10 @@ class _Reducers:
                     if mm & guard:
                         raise self.pk.overflow()
                     work[mm] = neg(mul(lc, gv))
-                    heappush(heap, (keys.get(mm) or key(mm), mm))
+                    k = keys.get(mm)
+                    if k is None:  # a key may be 0, so no ``or``
+                        k = key(mm)
+                    heappush(heap, k)
                 else:
                     s = sub(cur, mul(lc, gv))
                     if iz(s):
@@ -468,13 +648,13 @@ class _Reducers:
         dom = self.domain
         mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
         divides, xgcd = dom.divides, dom.extended_gcd
-        keys, key = self._keys, self.key
+        keys, key, monos = self._keys, self.key, self._monos
         heappush, heappop = heapq.heappush, heapq.heappop
-        heap = [(keys.get(m) or key(m), m) for m in work]
+        heap = [key(m) for m in work]
         heapq.heapify(heap)
         remainder: dict = {}
         while heap:
-            lm = heappop(heap)[1]
+            lm = monos[heappop(heap)]
             lc = work.pop(lm, None)
             if lc is None:  # cancelled after it was pushed
                 continue
@@ -531,7 +711,10 @@ class _Reducers:
                         if mm & guard:
                             raise self.pk.overflow()
                         work[mm] = neg(mul(c, gv))
-                        heappush(heap, (keys.get(mm) or key(mm), mm))
+                        k = keys.get(mm)
+                        if k is None:
+                            k = key(mm)
+                        heappush(heap, k)
                     else:
                         s = sub(cur, mul(c, gv))
                         if iz(s):
@@ -558,7 +741,7 @@ def normal_forms(fs, G, order: TermOrder) -> list:
 
     def run(pk):
         red = _Reducers(order, fs[0].universe, fs[0].domain, pk, basis)
-        return [red.to_poly(red.reduce(red.pack_poly(f))) for f in fs]
+        return [red.remainder(red.reduce(red.pack_poly(f))) for f in fs]
 
     return _widening(run, fs[0].universe.nvars)
 
@@ -569,7 +752,7 @@ def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):
     def run(pk):
         red = _Reducers(order, f.universe, f.domain, pk, basis)
         if not want_trace:
-            return red.to_poly(red.reduce(red.pack_poly(f))), None
+            return red.remainder(red.reduce(red.pack_poly(f))), None
         steps = []
 
         def record(lm, lc, work, step):
@@ -579,7 +762,7 @@ def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):
             else:
                 steps.append(ReductionStep((), (), (pk.unpack(lm),)))
 
-        return red.to_poly(red.reduce(red.pack_poly(f), observe=record)), steps
+        return red.remainder(red.reduce(red.pack_poly(f), observe=record)), steps
 
     nf, steps = _widening(run, f.universe.nvars)
     return (nf, ReductionTrace(steps)) if want_trace else nf
@@ -625,52 +808,54 @@ def divide_var_power(f: MPoly, pos: int, e: int) -> MPoly:
         if mm[pos] < 0:
             raise DomainError("inexact division by variable power")
         out[tuple(mm)] = c
-    return MPoly(f.universe, f.domain, out, _clean=True)
+    q = MPoly(f.universe, f.domain, out, _clean=True)
+    if f._lt:
+        # a term order is translation invariant: the quotients of the terms
+        # by one monomial compare as the terms do
+        q._lt = {
+            o: (lc, lm[:pos] + (lm[pos] - e,) + lm[pos + 1:]) for o, (lc, lm) in f._lt.items()
+        }
+    return q
 
 
 # ---------------------------------------------------------------------------
 # Buchberger, field mode
 
 
-def _gm_update(red: _Reducers, pairs, t):
-    """Gebauer-Moeller update of the pair set when element t is appended."""
-    lms, guard, lcm = red.lms, red.pk.guard, red.pk.lcm
-    lm_t = lms[t]
-    kept = []
-    for (i, j) in pairs:
-        l_ij = lcm(lms[i], lms[j])
-        q = l_ij - lm_t
-        if (
-            q >= 0
-            and not q & guard
-            and l_ij != lcm(lms[i], lm_t)
-            and l_ij != lcm(lms[j], lm_t)
-        ):
-            continue
-        kept.append((i, j))
-    cands = [(i, lcm(lms[i], lm_t)) for i in range(t)]
-    # ascending in the order: red.key is negated, and a reversed sort is stable
-    cands.sort(key=lambda kv: red.key(kv[1]), reverse=True)
-    survivors: list[tuple[int, int]] = []
-    seen_lcms: list[int] = []
-    for i, l in cands:
-        for l2 in seen_lcms:
+def _gm_update(red: _Reducers, pairs: dict, t: int) -> list:
+    """Gebauer-Moeller update when element t is appended.  ``pairs`` maps
+    each pending pair (i, j) to the lcm of its leading monomials; the pairs
+    that t makes redundant are deleted from it and the surviving new pairs
+    (i, t) are added, each lcm computed once.  Returns the new pairs as
+    (i, t, lcm) triples."""
+    lms, guard, lcm, lm_t = red.lms, red.pk.guard, red.pk.lcm, red.lms[t]
+    lcms = [lcm(lm, lm_t) for lm in lms[:t]]
+    doomed = []
+    for (i, j), l in pairs.items():
+        q = l - lm_t
+        if q >= 0 and not q & guard and l != lcms[i] and l != lcms[j]:
+            doomed.append((i, j))
+    for ij in doomed:
+        del pairs[ij]
+    # by degree, ties by index: a strict divisor comes first, so the lcms
+    # kept are those with no strict divisor among the candidates, whichever
+    # order extends divisibility, and of equal lcms the one with least i
+    degree = red.pk.degree
+    cands = sorted(range(t), key=[degree(l) for l in lcms].__getitem__)
+    new = []
+    kept: list[int] = []
+    for i in cands:
+        l = lcms[i]
+        for l2 in kept:
             q = l - l2
-            if q > 0 and not q & guard:
+            if q >= 0 and not q & guard:  # a kept lcm divides or equals l
                 break
         else:
-            survivors.append((i, l))
-            seen_lcms.append(l)
-    out_new = []
-    used = set()
-    for i, l in survivors:
-        if l in used:
-            continue
-        used.add(l)
-        if l == lms[i] + lm_t:  # coprime leading monomials
-            continue
-        out_new.append((i, t))
-    return kept + out_new
+            kept.append(l)
+            if l != lms[i] + lm_t:  # else coprime leading monomials
+                pairs[(i, t)] = l
+                new.append((i, t, l))
+    return new
 
 
 def buchberger(
@@ -761,38 +946,36 @@ def _buchberger_field(
         red = _Reducers(order, universe, domain, pk)
 
         def nf(f):
-            return red.to_poly(red.reduce(red.pack_poly(f)))
+            return red.remainder(red.reduce(red.pack_poly(f)))
 
         G: list[MPoly] = [field_normalize(g, order) for g in gens[:gb_prefix]]
         for g in G:
             red.append(g)
-        pairs: list = []
+        pairs: dict = {}  # pending pair (i, j) -> lcm of its leading monomials
         for f in sorted(gens[gb_prefix:], key=lambda g: okey(g.leading_term(order)[1])):
             r = nf(prep(f))
             if r:
                 r = prep(r)
                 G.append(r)
                 red.append(r)
-                pairs = _gm_update(red, pairs, len(G) - 1)
+                _gm_update(red, pairs, len(G) - 1)
 
-        def pair_key(i, j):
-            return (okey(pk.unpack(pk.lcm(red.lms[i], red.lms[j]))), i, j)
-
-        heap = [pair_key(i, j) for i, j in pairs]
+        # normal selection: the smallest lcm first (red.key is negated)
+        key = red.key
+        heap = [(-key(l), i, j) for (i, j), l in pairs.items()]
         heapq.heapify(heap)
-        alive = set(pairs)
         gate = _HilbertGate(pk, universe.nvars, *hilbert) if hilbert is not None else None
 
         while heap:
             if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
                 raise ResourceCapExceeded(
-                    f"buchberger exceeded {cap_seconds:g}s ({len(G)} basis elements)"
+                    f"buchberger exceeded {cap_seconds:g}s "
+                    f"({len(G)} basis elements, {len(pairs)} pairs pending)"
                 )
             _, i, j = heapq.heappop(heap)
-            if (i, j) not in alive:
+            l = pairs.pop((i, j), None)
+            if l is None:  # removed by a later update
                 continue
-            alive.discard((i, j))
-            l = pk.lcm(red.lms[i], red.lms[j])
             if gate is not None and gate.complete(red.lms, l):
                 r = None  # pruned: it would reduce to zero
             else:
@@ -802,7 +985,7 @@ def _buchberger_field(
                 trace_log.append(f"pair ({i},{j}) lcm {pk.unpack(l)} -> {outcome}")
             if not r:
                 continue
-            r = red.to_poly(r)
+            r = red.remainder(r)
             if sat_var is not None:
                 # content division can re-enable reduction; run to a fixpoint
                 while r:
@@ -815,12 +998,8 @@ def _buchberger_field(
             r = field_normalize(r, order)
             G.append(r)
             red.append(r)
-            new_pairs = _gm_update(red, list(alive), len(G) - 1)
-            added = set(new_pairs) - alive
-            alive = set(new_pairs)
-            for (a, b) in added:
-                heapq.heappush(heap, pair_key(a, b))
-            # removed pairs stay in the heap but are skipped via ``alive``
+            for a, b, l in _gm_update(red, pairs, len(G) - 1):
+                heapq.heappush(heap, (-key(l), a, b))
         return G
 
     G = _widening(run, universe.nvars)
@@ -852,7 +1031,7 @@ def interreduce(G, order: TermOrder):
         for idx, g in enumerate(minimal):
             r = red.reduce(red.pack_poly(g), skip=(idx,))
             if r:
-                out.append(field_normalize(red.to_poly(r), order))
+                out.append(field_normalize(red.remainder(r), order))
         return out
 
     out = _widening(run, items[0].universe.nvars)
@@ -917,7 +1096,8 @@ def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
         while queue:
             if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
                 raise ResourceCapExceeded(
-                    f"buchberger exceeded {cap_seconds:g}s ({len(G)} basis elements)"
+                    f"buchberger exceeded {cap_seconds:g}s "
+                    f"({len(G)} basis elements, {len(queue)} pairs pending)"
                 )
             j, i = queue.popleft()
             for cand in red.combinations(i, j):
@@ -929,7 +1109,7 @@ def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
                     )
                 if r:
                     t = len(G)
-                    G.append(red.to_poly(r))
+                    G.append(red.remainder(r))
                     red.append(G[t])
                     queue.extend((t, k) for k in range(t))
         # drop every element that the others, in basis order, reduce to zero
@@ -1206,6 +1386,30 @@ def _minimal_packed(pk: _Packing, packed) -> list:
     return out
 
 
+def in_monomial_ideal(fs, monos) -> list:
+    """For each polynomial in ``fs``: does every term lie in the monomial
+    ideal generated by the exponent tuples ``monos``?  The generators are
+    packed once, and a term lies in the ideal when one of them divides it."""
+    fs = list(fs)
+    if not fs:
+        return []
+
+    def run(pk):
+        guard, pack = pk.guard, pk.pack
+        gens = [pack(m) for m in monos]
+
+        def inside(p):
+            for g in gens:
+                q = p - g
+                if q >= 0 and not q & guard:
+                    return True
+            return False
+
+        return [all(inside(pack(m)) for m in f.terms) for f in fs]
+
+    return _widening(run, fs[0].universe.nvars)
+
+
 def intersect_monomial_ideals(ideals) -> Ideal:
     """Minimal generators of the intersection: iterated pairwise lcm of
     generators followed by divisibility minimalization."""
@@ -1315,12 +1519,12 @@ class _HilbertGate:
     raises ``DomainError``."""
 
     __slots__ = (
-        "monos", "blocks", "target", "unpack", "leads", "live", "done", "cofactors", "waiting",
+        "monos", "target", "multidegree", "leads", "live", "done", "cofactors", "waiting",
     )
 
     def __init__(self, pk: _Packing, nvars: int, blocks, target):
         self.monos = _BoxMonomials(pk, nvars, blocks)
-        self.blocks, self.target, self.unpack = blocks, target, pk.unpack
+        self.target, self.multidegree = target, pk.block_degrees(blocks)
         self.leads: list = []  # (packed leading monomial, multidegree)
         self.live: dict = {}  # multidegree -> (standard monomials, leads struck)
         self.done: set = set()
@@ -1330,10 +1534,10 @@ class _HilbertGate:
     def complete(self, lms: list, l: int) -> bool:
         """Is the multidegree of the packed monomial l complete for the
         leading monomials ``lms``?  The list may only grow between calls."""
-        blocks, unpack = self.blocks, self.unpack
+        multidegree = self.multidegree
         for lm in lms[len(self.leads):]:
-            self.leads.append((lm, multidegree(unpack(lm), blocks)))
-        a = multidegree(unpack(l), blocks)
+            self.leads.append((lm, multidegree(lm)))
+        a = multidegree(l)
         if a in self.done:
             return True
         entry = self.live.get(a)

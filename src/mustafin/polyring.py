@@ -123,13 +123,23 @@ def multidegree(mono: tuple, blocks) -> tuple:
 class TermOrder:
     """Total order on exponent tuples with 1 minimal and translation
     invariance.  Concrete orders supply ``key``; larger key = larger
-    monomial.  The orders here return a flat tuple of ints of fixed length;
-    the Groebner kernel flattens a nested key."""
+    monomial.  The orders here return a flat tuple of ints of fixed length,
+    and each also compiles an integer key on packed monomials
+    (``packed_key``); the Groebner kernel flattens the nested key of an
+    order without one."""
 
     name = "order"
 
     def key(self, mono: tuple):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def packed_key(self, pk):
+        """``key`` as one int on the monomials packed by ``pk`` (a
+        ``groebner._Packing``), built from its field arithmetic: a pair
+        (fn, bits) with 0 <= fn(p) < 2^bits, and fn(p) < fn(q) exactly when
+        key(unpack(p)) < key(unpack(q)).  None when the order has no such
+        form."""
+        return None
 
     def compare(self, m1: tuple, m2: tuple) -> int:
         if len(m1) != len(m2):
@@ -139,6 +149,14 @@ class TermOrder:
 
     def sorted_desc(self, monos):
         return sorted(monos, key=self.key, reverse=True)
+
+
+def _degrevlex_parts(pk):
+    """The pieces of a degrevlex key on monomials packed by ``pk``: the
+    degree, then the complement of the reversed fields in the ``low`` bits
+    below it.  Returns (degree, reverse, low, bits of the whole key)."""
+    low = pk.field * pk.nvars
+    return pk.degree, pk.reverse, low, low + (pk.bound * pk.nvars).bit_length()
 
 
 @dataclass(frozen=True)
@@ -154,6 +172,11 @@ class Lex(TermOrder):
             return mono
         return tuple(mono[i] for i in self.perm)
 
+    def packed_key(self, pk):
+        # the first variable sits in the most significant field
+        perm = range(pk.nvars) if self.perm is None else self.perm
+        return pk.gatherer(perm), pk.field * len(perm)
+
 
 @dataclass(frozen=True)
 class DegRevLex(TermOrder):
@@ -163,6 +186,11 @@ class DegRevLex(TermOrder):
 
     def key(self, mono):
         return (sum(mono), *[-e for e in reversed(mono)])
+
+    def packed_key(self, pk):
+        degree, reverse, low, bits = _degrevlex_parts(pk)
+        full = (1 << low) - 1
+        return (lambda p: degree(p) << low | full ^ reverse(p)), bits
 
 
 @dataclass(frozen=True)
@@ -185,6 +213,24 @@ class Block(TermOrder):
             out.extend(sub.key(tuple([mono[i] for i in idx])))
         return tuple(out)
 
+    def packed_key(self, pk):
+        # each segment's key on its gathered fields, in fixed-width slots
+        parts, bits = [], 0
+        for idx, sub in reversed(self.segments):
+            compiled = sub.packed_key(pk.restrict(len(idx)))
+            if compiled is None:
+                return None
+            parts.append((pk.gatherer(idx), compiled[0], bits))
+            bits += compiled[1]
+
+        def key(p):
+            out = 0
+            for gather, fn, at in parts:
+                out |= fn(gather(p)) << at
+            return out
+
+        return key, bits
+
 
 @dataclass(frozen=True)
 class WeightedOrder(TermOrder):
@@ -196,6 +242,12 @@ class WeightedOrder(TermOrder):
     def key(self, mono):
         w = sum(a * b for a, b in zip(mono, self.weights))
         return (w, sum(mono), *[-e for e in reversed(mono)])
+
+    def packed_key(self, pk):
+        weight, wbits = pk.weigher(self.weights)
+        degree, reverse, low, bits = _degrevlex_parts(pk)
+        full = (1 << low) - 1
+        return (lambda p: weight(p) << bits | degree(p) << low | full ^ reverse(p)), wbits + bits
 
 
 @dataclass(frozen=True)
@@ -216,6 +268,17 @@ class WeightedPiOrder(TermOrder):
     def key(self, mono):
         w = sum(a * b for a, b in zip(mono, self.weights))
         return (w, -mono[self.pi_index], sum(mono), *[-e for e in reversed(mono)])
+
+    def packed_key(self, pk):
+        weight, wbits = pk.weigher(self.weights)
+        degree, reverse, low, bits = _degrevlex_parts(pk)
+        f = pk.field
+        full, fm, at = (1 << low) - 1, (1 << f) - 1, f * (pk.nvars - 1 - self.pi_index)
+        return (
+            lambda p: (weight(p) << f | fm ^ (p >> at & fm)) << bits
+            | degree(p) << low | full ^ reverse(p),
+            wbits + f + bits,
+        )
 
 
 def default_order(universe: VarUniverse) -> TermOrder:
@@ -352,9 +415,13 @@ class MPoly:
         if dom.is_zero(c):
             return MPoly.zero(self.universe, dom)
         mul = dom.mul
-        return MPoly(
+        out = MPoly(
             self.universe, dom, {m: mul(c, v) for m, v in self.terms.items()}, _clean=True
         )
+        if self._lt:
+            # the domains have no zero divisors: the leading monomials stay
+            out._lt = {o: (mul(c, lc), m) for o, (lc, m) in self._lt.items()}
+        return out
 
     def mono_shift(self, mono: tuple):
         """Multiply by a bare monomial."""

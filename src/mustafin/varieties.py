@@ -23,6 +23,7 @@ from .groebner import (
     ResourceCapExceeded,
     buchberger,
     hilbert_function,
+    in_monomial_ideal,
     interreduce,
     intersect_monomial_ideals,
     minimalize_monomials,
@@ -523,10 +524,8 @@ def conjecture_check(
             report.forward_failures.append(g.text())
     if mode == "both-containments":
         inter_monos = [next(iter(g.terms)) for g in inter.generators]
-        for g in fibre.generators:
-            ok = all(
-                any(mono_divides(m, t) for m in inter_monos) for t in g.terms
-            )
+        inside = in_monomial_ideal(fibre.generators, inter_monos)
+        for g, ok in zip(fibre.generators, inside):
             if not ok:
                 report.backward_failures.append(g.text(korder))
     report.equal = not report.forward_failures and not report.backward_failures

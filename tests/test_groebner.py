@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import pytest
@@ -25,9 +26,14 @@ from mustafin.groebner import (
     ResourceCapExceeded,
     saturate,
     _FieldAsEuclidean,
+    _HilbertGate,
     _Packing,
     _Reducers,
+    _gm_update,
     compositions,
+    divide_var_power,
+    in_monomial_ideal,
+    var_content,
 )
 from mustafin.polyring import (
     Block,
@@ -37,9 +43,11 @@ from mustafin.polyring import (
     MPoly,
     TermOrder,
     VarUniverse,
+    WeightedOrder,
     WeightedPiOrder,
     grid_universe,
     mono_divides,
+    multidegree,
     parse_poly,
 )
 
@@ -509,8 +517,11 @@ def test_buchberger_cap_message_keeps_subsecond_caps():
 @pytest.mark.parametrize("ring_mode", [False, True])
 def test_cap_message_names_the_budget_and_the_basis_size(ring_mode):
     gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
+    # field mode keeps the 2 pairs that pass Gebauer-Moeller; ring mode queues all 3
+    pending = 3 if ring_mode else 2
     with pytest.raises(
-        ResourceCapExceeded, match=r"^buchberger exceeded 1e-06s \(3 basis elements\)$"
+        ResourceCapExceeded,
+        match=rf"^buchberger exceeded 1e-06s \(3 basis elements, {pending} pairs pending\)$",
     ):
         buchberger(gens, DegRevLex(), ring_mode=ring_mode, cap_seconds=1e-6)
 
@@ -862,3 +873,196 @@ def test_hilbert_gate_past_one_byte_fields():
     pruned = buchberger(list(I.generators), order, trace_log=log, hilbert=([[0, 1]], hf))
     assert pruned == plain
     assert log and all(line.endswith("-> pruned") for line in log)
+
+
+# ---------------------------------------------------------------------------
+# integer order keys on packed monomials
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
+
+
+@st.composite
+def polyring_orders(draw, n, depth=2):
+    """One of the five orders of ``polyring`` on n variables; a block order
+    splits a shuffled list of the variables into up to four segments, any
+    of them empty, one variable long or non-contiguous, each under an order
+    drawn the same way (blocks nest at most ``depth`` deep)."""
+    weights = st.lists(st.integers(-3, 9), min_size=n, max_size=n).map(tuple)
+    kinds = ["lex", "degrevlex", "weighted"] + ["wpi"] * (n > 0) + ["block"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "lex":
+        return Lex(draw(st.one_of(st.none(), st.permutations(range(n)).map(tuple))))
+    if kind == "degrevlex":
+        return DegRevLex()
+    if kind == "weighted":
+        return WeightedOrder(draw(weights))
+    if kind == "wpi":
+        return WeightedPiOrder(draw(weights), draw(st.integers(0, n - 1)))
+    shuffled = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=3)))
+    bounds = [0, *cuts, n]
+    segments = []
+    for a, b in zip(bounds, bounds[1:]):
+        idx = tuple(shuffled[a:b])
+        segments.append((idx, draw(polyring_orders(len(idx), depth - 1))))
+    return Block(tuple(segments))
+
+
+@st.composite
+def keyed_monomials(draw):
+    n = draw(st.integers(0, 6))
+    pk = _Packing(n, draw(st.sampled_from([1, 2])))
+    exps = st.one_of(
+        st.integers(0, 3), st.just(pk.bound), st.just(pk.bound - 1), st.integers(0, pk.bound)
+    )
+    monos = draw(st.lists(st.tuples(*[exps] * n), min_size=1, max_size=12))
+    return pk, draw(polyring_orders(n)), monos
+
+
+@given(keyed_monomials())
+@settings(max_examples=300, deadline=None)
+def test_packed_key_orders_monomials_as_the_tuple_key(case):
+    pk, order, monos = case
+    fn, bits = order.packed_key(pk)
+    assert pk.order_key(order) is pk.order_key(order)  # compiled once per packing
+    keys = [fn(pk.pack(m)) for m in monos]
+    assert all(isinstance(k, int) and 0 <= k < 1 << bits for k in keys)
+    assert [pk.order_key(order)(pk.pack(m)) for m in monos] == keys
+    for a, ka in zip(monos, keys):
+        for b, kb in zip(monos, keys):
+            assert sign(ka, kb) == sign(order.key(a), order.key(b))
+    for m in monos:
+        assert pk.degree(pk.pack(m)) == sum(m)
+
+
+def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
+    calls = collections.Counter()
+    nvars = 5
+    for cls in (Lex, DegRevLex, Block, WeightedOrder, WeightedPiOrder, SquaredDegRevLex):
+        def counted(self, mono, _key=cls.key, _name=cls.__name__):
+            calls[_name] += 1
+            return _key(self, mono)
+        monkeypatch.setattr(cls, "key", counted)
+    orders = [
+        Lex(),
+        Lex((4, 0, 2, 1, 3)),
+        DegRevLex(),
+        WeightedOrder((3, 0, 1, 2, 5)),
+        WeightedPiOrder((1, 2, 3, 4, 1), 2),
+        Block((((3, 1), DegRevLex()), ((), Lex()), ((0, 4, 2), WeightedPiOrder((2, 1, 1), 1)))),
+    ]
+    uni = VarUniverse(tuple(f"v{i}" for i in range(nvars)))
+    for width in (1, 2, 4):
+        pk = _Packing(nvars, width)
+        for order in orders:
+            red = _Reducers(order, uni, F, pk)
+            for m in itertools.product([0, 1, pk.bound], repeat=nvars):
+                red.key(pk.pack(m))
+    assert not calls
+    # an order with a nested key takes the tuple path, so the counter counts
+    red = _Reducers(Block((((0, 1), SquaredDegRevLex()),)), uni, F, _Packing(nvars))
+    assert red.key(red.pk.pack((1, 2, 0, 0, 0))) == (-9, 2, 1)
+    assert calls == {"SquaredDegRevLex": 1, "Block": 1}
+
+
+def old_gm_update(red, pairs, t):
+    """The Gebauer-Moeller update that recomputes every lcm, kept as the
+    reference: the pairs kept, then the new pairs (i, t)."""
+    lms, guard, lcm = red.lms, red.pk.guard, red.pk.lcm
+    lm_t = lms[t]
+    kept = []
+    for (i, j) in pairs:
+        l_ij = lcm(lms[i], lms[j])
+        q = l_ij - lm_t
+        if (
+            q >= 0
+            and not q & guard
+            and l_ij != lcm(lms[i], lm_t)
+            and l_ij != lcm(lms[j], lm_t)
+        ):
+            continue
+        kept.append((i, j))
+    cands = [(i, lcm(lms[i], lm_t)) for i in range(t)]
+    # ascending in the order: red.key is negated, and a reversed sort is stable
+    cands.sort(key=lambda kv: red.key(kv[1]), reverse=True)
+    survivors = []
+    seen_lcms = []
+    for i, l in cands:
+        for l2 in seen_lcms:
+            q = l - l2
+            if q > 0 and not q & guard:
+                break
+        else:
+            survivors.append((i, l))
+            seen_lcms.append(l)
+    out_new = []
+    used = set()
+    for i, l in survivors:
+        if l in used:
+            continue
+        used.add(l)
+        if l == lms[i] + lm_t:  # coprime leading monomials
+            continue
+        out_new.append((i, t))
+    return kept + out_new
+
+
+@given(
+    st.sampled_from(KERNEL_ORDERS),
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=25),
+)
+@settings(max_examples=150, deadline=None)
+def test_gm_update_matches_the_recomputing_update(order, lms):
+    red = _Reducers(order, U3, F7, _Packing(3))
+    pairs, expected = {}, []
+    for t, m in enumerate(lms):
+        red.append(MPoly.term(U3, F7, 1, m))
+        before = set(pairs)
+        added = _gm_update(red, pairs, t)
+        expected = old_gm_update(red, expected, t)
+        assert set(pairs) == set(expected)
+        assert {(i, j) for i, j, _ in added} == set(pairs) - before
+        for (i, j), l in pairs.items():
+            assert l == red.pk.lcm(red.lms[i], red.lms[j])
+        assert all(pairs[(i, j)] == l for i, j, l in added)
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 32767)] * 6), min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_gate_block_degrees_match_the_tuple_multidegree(monos):
+    pk = _Packing(6, 2)
+    blocks = [[4, 0], [], [1], [5, 2, 3]]
+    gate = _HilbertGate(pk, 6, blocks, lambda a: 0)
+    for m in monos:
+        assert gate.multidegree(pk.pack(m)) == multidegree(pk.unpack(pk.pack(m)), blocks)
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=5),
+    st.lists(polys3, max_size=4),
+    st.sampled_from([1, 60]),
+)
+@settings(max_examples=100, deadline=None)
+def test_in_monomial_ideal_matches_tuple_divisibility(monos, fs, k):
+    # k = 60 pushes the products past one-byte fields
+    monos = [tuple(k * e for e in m) for m in monos]
+    fs = [scaled(f, k) for f in fs]
+    expected = [all(any(mono_divides(g, t) for g in monos) for t in f.terms) for f in fs]
+    assert in_monomial_ideal(fs, monos) == expected
+
+
+@given(st.sampled_from(KERNEL_ORDERS), polys3.filter(bool), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_recorded_leading_terms_survive_scaling_and_content_division(order, f, c):
+    # the kernel records a remainder's leading term; a nonzero multiple and
+    # the quotient by a power of pi must report the leading term they have
+    def fresh(g):
+        return MPoly(g.universe, g.domain, dict(g.terms)).leading_term(order)
+
+    r = normal_form(f * MPoly.var(U3, F7, "pi"), [], order)
+    assert r.leading_term(order) == fresh(r)
+    q = divide_var_power(r, 2, var_content(r, 2))
+    assert q.leading_term(order) == fresh(q)
+    assert q.scale(c).leading_term(order) == fresh(q.scale(c))

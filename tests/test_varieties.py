@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from mustafin.cli import mustafin_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
 from mustafin.groebner import normal_form, saturate
-from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder
+from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder, mono_divides
 from mustafin.varieties import (
     ComponentVector,
     LatticeConfig,
@@ -192,6 +192,21 @@ def test_conjecture_check_forward_failures_on_a_non_generic_config():
     expected = [g.text() for g in inter.generators if normal_form(g, gb, korder)]
     assert not rep.equal and len(expected) == 3
     assert rep.forward_failures == expected
+
+
+@pytest.mark.parametrize("d, n, n_vec", [(2, 2, (1,)), (3, 1, (1, 2)), (4, 1, (1, 3, 7))])
+def test_conjecture_check_backward_failures_on_a_non_generic_config(d, n, n_vec):
+    # the backward failures are exactly the fibre generators with a term
+    # that no generator of the monomial intersection divides
+    cfg = identity_config(d, n, n_vec)
+    rep = conjecture_check(cfg)
+    inter = [next(iter(g.terms)) for g in expected_intersection(d, n, F).generators]
+    expected = [
+        g.text(fibre_weight_order(cfg))
+        for g in special_fibre(cfg).generators
+        if not all(any(mono_divides(m, t) for m in inter) for t in g.terms)
+    ]
+    assert expected and rep.backward_failures == expected
 
 
 def test_conjecture_check_d3_and_hilbert():
