@@ -18,6 +18,8 @@ and safe to share across threads.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -203,6 +205,34 @@ def base_field(spec) -> Rationals | PrimeField:
 # ---------------------------------------------------------------------------
 # polynomials in pi
 
+#: (bytes, typecode) of the unsigned array types, narrowest first: the slot
+#: widths of the Kronecker product over a prime field
+_SLOTS = sorted({(array(c).itemsize, c) for c in "BHILQ"})
+
+
+def _kronecker_mul(f, g, p):
+    """The product of two nonzero pi-polynomials over F_p in one integer
+    product: each coefficient list is packed into an int, one slot per
+    coefficient, with slots wide enough that no coefficient of the product
+    carries into the next.  None when the slots would be wider than the
+    widest array type."""
+    need = (min(len(f), len(g)) * (p - 1) ** 2).bit_length()
+    for size, code in _SLOTS:
+        if 8 * size >= need:
+            break
+    else:
+        return None
+    a, b = array(code, f), array(code, g)
+    if sys.byteorder == "big":
+        a.byteswap()
+        b.byteswap()
+    prod = int.from_bytes(a.tobytes(), "little") * int.from_bytes(b.tobytes(), "little")
+    out = array(code, prod.to_bytes(size * (len(f) + len(g) - 1), "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    # F_p has no zero divisors: the top coefficient stays nonzero
+    return tuple([c % p for c in out])
+
 
 class PiRing:
     """Polynomials in ``pi`` over a base field, as a Euclidean domain.
@@ -216,16 +246,22 @@ class PiRing:
 
     def __init__(self, base):
         self.base = base
+        # over F_p the arithmetic runs on bare ints instead of base calls
+        self._p = base.p if isinstance(base, PrimeField) else None
         self.characteristic = base.characteristic
         self.name = f"{base.name}[pi]"
         self.zero = ()
         self.one = (base.one,)
 
     def _trim(self, coeffs) -> tuple:
-        bz = self.base.is_zero
         n = len(coeffs)
-        while n and bz(coeffs[n - 1]):
-            n -= 1
+        if self._p is not None:
+            while n and not coeffs[n - 1]:
+                n -= 1
+        else:
+            bz = self.base.is_zero
+            while n and bz(coeffs[n - 1]):
+                n -= 1
         return tuple(coeffs[:n])
 
     def element(self, coeffs) -> tuple:
@@ -254,20 +290,39 @@ class PiRing:
         if len(f) < len(g):
             f, g = g, f
         out = list(f)
-        for i, c in enumerate(g):
-            out[i] = base.add(out[i], c)
+        p = self._p
+        if p is not None:
+            for i, c in enumerate(g):
+                out[i] = (out[i] + c) % p
+        else:
+            for i, c in enumerate(g):
+                out[i] = base.add(out[i], c)
         return self._trim(out)
 
     def neg(self, f):
+        p = self._p
+        if p is not None:
+            return tuple([-c % p for c in f])
         neg = self.base.neg
         return tuple(neg(c) for c in f)
 
     def sub(self, f, g):
-        return self.add(f, self.neg(g))
+        p = self._p
+        if p is None or not g:
+            return self.add(f, self.neg(g))
+        out = list(f)
+        out.extend([0] * (len(g) - len(f)))
+        for i, c in enumerate(g):
+            out[i] = (out[i] - c) % p
+        return self._trim(out)
 
     def mul(self, f, g):
         if not f or not g:
             return ()
+        if self._p is not None:
+            out = _kronecker_mul(f, g, self._p)
+            if out is not None:
+                return out
         base = self.base
         out = [base.zero] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
@@ -308,6 +363,16 @@ class PiRing:
         q = [base.zero] * max(0, len(f) - len(g) + 1)
         inv_lc = base.inv(g[-1])
         dg = len(g) - 1
+        p = self._p
+        if p is not None:
+            for i in range(len(r) - 1, dg - 1, -1):
+                if not r[i]:
+                    continue
+                c = r[i] * inv_lc % p
+                q[i - dg] = c
+                for j, b in enumerate(g, i - dg):
+                    r[j] = (r[j] - c * b) % p
+            return self._trim(q), self._trim(r)
         for i in range(len(r) - 1, dg - 1, -1):
             if base.is_zero(r[i]):
                 continue

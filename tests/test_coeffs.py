@@ -1,3 +1,4 @@
+import itertools
 import pytest
 from fractions import Fraction
 
@@ -139,3 +140,42 @@ def test_shift_unshift():
     assert RQ.unshift(RQ.shift(f, 2), 2) == f
     with pytest.raises(DomainError):
         RQ.unshift(q(1, 1), 1)
+
+
+def schoolbook(f, g, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@st.composite
+def prime_pipolys(draw):
+    """Two pi-polynomials over F_p, p from 2 up past one 64-bit slot per
+    coefficient, so the Kronecker product runs in every slot width and
+    falls back to the schoolbook loop for the largest primes."""
+    p = draw(st.sampled_from([2, 7, 251, 32003, 4294967291, 2**61 - 1]))
+    ring = PiRing(GF(p))
+    coeffs = st.lists(st.one_of(st.integers(0, p - 1), st.just(p - 1)), max_size=120)
+    return ring, ring.element(draw(coeffs)), ring.element(draw(coeffs))
+
+
+@given(prime_pipolys())
+def test_prime_field_arithmetic_matches_the_schoolbook_loop(case):
+    ring, f, g = case
+    p = ring.base.p
+    prod = ring.mul(f, g)
+    assert prod == schoolbook(f, g, p)
+    assert all(type(c) is int for c in prod)
+    total = ring.add(f, g)
+    assert total == ring.element([(a + b) % p for a, b in itertools.zip_longest(f, g, fillvalue=0)])
+    assert ring.sub(total, g) == f
+    assert ring.add(ring.neg(f), f) == ()
+    if g:
+        quo, rem = ring.divmod(f, g)
+        assert len(rem) < len(g)
+        assert ring.add(ring.mul(quo, g), rem) == f
+        assert ring.exact_div(prod, g) == f
