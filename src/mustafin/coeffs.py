@@ -319,8 +319,12 @@ class PiRing:
     def mul(self, f, g):
         if not f or not g:
             return ()
-        if self._p is not None:
-            out = _kronecker_mul(f, g, self._p)
+        p = self._p
+        if p is not None:
+            if len(f) == 1 or len(g) == 1:  # a constant: one product per coefficient
+                c, h = (f[0], g) if len(f) == 1 else (g[0], f)
+                return tuple([c * b % p for b in h])
+            out = _kronecker_mul(f, g, p)
             if out is not None:
                 return out
         base = self.base

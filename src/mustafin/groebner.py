@@ -9,8 +9,11 @@ Two engines share one reduction framework:
   Each pair contributes an S-combination (leading terms cancelled through
   the coefficient lcm) and a G-combination (gcd of the leading coefficients
   realized via the extended Euclidean algorithm); together these generate
-  the leading-term syzygy module over a Euclidean domain.  All pairs are
-  processed: ring mode runs at desk scale only, correctness over speed.
+  the leading-term syzygy module over a Euclidean domain.  Ring-mode
+  Buchberger processes all pairs: it runs at desk scale only, correctness
+  over speed.  The basis test ``is_groebner`` applies the Gebauer-Moeller
+  criteria to leading terms (``_gm_update``) and reduces only the
+  S-combinations of the surviving pairs.
 
 Both modes share one reduction kernel, ``_Reducers``, behind
 ``normal_form``, ``interreduce``, ``is_groebner``, ``ideal_membership`` and
@@ -419,7 +422,7 @@ class _Reducers:
 
     __slots__ = (
         "order", "universe", "domain", "pk", "ring", "lms", "lcs", "tails", "_polys", "_keys",
-        "_monos", "_divisors", "_okey",
+        "_monos", "_divisors", "_okey", "_lc_lcms",
     )
 
     def __init__(self, order: TermOrder, universe: VarUniverse, domain, pk: _Packing, basis=()):
@@ -432,6 +435,7 @@ class _Reducers:
         self._keys: dict = {}
         self._monos: dict = {}
         self._divisors: dict = {}
+        self._lc_lcms: dict = {}
         self._okey = pk.order_key(order)
         for g in basis:
             self.append(g)
@@ -513,29 +517,52 @@ class _Reducers:
                 raise self.pk.overflow()
         return work
 
+    def s_combination(self, i: int, j: int) -> dict:
+        """The S-combination of elements i and j as a packed dict: over a
+        field the S-polynomial, over a Euclidean domain the leading terms
+        cancelled through the lcm of the leading coefficients."""
+        if not self.ring:
+            return self.spoly(i, j)
+        dom, ci, cj = self.domain, self.lcs[i], self.lcs[j]
+        l = self.pk.lcm(self.lms[i], self.lms[j])
+        if not (dom.is_unit(ci) or dom.is_unit(cj)):  # else their gcd is one
+            d = dom.extended_gcd(ci, cj)[0]
+            ci, cj = dom.exact_div(ci, d), dom.exact_div(cj, d)
+        return self._combine(((i, l - self.lms[i], cj), (j, l - self.lms[j], dom.neg(ci))))
+
     def combinations(self, i: int, j: int) -> list:
         """The combinations of elements i and j that a basis must reduce to
-        zero, as packed dicts: over a field the S-polynomial; over a
-        Euclidean domain the S-combination (leading terms cancelled through
-        the coefficient lcm) and, unless one leading coefficient divides the
-        other, the G-combination (their gcd, by the extended Euclidean
-        algorithm)."""
-        if not self.ring:
-            return [self.spoly(i, j)]
-        dom = self.domain
-        lms, ci, cj = self.lms, self.lcs[i], self.lcs[j]
-        l = self.pk.lcm(lms[i], lms[j])
-        qi, qj = l - lms[i], l - lms[j]
-        d, (u, v) = dom.extended_gcd(ci, cj)
-        out = [
-            self._combine(
-                ((i, qi, dom.exact_div(cj, d)), (j, qj, dom.neg(dom.exact_div(ci, d))))
-            )
-        ]
-        if not (dom.divides(ci, cj) or dom.divides(cj, ci)):
-            g = self._combine(((i, qi, u), (j, qj, v)))
+        zero, as packed dicts: the S-combination and, over a Euclidean
+        domain unless one leading coefficient divides the other, the
+        G-combination (their gcd, by the extended Euclidean algorithm)."""
+        out = [self.s_combination(i, j)]
+        dom, ci, cj = self.domain, self.lcs[i], self.lcs[j]
+        if self.ring and not (dom.divides(ci, cj) or dom.divides(cj, ci)):
+            l = self.pk.lcm(self.lms[i], self.lms[j])
+            d, (u, v) = dom.extended_gcd(ci, cj)
+            g = self._combine(((i, l - self.lms[i], u), (j, l - self.lms[j], v)))
             g[l] = d  # u*ci + v*cj; the tails stay below l
             out.append(g)
+        return out
+
+    def lc_lcm(self, i: int, j: int) -> tuple:
+        """(lcm of the leading coefficients of elements i and j, normalized
+        as ``extended_gcd(c, 0)`` normalizes c, whether their gcd is a
+        unit), cached: the coefficient part of the pair's term lcm."""
+        out = self._lc_lcms.get((i, j))
+        if out is None:
+            dom, ci, cj = self.domain, self.lcs[i], self.lcs[j]
+            unit_i, unit_j = dom.is_unit(ci), dom.is_unit(cj)
+            if unit_i and unit_j:
+                out = (dom.one, True)
+            elif unit_i or unit_j:  # the lcm is the other one, normalized
+                k = j if unit_i else i
+                out = (self.lc_lcm(k, k)[0], True)
+            else:
+                d = dom.extended_gcd(ci, cj)[0]
+                lcm = dom.extended_gcd(dom.exact_div(dom.mul(ci, cj), d), dom.zero)[0]
+                out = (lcm, dom.is_unit(d))
+            self._lc_lcms[(i, j)] = out
         return out
 
     def _combine(self, parts) -> dict:
@@ -728,26 +755,7 @@ def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
     """Normal form of f modulo G: rewrite leading terms while possible, move
     irreducible leading terms to the remainder, continue on the tail.  Over
     a Euclidean domain a step may combine several elements of G."""
-    return _normal_form(f, [g for g in G if g], order, want_trace)
-
-
-def normal_forms(fs, G, order: TermOrder) -> list:
-    """``normal_form`` of every f in ``fs`` modulo G, against one reducer
-    table built once."""
-    fs = list(fs)
-    if not fs:
-        return []
     basis = [g for g in G if g]
-
-    def run(pk):
-        red = _Reducers(order, fs[0].universe, fs[0].domain, pk, basis)
-        return [red.remainder(red.reduce(red.pack_poly(f))) for f in fs]
-
-    return _widening(run, fs[0].universe.nvars)
-
-
-def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):
-    """``normal_form`` against a basis with no zero element."""
 
     def run(pk):
         red = _Reducers(order, f.universe, f.domain, pk, basis)
@@ -766,6 +774,21 @@ def _normal_form(f: MPoly, basis, order: TermOrder, want_trace: bool = False):
 
     nf, steps = _widening(run, f.universe.nvars)
     return (nf, ReductionTrace(steps)) if want_trace else nf
+
+
+def normal_forms(fs, G, order: TermOrder) -> list:
+    """``normal_form`` of every f in ``fs`` modulo G, against one reducer
+    table built once."""
+    fs = list(fs)
+    if not fs:
+        return []
+    basis = [g for g in G if g]
+
+    def run(pk):
+        red = _Reducers(order, fs[0].universe, fs[0].domain, pk, basis)
+        return [red.remainder(red.reduce(red.pack_poly(f))) for f in fs]
+
+    return _widening(run, fs[0].universe.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -827,32 +850,62 @@ def _gm_update(red: _Reducers, pairs: dict, t: int) -> list:
     each pending pair (i, j) to the lcm of its leading monomials; the pairs
     that t makes redundant are deleted from it and the surviving new pairs
     (i, t) are added, each lcm computed once.  Returns the new pairs as
-    (i, t, lcm) triples."""
+    (i, t, lcm) triples.
+
+    Over a Euclidean domain (``red.ring``) the criteria compare leading
+    terms: the lcm of a pair is the normalized lcm of its leading
+    coefficients (``_Reducers.lc_lcm``) times that of its leading monomials,
+    one term divides another when both parts divide, and the product
+    criterion also needs a unit gcd of the coefficients.  Normalizing makes
+    equal lcms compare equal, not merely associate.  The coefficients are
+    read only where the monomials alone would prune."""
     lms, guard, lcm, lm_t = red.lms, red.pk.guard, red.pk.lcm, red.lms[t]
     lcms = [lcm(lm, lm_t) for lm in lms[:t]]
+    ring = red.ring
+    if ring:
+        lc_lcm, divides, lc_t = red.lc_lcm, red.domain.divides, red.lcs[t]
+        kept_lcs: dict = {}  # kept monomial lcm -> the coefficient lcms kept with it
     doomed = []
     for (i, j), l in pairs.items():
         q = l - lm_t
-        if q >= 0 and not q & guard and l != lcms[i] and l != lcms[j]:
-            doomed.append((i, j))
+        if q >= 0 and not q & guard:
+            if not ring:
+                if l != lcms[i] and l != lcms[j]:
+                    doomed.append((i, j))
+                continue
+            c = lc_lcm(i, j)[0]
+            if (
+                divides(lc_t, c)
+                and (l != lcms[i] or c != lc_lcm(i, t)[0])
+                and (l != lcms[j] or c != lc_lcm(j, t)[0])
+            ):
+                doomed.append((i, j))
     for ij in doomed:
         del pairs[ij]
     # by degree, ties by index: a strict divisor comes first, so the lcms
     # kept are those with no strict divisor among the candidates, whichever
     # order extends divisibility, and of equal lcms the one with least i
+    # (in ring mode a strict divisor may come later; both are then kept)
     degree = red.pk.degree
     cands = sorted(range(t), key=[degree(l) for l in lcms].__getitem__)
     new = []
     kept: list[int] = []
     for i in cands:
         l = lcms[i]
+        if ring:
+            c, coprime_lcs = lc_lcm(i, t)
         for l2 in kept:
             q = l - l2
-            if q >= 0 and not q & guard:  # a kept lcm divides or equals l
+            # a kept lcm divides or equals l
+            if q >= 0 and not q & guard and (
+                not ring or any(divides(c2, c) for c2 in kept_lcs[l2])
+            ):
                 break
         else:
             kept.append(l)
-            if l != lms[i] + lm_t:  # else coprime leading monomials
+            if ring:
+                kept_lcs.setdefault(l, []).append(c)
+            if l != lms[i] + lm_t or (ring and not coprime_lcs):  # else coprime
                 pairs[(i, t)] = l
                 new.append((i, t, l))
     return new
@@ -1129,25 +1182,45 @@ def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
 # derived operations
 
 
-def is_groebner(G, order: TermOrder, *, ring_mode: bool = False):
-    """Syzygy criterion: every S- (and in ring mode G-) combination of basis
-    elements reduces to zero.  Returns (ok, witness)."""
+def is_groebner(
+    G, order: TermOrder, *, ring_mode: bool = False, cap_seconds: float | None = None
+):
+    """Syzygy criterion: the S-combination of every pair that survives a
+    Gebauer-Moeller update (``_gm_update``, replayed over G in order)
+    reduces to zero.  Returns (ok, witness), the witness an S-combination
+    with a nonzero normal form.  ``cap_seconds`` is checked before each
+    reduction.
+
+    In ring mode the update compares leading terms, and the reduction is
+    weak (a step combines reducers through a Bezout identity).  Over a
+    principal ideal domain the pairwise S-syzygies generate the syzygies of
+    the leading terms, so a set whose surviving S-combinations reduce to
+    zero is a basis, and the G-combinations need no test."""
     G = [g for g in G if g]
     if len(G) <= 1:
         return True, None
     if ring_mode and getattr(G[0].domain, "is_field", False):
         domain = _FieldAsEuclidean(G[0].domain)
         G = [MPoly(g.universe, domain, dict(g.terms), _clean=True) for g in G]
-    return _widening(lambda pk: _is_groebner_packed(G, order, pk), G[0].universe.nvars)
+    t0 = time.monotonic()
+    return _widening(
+        lambda pk: _is_groebner_packed(G, order, pk, t0, cap_seconds), G[0].universe.nvars
+    )
 
 
-def _is_groebner_packed(G, order, pk):
+def _is_groebner_packed(G, order, pk, t0, cap_seconds):
     red = _Reducers(order, G[0].universe, G[0].domain, pk, G)
-    for j in range(len(G)):
-        for i in range(j):
-            for cand in red.combinations(i, j):
-                if red.reduce(dict(cand)):
-                    return False, red.to_poly(cand)
+    pairs: dict = {}
+    for t in range(len(G)):
+        _gm_update(red, pairs, t)
+    for k, (i, j) in enumerate(sorted(pairs, key=lambda ij: (ij[1], ij[0]))):
+        if cap_seconds is not None and time.monotonic() - t0 >= cap_seconds:
+            raise ResourceCapExceeded(
+                f"is_groebner exceeded {cap_seconds:g}s ({k} of {len(pairs)} pairs reduced)"
+            )
+        cand = red.s_combination(i, j)
+        if red.reduce(dict(cand)):
+            return False, red.to_poly(cand)
     return True, None
 
 
@@ -1516,27 +1589,34 @@ class _HilbertGate:
     a - b, once, when a is next asked about.  A complete multidegree drops
     its set.  A count below its target means the target is wrong (the
     leading monomials lie in the initial ideal, whose count it is) and
-    raises ``DomainError``."""
+    raises ``DomainError``.  Multidegrees are compared packed, one field per
+    block (``mdeg``), so b <= a is one subtraction and one mask."""
 
     __slots__ = (
-        "monos", "target", "multidegree", "leads", "live", "done", "cofactors", "waiting",
+        "monos", "target", "multidegree", "mdeg", "leads", "live", "done", "cofactors",
+        "waiting",
     )
 
     def __init__(self, pk: _Packing, nvars: int, blocks, target):
         self.monos = _BoxMonomials(pk, nvars, blocks)
         self.target, self.multidegree = target, pk.block_degrees(blocks)
-        self.leads: list = []  # (packed leading monomial, multidegree)
+        # fields wide enough for any block degree of a monomial of pk
+        top, width = pk.bound * max([len(blk) for blk in blocks], default=1), 1
+        while (1 << (8 * width - 1)) - 1 < top:
+            width *= 2
+        self.mdeg = _packing(len(blocks), width)
+        self.leads: list = []  # (packed leading monomial, packed multidegree)
         self.live: dict = {}  # multidegree -> (standard monomials, leads struck)
         self.done: set = set()
-        self.cofactors: dict = {}  # multidegree -> its monomials
+        self.cofactors: dict = {}  # packed multidegree -> its monomials
         self.waiting: dict = {}  # multidegree -> pairs popped, while not counted
 
     def complete(self, lms: list, l: int) -> bool:
         """Is the multidegree of the packed monomial l complete for the
         leading monomials ``lms``?  The list may only grow between calls."""
-        multidegree = self.multidegree
+        multidegree, mdeg = self.multidegree, self.mdeg
         for lm in lms[len(self.leads):]:
-            self.leads.append((lm, multidegree(lm)))
+            self.leads.append((lm, mdeg.pack(multidegree(lm))))
         a = multidegree(l)
         if a in self.done:
             return True
@@ -1548,13 +1628,13 @@ class _HilbertGate:
                 return False
             entry = (set(self.monos.of(a)), 0)
         std, struck = entry
-        cofactors = self.cofactors
+        cofactors, guard, pa = self.cofactors, mdeg.guard, mdeg.pack(a)
         for lm, b in self.leads[struck:]:
-            if all(x <= y for x, y in zip(b, a)):
-                c = tuple([y - x for x, y in zip(b, a)])
+            c = pa - b
+            if c >= 0 and not c & guard:  # b <= a; c packs a - b
                 ms = cofactors.get(c)
                 if ms is None:
-                    ms = cofactors[c] = self.monos.of(c)
+                    ms = cofactors[c] = self.monos.of(mdeg.unpack(c))
                 std.difference_update([lm + m for m in ms])
         want = self.target(a)
         if len(std) < want:

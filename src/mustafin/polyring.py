@@ -13,6 +13,7 @@ polynomial round-trips.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -513,85 +514,9 @@ class MPoly:
     def substitute(self, assignment: dict, universe: VarUniverse | None = None):
         """Image under the ring homomorphism sending named variables to
         polynomials or coefficients; unassigned variables map to themselves.
-
-        The image lives in ``universe`` (default: this polynomial's), which
-        must hold every unassigned variable in use and every variable of the
-        polynomial values.  Coefficient values are multiplied into each
-        term's coefficient and polynomial values into its term dict, both
-        from powers cached per call; all terms accumulate into one dict.
-        """
-        uni, dom = self.universe, self.domain
-        target = universe or uni
-        mul, add, iz = dom.mul, dom.add, dom.is_zero
-        scalars: dict[int, object] = {}
-        polys: dict[int, dict] = {}
-        for name, val in assignment.items():
-            pos = uni.index(name)
-            if isinstance(val, MPoly):
-                if val.universe.names != target.names:
-                    val = val.relabel(target)
-                polys[pos] = val.terms
-            else:
-                scalars[pos] = val
-        dest = [target._index.get(name) for name in uni.names]
-
-        scalar_pows: dict[tuple[int, int], object] = {}
-        poly_pows: dict[tuple[int, int], dict] = {}
-
-        def scalar_pow(i, e):
-            key = (i, e)
-            p = scalar_pows.get(key)
-            if p is None:
-                p = scalars[i] if e == 1 else mul(scalar_pow(i, e // 2), scalar_pow(i, e - e // 2))
-                scalar_pows[key] = p
-            return p
-
-        def poly_pow(i, e):
-            key = (i, e)
-            p = poly_pows.get(key)
-            if p is None:
-                p = polys[i] if e == 1 else _terms_mul(poly_pow(i, e // 2), poly_pow(i, e - e // 2), dom)
-                poly_pows[key] = p
-            return p
-
-        out: dict = {}
-        nv = target.nvars
-        for m, c in self.terms.items():
-            mono = [0] * nv
-            factor = None
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i in scalars:
-                    c = mul(c, scalar_pow(i, e))
-                elif i in polys:
-                    p = poly_pow(i, e)
-                    factor = p if factor is None else _terms_mul(factor, p, dom)
-                elif dest[i] is None:
-                    raise UniverseError(f"variable {uni.names[i]} missing from target")
-                else:
-                    mono[dest[i]] = e
-            if iz(c):
-                continue
-            if factor is None:
-                pieces = ((tuple(mono), c),)
-            else:
-                pieces = [
-                    (tuple([a + b for a, b in zip(mono, fm)]), mul(c, fc))
-                    for fm, fc in factor.items()
-                ]
-            for mm, v in pieces:
-                cur = out.get(mm)
-                if cur is None:
-                    if not iz(v):
-                        out[mm] = v
-                else:
-                    s = add(cur, v)
-                    if iz(s):
-                        del out[mm]
-                    else:
-                        out[mm] = s
-        return MPoly(target, dom, out, _clean=True)
+        The image lives in ``universe`` (default: this polynomial's); see
+        ``Substitution``, which this applies once."""
+        return Substitution(self.universe, self.domain, assignment, universe)(self)
 
     # equality / hashing ---------------------------------------------------
     def __eq__(self, other):
@@ -619,6 +544,148 @@ class MPoly:
     # text form -----------------------------------------------------------
     def text(self, order: TermOrder | None = None) -> str:
         return format_poly(self, order)
+
+
+class Substitution:
+    """A ring homomorphism from polynomials of ``source`` over ``domain``
+    into ``target`` (default: ``source``), sending the named variables of
+    ``assignment`` to polynomials or coefficients and every other variable
+    to itself; built once and applied to any number of polynomials.
+
+    ``target`` must hold every unassigned variable in use and every
+    variable of the polynomial values.  A term splits into its exponents at
+    the assigned positions and the rest, each read by one gather.  The
+    image of the assigned part, a coefficient times a term dict, is made
+    once per exponent pattern from powers of the values, all cached for the
+    life of the plan; the terms of one image accumulate into one dict.
+    """
+
+    __slots__ = (
+        "source", "target", "domain", "_scalars", "_polys", "_spows", "_ppows", "_assigned",
+        "_pattern", "_rest", "_unmapped", "_factors",
+    )
+
+    def __init__(
+        self, source: VarUniverse, domain, assignment: dict, target: VarUniverse | None = None
+    ):
+        target = target or source
+        self.source, self.target, self.domain = source, target, domain
+        self._scalars: dict[int, object] = {}
+        self._polys: dict[int, dict] = {}
+        for name, val in assignment.items():
+            pos = source.index(name)
+            if isinstance(val, MPoly):
+                if val.universe.names != target.names:
+                    val = val.relabel(target)
+                self._polys[pos] = val.terms
+            else:
+                self._scalars[pos] = val
+        self._spows: dict[tuple[int, int], object] = {}
+        self._ppows: dict[tuple[int, int], dict] = {}
+        self._assigned = sorted([*self._scalars, *self._polys])
+        self._pattern = _gatherer(self._assigned)
+        dest = [target._index.get(name) for name in source.names]
+        free = [i for i in range(source.nvars) if i not in self._scalars and i not in self._polys]
+        kept = [i for i in free if dest[i] is not None]
+        self._unmapped = [i for i in free if dest[i] is None]
+        if [dest[i] for i in kept] == list(range(target.nvars)):
+            self._rest = _gatherer(kept)
+        else:
+            moves, nv = [(i, dest[i]) for i in kept], target.nvars
+
+            def rest(m):
+                mono = [0] * nv
+                for i, d in moves:
+                    mono[d] = m[i]
+                return tuple(mono)
+
+            self._rest = rest
+        self._factors: dict = {}
+
+    def _scalar_pow(self, i: int, e: int):
+        p = self._spows.get((i, e))
+        if p is None:
+            if e == 1:
+                p = self._scalars[i]
+            else:
+                p = self.domain.mul(self._scalar_pow(i, e // 2), self._scalar_pow(i, e - e // 2))
+            self._spows[(i, e)] = p
+        return p
+
+    def _poly_pow(self, i: int, e: int) -> dict:
+        p = self._ppows.get((i, e))
+        if p is None:
+            if e == 1:
+                p = self._polys[i]
+            else:
+                half = self._poly_pow(i, e // 2)
+                p = _terms_mul(half, self._poly_pow(i, e - e // 2), self.domain)
+            self._ppows[(i, e)] = p
+        return p
+
+    def _factor(self, pattern: tuple) -> tuple:
+        """The image of the assigned exponents ``pattern``: (coefficient,
+        term dict), either None when it is one."""
+        dom = self.domain
+        coeff = terms = None
+        for i, e in zip(self._assigned, pattern):
+            if not e:
+                continue
+            if i in self._scalars:
+                p = self._scalar_pow(i, e)
+                coeff = p if coeff is None else dom.mul(coeff, p)
+            else:
+                p = self._poly_pow(i, e)
+                terms = p if terms is None else _terms_mul(terms, p, dom)
+        out = self._factors[pattern] = (coeff, terms)
+        return out
+
+    def __call__(self, f: "MPoly") -> "MPoly":
+        dom, target = self.domain, self.target
+        mul, add, iz = dom.mul, dom.add, dom.is_zero
+        pattern, rest, unmapped, factors = self._pattern, self._rest, self._unmapped, self._factors
+        out: dict = {}
+        for m, c in f.terms.items():
+            for i in unmapped:
+                if m[i]:
+                    raise UniverseError(f"variable {self.source.names[i]} missing from target")
+            pat = pattern(m)
+            fac = factors.get(pat)
+            coeff, terms = self._factor(pat) if fac is None else fac
+            if coeff is not None:
+                c = mul(c, coeff)
+                if iz(c):
+                    continue
+            mono = rest(m)
+            if terms is None:
+                pieces = ((mono, c),)
+            else:
+                pieces = [
+                    (tuple([a + b for a, b in zip(mono, fm)]), mul(c, fc))
+                    for fm, fc in terms.items()
+                ]
+            for mm, v in pieces:
+                cur = out.get(mm)
+                if cur is None:
+                    if not iz(v):
+                        out[mm] = v
+                else:
+                    s = add(cur, v)
+                    if iz(s):
+                        del out[mm]
+                    else:
+                        out[mm] = s
+        return MPoly(target, dom, out, _clean=True)
+
+
+def _gatherer(positions):
+    """m -> the tuple of m's entries at ``positions``, in that order."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    if positions:
+        i = positions[0]
+        return lambda m: (m[i],)
+    return lambda m: ()
 
 
 def to_pi_coefficients(f: MPoly) -> MPoly:

@@ -24,11 +24,16 @@ and substitution must commute with saturation.
 
 Each piece of algebra is done once.  ``subst`` only checks for missing
 parameters, shrinks the universe and spreads pi-ring values over the pi
-variable; the substitution itself is ``MPoly.substitute``, one pass into one
-term dict.  The ``ObstructionSet`` carries the symbolic basis it was read
-from, and ``check_specialization`` reuses it for the same generators
-instead of computing it per check.  The basis test over the pi-coefficient
-ring runs on the packed ring-mode kernel of ``groebner``, and the harvest
+variable, once per target (a polynomial, an ideal or a list of
+polynomials of one universe); the substitution itself is a
+``polyring.Substitution`` plan, the routine behind ``MPoly.substitute``,
+applied to every polynomial of the target.  ``_first_violation`` substitutes all its conditions in one call,
+and ``check_specialization`` every distinct polynomial it needs once.  The
+``ObstructionSet`` carries the symbolic basis it was read from, and
+``check_specialization`` reuses it for the same generators instead of
+computing it per check.  The basis test over the pi-coefficient ring runs
+on the packed ring-mode kernel of ``groebner``, with the Gebauer-Moeller
+criteria on leading terms, and the harvest
 of nonzero conditions on its field-mode kernel: each S-pair is reduced by
 ``_Reducers.reduce``, whose observer reads the coefficient of the grouped
 leading monomial (auxiliary and main variables) from the packed working
@@ -44,13 +49,13 @@ from .coeffs import DomainError, base_field
 from .groebner import (
     Deadline,
     ResourceCapExceeded,
-    _normal_form,
     _Reducers,
     _widening,
     buchberger,
     divide_var_power,
     is_groebner,
     normal_form,
+    normal_forms,
     saturate,
     var_content,
 )
@@ -59,6 +64,8 @@ from .polyring import (
     DegRevLex,
     Ideal,
     MPoly,
+    Substitution,
+    UniverseError,
     VarUniverse,
     default_order,
     format_poly,
@@ -73,25 +80,52 @@ from .polyring import (
 def subst(assignment: dict, target):
     """Image under the homomorphism sending parameter variables to values.
 
+    ``target`` is a polynomial, an ``Ideal`` or a list of polynomials.
     Values may be base-field elements, pi-ring tuples (spread over the pi
     variable), or polynomials.  Parameters present in the target but absent
     from the assignment raise; unassigned non-parameter variables map to
     themselves.  The result lives in the universe without the substituted
-    variables.
+    variables; a list gives the list of images, zeros included, and an
+    ideal drops them.  The polynomials of a list share one universe and
+    domain, and the substitution plan (``_plan``) is made once for them.
     """
     if isinstance(target, Ideal):
-        gens = [subst(assignment, g) for g in target.generators]
-        gens = [g for g in gens if g]
-        uni = _shrunk_universe(target.universe, assignment)
-        return Ideal(gens, uni, target.domain)
-    f = target
-    uni, dom = f.universe, f.domain
-    unassigned = [
+        gens = [g for g in _subst_all(assignment, target.generators) if g]
+        return Ideal(gens, _shrunk_universe(target.universe, assignment), target.domain)
+    if isinstance(target, MPoly):
+        return _subst_all(assignment, [target])[0]
+    return _subst_all(assignment, target)
+
+
+def _subst_all(assignment: dict, polys) -> list:
+    """``subst`` of each polynomial of one universe and domain, in order,
+    with one plan.  A polynomial's missing parameters are checked before
+    the plan is made, so every error is the one a polynomial-by-polynomial
+    loop raises first."""
+    polys = list(polys)
+    if not polys:
+        return []
+    uni, dom = polys[0].universe, polys[0].domain
+    params = [
         i for i, name in enumerate(uni.names) if name.startswith("A[") and name not in assignment
     ]
-    missing = {uni.names[i] for i in unassigned if any(m[i] for m in f.terms)}
-    if missing:
-        raise DomainError(f"assignment misses parameters {sorted(missing)}")
+    plan = None
+    out = []
+    for f in polys:
+        if f.universe != uni or f.domain != dom:
+            raise UniverseError("subst of polynomials over different universes or domains")
+        missing = {uni.names[i] for i in params if any(m[i] for m in f.terms)}
+        if missing:
+            raise DomainError(f"assignment misses parameters {sorted(missing)}")
+        if plan is None:
+            plan = _plan(assignment, uni, dom)
+        out.append(plan(f))
+    return out
+
+
+def _plan(assignment: dict, uni: VarUniverse, dom) -> Substitution:
+    """The substitution into the universe without the assigned variables,
+    with pi-ring values spread over its pi variable."""
     small = _shrunk_universe(uni, assignment)
     values = {}
     for name, val in assignment.items():
@@ -112,7 +146,7 @@ def subst(assignment: dict, target):
                     terms[tuple(mono)] = c
             val = MPoly(small, dom, terms, _clean=True)
         values[name] = val
-    return f.substitute(values, small)
+    return Substitution(uni, dom, values, small)
 
 
 def _shrunk_universe(uni: VarUniverse, assignment) -> VarUniverse:
@@ -309,7 +343,11 @@ def check_specialization(
     the result is a basis, over the pi-coefficient ring, of the specialized
     ideal, and (2) the commutation subst(sat(I, a)) = sat(subst(I),
     subst(a)), the latter computed independently.  ``cap_seconds`` bounds
-    the symbolic basis and the saturation together."""
+    the symbolic basis, the basis test and the saturation together.  The
+    basis test over the pi-coefficient ring gets the time left and checks
+    it before each pair it reduces; the normal forms of the lifted
+    generators that follow it are checked on entry only.  Both raise with
+    the phase "basis test"."""
     gens = [g for g in gens if g]
     if not gens:
         return SpecializationReport(True, True)
@@ -322,33 +360,37 @@ def check_specialization(
         order, _group = _symbolic_order(big, aux)
         gb = deadline.run("basis", buchberger, lifted, order, universe=big, domain=dom)
 
+    # every polynomial below, substituted once with one plan
+    a_big = a_elem.relabel(big)
+    distinct = list(dict.fromkeys([*gb, *lifted, a_big]))
+    image = dict(zip(distinct, subst(assignment, distinct)))
+
     # (1) basis property of the specialized set over the pi-coefficient ring
-    spec_gb = [h for h in (subst(assignment, g) for g in gb) if h]
-    ring_gb = [to_pi_coefficients(h) for h in spec_gb]
+    ring_gb = [to_pi_coefficients(h) for h in (image[g] for g in gb) if h]
     ring_uni = ring_gb[0].universe
     ring_order, _ = _symbolic_order(ring_uni, aux)
-    ok_gb, _wit = is_groebner(ring_gb, ring_order, ring_mode=True)
+    ok_gb, _wit = deadline.run("basis test", is_groebner, ring_gb, ring_order, ring_mode=True)
     if ok_gb:
-        for g in lifted:
-            sg = subst(assignment, g)
-            if sg and _normal_form(to_pi_coefficients(sg), ring_gb, ring_order):
-                ok_gb = False
-                break
+        if deadline.expired():
+            raise deadline.exceeded("basis test")
+        spec_lifted = [to_pi_coefficients(image[g]) for g in lifted if image[g]]
+        ok_gb = not any(normal_forms(spec_lifted, ring_gb, ring_order))
 
     # (2) commutation, with the right side computed from scratch
     aux_pos = big.index(aux)
-    sat_sym = [g for g in gb if all(m[aux_pos] == 0 for m in g.terms)]
-    lhs_gens = [h for h in (subst(assignment, g) for g in sat_sym) if h]
-    spec_gens = [h for h in (subst(assignment, g) for g in gens) if h]
-    spec_a = subst(assignment, a_elem)
     s_uni = _shrunk_universe(big, assignment)
     s_uni = VarUniverse(tuple(n for n in s_uni.names if n != aux), s_uni.grid)
-    lhs_ideal = Ideal([g.relabel(s_uni) for g in lhs_gens], s_uni, dom)
+
+    def down(gs):
+        return [image[g].relabel(s_uni) for g in gs if image[g]]
+
+    sat_sym = [g for g in gb if all(m[aux_pos] == 0 for m in g.terms)]
+    lhs_ideal = Ideal(down(sat_sym), s_uni, dom)
     rhs_ideal = deadline.run(
         "saturation",
         saturate,
-        Ideal([g.relabel(s_uni) for g in spec_gens], s_uni, dom),
-        [spec_a.relabel(s_uni)],
+        Ideal(down(lifted[:-1]), s_uni, dom),
+        [image[a_big].relabel(s_uni)],
     )
     comm_ok = _same_ideal(lhs_ideal, rhs_ideal)
 
@@ -375,12 +417,13 @@ def _same_ideal(A: Ideal, B: Ideal) -> bool:
 def _first_violation(assignment, obstructions: ObstructionSet) -> str:
     """The first condition the assignment violates, as "unit condition X"
     or "nonzero condition X"; "" when it satisfies them all."""
-    for cond in obstructions.unit_conditions:
-        val = subst(assignment, cond)
+    units, nonzeros = obstructions.unit_conditions, obstructions.nonzero_conditions
+    values = subst(assignment, [*units, *nonzeros])
+    for cond, val in zip(units, values):
         if (not val) or _pi_valuation_of_poly(val) > 0:
             return f"unit condition {format_poly(cond)}"
-    for cond in obstructions.nonzero_conditions:
-        if not subst(assignment, cond):
+    for cond, val in zip(nonzeros, values[len(units):]):
+        if not val:
             return f"nonzero condition {format_poly(cond)}"
     return ""
 

@@ -374,6 +374,26 @@ def test_spec_check_cap_is_a_resource_cap_not_a_traceback(runner, minors_gens):
     assert len(rep["assignment"]) == 18
 
 
+def test_spec_check_capped_in_its_basis_test_names_the_phase(runner, minors_gens, monkeypatch):
+    # the check gets a budget already spent when it reaches the basis test
+    # over L[pi]: exit 1 and a report naming the phase, not a traceback
+    from mustafin import specialize
+
+    check = specialize.check_specialization
+
+    def spent(*args, cap_seconds=None, **kw):
+        return check(*args, cap_seconds=0, **kw)
+
+    monkeypatch.setattr(specialize, "check_specialization", spent)
+    res = runner.invoke(spec_group, ["check", "--gens", minors_gens, "--cap-seconds", "60"])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error: resource cap exceeded: basis test: exceeded 60s" in res.stderr
+    rep = json.loads(res.stdout)
+    assert rep["verdict"] == "resource-capped"
+    assert rep["phase"] == "basis test"
+
+
 def test_spec_obstructions_cap_covers_the_harvest(runner, minors_gens, monkeypatch):
     # each of the 15 S-pairs of the harvest takes 0.05 s more than it
     # should: the basis fits the 0.3 s cap, the harvest does not

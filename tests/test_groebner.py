@@ -4,7 +4,7 @@ import math
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
 import re
@@ -567,12 +567,33 @@ def textbook_combinations(gi, gj, order):
 
 
 def textbook_is_groebner_ring(G, order):
+    """The slow oracle: every S- and G-combination of every pair reduces to
+    zero."""
     for j in range(len(G)):
         for i in range(j):
             for cand in textbook_combinations(G[i], G[j], order):
                 if textbook_nf_ring(cand, G, order)[0]:
                     return False, cand
     return True, None
+
+
+def assert_is_groebner_matches_the_oracle(G, order):
+    """``is_groebner`` tests only the pairs that survive its criteria, so a
+    False witness may come from another pair than the oracle's: it must be
+    the S-combination of two elements, with a nonzero normal form."""
+    ok, witness = is_groebner(G, order, ring_mode=True)
+    assert ok == textbook_is_groebner_ring(G, order)[0]
+    if ok:
+        assert witness is None
+        return
+    G = [g for g in G if g]
+    s_combinations = [
+        textbook_combinations(G[i], G[j], order)[0]
+        for j in range(len(G))
+        for i in range(j)
+    ]
+    assert witness in s_combinations
+    assert textbook_nf_ring(witness, G, order)[0]
 
 
 UR = VarUniverse(("x", "y", "z"))
@@ -617,7 +638,7 @@ def test_ring_mode_kernel_matches_the_reduce_one_step_loop(order, case):
     # the batch entry point reduces against one table: same remainders
     g = basis[0] * f + basis[-1]
     assert normal_forms([f, g, f], basis, order) == [expected, normal_form(g, basis, order), expected]
-    assert is_groebner(basis, order) == textbook_is_groebner_ring(basis, order)
+    assert_is_groebner_matches_the_oracle(basis, order)
 
 
 def textbook_buchberger_ring(gens, order):
@@ -696,7 +717,7 @@ def test_ring_mode_overflow_of_one_byte_fields_reruns_wider():
     expected, steps = textbook_nf_ring(f, basis, y_first)
     assert (nf, trace.steps) == (expected, steps)
     assert len(steps[0].reducers) == 2
-    assert is_groebner(basis, y_first) == textbook_is_groebner_ring(basis, y_first)
+    assert_is_groebner_matches_the_oracle(basis, y_first)
 
 
 def test_ring_buchberger_log_and_basis_survive_widening():
@@ -713,6 +734,108 @@ def test_ring_buchberger_log_and_basis_survive_widening():
     assert is_groebner(big, LEX) == (True, None)
     for g in gens:
         assert ideal_membership(g, Ideal(gens), LEX, ring_mode=True)
+
+
+# units, powers of pi, and elements sharing a factor with pi or with 1 + pi
+CRITERIA_COEFFS = [
+    R7.element(c) for c in ([1], [3], [0, 1], [0, 2], [0, 0, 1], [1, 1], [0, 1, 1], [2, 5])
+]
+
+
+@st.composite
+def criteria_case(draw):
+    """A set for ring-mode ``is_groebner`` over PiRing(F7) or F7 run as a
+    Euclidean domain: raw generators, or their ring-mode basis as computed,
+    with one element dropped, or with one element scaled by pi (by a unit
+    over F7).  Some sets also get an element with the leading monomial of
+    another and an associate leading coefficient."""
+    dom = draw(st.sampled_from([R7, R7, E7]))
+    coeff = st.sampled_from(CRITERIA_COEFFS) if dom is R7 else st.integers(1, 6)
+    # sparse monomials, so that leading monomials are often coprime
+    mono = st.tuples(*[st.sampled_from([0, 0, 1, 2])] * 3)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda t: MPoly(UR, dom, t))
+    order = draw(st.sampled_from(RING_ORDERS))
+    kind = draw(st.sampled_from(["raw", "raw", "basis", "dropped", "scaled"]))
+    G = draw(st.lists(poly, min_size=2, max_size=4 if kind == "raw" else 3))
+    if kind != "raw":
+        try:
+            G = buchberger(G, order, ring_mode=True, cap_seconds=0.5)
+        except ResourceCapExceeded:
+            reject()
+        if kind == "dropped" and len(G) > 1:
+            del G[draw(st.integers(0, len(G) - 1))]
+        elif kind == "scaled":
+            k = draw(st.integers(0, len(G) - 1))
+            G[k] = G[k].scale(R7.pi if dom is R7 else dom.from_int(3))
+    if draw(st.booleans()):
+        # an associate leading term: a unit multiple of an element plus a
+        # polynomial below its leading monomial
+        g = G[draw(st.integers(0, len(G) - 1))]
+        lm = g.leading_term(order)[1]
+        unit = dom.from_int(draw(st.integers(1, 6)))
+        below = {m: c for m, c in draw(poly).terms.items() if order.key(m) < order.key(lm)}
+        G = G + [g.scale(unit) + MPoly(UR, dom, below)]
+    return order, G
+
+
+def ur_polys(dom, *texts):
+    return [parse_poly(t, UR, dom) for t in texts]
+
+
+@given(criteria_case())
+@example((DegRevLex(), ur_polys(R7, "pi*x + 1", "pi*y + 1")))  # coprime monomials, gcd pi
+@example((Lex(), ur_polys(R7, "pi^2*x^2 + 3*x*z + pi^2", "(pi + pi^2)*x*z", "2 + 5*pi")))
+@settings(max_examples=200, deadline=None)
+def test_ring_mode_criteria_match_the_all_pairs_oracle(case):
+    order, G = case
+    assert_is_groebner_matches_the_oracle(G, order)
+
+
+def test_associate_coefficient_lcms_compare_equal():
+    # pairs (0, 1) and (1, 2) have the coefficient lcms 2*6 = 5 and 6*4 = 3
+    # in F7, times x^2 y^2 z: associates, not equal.  Compared raw, the
+    # update for element 2 drops pair (0, 1), and the verdict on this
+    # non-basis is True.
+    x, y, z = (MPoly.var(UR, E7, v) for v in UR.names)
+    c = E7.from_int
+    G = [(x * x * z).scale(c(2)), (x * x * y * y * z).scale(c(6)) + (x * y * z * z).scale(c(3)),
+         (x * x * z).scale(c(4))]
+    assert textbook_is_groebner_ring(G, LEX)[0] is False
+    assert_is_groebner_matches_the_oracle(G, LEX)
+
+
+def test_criteria_reduce_fewer_pairs_on_the_specialized_minors_basis(monkeypatch):
+    # the basis over L[pi] that ``check_specialization`` tests for the seed-1
+    # sample of the symbolic d=3 n=1 minors: 6 elements, 15 pairs
+    from mustafin import specialize
+    from mustafin.varieties import LatticeConfig, minors_ideal
+
+    minors = minors_ideal(LatticeConfig(3, 1, (1, 2), F, "symbolic"))
+    pi = MPoly.var(minors.universe, F, "pi")
+    obs = specialize.obstruction_polynomials(list(minors.generators), pi)
+    sample = specialize.generic_sample(1, F, (3, 1), obs)
+    seen = []
+
+    def record(G, order, **kw):
+        seen.append((G, order))
+        return is_groebner(G, order, **kw)
+
+    monkeypatch.setattr(specialize, "is_groebner", record)
+    assert specialize.check_specialization(
+        list(minors.generators), pi, sample.assignment, obstructions=obs
+    ).ok
+    (G, order), = seen
+    assert len(G) == 6
+    reduced = []
+    reduce = _Reducers.reduce
+
+    def counting(self, work, **kw):
+        reduced.append(1)
+        return reduce(self, work, **kw)
+
+    monkeypatch.setattr(_Reducers, "reduce", counting)
+    assert is_groebner(G, order, ring_mode=True) == (True, None)
+    assert 0 < len(reduced) < 15
 
 
 def textbook_hilbert_function(I, blocks, box, order):
@@ -1066,3 +1189,11 @@ def test_recorded_leading_terms_survive_scaling_and_content_division(order, f, c
     q = divide_var_power(r, 2, var_content(r, 2))
     assert q.leading_term(order) == fresh(q)
     assert q.scale(c).leading_term(order) == fresh(q.scale(c))
+
+
+def test_is_groebner_checks_its_cap_before_each_reduction():
+    x, y, z = (MPoly.var(UR, E7, v) for v in UR.names)
+    G = [x * y + z, x * z + y]
+    assert is_groebner(G, LEX, cap_seconds=60)[0] is False
+    with pytest.raises(ResourceCapExceeded, match=r"is_groebner exceeded 0s \(0 of 1 pairs"):
+        is_groebner(G, LEX, cap_seconds=0)

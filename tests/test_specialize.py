@@ -283,6 +283,36 @@ def test_subst_matches_the_per_term_oracle(f, assignment):
     assert got.universe.names == tuple(n for n in SUBST_UNI.names if n not in assignment)
 
 
+@given(
+    st.lists(subst_polys, max_size=4),
+    st.dictionaries(st.sampled_from(["A[1][1][0]", "A[2][1][0]", "x", "pi", "z"]), values),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_batch_substitutes_as_one_call_per_polynomial(fs, assignment):
+    """One plan for the list: the images of one call per polynomial, and,
+    when some polynomial fails, the error that such a loop raises first."""
+    expected = []
+    try:
+        for f in fs:
+            expected.append(subst_oracle(assignment, f))
+    except (DomainError, UniverseError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            subst(assignment, fs)
+        return
+    got = subst(assignment, fs)
+    assert got == expected == [subst(assignment, f) for f in fs]
+    assert [g.universe for g in got] == [g.universe for g in expected]
+
+
+def test_a_batch_over_two_universes_raises():
+    uni, x, y, A1, A2, pi = example_setup(F)
+    small = VarUniverse(("A[2][1][0]", "pi"))
+    a2 = MPoly.var(small, F, "A[2][1][0]")
+    assignment = {"A[1][1][0]": F.from_int(2), "A[2][1][0]": PiRing(F).pi}
+    with pytest.raises(UniverseError):
+        subst(assignment, [pi * A1 * x + A2 * y, a2 + MPoly.var(small, F, "pi")])
+
+
 def test_substitute_into_a_target_universe():
     uni = VarUniverse(("x", "y", "t"))
     x, y, t = (MPoly.var(uni, F7, v) for v in uni.names)
@@ -527,3 +557,68 @@ def test_violated_condition_messages():
         with pytest.raises(DomainError) as exc:
             generic_sample(1, F, (2, 1), obs, max_attempts=3)
         assert str(exc.value) == f"sampling cap 3 exceeded; last violation: {text}"
+
+
+def first_violation_one_call_per_condition(assignment, obstructions):
+    """``_first_violation`` as one ``subst`` call per condition, stopping at
+    the first violated one: the reference for the batched version."""
+    for cond in obstructions.unit_conditions:
+        val = subst(assignment, cond)
+        if not val or specialize._pi_valuation_of_poly(val) > 0:
+            return f"unit condition {specialize.format_poly(cond)}"
+    for cond in obstructions.nonzero_conditions:
+        if not subst(assignment, cond):
+            return f"nonzero condition {specialize.format_poly(cond)}"
+    return ""
+
+
+@given(st.tuples(*[st.lists(st.integers(0, 6), max_size=2).map(R7.element)] * 2))
+@settings(max_examples=100, deadline=None)
+def test_first_violation_names_the_condition_of_one_call_per_condition(vals):
+    uni, x, y, A1, A2, pi = example_setup(F7)
+    one = MPoly.const(uni, F7, F7.one)
+    obs = ObstructionSet([A2, A1 + A2, A1 * A2 + pi], [A1, A2 - pi, A1 * A2 + A1 + one])
+    assignment = {"A[1][1][0]": vals[0], "A[2][1][0]": vals[1]}
+    assert specialize._first_violation(assignment, obs) == first_violation_one_call_per_condition(
+        assignment, obs
+    )
+
+
+def test_an_expired_deadline_stops_the_check_at_its_basis_test():
+    # handed its basis, the check runs no capped call before the basis
+    # test over L[pi], so a zero budget is spent exactly there
+    uni, x, y, A1, A2, pi = example_setup(F)
+    gens = [pi * A1 * x + A2 * y]
+    obs = obstruction_polynomials(gens, pi)
+    assignment = {"A[1][1][0]": F.from_int(5), "A[2][1][0]": F.from_int(3)}
+    assert check_specialization(gens, pi, assignment, obstructions=obs).ok
+    with pytest.raises(groebner.ResourceCapExceeded) as exc:
+        check_specialization(gens, pi, assignment, obstructions=obs, cap_seconds=0)
+    assert exc.value.phase == "basis test"
+    assert str(exc.value) == "basis test: exceeded 0s"
+
+
+def test_a_deadline_that_runs_out_inside_the_basis_test_stops_it(monkeypatch):
+    # the seed-1 sample of the symbolic d=3 n=1 minors: its basis test over
+    # L[pi] reduces 4 pairs; made to take 0.3 s each, they overrun the 0.5-s
+    # budget, which the steps before the basis test hardly touch
+    from mustafin.varieties import LatticeConfig, minors_ideal
+
+    minors = minors_ideal(LatticeConfig(3, 1, (1, 2), F, "symbolic"))
+    gens = list(minors.generators)
+    pi = MPoly.var(minors.universe, F, "pi")
+    obs = obstruction_polynomials(gens, pi)
+    sample = specialize.generic_sample(1, F, (3, 1), obs)
+    s_combination = groebner._Reducers.s_combination
+
+    def slow(self, i, j):
+        time.sleep(0.3)
+        return s_combination(self, i, j)
+
+    monkeypatch.setattr(groebner._Reducers, "s_combination", slow)
+    with pytest.raises(groebner.ResourceCapExceeded) as exc:
+        check_specialization(gens, pi, sample.assignment, obstructions=obs, cap_seconds=0.5)
+    assert exc.value.phase == "basis test"
+    assert exc.value.detail.startswith("is_groebner exceeded")
+    # stopped inside the phase, not on entry: 2 of 4 unless the machine is slow
+    assert re.search(r"\([123] of 4 pairs reduced\)$", exc.value.detail)
