@@ -13,6 +13,7 @@ polynomial round-trips.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -688,19 +689,26 @@ def _gatherer(positions):
     return lambda m: ()
 
 
+@functools.cache
+def _pi_split(uni: VarUniverse, dom) -> tuple:
+    """(pi-ring over ``dom``, ``uni`` without pi, position of pi), built once
+    per source universe and domain, so that every element of one converted
+    basis shares its ring and universe."""
+    small = VarUniverse(tuple(n for n in uni.names if n != "pi"), uni.grid)
+    return PiRing(dom), small, uni.index("pi")
+
+
 def to_pi_coefficients(f: MPoly) -> MPoly:
     """Rewrite a polynomial over a base field with a ``pi`` variable as a
     polynomial over the pi-ring in the remaining variables."""
     uni, dom = f.universe, f.domain
     if isinstance(dom, PiRing) or "pi" not in uni:
         raise DomainError("expected a base-field polynomial with a pi variable")
-    ring = PiRing(dom)
-    small = VarUniverse(tuple(n for n in uni.names if n != "pi"), uni.grid)
-    pos = uni.index("pi")
+    ring, small, pos = _pi_split(uni, dom)
     acc: dict[tuple, list] = {}
     for m, c in f.terms.items():
         k = m[pos]
-        rest = tuple(e for i, e in enumerate(m) if i != pos)
+        rest = m[:pos] + m[pos + 1:]
         lst = acc.setdefault(rest, [])
         while len(lst) <= k:
             lst.append(dom.zero)

@@ -54,7 +54,6 @@ from .groebner import (
     buchberger,
     divide_var_power,
     is_groebner,
-    normal_form,
     normal_forms,
     saturate,
     var_content,
@@ -409,8 +408,9 @@ def _same_ideal(A: Ideal, B: Ideal) -> bool:
     order = default_order(A.universe)
     gb_a = list(A.groebner_basis(order)) if not A.is_zero() else []
     gb_b = list(B.groebner_basis(order)) if not B.is_zero() else []
-    return all(not normal_form(g, gb_b, order) for g in A.generators) and all(
-        not normal_form(g, gb_a, order) for g in B.generators
+    # one reducer table per side; an unequal pair stops after side A
+    return not any(normal_forms(A.generators, gb_b, order)) and not any(
+        normal_forms(B.generators, gb_a, order)
     )
 
 

@@ -25,7 +25,6 @@ from .groebner import (
     hilbert_function,
     in_monomial_ideal,
     interreduce,
-    intersect_monomial_ideals,
     minimalize_monomials,
     normal_forms,
     saturate,
@@ -436,12 +435,38 @@ def ideal_Iv(vec: ComponentVector, n: int | None = None, universe: VarUniverse |
 
 
 def expected_intersection(d: int, n: int, domain) -> Ideal:
-    """Intersection of I_v over all component vectors."""
+    """Minimal generators of the intersection of I_v over all component
+    vectors, in ascending exponent order, read off from t-vectors.
+
+    Every I_v is generated by variables, so the intersection is squarefree
+    and a monomial m lies in I_v exactly when one of its variables does.  In
+    column j only the variable of smallest row matters; write it x[d-t_j][j]
+    with t_j in [1, d-1] (t_j = 0 when m has none there: x[d][j] lies in no
+    I_v).  Then m is outside I_v iff t_j <= d-1-v_j for every j.  The vectors
+    w = (d-1-v_j)_j are exactly those in [0, d-1]^{n+1} with sum d-1, and a
+    t in [0, d-1]^{n+1} lies below one of them iff sum t <= d-1.  So m is in
+    every I_v iff sum t >= d.  A proper divisor of a squarefree m drops some
+    variable, so m is a minimal generator iff moreover it holds one variable
+    per nonzero t_j and dropping any one of them, sum t - t_j < d, leaves the
+    intersection.  ``intersect_monomial_ideals`` over the ``ideal_Iv`` is the
+    slow oracle of this in the tests.
+    """
+    if d < 2 or n < 0:
+        raise DomainError("need d >= 2, n >= 0")
     uni = fibre_universe(d, n)
-    ideals = [ideal_Iv(v, n, uni, domain) for v in component_vectors(d, n)]
-    if not ideals:
-        return Ideal((), uni, domain)
-    return intersect_monomial_ideals(ideals)
+    pos = [[uni.index(f"x[{d - e}][{j}]") for e in range(d)] for j in range(n + 1)]
+    monos = []
+    for t in itertools.product(range(d), repeat=n + 1):
+        total = sum(t)
+        if total < d or total - min(e for e in t if e) >= d:
+            continue
+        mono = [0] * uni.nvars
+        for j, e in enumerate(t):
+            if e:
+                mono[pos[j][e]] = 1
+        monos.append(tuple(mono))
+    monos.sort()
+    return Ideal([MPoly.term(uni, domain, domain.one, m) for m in monos], uni, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -132,6 +133,22 @@ def test_pipeline_command(runner, tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["verdict"] == "pass"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["borel", "conjecture"])
+def test_intersection_reports_match_the_iterated_lcm_route(runner, tmp_path, command):
+    # the files were written while expected_intersection still intersected
+    # the I_v by iterated pairwise lcms; the closed form must not move them
+    out = tmp_path / "out.json"
+    res = runner.invoke(
+        mustafin_group,
+        [command, "--config", str(GOLDEN / "config-d4n3.json"), "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (GOLDEN / f"{command}-d4n3.out.json").read_bytes()
 
 
 def test_borel_command(runner, d3_config, tmp_path):

@@ -15,7 +15,7 @@ from mustafin import groebner
 from mustafin.cli import spec_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
 from mustafin.groebner import buchberger
-from mustafin.polyring import MPoly, UniverseError, VarUniverse, mono_divides, parse_poly
+from mustafin.polyring import Ideal, MPoly, UniverseError, VarUniverse, mono_divides, parse_poly
 from mustafin.specialize import (
     ObstructionSet,
     check_specialization,
@@ -622,3 +622,68 @@ def test_a_deadline_that_runs_out_inside_the_basis_test_stops_it(monkeypatch):
     assert exc.value.detail.startswith("is_groebner exceeded")
     # stopped inside the phase, not on entry: 2 of 4 unless the machine is slow
     assert re.search(r"\([123] of 4 pairs reduced\)$", exc.value.detail)
+
+
+def test_one_converted_basis_shares_its_ring_and_universe(monkeypatch):
+    # the specialized basis is converted to L[pi] coefficients element by
+    # element; every element must carry the same ring and universe objects,
+    # and the verdicts must match conversions that build fresh ones
+    from mustafin import polyring
+    from mustafin.varieties import LatticeConfig, minors_ideal
+
+    minors = minors_ideal(LatticeConfig(3, 1, (1, 2), F, "symbolic"))
+    minor_pi = MPoly.var(minors.universe, F, "pi")
+    minor_obs = obstruction_polynomials(list(minors.generators), minor_pi)
+    uni, x, y, A1, A2, pi = example_setup(F)
+    example = [pi * A1 * x + A2 * y]
+    example_obs = obstruction_polynomials(example, pi)
+    ring = PiRing(F)
+    samples = [specialize.generic_sample(s, F, (3, 1), minor_obs) for s in (1, 2, 3)]
+    cases = [
+        (list(minors.generators), minor_pi, sample.assignment, minor_obs) for sample in samples
+    ] + [
+        (example, pi, {"A[1][1][0]": F.from_int(5), "A[2][1][0]": a2}, example_obs)
+        for a2 in (F.from_int(7), ring.pi)
+    ]
+    seen = []
+    is_groebner = specialize.is_groebner
+
+    def recording(basis, *args, **kwargs):
+        seen.append(list(basis))
+        return is_groebner(basis, *args, **kwargs)
+
+    def fresh(f):
+        polyring._pi_split.cache_clear()
+        return polyring.to_pi_coefficients(f)
+
+    def verdicts():
+        return [check_specialization(g, p, a, obstructions=o) for g, p, a, o in cases]
+
+    monkeypatch.setattr(specialize, "is_groebner", recording)
+    shared = verdicts()
+    assert max(len(basis) for basis in seen) > 1
+    for basis in seen:
+        assert all(g.domain is basis[0].domain and g.universe is basis[0].universe for g in basis)
+    monkeypatch.setattr(specialize, "to_pi_coefficients", fresh)
+    assert verdicts() == shared
+    assert [rep.ok for rep in shared] == [True, True, True, True, False]
+
+
+def test_same_ideal_stops_after_the_first_side_on_an_unequal_pair(monkeypatch):
+    uni, x, y, A1, A2, pi = example_setup(F)
+    small, big = Ideal([x * y], uni, F), Ideal([x, y], uni, F)
+    calls = []
+    normal_forms = specialize.normal_forms
+
+    def counting(fs, G, order):
+        calls.append(fs)
+        return normal_forms(fs, G, order)
+
+    monkeypatch.setattr(specialize, "normal_forms", counting)
+    assert specialize._same_ideal(small, small)
+    assert len(calls) == 2
+    calls.clear()
+    assert not specialize._same_ideal(big, small)
+    assert len(calls) == 1
+    assert not specialize._same_ideal(small, big)
+    assert len(calls) == 3

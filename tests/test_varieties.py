@@ -2,13 +2,14 @@ import collections
 import json
 import math
 import pathlib
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from mustafin.cli import mustafin_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
-from mustafin.groebner import normal_form, saturate
+from mustafin.groebner import intersect_monomial_ideals, normal_form, saturate
 from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder, mono_divides
 from mustafin.varieties import (
     ComponentVector,
@@ -233,6 +234,51 @@ def test_expected_fibre_d4():
     assert any(g.text() == "x[3][0]*x[3][1]*x[3][2]*x[3][3]" for g in exp.generators)
     with pytest.raises(DomainError):
         expected_fibre_d4(2, F)
+
+
+ORACLE_RUNGS = [
+    (d, n)
+    for d in range(2, 7)
+    for n in range(0, 5)
+    if len(component_vectors(d, n)) <= 80
+]
+
+
+@pytest.mark.parametrize("d, n", ORACLE_RUNGS)
+def test_expected_intersection_matches_the_iterated_lcm_oracle(d, n):
+    uni = fibre_universe(d, n)
+    oracle = intersect_monomial_ideals([ideal_Iv(v, n, uni, F) for v in component_vectors(d, n)])
+    got = expected_intersection(d, n, F)
+    assert got.universe == uni
+    assert [g.terms for g in got.generators] == [g.terms for g in oracle.generators]
+
+
+@pytest.mark.parametrize("d, n", [(7, 3), (5, 5)])
+def test_expected_intersection_membership_on_random_squarefree_monomials(d, n):
+    # past the oracle's reach: a squarefree monomial is in the closed form
+    # exactly when some variable of it generates each I_v
+    uni = fibre_universe(d, n)
+    gens = [next(iter(g.terms)) for g in expected_intersection(d, n, F).generators]
+    ivs = [
+        {uni.index(f"x[{i}][{j}]") for j, vj in enumerate(v.v) for i in range(1, vj + 1)}
+        for v in component_vectors(d, n)
+    ]
+    rng = random.Random(f"squarefree {d} {n}")
+    seen = collections.Counter()
+    for _ in range(400):
+        p = rng.uniform(0.02, 0.3)
+        support = {k for k in range(uni.nvars) if rng.random() < p}
+        mono = tuple(int(k in support) for k in range(uni.nvars))
+        inside = all(support & iv for iv in ivs)
+        assert any(mono_divides(g, mono) for g in gens) == inside
+        seen[inside] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (3, -1)])
+def test_expected_intersection_rejects_bad_sizes(d, n):
+    with pytest.raises(DomainError):
+        expected_intersection(d, n, F)
 
 
 def test_borel_fixed_examples():
