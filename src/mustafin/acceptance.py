@@ -50,6 +50,7 @@ def criterion_1(ctx, quick=False):
     details = {}
     passed = True
     ctx["c1_passing"] = []
+    ctx["c1_fibres"] = {}  # (n, seed) -> the fibre ideal checked, for criterion 7
     for n in (2, 3):
         outcomes = []
         times = []
@@ -61,6 +62,7 @@ def criterion_1(ctx, quick=False):
             outcomes.append((seed, rep.equal))
             if rep.equal:
                 ctx["c1_passing"].append((n, seed))
+                ctx["c1_fibres"][(n, seed)] = rep.fibre
             elif not rep.capped:
                 # a degenerate sample must pass on a fresh resample
                 cfg2 = varieties.random_config(3, n, (1, 2), FIELD, seed=seed + 10_000)
@@ -540,7 +542,9 @@ def criterion_7(ctx, quick=False):
     checked = 0
     for n, seed in trials:
         cfg = varieties.random_config(3, n, (1, 2), FIELD, seed=seed)
-        hf_fibre, hf_inter = varieties.fibre_hilbert_tables(cfg, bound=2)
+        hf_fibre, hf_inter = varieties.fibre_hilbert_tables(
+            cfg, bound=2, fibre=ctx["c1_fibres"][(n, seed)]
+        )
         checked += 1
         if hf_fibre != hf_inter:
             bad = [k for k in hf_fibre if hf_fibre[k] != hf_inter[k]][:3]

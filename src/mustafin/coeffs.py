@@ -432,10 +432,6 @@ class PiRing:
     def reduce_mod_pi(self, f):
         return f[0] if f else self.base.zero
 
-    def is_okunit(self, f) -> bool:
-        """Unit in the valuation ring: nonzero with pi-valuation 0."""
-        return bool(f) and not self.base.is_zero(f[0])
-
     def shift(self, f, k: int):
         """Multiply by pi^k (k >= 0)."""
         if not f:

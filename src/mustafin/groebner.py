@@ -16,8 +16,8 @@ Two engines share one reduction framework:
   S-combinations of the surviving pairs.
 
 Both modes share one reduction kernel, ``_Reducers``, behind
-``normal_form``, ``interreduce``, ``is_groebner``, ``ideal_membership`` and
-the Buchberger loops.  It works on packed
+``normal_form``, ``interreduce``, ``is_groebner`` and the Buchberger
+loops.  It works on packed
 monomials: an exponent tuple becomes one int with a fixed-width field per
 variable, so a product is an addition and a divisibility test is a
 subtraction and a mask (see ``_Packing``).  A field of w bytes holds
@@ -37,9 +37,8 @@ the pair is made, and the Gebauer-Moeller update and the pair heap read it
 back (``_gm_update``).
 In ring mode a step may combine several elements through a Bezout identity
 of their leading coefficients.  ``_Reducers.reduce`` takes one observer,
-called before every step; the replayable ``normal_form(want_trace=True)``
-and the obstruction harvest in ``specialize`` both read the reduction
-through it.
+called before every step; the obstruction harvest in ``specialize`` reads
+the reduction through it.
 
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
@@ -55,10 +54,10 @@ import collections
 import functools
 import heapq
 import itertools
+import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd as int_gcd
+from math import comb, gcd as int_gcd, prod
 
 from .coeffs import DomainError
 from .polyring import (
@@ -70,7 +69,6 @@ from .polyring import (
     TermOrder,
     VarUniverse,
     WeightedPiOrder,
-    multidegree,
     order_eliminates,
 )
 
@@ -114,49 +112,6 @@ class Deadline:
             if exc.phase:
                 raise self.exceeded(exc.phase, exc.detail) from None
             raise self.exceeded(phase, str(exc)) from None
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """One rewriting step: subtract sum_j c_j * quotient_j * f_{reducers[j]}.
-
-    A step with no reducers moves the (irreducible) monomial ``quotients[0]``
-    into the remainder.
-    """
-
-    reducers: tuple[int, ...]
-    coeffs: tuple
-    quotients: tuple
-
-
-@dataclass
-class ReductionTrace:
-    """Record of a normal-form computation against a fixed basis."""
-
-    steps: list
-
-    def replay(self, f: MPoly, basis, order: TermOrder):
-        """Re-run the steps; returns (remainder, leading coefficients of the
-        working polynomial after each step)."""
-        work = f
-        uni, dom = f.universe, f.domain
-        remainder = MPoly.zero(uni, dom)
-        leads = []
-        for step in self.steps:
-            if step.reducers:
-                delta = MPoly.zero(uni, dom)
-                for j, c, q in zip(step.reducers, step.coeffs, step.quotients):
-                    delta = delta + basis[j].mono_shift(q).scale(c)
-                work = work - delta
-            else:
-                m = step.quotients[0]
-                c = work.terms[m]
-                t = MPoly.term(uni, dom, c, m)
-                remainder = remainder + t
-                work = work - t
-            if work:
-                leads.append(work.leading_term(order)[0])
-        return remainder + work, leads
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +706,7 @@ class _Reducers:
         return remainder
 
 
-def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
+def normal_form(f: MPoly, G, order: TermOrder) -> MPoly:
     """Normal form of f modulo G: rewrite leading terms while possible, move
     irreducible leading terms to the remainder, continue on the tail.  Over
     a Euclidean domain a step may combine several elements of G."""
@@ -759,21 +714,9 @@ def normal_form(f: MPoly, G, order: TermOrder, *, want_trace: bool = False):
 
     def run(pk):
         red = _Reducers(order, f.universe, f.domain, pk, basis)
-        if not want_trace:
-            return red.remainder(red.reduce(red.pack_poly(f))), None
-        steps = []
+        return red.remainder(red.reduce(red.pack_poly(f)))
 
-        def record(lm, lc, work, step):
-            if step:
-                js, cs, qs = zip(*step)
-                steps.append(ReductionStep(js, cs, tuple(map(pk.unpack, qs))))
-            else:
-                steps.append(ReductionStep((), (), (pk.unpack(lm),)))
-
-        return red.remainder(red.reduce(red.pack_poly(f), observe=record)), steps
-
-    nf, steps = _widening(run, f.universe.nvars)
-    return (nf, ReductionTrace(steps)) if want_trace else nf
+    return _widening(run, f.universe.nvars)
 
 
 def normal_forms(fs, G, order: TermOrder) -> list:
@@ -1224,22 +1167,6 @@ def _is_groebner_packed(G, order, pk, t0, cap_seconds):
     return True, None
 
 
-def ideal_membership(
-    f: MPoly, I: Ideal, order: TermOrder | None = None, *, ring_mode: bool = False
-) -> bool:
-    if not f:
-        return True
-    if I.is_zero():
-        return False
-    order = order or DegRevLex()
-    gb = I.groebner_basis(order, ring_mode=ring_mode)
-    if ring_mode and getattr(f.domain, "is_field", False):
-        dom = _FieldAsEuclidean(f.domain)
-        f = MPoly(f.universe, dom, dict(f.terms), _clean=True)
-        gb = [MPoly(g.universe, dom, dict(g.terms), _clean=True) for g in gb]
-    return not normal_form(f, list(gb), order)
-
-
 def fresh_aux_names(universe: VarUniverse, count: int, stem: str = "t") -> list[str]:
     out: list[str] = []
     k = 0
@@ -1650,15 +1577,72 @@ class _HilbertGate:
         return True
 
 
+def _hilbert_numerator(gens, where, box) -> dict:
+    """K of ``hilbert_function`` for the minimal monomials ``gens``, with
+    variable i in block ``where[i]``, as a dict over the box ``box``."""
+
+    def degree(m):
+        d = [0] * len(box)
+        for j, e in zip(where, m):
+            d[j] += e
+        return d
+
+    # a generator past the box divides no monomial in it
+    gens = [m for m in gens if all(map(operator.le, degree(m), box))]
+    counts = [0] * len(where)
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                counts[i] += 1
+    top = max(counts, default=0)
+    if top <= 1:  # pairwise coprime supports
+        K = {(0,) * len(box): 1}
+        for m in gens:
+            d = degree(m)
+            for a, c in list(K.items()):
+                s = tuple(map(operator.add, a, d))
+                if all(map(operator.le, s, box)):
+                    K[s] = K.get(s, 0) - c
+        return K
+    i = counts.index(top)
+    j, e = where[i], min(m[i] for m in gens if m[i])
+    p = tuple(e if q == i else 0 for q in range(len(where)))
+    K = _hilbert_numerator([m for m in gens if not m[i]] + [p], where, box)
+    colon = {m[:i] + (m[i] - min(m[i], e),) + m[i + 1:] for m in gens}
+    # t^deg(p) K(I : p) in the box: K(I : p) in the box shifted down by deg(p)
+    rest = box[:j] + (box[j] - e,) + box[j + 1:]
+    for a, c in _hilbert_numerator(minimalize_monomials(colon), where, rest).items():
+        s = a[:j] + (a[j] + e,) + a[j + 1:]
+        K[s] = K.get(s, 0) + c
+    return K
+
+
 def hilbert_function(
     I: Ideal, blocks, box, *, order: TermOrder | None = None
 ) -> dict:
     """Standard-monomial counts per multidegree in the box prod [0..b_j].
 
     ``blocks`` lists disjoint variable positions per block.  The ideal must
-    be homogeneous per block, with field coefficients.  Monomials are packed
-    (``_BoxMonomials``), and a box monomial is tested only against the
-    leading monomials whose multidegree it bounds.
+    be homogeneous per block, with field coefficients.  The counts are
+    those of the initial ideal: the generators themselves when all are
+    monomials, else the leading monomials of a Groebner basis.  A leading
+    monomial with a variable outside every block divides no box monomial
+    and is dropped.
+
+    With t_j marking degree in block B_j, the Hilbert series is
+    H(t) = K(t) / prod_j (1 - t_j)^{|B_j|}, and the numerator K follows
+    Bigatti's pivot recursion K(I) = K(I + <p>) + t^deg(p) K(I : p).  The
+    pivot is p = x_i^e, for the variable x_i in the most minimal generators
+    and the least positive exponent e of x_i among them.  The recursion
+    stops when the generators have pairwise coprime supports; then K is the
+    product of the factors 1 - t^deg(m).  With x_i in at least two
+    minimal generators, p divides each of them and equals none, so both
+    I + <p> and I : p have a smaller sum of minimal generator degrees: the
+    recursion ends.
+    Both series have only nonnegative exponents, so a coefficient of H in
+    the box depends only on the terms of K in the box.  Every product is
+    truncated to the box, and I : p is taken in the box shifted down by
+    deg(p).  The table is K after |B_j| cumulative sums along each axis j.
     """
     if not getattr(I.domain, "is_field", False):
         raise DomainError("hilbert function needs field coefficients")
@@ -1668,29 +1652,25 @@ def hilbert_function(
     for g in I.generators:
         if not g.is_multihomogeneous(blocks):
             raise DomainError("ideal is not multihomogeneous for the blocks")
-    order = order or DegRevLex()
-    lms = (
-        [g.leading_term(order)[1] for g in I.groebner_basis(order)]
-        if not I.is_zero()
-        else []
-    )
-
-    def run(pk):
-        guard = pk.guard
-        leads = [(pk.pack(m), multidegree(m, blocks)) for m in lms]
-        monos = _BoxMonomials(pk, uni.nvars, blocks)
-        table: dict[tuple, int] = {}
-        for mdeg in itertools.product(*[range(b + 1) for b in box]):
-            cands = [l for l, md in leads if all(a <= b for a, b in zip(md, mdeg))]
-            count = 0
-            for p in monos.of(mdeg):
-                for l in cands:
-                    q = p - l
-                    if q >= 0 and not q & guard:
-                        break
-                else:
-                    count += 1
-            table[mdeg] = count
-        return table
-
-    return _widening(run, uni.nvars)
+    if I.is_monomial():
+        lms = [next(iter(g.terms)) for g in I.generators]
+    else:
+        order = order or DegRevLex()
+        lms = [g.leading_term(order)[1] for g in I.groebner_basis(order)]
+    inside = [p for blk in blocks for p in blk]
+    outside = set(range(uni.nvars)).difference(inside)
+    leads = [tuple(m[p] for p in inside) for m in lms if not any(m[p] for p in outside)]
+    box = tuple(box)
+    where = [j for j, blk in enumerate(blocks) for _ in blk]
+    K = _hilbert_numerator(minimalize_monomials(leads), where, box)
+    strides = [prod(b + 1 for b in box[j + 1:]) for j in range(len(box))]
+    cells = list(itertools.product(*[range(b + 1) for b in box]))
+    table = [0] * len(cells)
+    for a, c in K.items():
+        table[sum(map(operator.mul, a, strides))] += c
+    for j, blk in enumerate(blocks):
+        for _ in blk:
+            for k, a in enumerate(cells):
+                if a[j]:
+                    table[k] += table[k - strides[j]]
+    return dict(zip(cells, table))

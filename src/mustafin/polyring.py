@@ -461,9 +461,6 @@ class MPoly:
             cache[order] = hit
         return hit
 
-    def coeff_of(self, mono: tuple):
-        return self.terms.get(tuple(mono), self.domain.zero)
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1

@@ -476,7 +476,11 @@ def expected_intersection(d: int, n: int, domain) -> Ideal:
 @dataclass
 class ConjectureReport:
     """Outcome of one containment/equality check of the fibre ideal against
-    the intersection of the I_v."""
+    the intersection of the I_v.
+
+    ``fibre`` is the fibre ideal that was checked, None for a capped run; it
+    is left out of ``to_dict``.
+    """
 
     equal: bool
     mode: str
@@ -488,6 +492,7 @@ class ConjectureReport:
     field_name: str = ""
     seed: int | None = None
     capped: bool = False
+    fibre: Ideal | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -535,6 +540,7 @@ def conjecture_check(
     except ResourceCapExceeded:
         report.capped = True
         return report
+    report.fibre = fibre
     korder = fibre_weight_order(config)
     fibre_gb = list(fibre.groebner_basis(korder))
     inter = expected_intersection(config.d, config.n, config.field)
@@ -557,10 +563,12 @@ def conjecture_check(
     return report
 
 
-def fibre_hilbert_tables(config: LatticeConfig, bound: int = 2):
+def fibre_hilbert_tables(config: LatticeConfig, bound: int = 2, fibre: Ideal | None = None):
     """Hilbert tables of the fibre ideal and of the expected intersection on
-    the multidegree box [0, bound]^{n+1}."""
-    fibre = special_fibre(config)
+    the multidegree box [0, bound]^{n+1}.  ``fibre`` is the special fibre of
+    ``config`` when the caller already has it (``ConjectureReport.fibre``)."""
+    if fibre is None:
+        fibre = special_fibre(config)
     inter = expected_intersection(config.d, config.n, config.field)
     blocks = fibre.universe.grid_indices()
     box = (bound,) * (config.n + 1)

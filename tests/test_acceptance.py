@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from mustafin import acceptance
+from mustafin import acceptance, varieties
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +37,21 @@ def test_criterion(full_report, num):
 
 def test_all_passed(full_report):
     assert full_report["all_passed"]
+
+
+def test_criterion_7_takes_the_fibres_of_criterion_1(monkeypatch):
+    ctx: dict = {}
+    assert acceptance.criterion_1(ctx, quick=True)["passed"]
+
+    def no_fibre(*args, **kwargs):
+        raise AssertionError("criterion 7 recomputed a fibre of criterion 1")
+
+    monkeypatch.setattr(varieties, "special_fibre", no_fibre)
+    res = acceptance.criterion_7(ctx, quick=True)
+    assert res["passed"] and res["details"]["trials_checked"] == 8
+
+
+def test_criterion_7_alone_runs_criterion_1_first():
+    report = acceptance.run_all(quick=True, criteria=[7])
+    [res] = report["results"]
+    assert report["all_passed"] and res["details"]["trials_checked"] == 8

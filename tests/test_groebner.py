@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import pytest
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import example, given, reject, settings, strategies as st
@@ -10,12 +11,9 @@ from mustafin.coeffs import DomainError, GF, PiRing, QQ
 import re
 
 from mustafin.groebner import (
-    ReductionStep,
-    ReductionTrace,
     buchberger,
     eliminate,
     hilbert_function,
-    ideal_membership,
     interreduce,
     intersect_monomial_ideals,
     is_groebner,
@@ -30,6 +28,7 @@ from mustafin.groebner import (
     _Packing,
     _Reducers,
     _gm_update,
+    _widening,
     compositions,
     divide_var_power,
     in_monomial_ideal,
@@ -59,6 +58,78 @@ Y = MPoly.var(U, F, "y")
 XR = MPoly.var(U, R, "x")
 YR = MPoly.var(U, R, "y")
 LEX = Lex()
+
+
+@dataclass(frozen=True)
+class ReductionStep:
+    """One rewriting step: subtract sum_j c_j * quotient_j * f_{reducers[j]}.
+
+    A step with no reducers moves the (irreducible) monomial ``quotients[0]``
+    into the remainder.
+    """
+
+    reducers: tuple
+    coeffs: tuple
+    quotients: tuple
+
+
+def traced_normal_form(f, G, order):
+    """``normal_form`` of f modulo G with the kernel's steps, read through
+    the observer of ``_Reducers.reduce``."""
+    basis = [g for g in G if g]
+
+    def run(pk):
+        red = _Reducers(order, f.universe, f.domain, pk, basis)
+        steps = []
+
+        def record(lm, lc, work, step):
+            if step:
+                js, cs, qs = zip(*step)
+                steps.append(ReductionStep(js, cs, tuple(map(pk.unpack, qs))))
+            else:
+                steps.append(ReductionStep((), (), (pk.unpack(lm),)))
+
+        return red.remainder(red.reduce(red.pack_poly(f), observe=record)), steps
+
+    return _widening(run, f.universe.nvars)
+
+
+def replay(steps, f, basis, order):
+    """Re-run the steps on plain MPoly arithmetic; returns (remainder,
+    leading coefficients of the working polynomial after each step)."""
+    work = f
+    uni, dom = f.universe, f.domain
+    remainder = MPoly.zero(uni, dom)
+    leads = []
+    for step in steps:
+        if step.reducers:
+            delta = MPoly.zero(uni, dom)
+            for j, c, q in zip(step.reducers, step.coeffs, step.quotients):
+                delta = delta + basis[j].mono_shift(q).scale(c)
+            work = work - delta
+        else:
+            m = step.quotients[0]
+            t = MPoly.term(uni, dom, work.terms[m], m)
+            remainder = remainder + t
+            work = work - t
+        if work:
+            leads.append(work.leading_term(order)[0])
+    return remainder + work, leads
+
+
+def ideal_membership(f, I, order, *, ring_mode=False):
+    """f in I: its normal form against a basis of I vanishes.  Ring mode
+    over a field runs the Euclidean-ring engine on the field."""
+    if not f:
+        return True
+    if I.is_zero():
+        return False
+    gb = I.groebner_basis(order, ring_mode=ring_mode)
+    if ring_mode and getattr(f.domain, "is_field", False):
+        dom = _FieldAsEuclidean(f.domain)
+        f = MPoly(f.universe, dom, dict(f.terms), _clean=True)
+        gb = [MPoly(g.universe, dom, dict(g.terms), _clean=True) for g in gb]
+    return not normal_form(f, list(gb), order)
 
 
 def reduce_one_step(f: MPoly, E, order: TermOrder):
@@ -159,10 +230,9 @@ def test_normal_form_examples():
 def test_normal_form_trace_replays():
     f = X * X * Y + X * Y + Y
     basis = [X * Y + Y, X + Y]
-    nf, trace = normal_form(f, basis, LEX, want_trace=True)
-    replay_nf, leads = trace.replay(f, basis, LEX)
-    assert replay_nf == nf
-    assert isinstance(trace, ReductionTrace)
+    nf, steps = traced_normal_form(f, basis, LEX)
+    replay_nf, leads = replay(steps, f, basis, LEX)
+    assert replay_nf == nf == normal_form(f, basis, LEX)
 
 
 def test_buchberger_examples():
@@ -178,7 +248,7 @@ def test_buchberger_examples():
     three_x = XR.scale(R.from_int(3))
     gbr = buchberger([two_x, three_x], LEX, ring_mode=True)
     assert any(
-        g.leading_term(LEX)[1] == (1, 0) and R.is_okunit(g.leading_term(LEX)[0])
+        g.leading_term(LEX)[1] == (1, 0) and R.pi_valuation(g.leading_term(LEX)[0]) == 0
         for g in gbr
     )
     assert ideal_membership(XR, Ideal([two_x, three_x]), LEX, ring_mode=True)
@@ -386,12 +456,12 @@ polys3 = terms3.map(lambda items: MPoly(U3, F7, dict(items)))
 )
 @settings(max_examples=120, deadline=None)
 def test_normal_form_matches_textbook_division(order, f, basis):
-    nf, trace = normal_form(f, basis, order, want_trace=True)
+    nf, trace = traced_normal_form(f, basis, order)
     expected, steps = textbook_division(f, basis, order)
     assert nf == expected
-    assert trace.steps == steps
+    assert trace == steps
     assert normal_form(f, basis, order) == expected
-    replayed, _leads = trace.replay(f, basis, order)
+    replayed, _leads = replay(trace, f, basis, order)
     assert replayed == expected
     # the batch entry point reduces against one table: same remainders
     g = basis[0] * f + basis[-1]
@@ -481,9 +551,9 @@ def test_exponents_past_one_byte_give_the_scaled_run(order, k):
     assert is_groebner(big, order) == (True, None)
     assert interreduce(big, order) == big
     f = scaled(x * x * y * pi + y * y * pi + x * x * x, k)
-    nf, trace = normal_form(f, big, order, want_trace=True)
+    nf, trace = traced_normal_form(f, big, order)
     expected, steps = textbook_division(f, big, order)
-    assert nf == expected and trace.steps == steps
+    assert nf == expected and trace == steps
     assert minimalize_monomials([(0, 400, 1), (200, 0, 0), (0, 400, 2)]) == [
         (200, 0, 0),
         (0, 400, 1),
@@ -628,12 +698,12 @@ def ring_case(draw):
 @settings(max_examples=150, deadline=None)
 def test_ring_mode_kernel_matches_the_reduce_one_step_loop(order, case):
     f, basis = case
-    nf, trace = normal_form(f, basis, order, want_trace=True)
+    nf, trace = traced_normal_form(f, basis, order)
     expected, steps = textbook_nf_ring(f, basis, order)
     assert nf == expected
-    assert trace.steps == steps
+    assert trace == steps
     assert normal_form(f, basis, order) == expected
-    replayed, _leads = trace.replay(f, basis, order)
+    replayed, _leads = replay(trace, f, basis, order)
     assert replayed == expected
     # the batch entry point reduces against one table: same remainders
     g = basis[0] * f + basis[-1]
@@ -713,9 +783,9 @@ def test_ring_mode_overflow_of_one_byte_fields_reruns_wider():
     red = _Reducers(y_first, U, R, _Packing(2), basis)
     with pytest.raises(DomainError):
         red.reduce(red.pack_poly(f))
-    nf, trace = normal_form(f, basis, y_first, want_trace=True)
+    nf, trace = traced_normal_form(f, basis, y_first)
     expected, steps = textbook_nf_ring(f, basis, y_first)
-    assert (nf, trace.steps) == (expected, steps)
+    assert (nf, trace) == (expected, steps)
     assert len(steps[0].reducers) == 2
     assert_is_groebner_matches_the_oracle(basis, y_first)
 
@@ -856,14 +926,103 @@ def textbook_hilbert_function(I, blocks, box, order):
     return table
 
 
-@given(st.lists(monos4, max_size=5), st.sampled_from([(2, 3), (3, 1), (4, 4)]))
-@settings(max_examples=80, deadline=None)
-def test_hilbert_function_matches_tuple_divisibility(monos, box):
-    uni = VarUniverse(("a", "b", "c", "d"))
-    blocks = [[0, 1], [2, 3]]
-    I = Ideal([MPoly.term(uni, F, F.one, m) for m in monos], uni, F)
+U6 = VarUniverse(tuple("abcdef"))
+
+
+HILBERT_BLOCKS = [
+    [[0, 1], [2, 3]],
+    [[0, 1], [2, 3], [4, 5]],
+    [[0], [1, 2], [3, 4, 5]],
+    [[0, 1, 2], [3, 4]],  # f outside every block
+    [[5, 0, 3, 2]],  # b and e outside
+    [[1, 4], [], [0, 2]],  # an empty block; d and f outside
+]
+
+
+@st.composite
+def hilbert_cases(draw):
+    """Blocks over six variables, up to three of them, some leaving
+    variables outside; a box with sides from 0; a monomial ideal with
+    non-squarefree generators and pure powers, sometimes the unit or the
+    zero ideal, or a multihomogeneous ideal of binomials, whose leads come
+    from a basis."""
+    blocks = draw(st.sampled_from(HILBERT_BLOCKS))
+    box = draw(st.tuples(*[st.sampled_from([3, 4, 2, 1, 0])] * len(blocks)))
+    # supports of two or three variables, mostly in blocks, keep many
+    # generators inside the box and make the recursion pivot
+    inside = [p for blk in blocks for p in blk]
+    var = st.sampled_from(inside * 3 + list(range(6)))
+    sparse = st.dictionaries(var, st.integers(1, 2), min_size=2, max_size=3).map(
+        lambda d: tuple(d.get(i, 0) for i in range(6))
+    )
+    power = st.tuples(st.integers(0, 5), st.integers(1, 4)).map(
+        lambda pe: tuple(pe[1] if i == pe[0] else 0 for i in range(6))
+    )
+    monos = draw(st.lists(st.one_of(sparse, sparse, power), min_size=3, max_size=8))
+    if draw(st.integers(0, 3)):
+        if draw(st.integers(0, 7)) == 0:
+            monos.append((0,) * 6)
+        return Ideal([MPoly.term(U6, F, F.one, m) for m in monos], U6, F), blocks, box
+    # a second term of the same multidegree: the block exponents rotated
+    # within each block, the others drawn afresh
+    gens = []
+    for m in monos[:3]:
+        other = list(draw(sparse))
+        for blk in blocks:
+            for p, q in zip(blk, blk[1:] + blk[:1]):
+                other[q] = m[p]
+        gens.append(MPoly.term(U6, F, F.one, m) + MPoly.term(U6, F, F.from_int(3), tuple(other)))
+    return Ideal(gens, U6, F), blocks, box
+
+
+@given(hilbert_cases())
+@settings(max_examples=150, deadline=None)
+@example((Ideal((), U6, F), [[0, 1], [2], [3, 4]], (2, 0, 3)))
+@example((Ideal([MPoly.const(U6, F, F.one)]), [[0, 1]], (2,)))
+def test_hilbert_function_matches_tuple_divisibility(case):
+    I, blocks, box = case
     assert hilbert_function(I, blocks, box) == textbook_hilbert_function(
         I, blocks, box, DegRevLex()
+    )
+
+
+def test_hilbert_function_pivots_on_the_least_exponent():
+    # I = <d^2, c*d>: d lies in both generators.  The pivot d^1 gives
+    # I + <d> = <d> and I : d = <d, c>; a pivot d^2 would give I + <d^2> = I
+    # and recurse forever
+    uni = VarUniverse(("a", "b", "c", "d"))
+    I = Ideal([MPoly.term(uni, F, F.one, m) for m in [(0, 0, 0, 2), (0, 0, 1, 1)]])
+    for blocks, box in (([[0, 1], [2, 3]], (3, 3)), ([[2, 3]], (4,)), ([[3], [2]], (3, 3))):
+        assert hilbert_function(I, blocks, box) == textbook_hilbert_function(
+            I, blocks, box, DegRevLex()
+        )
+
+
+def test_hilbert_function_of_monomials_computes_no_basis(monkeypatch):
+    uni = VarUniverse(("a", "b", "c", "d"))
+    I = Ideal([MPoly.term(uni, F, F.one, m) for m in [(2, 1, 0, 0), (0, 1, 1, 1), (0, 0, 3, 0)]])
+    blocks, box = [[0, 1], [2, 3]], (3, 3)
+    expected = textbook_hilbert_function(I, blocks, box, DegRevLex())
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a monomial ideal needs no Groebner basis")
+
+    monkeypatch.setattr(Ideal, "groebner_basis", no_basis)
+    assert hilbert_function(Ideal(I.generators), blocks, box) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_hilbert_function_on_the_criterion_1_fibres(n, seed):
+    # the d=3 quick trials of criterion 1, on a box one wider than criterion 7's
+    from mustafin import acceptance, varieties
+
+    cfg = varieties.random_config(3, n, (1, 2), acceptance.FIELD, seed=seed)
+    fibre = varieties.special_fibre(cfg)
+    blocks, order = fibre.universe.grid_indices(), varieties.fibre_weight_order(cfg)
+    box = (3,) * (n + 1)
+    assert hilbert_function(fibre, blocks, box, order=order) == textbook_hilbert_function(
+        fibre, blocks, box, order
     )
 
 

@@ -154,7 +154,7 @@ def test_text_roundtrip(f):
 def test_parse_pi_coefficient_text():
     R = PiRing(QQ)
     f = parse_poly("(3 + 5*pi^2)*x + y", U, R)
-    assert f.coeff_of((1, 0)) == R.element([Fraction(3), Fraction(0), Fraction(5)])
+    assert f.terms[(1, 0)] == R.element([Fraction(3), Fraction(0), Fraction(5)])
     assert parse_poly(format_poly(f), U, R) == f
 
 

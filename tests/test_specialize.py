@@ -180,7 +180,7 @@ def test_commutation_on_sampled_assignments():
         a1, a2 = F.random(rng), F.random(rng)
         assignment = {"A[1][1][0]": a1, "A[2][1][0]": a2}
         if any(
-            F.is_zero(subst(assignment, c).coeff_of((0,) * 3))
+            F.is_zero(subst(assignment, c).terms.get((0,) * 3, F.zero))
             and not subst(assignment, c)
             for c in obs.unit_conditions
         ):

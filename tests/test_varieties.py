@@ -214,10 +214,17 @@ def test_conjecture_check_d3_and_hilbert():
     cfg = random_config(3, 2, (1, 2), F, seed=2)
     rep = conjecture_check(cfg)
     assert rep.equal
+    # the report carries the fibre it checked, outside its dict
+    assert list(rep.to_dict()) == [
+        "equal", "mode", "forward_failures", "backward_failures", "d", "n", "n_vec",
+        "field", "seed", "capped",
+    ]
+    assert rep.fibre.generators == special_fibre(cfg).generators
     from mustafin.varieties import fibre_hilbert_tables
 
     hf_fibre, hf_inter = fibre_hilbert_tables(cfg, bound=1)
     assert hf_fibre == hf_inter
+    assert fibre_hilbert_tables(cfg, bound=1, fibre=rep.fibre) == (hf_fibre, hf_inter)
 
 
 def test_conjecture_check_over_q():
