@@ -959,7 +959,7 @@ def hilbert_cases(draw):
         lambda pe: tuple(pe[1] if i == pe[0] else 0 for i in range(6))
     )
     monos = draw(st.lists(st.one_of(sparse, sparse, power), min_size=3, max_size=8))
-    if draw(st.integers(0, 3)):
+    if draw(st.integers(0, 3)):  # three cases in four are monomial
         if draw(st.integers(0, 7)) == 0:
             monos.append((0,) * 6)
         return Ideal([MPoly.term(U6, F, F.one, m) for m in monos], U6, F), blocks, box
@@ -1008,6 +1008,7 @@ def test_hilbert_function_of_monomials_computes_no_basis(monkeypatch):
         raise AssertionError("a monomial ideal needs no Groebner basis")
 
     monkeypatch.setattr(Ideal, "groebner_basis", no_basis)
+    # a fresh ideal: the oracle left a cached basis on I
     assert hilbert_function(Ideal(I.generators), blocks, box) == expected
 
 
