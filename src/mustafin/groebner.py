@@ -4,7 +4,9 @@ Two engines share one reduction framework:
 
 * field mode -- classical Buchberger with Gebauer-Moeller pair pruning and
   normal selection; the result is interreduced, so equal ideals get equal
-  (hence byte-identical) bases.
+  (hence byte-identical) bases.  A run packs one table and finishes on it:
+  ``interreduce`` reduces the tails of the minimal elements against the
+  whole basis (the normal form modulo a Groebner basis is unique).
 * euclidean-ring mode -- coefficients in a Euclidean domain (here L[pi]).
   Each pair contributes an S-combination (leading terms cancelled through
   the coefficient lcm) and a G-combination (gcd of the leading coefficients
@@ -31,10 +33,11 @@ a heap of order keys, so each step finds its largest term without a scan.
 An order key is one int per packed monomial, computed with field
 arithmetic (``_Packing.order_key``, ``TermOrder.packed_key``) and cached
 per table; only an order defined outside ``polyring`` keeps its flattened
-tuple key.  Field-mode Buchberger keeps its pending pairs in a dict from
-pair to the lcm of the leading monomials: each lcm is computed once, when
-the pair is made, and the Gebauer-Moeller update and the pair heap read it
-back (``_gm_update``).
+tuple key.  A field-mode run sorts its inputs by that key
+(``_Reducers.lead``), finding each leading term once, and keeps its
+pending pairs in a dict from pair to the lcm of the leading monomials:
+each lcm is computed once, when the pair is made, and the Gebauer-Moeller
+update and the pair heap read it back (``_gm_update``).
 In ring mode a step may combine several elements through a Bezout identity
 of their leading coefficients.  ``_Reducers.reduce`` takes one observer,
 called before every step; the obstruction harvest in ``specialize`` reads
@@ -373,6 +376,8 @@ class _Reducers:
     a heap of negated order keys beside it, bare ints that a dict maps back
     to their monomials; keys, first divisors and (ring mode) divisor lists
     with their gcd chains are cached per monomial for the life of the table.
+    A monomial no element divides caches the table length it was checked
+    against, and a later reduction checks only the elements appended since.
     """
 
     __slots__ = (
@@ -421,6 +426,25 @@ class _Reducers:
             k = self._keys[p] = -self._okey(p)
             self._monos[k] = p
         return k
+
+    def lead(self, f: MPoly):
+        """Negated order key (as ``key``) of the leading monomial of the
+        nonzero f, the least among its packed terms.  The leading term is
+        recorded on f, so ``MPoly.leading_term`` reads it back."""
+        cache = f._lt
+        if cache is None:
+            cache = f._lt = {}
+        hit = cache.get(self.order)
+        if hit is not None:
+            return self.key(self.pk.pack(hit[1]))
+        pack, key = self.pk.pack, self.key
+        best = lm = None
+        for m in f.terms:
+            k = key(pack(m))
+            if lm is None or k < best:
+                best, lm = k, m
+        cache[self.order] = (f.terms[lm], lm)
+        return best
 
     def pack_poly(self, f: MPoly) -> dict:
         pack = self.pk.pack
@@ -551,6 +575,9 @@ class _Reducers:
     def reduce(self, work: dict, *, skip=(), observe=None) -> dict:
         """Normal form of the packed polynomial ``work`` (consumed), with
         the elements whose indices are in ``skip`` left out of the basis.
+        Only ring-mode Buchberger's final pruning skips elements; a reduction
+        with ``skip`` starts an empty divisor cache, and ``interreduce``
+        needs none (it reduces tails).
 
         ``observe``, when given, is called before every step as
         ``observe(lm, lc, work, step)``: the largest remaining term lc*x^lm,
@@ -583,7 +610,10 @@ class _Reducers:
                 continue
             j = divisors.get(lm, -1)
             if j < 0 and j != none_yet:
-                for j, glm in enumerate(lms):
+                # a cached ~k says the first k elements divide lm not (k = 0
+                # when uncached); elements appended since come last
+                k = ~j
+                for j, glm in enumerate(lms[k:] if k else lms, k):
                     q = lm - glm
                     if q >= 0 and not q & guard:
                         break
@@ -927,7 +957,6 @@ def _buchberger_field(
 ):
     t0 = time.monotonic()
     log_start = len(trace_log) if trace_log is not None else 0
-    okey = order.key
 
     def prep(f):
         if sat_var is not None and f:
@@ -948,7 +977,9 @@ def _buchberger_field(
         for g in G:
             red.append(g)
         pairs: dict = {}  # pending pair (i, j) -> lcm of its leading monomials
-        for f in sorted(gens[gb_prefix:], key=lambda g: okey(g.leading_term(order)[1])):
+        # smallest leading monomial first (``red.lead`` is negated; the sort
+        # is stable), each found once by the table's key and kept on f
+        for f in sorted(gens[gb_prefix:], key=red.lead, reverse=True):
             r = nf(prep(f))
             if r:
                 r = prep(r)
@@ -996,42 +1027,71 @@ def _buchberger_field(
             red.append(r)
             for a, b, l in _gm_update(red, pairs, len(G) - 1):
                 heapq.heappush(heap, (-key(l), a, b))
-        return G
+        return interreduce(G, order, table=red) if reduced else G
 
-    G = _widening(run, universe.nvars)
-    return interreduce(G, order) if reduced else G
+    return _widening(run, universe.nvars)
 
 
-def interreduce(G, order: TermOrder):
+def interreduce(G, order: TermOrder, *, table: _Reducers | None = None):
     """The reduced basis: minimal leading monomials, fully reduced tails,
-    normalized leading coefficients, sorted ascending by leading monomial."""
-    okey = order.key
-    items = sorted([g for g in G if g], key=lambda g: okey(g.leading_term(order)[1]))
+    normalized leading coefficients, sorted ascending by leading monomial.
+
+    A minimal element keeps its leading term and only its tail is reduced,
+    all tails against one table, so they share its key and divisor caches.
+    The element's own leading monomial divides none of its smaller tail
+    monomials, and no other minimal one divides its leading monomial, so
+    this is the reduction of the whole element by the others.  ``table``,
+    when given, is a table of G itself, row for row, and G must be a
+    Groebner basis (field-mode ``buchberger`` passes its own): the normal
+    form modulo a Groebner basis is unique, so the tails reduce against all
+    of G to the same result, and nothing is packed again.
+    """
+    if table is not None:
+        return _reduced_rows(table, _minimal_rows(table))
+    items = [g for g in G if g]
     if not items:
         return []
 
     def run(pk):
-        minimal: list[MPoly] = []
-        lms: list[int] = []
-        for g in items:
-            lm = pk.pack(g.leading_term(order)[1])
-            for l in lms:
-                q = lm - l
-                if q >= 0 and not q & pk.guard:
-                    break
-            else:
-                minimal.append(g)
-                lms.append(lm)
-        red = _Reducers(order, items[0].universe, items[0].domain, pk, minimal)
-        out = []
-        for idx, g in enumerate(minimal):
-            r = red.reduce(red.pack_poly(g), skip=(idx,))
-            if r:
-                out.append(field_normalize(red.remainder(r), order))
-        return out
+        red = _Reducers(order, items[0].universe, items[0].domain, pk, items)
+        rows = _minimal_rows(red)
+        if len(rows) < len(items):
+            red = _Reducers(order, red.universe, red.domain, pk, [items[i] for i in rows])
+            rows = range(len(rows))
+        return _reduced_rows(red, rows)
 
-    out = _widening(run, items[0].universe.nvars)
-    out.sort(key=lambda g: okey(g.leading_term(order)[1]))
+    return _widening(run, items[0].universe.nvars)
+
+
+def _minimal_rows(red: _Reducers) -> list:
+    """Indices of the rows of ``red`` whose leading monomial no other row's
+    divides, ascending by leading monomial; of equal ones, the first."""
+    lms, key, guard = red.lms, red.key, red.pk.guard
+    minimal: list[int] = []
+    # ``key`` is negated; a reversed sort is stable, so equal ones keep their order
+    for i in sorted(range(len(lms)), key=lambda i: key(lms[i]), reverse=True):
+        lm = lms[i]
+        for k in minimal:
+            q = lm - lms[k]
+            if q >= 0 and not q & guard:
+                break
+        else:
+            minimal.append(i)
+    return minimal
+
+
+def _reduced_rows(red: _Reducers, rows) -> list:
+    """The given rows of ``red``, each as its leading monomial plus the
+    normal form of its monic tail against the whole table, normalized."""
+    one = red.domain.one
+    out = []
+    for i in rows:
+        tail = red.tails[i]
+        if tail is None:
+            tail = red._tail(i)
+        rem = {red.lms[i]: one}
+        rem.update(red.reduce(dict(tail)))
+        out.append(field_normalize(red.remainder(rem), red.order))
     return out
 
 
@@ -1179,10 +1239,15 @@ def fresh_aux_names(universe: VarUniverse, count: int, stem: str = "t") -> list[
 
 
 def weight_homogeneous(f: MPoly, weights) -> bool:
-    if not f:
+    """Every term of f has the weight of the first (the zero polynomial
+    is homogeneous); stops at the first term that differs."""
+    terms = iter(f.terms)
+    first = next(terms, None)
+    if first is None:
         return True
-    degs = {sum(w * e for w, e in zip(weights, m)) for m in f.terms}
-    return len(degs) == 1
+    mul = operator.mul
+    w = sum(map(mul, weights, first))
+    return all(sum(map(mul, weights, m)) == w for m in terms)
 
 
 def saturate(

@@ -470,7 +470,16 @@ class MPoly:
         return {multidegree(m, blocks) for m in self.terms}
 
     def is_multihomogeneous(self, blocks) -> bool:
-        return len(self.multidegrees(blocks)) <= 1
+        """One multidegree for all terms (``multidegrees``), read block by
+        block off the exponent columns, stopping at the first block whose
+        degree varies."""
+        if not self.terms:
+            return True
+        cols = list(zip(*self.terms))  # the exponents of each variable, term by term
+        for blk in blocks:
+            if len(set(map(sum, zip(*[cols[p] for p in blk])))) > 1:
+                return False
+        return True
 
     def variables(self) -> set:
         out = set()

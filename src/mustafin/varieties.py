@@ -22,9 +22,9 @@ from .groebner import (
     Deadline,
     ResourceCapExceeded,
     buchberger,
+    field_normalize,
     hilbert_function,
     in_monomial_ideal,
-    interreduce,
     minimalize_monomials,
     normal_forms,
     saturate,
@@ -347,11 +347,16 @@ def special_fibre(
 ) -> Ideal:
     """Ideal of the special fibre: reduce a pi-saturated basis mod pi.
 
-    Along the fast path the reductions are already a basis with respect to
-    the weight order restricted to the grid, and are interreduced to the
-    canonical form; otherwise a fresh basis over the residue field is
-    computed.  Both steps share one time budget, with phases
-    ``saturation`` and ``fibre``.
+    Along the fast path the saturation basis is reduced under
+    ``WeightedPiOrder``, and every element is weight-homogeneous and free of
+    pi content, so its leading monomial carries the least pi power, none.
+    On pi-free monomials the fibre order ``korder`` agrees with that order.
+    So reading the basis mod pi keeps every leading term and drops only
+    tail terms: the result already is the reduced fibre basis, in
+    ascending ``korder`` order, and is only normalized (a no-op over a prime
+    field).  Otherwise a fresh basis over the residue field is computed.
+    Both steps share one time budget, with phases ``saturation`` and
+    ``fibre``.
     """
     deadline = Deadline(cap_seconds)
     sat = deadline.run("saturation", mustafin_ideal, config, trace_log=trace_log)
@@ -362,7 +367,7 @@ def special_fibre(
     reduced = reduce_ideal_mod_pi(sat, config)
     korder = fibre_weight_order(config)
     if fast:
-        gens = interreduce(list(reduced.generators), korder)
+        gens = [field_normalize(g, korder) for g in reduced.generators]
     else:
         gens = deadline.run(
             "fibre",
@@ -724,6 +729,13 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
             mono[_grid_pos(uni, i, j)] += 1
         return f.terms.get(tuple(mono), dom.zero)
 
+    # (row, column) of the variable at each position but pi's
+    grid_at = {
+        pos: (int(name[2 : name.index("]")]), int(name[name.index("][") + 2 : -1]))
+        for pos, name in enumerate(uni.names)
+        if pos != pi_pos
+    }
+
     def support_check(stage, f, alphabet, expected_slice, content, offset=0):
         """Every term must be pi^{sum of row exponents - offset} times a
         monomial from the alphabet (the offset counts bare x3 factors that
@@ -736,12 +748,8 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
         for m in f.terms:
             rows_cols = []
             for pos, e in enumerate(m):
-                if pos == pi_pos or not e:
-                    continue
-                name = uni.names[pos]
-                i = int(name[2 : name.index("]")])
-                j = int(name[name.index("][") + 2 : -1])
-                rows_cols.extend([(i, j)] * e)
+                if e and pos != pi_pos:
+                    rows_cols.extend([grid_at[pos]] * e)
             key = tuple(sorted(rows_cols))
             if key not in alphabet:
                 fail(stage, f"unexpected monomial {key} in support")

@@ -31,8 +31,10 @@ from mustafin.groebner import (
     _widening,
     compositions,
     divide_var_power,
+    field_normalize,
     in_monomial_ideal,
     var_content,
+    weight_homogeneous,
 )
 from mustafin.polyring import (
     Block,
@@ -749,6 +751,19 @@ def test_ring_table_takes_in_elements_appended_after_a_reduction():
     assert red.to_poly(red.reduce(red.pack_poly(f))) == expected
 
 
+@given(st.lists(polys3.filter(bool), min_size=1, max_size=6), polys3, st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_field_table_takes_in_elements_appended_after_a_reduction(basis, f, k):
+    # a monomial that no element divided is rechecked against the elements
+    # appended since: reduce against the first k, append the rest, reduce again
+    order = DegRevLex()
+    red = _Reducers(order, U3, F7, _Packing(3), basis[:k])
+    red.reduce(red.pack_poly(f))
+    for g in basis[k:]:
+        red.append(g)
+    assert red.to_poly(red.reduce(red.pack_poly(f))) == textbook_division(f, basis, order)[0]
+
+
 @st.composite
 def ring_generators(draw):
     """Two small generators: ring mode processes every pair, and over
@@ -1357,3 +1372,113 @@ def test_is_groebner_checks_its_cap_before_each_reduction():
     assert is_groebner(G, LEX, cap_seconds=60)[0] is False
     with pytest.raises(ResourceCapExceeded, match=r"is_groebner exceeded 0s \(0 of 1 pairs"):
         is_groebner(G, LEX, cap_seconds=0)
+
+
+# ---------------------------------------------------------------------------
+# interreduction: tails against one table, and on Buchberger's own table
+
+
+def skip_interreduce(G, order):
+    """The interreduction that reduced each whole minimal element against
+    the others (``skip`` left it out of the table), kept as the oracle:
+    minimal elements by tuple-key leading monomials, sorted the same way."""
+    okey = order.key
+    items = sorted([g for g in G if g], key=lambda g: okey(g.leading_term(order)[1]))
+    if not items:
+        return []
+    minimal = []
+    for g in items:
+        lm = g.leading_term(order)[1]
+        if not any(mono_divides(h.leading_term(order)[1], lm) for h in minimal):
+            minimal.append(g)
+
+    def run(pk):
+        red = _Reducers(order, items[0].universe, items[0].domain, pk, minimal)
+        out = []
+        for idx, g in enumerate(minimal):
+            r = red.reduce(red.pack_poly(g), skip=(idx,))
+            if r:
+                out.append(field_normalize(red.remainder(r), order))
+        return out
+
+    out = _widening(run, items[0].universe.nvars)
+    out.sort(key=lambda g: okey(g.leading_term(order)[1]))
+    return out
+
+
+def term_lists(G):
+    """Every element's terms in dict order, which printing follows."""
+    return [list(g.terms.items()) for g in G]
+
+
+qq_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def interreduce_inputs(draw):
+    """A field, an order and up to six polynomials in x, y, pi; some share
+    a leading term with another or are a multiple of one.  Exponents stay
+    at most 2, which keeps a basis under the elimination order small."""
+    dom = draw(st.sampled_from([F7, QQ]))
+    coeff, size = (st.integers(1, 6), 4) if dom is F7 else (qq_coeffs, 3)
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), coeff)
+    polys = st.lists(term, min_size=1, max_size=4).map(lambda ts: MPoly(U3, dom, dict(ts)))
+    G = draw(st.lists(polys, max_size=size))
+    if G and draw(st.booleans()):
+        G.append(G[0].scale(dom.one + dom.one) + draw(polys))
+    if G and draw(st.booleans()):
+        G.append(G[-1].scale(dom.one + dom.one + dom.one))
+    return dom, draw(st.sampled_from(KERNEL_ORDERS)), G
+
+
+@given(interreduce_inputs())
+@settings(max_examples=150, deadline=None)
+def test_interreduce_matches_the_skip_oracle(case):
+    dom, order, G = case
+    assert term_lists(interreduce(G, order)) == term_lists(skip_interreduce(G, order))
+    gb = buchberger(G, order, reduced=False) if any(G) else []
+    expected = skip_interreduce(gb, order)
+    assert term_lists(interreduce(gb, order)) == term_lists(expected)
+    # the run's own table gives the reduced basis of the oracle
+    assert term_lists(buchberger(G, order)) == term_lists(expected)
+
+
+def test_interreduce_keeps_the_first_of_equal_leading_terms():
+    x, y, pi = (MPoly.var(U3, F7, v) for v in ("x", "y", "pi"))
+    order = DegRevLex()
+    G = [x * x + y, x * x + pi, x * x * y, y + pi]
+    # x^2 + y is reduced by y + pi; x^2 + pi and x^2 y are not minimal
+    assert interreduce(G, order) == [y + pi, x * x - pi]
+    assert interreduce(G, order) == skip_interreduce(G, order)
+    assert interreduce([], order) == [] and interreduce([MPoly.zero(U3, F7)], order) == []
+
+
+@given(pi_rungs())
+@settings(max_examples=25, deadline=None)
+def test_buchberger_interreduces_on_its_table_on_the_pruned_fast_path(rung):
+    field, d, n, seed, exps = rung
+    I, weights = column_minors(field, d, n, seed, exps)
+    if not all(weight_homogeneous(g, weights) for g in I.generators):
+        reject()
+    pos = I.universe.index("pi")
+    worder = WeightedPiOrder(weights, pos)
+    kw = dict(sat_var=pos, hilbert=(I.universe.grid_indices(), diagonal_target(d)))
+    gens = list(I.generators)
+    reduced = buchberger(gens, worder, **kw)
+    assert term_lists(reduced) == term_lists(interreduce(buchberger(gens, worder, reduced=False, **kw), worder))
+    assert term_lists(reduced) == term_lists(skip_interreduce(buchberger(gens, worder, reduced=False, **kw), worder))
+
+
+@given(interreduce_inputs(), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_buchberger_interreduces_on_its_table_after_a_known_prefix(case, k):
+    dom, order, G = case
+    G = [g for g in G if g]
+    if not G:
+        reject()
+    prefix = buchberger(G[:k], order, reduced=False) if G[:k] else []
+    rest = prefix + G[k:]
+    reduced = buchberger(rest, order, gb_prefix=len(prefix))
+    unreduced = buchberger(rest, order, gb_prefix=len(prefix), reduced=False)
+    assert term_lists(reduced) == term_lists(interreduce(unreduced, order))
+    assert term_lists(reduced) == term_lists(buchberger(G, order))

@@ -215,3 +215,57 @@ def test_multidegree_additive(a, b):
     assert multidegree(prod, blocks) == tuple(
         x + y for x, y in zip(multidegree(a, blocks), multidegree(b, blocks))
     )
+
+
+def weight_homogeneous_by_definition(f, weights):
+    return len({sum(w * e for w, e in zip(weights, m)) for m in f.terms}) <= 1
+
+
+def multihomogeneous_by_definition(f, blocks):
+    return len({tuple(sum(m[i] for i in blk) for blk in blocks) for m in f.terms}) <= 1
+
+
+U4 = VarUniverse(("a", "b", "c", "d"))
+mono4 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@st.composite
+def homogeneity_cases(draw):
+    """A polynomial in four variables, blocks of them (any may be empty or
+    one variable long, and a variable may lie in no block) and weights.
+    Half the time the terms are filtered to the first term's multidegree or
+    weight, so both verdicts come up."""
+    monos = draw(st.lists(mono4, max_size=6))
+    blocks = draw(st.lists(st.lists(st.integers(0, 3), max_size=3, unique=True), max_size=3))
+    weights = draw(st.lists(st.integers(-2, 3), min_size=4, max_size=4))
+    keep = draw(st.sampled_from(["all", "multidegree", "weight"]))
+    if monos and keep == "multidegree":
+        first = multidegree(monos[0], blocks)
+        monos = [m for m in monos if multidegree(m, blocks) == first]
+    elif monos and keep == "weight":
+        first = sum(w * e for w, e in zip(weights, monos[0]))
+        monos = [m for m in monos if sum(w * e for w, e in zip(weights, m)) == first]
+    return MPoly(U4, F, {m: F.one for m in monos}), blocks, weights
+
+
+@given(homogeneity_cases())
+@settings(max_examples=300, deadline=None)
+def test_homogeneity_verdicts_match_the_definitions(case):
+    from mustafin.groebner import weight_homogeneous
+
+    f, blocks, weights = case
+    assert f.is_multihomogeneous(blocks) == multihomogeneous_by_definition(f, blocks)
+    assert weight_homogeneous(f, weights) == weight_homogeneous_by_definition(f, weights)
+
+
+def test_homogeneity_of_the_zero_polynomial_and_of_edge_blocks():
+    from mustafin.groebner import weight_homogeneous
+
+    zero = MPoly.zero(U4, F)
+    a, b, c = (MPoly.var(U4, F, v) for v in "abc")
+    assert zero.is_multihomogeneous([[0, 1], [2]]) and weight_homogeneous(zero, (1, 2, 3, 4))
+    assert (a + b).is_multihomogeneous([[0, 1], [], [3]])
+    assert not (a + b).is_multihomogeneous([[0], [1]])  # one-variable blocks
+    assert (a + b).is_multihomogeneous([[2]]) and (a + b).is_multihomogeneous([])
+    assert (a * a + b * c).is_multihomogeneous([[0, 1, 2]])
+    assert weight_homogeneous(a * a + b, (1, 2, 0, 0)) and not weight_homogeneous(a + b, (1, 2, 0, 0))

@@ -6,10 +6,11 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from mustafin.cli import mustafin_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
-from mustafin.groebner import intersect_monomial_ideals, normal_form, saturate
+from mustafin.groebner import interreduce, intersect_monomial_ideals, normal_form, saturate
 from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder, mono_divides
 from mustafin.varieties import (
     ComponentVector,
@@ -27,6 +28,7 @@ from mustafin.varieties import (
     minors_ideal,
     mustafin_ideal,
     random_config,
+    reduce_ideal_mod_pi,
     special_fibre,
 )
 
@@ -133,6 +135,46 @@ def test_special_fibre_order_independent():
     slow_gb = buchberger(list(slow_red.generators), order, universe=slow_red.universe, domain=F)
     fast_gb = list(fib.groebner_basis(order))
     assert [g.text(order) for g in slow_gb] == [g.text(order) for g in fast_gb]
+
+
+def fibre_by_interreduction(cfg):
+    """The fast path's fibre as it was computed before: the saturation basis
+    mod pi, interreduced under the fibre order."""
+    return interreduce(list(reduce_ideal_mod_pi(mustafin_ideal(cfg), cfg).generators),
+                       fibre_weight_order(cfg))
+
+
+def assert_fibre_is_the_interreduced_saturation(cfg):
+    fib = special_fibre(cfg)
+    worder = WeightedPiOrder(cfg.weights, cfg.universe().index("pi"))
+    assert (worder, False) in mustafin_ideal(cfg)._gb_cache  # the fast path
+    expected = fibre_by_interreduction(cfg)
+    # term for term and in order: the reports print the generators as they come
+    assert [list(g.terms.items()) for g in fib.generators] == [
+        list(g.terms.items()) for g in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "d, n, n_vec", [(3, 4, (1, 2)), (3, 5, (1, 2)), (4, 3, (1, 3, 7)), (4, 4, (1, 3, 7))]
+)
+def test_special_fibre_is_the_interreduced_saturation_on_the_ladder(d, n, n_vec):
+    assert_fibre_is_the_interreduced_saturation(random_config(d, n, n_vec, F, seed=1))
+
+
+@st.composite
+def fibre_configs(draw):
+    field = draw(st.sampled_from([GF(2), GF(7), F, QQ]))
+    d = draw(st.integers(2, 3 if field is QQ else 4))
+    n = draw(st.integers(1, 2 if field is QQ else 3))
+    n_vec = tuple(sorted(draw(st.sets(st.integers(1, 7), min_size=d - 1, max_size=d - 1))))
+    return random_config(d, n, n_vec, field, seed=draw(st.integers(0, 200)))
+
+
+@given(fibre_configs())
+@settings(max_examples=25, deadline=None)
+def test_special_fibre_is_the_interreduced_saturation(cfg):
+    assert_fibre_is_the_interreduced_saturation(cfg)
 
 
 def test_component_vectors_enumeration():
@@ -302,7 +344,10 @@ def test_minor_pipeline_generic_and_degenerate():
     assert rep.ok
     rep_id = minor_pipeline_d4(identity_config(4, 3, (1, 3, 7)))
     assert not rep_id.ok
-    assert any(not s.ok for s in rep_id.stages)
+    # every term passes the alphabet and pi-power checks; the content fails
+    assert [(s.stage, s.ok, s.detail) for s in rep_id.stages] == [
+        ("minor(a,b)=(0,1)", False, "pi content 1 != claimed 0")
+    ]
     with pytest.raises(DomainError):
         minor_pipeline_d4(random_config(4, 3, (1, 2, 3), F, seed=1))
     with pytest.raises(DomainError):
