@@ -41,13 +41,21 @@ def _resolve_field(field_flag, config_data):
     if field_flag:
         if field_flag == "Q":
             return "Q"
-        return {"Fp": int(field_flag)}
+        return {"Fp": _integer(field_flag, "--field")}
     if config_data and "field" in config_data:
         return config_data["field"]
     env = os.environ.get("MUSTAFIN_FP")
     if env:
-        return {"Fp": int(env)}
+        return {"Fp": _integer(env, "MUSTAFIN_FP")}
     return {"Fp": DEFAULT_PRIME}
+
+
+def _integer(text, what):
+    """``text`` as an int; anything else is a usage error naming ``what``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit(_usage_error(f"{what} expects an integer, got {text!r}"))
 
 
 def _load_json(path, what="config"):
@@ -415,10 +423,13 @@ def _symbolic_minors(cfg):
 def _gens_from_payload(payload, field):
     from .polyring import VarUniverse
 
-    dom = base_field(field)
-    uni = VarUniverse(tuple(payload["variables"]))
-    gens = [parse_poly(t, uni, dom) for t in payload["generators"]]
-    elem = parse_poly(payload.get("element", "pi"), uni, dom)
+    try:
+        dom = base_field(field)
+        uni = VarUniverse(tuple(payload["variables"]))
+        gens = [parse_poly(t, uni, dom) for t in payload["generators"]]
+        elem = parse_poly(payload.get("element", "pi"), uni, dom)
+    except (DomainError, KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(_usage_error(f"bad generators file: {exc}"))
     return gens, elem, uni, dom
 
 
@@ -461,7 +472,10 @@ def spec_check(gens_path, assignment_path, seed, field_flag, out_path, cap_secon
 
         raw = _load_json(assignment_path, "assignment")
         ring = PiRing(dom)
-        assignment = {k: ring.parse(v) for k, v in raw.items()}
+        try:
+            assignment = {k: ring.parse(v) for k, v in raw.items()}
+        except (AttributeError, DomainError, TypeError, ValueError) as exc:
+            raise SystemExit(_usage_error(f"bad assignment file: {exc}"))
     else:
         params = sorted({n for n in uni.names if n.startswith("A[")})
         import random as _random
@@ -491,16 +505,21 @@ def spec_check(gens_path, assignment_path, seed, field_flag, out_path, cap_secon
 @_options("config", "seed", "field", "out")
 def spec_sample(obs_path, max_attempts, config_path, seed, field_flag, out_path):
     """Sample a generic parameter assignment for the configured shape."""
+    if max_attempts < 1:
+        raise SystemExit(_usage_error(f"--cap must be positive, got {max_attempts}"))
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     obs = None
     if obs_path:
         payload = _load_json(obs_path, "obstructions")
         sym = varieties.LatticeConfig(cfg.d, cfg.n, cfg.n_vec, cfg.field, "symbolic")
         uni = sym.universe()
-        obs = spec_mod.ObstructionSet(
-            [parse_poly(t, uni, cfg.field) for t in payload.get("unit_conditions", [])],
-            [parse_poly(t, uni, cfg.field) for t in payload.get("nonzero_conditions", [])],
-        )
+        try:
+            obs = spec_mod.ObstructionSet(
+                [parse_poly(t, uni, cfg.field) for t in payload.get("unit_conditions", [])],
+                [parse_poly(t, uni, cfg.field) for t in payload.get("nonzero_conditions", [])],
+            )
+        except (AttributeError, DomainError, TypeError, ValueError) as exc:
+            raise SystemExit(_usage_error(f"bad obstructions file: {exc}"))
     try:
         rep = spec_mod.generic_sample(
             seed if seed is not None else 0,
@@ -534,6 +553,9 @@ def syz_admissible(data_path, config_path, seed, field_flag, out_path, cap_mb):
     payload = _load_json(data_path, "data")
     try:
         datum = syz_mod.parse_datum(payload, cfg)
+    except (DomainError, KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(_usage_error(f"bad data file: {exc}"))
+    try:
         admissible, sections = syz_mod.admissibility_certificate(datum, cfg)
     except DomainError as exc:
         raise SystemExit(_usage_error(str(exc)))
@@ -569,7 +591,11 @@ def suite_acceptance(quick, criteria, out_path, cap_mb):
 
     wanted = None
     if criteria:
-        wanted = {int(c) for c in criteria.split(",")}
+        wanted = {_integer(c, "--criteria") for c in criteria.split(",")}
+        unknown = sorted(wanted - set(acceptance.CRITERIA))
+        if unknown:
+            known = sorted(acceptance.CRITERIA)
+            raise SystemExit(_usage_error(f"unknown criteria {unknown}; choose from {known}"))
     report = acceptance.run_all(quick=quick, criteria=wanted, echo=click.echo)
     _emit(report, out_path)
     raise SystemExit(0 if report["all_passed"] else 1)

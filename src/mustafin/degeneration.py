@@ -41,11 +41,9 @@ from .groebner import (
     Deadline,
     buchberger,
     compositions,
-    divide_var_power,
     intersect_monomial_ideals,
     radical_membership,
     saturate,
-    var_content,
 )
 from .polyring import (
     DegRevLex,
@@ -161,17 +159,11 @@ def model_ideal(
 
 
 def integral_model(tilde_I: Ideal, *, cap_seconds: float | None = None) -> Ideal:
-    """Clear pi content from every generator, then saturate by pi."""
-    uni, dom = tilde_I.universe, tilde_I.domain
-    if tilde_I.is_zero():
-        return tilde_I
-    pos = uni.index("pi")
-    cleared = []
-    for g in tilde_I.generators:
-        c = var_content(g, pos)
-        cleared.append(divide_var_power(g, pos, c) if c else g)
-    pi = MPoly.var(uni, dom, "pi")
-    return saturate(Ideal(cleared, uni, dom), [pi], cap_seconds=cap_seconds)
+    """The pi-saturation of ``tilde_I`` on the elimination route.  No pi
+    content needs clearing first: pi is a unit modulo 1 - t*pi, so a
+    generator and its pi-free part give the same ideal and basis."""
+    pi = MPoly.var(tilde_I.universe, tilde_I.domain, "pi")
+    return saturate(tilde_I, [pi], cap_seconds=cap_seconds)
 
 
 def special_fibre_of_model(

@@ -49,6 +49,12 @@ running Buchberger under ``WeightedPiOrder`` while dividing every inserted
 element by its content in the variable converges directly to a basis of the
 saturated ideal.  Everything else takes the textbook route: adjoin
 1 - t_i * a_i, eliminate the fresh auxiliaries.
+
+One function builds every such Rabinowitsch system <gens, 1 - t_i a_i>:
+``_adjoin_inverses``.  ``saturate`` eliminates its auxiliaries,
+``radical_membership`` asks whether <I, 1 - t f> is the unit ideal, and
+``specialize`` reads its parameter conditions off the basis of
+<gens, 1 - t a>.
 """
 
 from __future__ import annotations
@@ -1238,6 +1244,22 @@ def fresh_aux_names(universe: VarUniverse, count: int, stem: str = "t") -> list[
     return out
 
 
+def _adjoin_inverses(universe: VarUniverse, gens, elems):
+    """The Rabinowitsch system <gens, 1 - t_1 a_1, ..., 1 - t_l a_l> of
+    polynomials over ``universe``: returns (big, aux, lifted), with ``big``
+    the universe extended by the fresh auxiliaries ``aux`` (t[0], t[1], ...
+    skipping names in use) and ``lifted`` the generators relabelled into it,
+    then one 1 - t_i a_i per element, in order."""
+    aux = fresh_aux_names(universe, len(elems))
+    big = universe.extend(aux)
+    dom = elems[0].domain
+    one = MPoly.const(big, dom, dom.one)
+    lifted = [g.relabel(big) for g in gens]
+    for name, a in zip(aux, elems):
+        lifted.append(one - MPoly.var(big, dom, name) * a.relabel(big))
+    return big, aux, lifted
+
+
 def weight_homogeneous(f: MPoly, weights) -> bool:
     """Every term of f has the weight of the first (the zero polynomial
     is homogeneous); stops at the first term that differs."""
@@ -1306,12 +1328,7 @@ def saturate(
                 out._gb_cache[(worder, False)] = tuple(gb)
                 return out
 
-    aux = fresh_aux_names(uni, len(elems))
-    big = uni.extend(aux)
-    lifted = [g.relabel(big) for g in I.generators]
-    one = MPoly.const(big, dom, dom.one)
-    for name, a in zip(aux, elems):
-        lifted.append(one - MPoly.var(big, dom, name) * a.relabel(big))
+    big, aux, lifted = _adjoin_inverses(uni, I.generators, elems)
     inner = order or default_order(uni)
     elim_order = Block(
         (
@@ -1377,33 +1394,41 @@ def eliminate(
 
 def radical_membership(f: MPoly, I: Ideal, *, cap_seconds: float | None = None) -> bool:
     """f in sqrt(I), by the trick of adjoining 1 - t f and testing whether the
-    ideal becomes the whole ring.  Field coefficients only."""
+    ideal becomes the whole ring.  Field coefficients only.
+
+    ``cap_seconds`` bounds the basis of I and the extended run together:
+    the extension gets the time the basis left.  A cap hit raises
+    ``ResourceCapExceeded`` with no phase, so a caller's ``Deadline`` names
+    its own."""
     if not getattr(I.domain, "is_field", False):
         raise DomainError("radical membership needs field coefficients")
     if not f:
         return True
     if f.is_constant():
         # a nonzero constant is in the radical iff the ideal is the ring
-        return any(g.is_constant() for g in I.groebner_basis(DegRevLex()))
-    uni, dom = I.universe, I.domain
-    aux = fresh_aux_names(uni, 1)[0]
-    big = uni.extend([aux])
+        gb = I.groebner_basis(DegRevLex(), cap_seconds=cap_seconds)
+        return any(g.is_constant() for g in gb)
+    uni = I.universe
+    t0 = time.monotonic()
     # seed with the cached basis of I: appending one trailing degrevlex
     # variable preserves leading terms of aux-free polynomials, so the many
     # radical queries against one ideal share the heavy part of the work
     base_order = default_order(uni)
-    base_gb = I.groebner_basis(base_order)
-    gens = [g.relabel(big) for g in base_gb]
-    gens.append(
-        MPoly.const(big, dom, dom.one) - MPoly.var(big, dom, aux) * f.relabel(big)
-    )
-    big_order = _append_aux_order(base_order, uni, big)
+    base_gb = I.groebner_basis(base_order, cap_seconds=cap_seconds)
+    left = None
+    if cap_seconds is not None:
+        left = cap_seconds - (time.monotonic() - t0)
+        if left <= 0:
+            raise ResourceCapExceeded(
+                f"radical membership exceeded {cap_seconds:g}s (basis of {len(base_gb)} elements)"
+            )
+    big, _aux, gens = _adjoin_inverses(uni, base_gb, [f])
     gb = buchberger(
         gens,
-        big_order,
+        _append_aux_order(base_order, uni, big),
         universe=big,
-        domain=dom,
-        cap_seconds=cap_seconds,
+        domain=I.domain,
+        cap_seconds=left,
         reduced=False,
         gb_prefix=len(base_gb),
     )

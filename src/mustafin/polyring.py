@@ -753,6 +753,23 @@ def from_pi_coefficients(f: MPoly, universe: VarUniverse | None = None) -> MPoly
     return MPoly(big, dom, out)
 
 
+def from_pi_element(c, universe: VarUniverse, dom) -> MPoly:
+    """A pi-ring element (its coefficient tuple over ``dom``) as a
+    polynomial in the ``pi`` variable of ``universe``; a constant needs no
+    pi variable."""
+    if len(c) > 1 and "pi" not in universe:
+        raise DomainError("pi-polynomial value needs a pi variable")
+    pos = universe.index("pi") if len(c) > 1 else None
+    out = {}
+    for k, coeff in enumerate(c):
+        if not dom.is_zero(coeff):
+            mono = [0] * universe.nvars
+            if k:
+                mono[pos] = k
+            out[tuple(mono)] = coeff
+    return MPoly(universe, dom, out, _clean=True)
+
+
 # ---------------------------------------------------------------------------
 # printing / parsing
 

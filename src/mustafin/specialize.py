@@ -16,6 +16,10 @@ two families of parameter conditions fall out:
   remainders in the reductions that certify the basis (the recorded
   criterion combination chains).  These must stay nonzero.
 
+The system <gens, 1 - t*a> comes from ``groebner._adjoin_inverses``, the
+one construction behind ``saturate`` and ``radical_membership`` as well;
+t is the first name t[k] not in use.
+
 Condition sets depend on the basis and the (deterministic, greedy)
 reduction strategy; different strategies give different, individually
 sufficient sets.  ``check_specialization`` verifies a concrete assignment
@@ -27,8 +31,10 @@ parameters, shrinks the universe and spreads pi-ring values over the pi
 variable, once per target (a polynomial, an ideal or a list of
 polynomials of one universe); the substitution itself is a
 ``polyring.Substitution`` plan, the routine behind ``MPoly.substitute``,
-applied to every polynomial of the target.  ``_first_violation`` substitutes all its conditions in one call,
-and ``check_specialization`` every distinct polynomial it needs once.  The
+applied to every polynomial of the target; a pi-ring value becomes a
+polynomial in pi by ``polyring.from_pi_element``.  ``_first_violation``
+substitutes all its conditions in one call, and ``check_specialization``
+every distinct polynomial it needs once.  The
 ``ObstructionSet`` carries the symbolic basis it was read from, and
 ``check_specialization`` reuses it for the same generators instead of
 computing it per check.  The basis test over the pi-coefficient ring runs
@@ -50,6 +56,7 @@ from .groebner import (
     Deadline,
     ResourceCapExceeded,
     _Reducers,
+    _adjoin_inverses,
     _widening,
     buchberger,
     divide_var_power,
@@ -68,6 +75,7 @@ from .polyring import (
     VarUniverse,
     default_order,
     format_poly,
+    from_pi_element,
     to_pi_coefficients,
 )
 
@@ -133,17 +141,7 @@ def _plan(assignment: dict, uni: VarUniverse, dom) -> Substitution:
         if isinstance(val, MPoly):
             val = val.relabel(small)
         elif isinstance(val, tuple):  # pi-ring element, spread over the pi variable
-            if len(val) > 1 and "pi" not in small:
-                raise DomainError("pi-polynomial value needs a pi variable")
-            pi_pos = small.index("pi") if len(val) > 1 else None
-            terms = {}
-            for k, c in enumerate(val):
-                if not dom.is_zero(c):
-                    mono = [0] * small.nvars
-                    if k:
-                        mono[pi_pos] = k
-                    terms[tuple(mono)] = c
-            val = MPoly(small, dom, terms, _clean=True)
+            val = from_pi_element(val, small, dom)
         values[name] = val
     return Substitution(uni, dom, values, small)
 
@@ -191,21 +189,6 @@ def _strip_pi_content(f: MPoly) -> MPoly:
     pos = f.universe.index("pi")
     c = var_content(f, pos)
     return divide_var_power(f, pos, c) if c else f
-
-
-def _adjoin_saturator(gens, a_elem):
-    uni, dom = gens[0].universe, gens[0].domain
-    aux = "t[0]"
-    k = 0
-    while aux in uni:
-        k += 1
-        aux = f"t[{k}]"
-    big = uni.extend([aux])
-    lifted = [g.relabel(big) for g in gens]
-    lifted.append(
-        MPoly.const(big, dom, dom.one) - MPoly.var(big, dom, aux) * a_elem.relabel(big)
-    )
-    return big, aux, lifted
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +240,7 @@ def obstruction_polynomials(
     if not gens:
         return ObstructionSet([], [])
     dom = gens[0].domain
-    big, aux, lifted = _adjoin_saturator(gens, a_elem)
+    big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
     order, group_pos = _symbolic_order(big, aux)
     deadline = Deadline(cap_seconds)
     try:
@@ -351,7 +334,7 @@ def check_specialization(
     if not gens:
         return SpecializationReport(True, True)
     dom = gens[0].domain
-    big, aux, lifted = _adjoin_saturator(gens, a_elem)
+    big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
     deadline = Deadline(cap_seconds)
     if obstructions is not None and obstructions.basis is not None and obstructions.lifted == lifted:
         gb = obstructions.basis

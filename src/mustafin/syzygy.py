@@ -16,17 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeffs import DomainError
-from .groebner import buchberger, divide_var_power, var_content
+from .groebner import Deadline, divide_var_power, radical_membership, saturate, var_content
 from .polyring import (
+    Ideal,
     MPoly,
     VarUniverse,
-    default_order,
     parse_poly,
     to_pi_coefficients,
     from_pi_coefficients,
+    from_pi_element,
 )
 from .degeneration import ambient_universe, SubvarietyInput
-from .varieties import LatticeConfig, _det, _pipoly_to_mpoly
+from .varieties import LatticeConfig, _det
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def _adjugate(config: LatticeConfig, j: int, uni: VarUniverse):
         for r in range(d):
             minor = [[g[a][b] for b in range(d) if b != i] for a in range(d) if a != r]
             c = _det(minor, ring)
-            adj[i][r] = _pipoly_to_mpoly(uni, config.field, ring, ring.neg(c) if (i + r) % 2 else c)
+            adj[i][r] = from_pi_element(ring.neg(c) if (i + r) % 2 else c, uni, config.field)
     return adj
 
 
@@ -224,31 +225,21 @@ def admissibility_certificate(data: SyzygyDatum, config: LatticeConfig):
 
 def curve_cover_check(X: SubvarietyInput, sections, *, cap_seconds=None) -> bool:
     """True iff the subvariety misses the common zero locus of the tuple in
-    projective space: each coordinate y_l lies in the radical of
-    I' + <f_0..f_n> over the fraction field (pi inverted on the fly)."""
+    projective space over the fraction field: each coordinate y_l lies in
+    the radical of sat(I' + <f_0..f_n>, pi).  Equivalently, 1 lies in
+    <I' + <f_i>, 1 - s*pi, 1 - t*y_l>; the saturation is computed once and
+    every y_l is one radical query against its basis.  ``cap_seconds``
+    bounds the whole call."""
     fs = [f[0] if isinstance(f, tuple) else f for f in sections]
-    uni = X.universe
-    dom = X.domain
+    uni, dom = X.universe, X.domain
     d = sum(1 for nm in uni.names if nm.startswith("y["))
-    base = [g for g in X.generators] + [f.relabel(uni) for f in fs if f]
-    aux_t, aux_s = "t[0]", "s[0]"
-    big = uni.extend([aux_t, aux_s])
-    one = MPoly.const(big, dom, dom.one)
-    inv_pi = one - MPoly.var(big, dom, aux_s) * MPoly.var(big, dom, "pi")
-    for l in range(1, d + 1):
-        gens = [g.relabel(big) for g in base]
-        gens.append(one - MPoly.var(big, dom, aux_t) * MPoly.var(big, dom, f"y[{l}]"))
-        gens.append(inv_pi)
-        gb = buchberger(
-            gens,
-            default_order(big),
-            universe=big,
-            domain=dom,
-            cap_seconds=cap_seconds,
-        )
-        if not any(g.is_constant() for g in gb):
-            return False
-    return True
+    base = Ideal([*X.generators, *(f.relabel(uni) for f in fs if f)], uni, dom)
+    deadline = Deadline(cap_seconds)
+    sat = deadline.run("saturation", saturate, base, [MPoly.var(uni, dom, "pi")])
+    return all(
+        deadline.run(f"cover y[{l}]", radical_membership, MPoly.var(uni, dom, f"y[{l}]"), sat)
+        for l in range(1, d + 1)
+    )
 
 
 def parse_datum(payload: dict, config: LatticeConfig) -> SyzygyDatum:

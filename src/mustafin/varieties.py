@@ -35,6 +35,7 @@ from .polyring import (
     VarUniverse,
     WeightedOrder,
     WeightedPiOrder,
+    from_pi_element,
     grid_universe,
     mono_divides,
 )
@@ -212,24 +213,11 @@ def random_config(
 # matrices and minors
 
 
-def _pipoly_to_mpoly(uni: VarUniverse, dom, ring: PiRing, c) -> MPoly:
-    pi_pos = uni.index("pi")
-    out = {}
-    for k, coeff in enumerate(c):
-        if dom.is_zero(coeff):
-            continue
-        mono = [0] * uni.nvars
-        mono[pi_pos] = k
-        out[tuple(mono)] = coeff
-    return MPoly(uni, dom, out, _clean=True)
-
-
 def build_g(config: LatticeConfig) -> list:
     """Matrices g_l = M_l * diag(1, pi^{n_1}, .., pi^{n_{d-1}}) with entries
     as polynomials in the configuration's universe."""
     uni = config.universe()
     dom = config.field
-    ring = config.pi_ring
     exps = (0,) + config.n_vec
     pi = MPoly.var(uni, dom, "pi")
     out = []
@@ -241,7 +229,7 @@ def build_g(config: LatticeConfig) -> list:
                 if config.is_symbolic:
                     entry = MPoly.var(uni, dom, f"A[{r + 1}][{i + 1}][{l}]")
                 else:
-                    entry = _pipoly_to_mpoly(uni, dom, ring, config.entries[l][r][i])
+                    entry = from_pi_element(config.entries[l][r][i], uni, dom)
                 row.append(entry * pi ** exps[i])
             rows.append(row)
         out.append(rows)

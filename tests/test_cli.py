@@ -568,3 +568,96 @@ def test_unread_options_are_usage_errors(runner, group, args):
     res = runner.invoke(group, args)
     assert res.exit_code == 2
     assert "No such option" in res.output
+
+
+# ---------------------------------------------------------------------------
+# bad flags and payloads are usage errors: exit 2 and one "error:" line
+
+
+def assert_usage_error(res, *words):
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert all(w in lines[0] for w in words), lines[0]
+
+
+def test_field_flag_must_be_an_integer(runner, d2_config):
+    res = runner.invoke(mustafin_group, ["fibre", "--config", d2_config, "--field", "abc"])
+    assert_usage_error(res, "--field", "'abc'")
+
+
+def test_field_environment_variable_must_be_an_integer(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("MUSTAFIN_FP", "x")
+    cfg = tmp_path / "nofield.json"
+    cfg.write_text(json.dumps({"d": 2, "n": 1, "n_vec": [1], "entries": "random", "seed": 1}))
+    res = runner.invoke(mustafin_group, ["fibre", "--config", str(cfg)])
+    assert_usage_error(res, "MUSTAFIN_FP", "'x'")
+
+
+@pytest.mark.parametrize("criteria,words", [("1,x", ("--criteria", "'x'")), ("99", ("[99]",))])
+def test_suite_criteria_must_name_known_criteria(runner, criteria, words):
+    # rejected before any criterion runs
+    res = runner.invoke(suite_group, ["acceptance", "--quick", "--criteria", criteria])
+    assert_usage_error(res, *words)
+    assert "criterion" not in res.stdout
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_spec_sample_cap_must_be_positive(runner, d2_config, cap):
+    res = runner.invoke(spec_group, ["sample", "--config", d2_config, "--cap", cap])
+    assert_usage_error(res, "--cap")
+    assert res.stdout == ""
+
+
+SPEC_GENS = {
+    "variables": ["x", "y", "A[1][1][0]", "A[2][1][0]", "pi"],
+    "generators": ["pi*A[1][1][0]*x + A[2][1][0]*y"],
+    "element": "pi",
+    "field": {"Fp": 32003},
+}
+
+
+@pytest.mark.parametrize("command", ["obstructions", "check"])
+@pytest.mark.parametrize(
+    "change,words",
+    [
+        ({"variables": None}, ("'variables'",)),
+        ({"generators": None}, ("'generators'",)),
+        ({"field": {"Fp": 4}}, ("4 is not prime",)),
+        ({"generators": ["x +* y"]}, ()),
+    ],
+    ids=["no-variables", "no-generators", "non-prime", "unparsable"],
+)
+def test_malformed_spec_generators_are_usage_errors(runner, tmp_path, command, change, words):
+    payload = {k: v for k, v in {**SPEC_GENS, **change}.items() if v is not None}
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(spec_group, [command, "--gens", str(path)])
+    assert_usage_error(res, "bad generators file", *words)
+
+
+@pytest.mark.parametrize("missing", ["witnesses", "rho"])
+def test_syz_data_without_a_key_is_a_usage_error(runner, d3_config, tmp_path, missing):
+    payload = {"rho": 2, "degrees": [2, 1, 1], "witnesses": ["x[3][1]*x[3][2]", "x[3][2]", "x[3][1]"]}
+    del payload[missing]
+    data = tmp_path / "datum.json"
+    data.write_text(json.dumps(payload))
+    res = runner.invoke(syz_group, ["admissible", "--config", d3_config, "--data", str(data)])
+    assert_usage_error(res, "bad data file", f"'{missing}'")
+
+
+def test_malformed_spec_assignment_is_a_usage_error(runner, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(SPEC_GENS))
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps({"A[1][1][0]": "2 +* x", "A[2][1][0]": "pi"}))
+    res = runner.invoke(spec_group, ["check", "--gens", str(gens), "--assignment", str(assign)])
+    assert_usage_error(res, "bad assignment file")
+
+
+def test_malformed_spec_obstructions_are_a_usage_error(runner, d2_config, tmp_path):
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"unit_conditions": ["A[1][1][0] +*"]}))
+    res = runner.invoke(spec_group, ["sample", "--config", d2_config, "--obstructions", str(obs)])
+    assert_usage_error(res, "bad obstructions file")

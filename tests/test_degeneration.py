@@ -202,6 +202,46 @@ def test_integral_model_examples():
     assert sorted(g.text() for g in out3.generators) == ["x", "y"]
 
 
+def content_clearing_integral_model(tilde_I):
+    """Divide every generator by its pi content, then saturate by pi."""
+    uni, dom = tilde_I.universe, tilde_I.domain
+    if tilde_I.is_zero():
+        return tilde_I
+    pos = uni.index("pi")
+    cleared = []
+    for g in tilde_I.generators:
+        c = groebner.var_content(g, pos)
+        cleared.append(groebner.divide_var_power(g, pos, c) if c else g)
+    return groebner.saturate(Ideal(cleared, uni, dom), [MPoly.var(uni, dom, "pi")])
+
+
+F7 = GF(7)
+UXY = VarUniverse(("x", "y", "pi"))
+
+
+@given(
+    st.lists(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3)),
+            st.integers(1, 6).map(F7.from_int),
+            min_size=1,
+            max_size=4,
+        ).map(lambda t: MPoly(UXY, F7, t)),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_integral_model_matches_content_clearing(gens):
+    # pi is a unit modulo 1 - t*pi: clearing its content first changes
+    # neither the ideal nor its reduced basis
+    I = Ideal(gens, UXY, F7)
+    new, old = integral_model(I), content_clearing_integral_model(I)
+    assert new.generators == old.generators
+    order = default_order(UXY)
+    assert new._gb_cache[(order, False)] == old._gb_cache[(order, False)]
+
+
 def test_fibre_of_trivial_model_is_ambient_fibre():
     # X = P(V): the zero ideal pulls back to the whole Mustafin fibre
     cfg = random_config(2, 1, (1,), F, seed=8)

@@ -320,6 +320,47 @@ def test_radical_membership_examples():
         radical_membership(XR, Ideal([XR]))
 
 
+def slow_engine(monkeypatch, seconds, honest=True):
+    """Make every ``buchberger`` call take ``seconds`` more; when ``honest``,
+    a call whose cap is shorter sleeps through it and raises.  Returns the
+    caps it saw."""
+    import time
+
+    from mustafin import groebner
+
+    real, caps = groebner.buchberger, []
+
+    def slow(*args, cap_seconds=None, **kwargs):
+        caps.append(cap_seconds)
+        if honest and cap_seconds is not None and cap_seconds < seconds:
+            time.sleep(max(cap_seconds, 0))
+            raise ResourceCapExceeded(f"buchberger exceeded {cap_seconds:g}s")
+        time.sleep(seconds)
+        return real(*args, cap_seconds=cap_seconds, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", slow)
+    return caps
+
+
+def test_radical_membership_cap_covers_the_basis_of_the_ideal(monkeypatch):
+    caps = slow_engine(monkeypatch, 0.05)
+    # the basis of I takes 0.05 s of the 0.08; the extension gets the rest
+    with pytest.raises(ResourceCapExceeded) as info:
+        radical_membership(X + Y, Ideal([X * X, Y * Y]), cap_seconds=0.08)
+    assert info.value.phase == ""
+    assert caps[0] == 0.08 and len(caps) == 2 and caps[1] <= 0.03
+    caps.clear()
+    assert radical_membership(X, Ideal([X * X]), cap_seconds=1.0)
+    assert len(caps) == 2 and caps[1] < caps[0] == 1.0
+
+
+def test_radical_membership_stops_when_the_basis_overran_its_cap(monkeypatch):
+    caps = slow_engine(monkeypatch, 0.05, honest=False)
+    with pytest.raises(ResourceCapExceeded) as info:
+        radical_membership(X, Ideal([X * Y, Y * Y]), cap_seconds=0.03)
+    assert info.value.phase == "" and caps == [0.03]
+
+
 def test_intersect_monomial_ideals_examples():
     assert [g.text() for g in intersect_monomial_ideals(
         [Ideal([X]), Ideal([Y])]

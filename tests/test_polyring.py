@@ -17,6 +17,7 @@ from mustafin.polyring import (
     default_order,
     format_poly,
     from_pi_coefficients,
+    from_pi_element,
     grid_universe,
     multidegree,
     order_eliminates,
@@ -176,6 +177,18 @@ def test_pi_representation_roundtrip():
     assert ring_form.universe.names == ("x", "y")
     back = from_pi_coefficients(ring_form, big)
     assert back == f
+
+
+def test_pi_element_as_a_polynomial():
+    big = VarUniverse(("x", "pi"))
+    ring = PiRing(F)
+    c = ring.parse("3 + 2*pi^2")
+    assert from_pi_element(c, big, F) == parse_poly("3 + 2*pi^2", big, F)
+    # a constant needs no pi variable; a pi-polynomial does
+    assert from_pi_element(ring.parse("5"), U, F) == MPoly.const(U, F, F.from_int(5))
+    assert not from_pi_element(ring.zero, U, F)
+    with pytest.raises(DomainError, match="needs a pi variable"):
+        from_pi_element(c, U, F)
 
 
 def test_order_eliminates():

@@ -112,12 +112,12 @@ def test_check_specialization_pass_and_fail():
 def test_leading_term_stability_on_passing_samples():
     import random
 
-    from mustafin.groebner import buchberger
-    from mustafin.specialize import _adjoin_saturator, _symbolic_order
+    from mustafin.groebner import _adjoin_inverses, buchberger
+    from mustafin.specialize import _symbolic_order
 
     uni, x, y, A1, A2, pi = example_setup(F)
     gens = [pi * A1 * x + A2 * y]
-    big, aux, lifted = _adjoin_saturator(gens, pi)
+    big, (aux,), lifted = _adjoin_inverses(uni, gens, [pi])
     order, group = _symbolic_order(big, aux)
     gb = buchberger(lifted, order, universe=big, domain=F)
     rng = random.Random("lt-stability")
@@ -452,7 +452,7 @@ def harvest_case(draw):
 @settings(max_examples=80, deadline=None)
 def test_harvest_matches_the_mpoly_reduction_chains(gens):
     pi = MPoly.var(HARVEST_UNI, gens[0].domain, "pi")
-    big, aux, lifted = specialize._adjoin_saturator(gens, pi)
+    big, (aux,), lifted = groebner._adjoin_inverses(HARVEST_UNI, gens, [pi])
     order, group_pos = specialize._symbolic_order(big, aux)
     # a few inputs have bases that take minutes, and bases past 12 elements
     # make the MPoly chains take seconds

@@ -1,8 +1,14 @@
-import pytest
+import itertools
+import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mustafin import groebner
 from mustafin.coeffs import DomainError, GF
 from mustafin.degeneration import SubvarietyInput, ambient_universe
-from mustafin.polyring import MPoly
+from mustafin.groebner import ResourceCapExceeded, buchberger
+from mustafin.polyring import MPoly, default_order
 from mustafin.syzygy import (
     SyzygyDatum,
     admissibility_certificate,
@@ -127,6 +133,91 @@ def test_curve_cover_check_examples():
     Xline = SubvarietyInput((z1,), 1, 1)
     assert curve_cover_check(Xline, [z2, z3])
     assert not curve_cover_check(Xline, [z2 * z3])  # hits (0:0:1) and (0:1:0)
+
+
+def two_auxiliary_cover_check(X, sections):
+    """The cover check as one basis per coordinate: y_l is in the radical of
+    sat(I' + <f_i>, pi) iff 1 is in <I' + <f_i>, 1 - s*pi, 1 - t*y_l>."""
+    uni, dom = X.universe, X.domain
+    d = sum(1 for nm in uni.names if nm.startswith("y["))
+    base = list(X.generators) + [f.relabel(uni) for f in sections if f]
+    big = uni.extend(["t[0]", "s[0]"])
+    one = MPoly.const(big, dom, dom.one)
+    inv_pi = one - MPoly.var(big, dom, "s[0]") * MPoly.var(big, dom, "pi")
+    for l in range(1, d + 1):
+        gens = [g.relabel(big) for g in base]
+        gens.append(one - MPoly.var(big, dom, "t[0]") * MPoly.var(big, dom, f"y[{l}]"))
+        gens.append(inv_pi)
+        gb = buchberger(gens, default_order(big), universe=big, domain=dom)
+        if not any(g.is_constant() for g in gb):
+            return False
+    return True
+
+
+F7 = GF(7)
+
+
+@st.composite
+def cover_case(draw):
+    """A subvariety of P^1 or P^2 over GF(7) cut out by one or two forms,
+    and one to three sections; coefficients are polynomials in pi."""
+    d = draw(st.sampled_from([2, 3]))
+    amb = ambient_universe(d)
+    ys = [MPoly.var(amb, F7, f"y[{l}]") for l in range(1, d + 1)]
+    pi = MPoly.var(amb, F7, "pi")
+    coeff = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(
+        lambda cs: sum(((pi ** k).scale(F7.from_int(c)) for k, c in enumerate(cs)), MPoly.zero(amb, F7))
+    )
+
+    def form():
+        degree = draw(st.integers(1, 2))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=d) if sum(m) == degree]
+        f = MPoly.zero(amb, F7)
+        for m in draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True)):
+            term = draw(coeff)
+            for y, e in zip(ys, m):
+                term = term * y ** e
+            f = f + term
+        return f
+
+    gens = [g for g in (form() for _ in range(draw(st.integers(1, 2)))) if g]
+    if not gens:
+        gens = [ys[0]]
+    sections = [form() for _ in range(draw(st.integers(1, 3)))]
+    return SubvarietyInput(tuple(gens), 0, 1), sections
+
+
+@given(cover_case())
+@settings(max_examples=60, deadline=None)
+def test_cover_check_matches_the_two_auxiliary_system(case):
+    X, sections = case
+    assert curve_cover_check(X, sections) == two_auxiliary_cover_check(X, sections)
+
+
+def test_capped_cover_check_raises_once_for_the_whole_call(monkeypatch):
+    real, caps = groebner.buchberger, []
+
+    def slow(*args, cap_seconds=None, **kwargs):
+        caps.append(cap_seconds)
+        if cap_seconds is not None and cap_seconds < 0.05:
+            time.sleep(cap_seconds)
+            raise ResourceCapExceeded(f"buchberger exceeded {cap_seconds:g}s")
+        time.sleep(0.05)
+        return real(*args, cap_seconds=cap_seconds, **kwargs)
+
+    amb = ambient_universe(3)
+    y1, y2, y3 = (MPoly.var(amb, F, f"y[{l}]") for l in (1, 2, 3))
+    X = SubvarietyInput((y1,), 1, 1)
+    assert curve_cover_check(X, [y2, y3], cap_seconds=0.12)
+    monkeypatch.setattr(groebner, "buchberger", slow)
+    # four engine calls of 0.05 s each: the saturation and three radical
+    # queries; each fits 0.12 s, all four do not
+    t0 = time.monotonic()
+    with pytest.raises(ResourceCapExceeded) as info:
+        curve_cover_check(X, [y2, y3], cap_seconds=0.12)
+    assert time.monotonic() - t0 < 0.2
+    assert info.value.phase.startswith("cover y[") and "exceeded 0.12s" in str(info.value)
+    assert len(caps) == 3 and caps[0] <= 0.12 and caps[2] < caps[1] < caps[0]
 
 
 def test_admissible_sections_nonzero_on_primary_components():

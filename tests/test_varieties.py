@@ -439,6 +439,17 @@ def test_pi_mixing_config_takes_the_elimination_route_without_the_target():
     assert sat.generators == saturate(I, [pi]).generators == mustafin_ideal(cfg).generators
 
 
+def test_fibre_verbose_on_the_elimination_route_matches_its_golden():
+    # written by `mustafin fibre --verbose` while saturation still built
+    # <I, 1 - t*pi> by hand; the trace pins the elimination route's pairs
+    path = GOLDEN / "config-pimix.json"
+    assert json.loads(path.read_text()) == pi_mixing_config().to_dict()
+    res = CliRunner().invoke(mustafin_group, ["fibre", "--config", str(path), "--verbose"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == (GOLDEN / "fibre-verbose-pimix.out.json").read_text()
+    assert res.stderr == (GOLDEN / "fibre-verbose-pimix.err.txt").read_text()
+
+
 def test_fibre_verbose_shows_the_pruned_pairs(tmp_path):
     # every pair the unpruned run pops is popped again: pruned, or reduced
     # to zero or to a new element
