@@ -5,8 +5,10 @@ Two engines share one reduction framework:
 * field mode -- classical Buchberger with Gebauer-Moeller pair pruning and
   normal selection; the result is interreduced, so equal ideals get equal
   (hence byte-identical) bases.  A run packs one table and finishes on it:
-  ``interreduce`` reduces the tails of the minimal elements against the
-  whole basis (the normal form modulo a Groebner basis is unique).
+  a new element stays packed and joins the table as a monic row, and the
+  tails of the minimal rows are reduced against the whole basis (the
+  normal form modulo a Groebner basis is unique); ``MPoly``s are built
+  only for the output.
 * euclidean-ring mode -- coefficients in a Euclidean domain (here L[pi]).
   Each pair contributes an S-combination (leading terms cancelled through
   the coefficient lcm) and a G-combination (gcd of the leading coefficients
@@ -47,8 +49,12 @@ Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
 running Buchberger under ``WeightedPiOrder`` while dividing every inserted
 element by its content in the variable converges directly to a basis of the
-saturated ideal.  Everything else takes the textbook route: adjoin
-1 - t_i * a_i, eliminate the fresh auxiliaries.
+saturated ideal.  The content is read off the packed field of the
+variable and divided out by one subtraction per term.  A Hilbert target
+prunes the pairs whose multidegree is complete (``_HilbertGate``, which
+counts the monomials the leading monomials strike, never the standard
+ones).  Everything else takes the textbook route: adjoin 1 - t_i * a_i,
+eliminate the fresh auxiliaries.
 
 One function builds every such Rabinowitsch system <gens, 1 - t_i a_i>:
 ``_adjoin_inverses``.  ``saturate`` eliminates its auxiliaries,
@@ -370,7 +376,8 @@ class _Reducers:
     """A basis in packed form, in basis order: for every element its packed
     leading monomial, its leading coefficient and its tail (the other terms,
     packed when first used; over a field divided by the leading
-    coefficient).
+    coefficient).  A field-mode Buchberger run appends its new elements
+    as packed monic rows (``append_monic``), never as ``MPoly``s.
 
     ``reduce`` computes normal forms against it.  Over a field the largest
     remaining term is rewritten by the first element, in basis order, whose
@@ -412,6 +419,17 @@ class _Reducers:
         self.lcs.append(lc)
         self.tails.append(None)
         self._polys.append(g)
+
+    def append_monic(self, work: dict):
+        """Append the nonzero packed ``work``, its leading term first (as in
+        a remainder of ``reduce``), as a monic row, with no ``MPoly``."""
+        terms = iter(work.items())
+        lm, lc = next(terms)
+        inv, mul = self.domain.inv(lc), self.domain.mul
+        self.lms.append(lm)
+        self.lcs.append(self.domain.one)
+        self.tails.append([(m, mul(c, inv)) for m, c in terms])
+        self._polys.append(None)
 
     def _tail(self, j: int) -> list:
         g, pack, mul = self._polys[j], self.pk.pack, self.domain.mul
@@ -838,8 +856,11 @@ def _gm_update(red: _Reducers, pairs: dict, t: int) -> list:
     criterion also needs a unit gcd of the coefficients.  Normalizing makes
     equal lcms compare equal, not merely associate.  The coefficients are
     read only where the monomials alone would prune."""
-    lms, guard, lcm, lm_t = red.lms, red.pk.guard, red.pk.lcm, red.lms[t]
-    lcms = [lcm(lm, lm_t) for lm in lms[:t]]
+    lms, guard, lm_t = red.lms, red.pk.guard, red.lms[t]
+    top, lcms = red.pk.field - 1, []
+    for lm in lms[:t]:  # ``_Packing.lcm``, inline
+        ge = ((lm | guard) - lm_t) & guard
+        lcms.append(lm_t ^ ((lm ^ lm_t) & (ge - (ge >> top))))
     ring = red.ring
     if ring:
         lc_lcm, divides, lc_t = red.lc_lcm, red.domain.divides, red.lcs[t]
@@ -909,7 +930,8 @@ def buchberger(
     ``sat_var`` (field mode only) divides every inserted polynomial by its
     content in that variable; with a compatible weighted order this computes
     a basis of the saturation directly.  Callers own the homogeneity
-    precondition.
+    precondition.  Field mode checks ``cap_seconds`` before every input
+    reduction and every pair.
 
     ``gb_prefix`` marks the first k generators as an already-known basis
     with respect to ``order``: pairs among them are skipped.  Sound only
@@ -964,34 +986,44 @@ def _buchberger_field(
     t0 = time.monotonic()
     log_start = len(trace_log) if trace_log is not None else 0
 
-    def prep(f):
-        if sat_var is not None and f:
-            c = var_content(f, sat_var)
-            if c:
-                f = divide_var_power(f, sat_var, c)
-        return field_normalize(f, order)
-
     def run(pk):
         if trace_log is not None:
             del trace_log[log_start:]  # lines of a narrower run
-        red = _Reducers(order, universe, domain, pk)
-
-        def nf(f):
-            return red.remainder(red.reduce(red.pack_poly(f)))
-
-        G: list[MPoly] = [field_normalize(g, order) for g in gens[:gb_prefix]]
-        for g in G:
-            red.append(g)
+        prefix = [field_normalize(g, order) for g in gens[:gb_prefix]]
+        red = _Reducers(order, universe, domain, pk, prefix)
         pairs: dict = {}  # pending pair (i, j) -> lcm of its leading monomials
+
+        def check_cap():
+            if cap_seconds is not None and time.monotonic() - t0 >= cap_seconds:
+                raise ResourceCapExceeded(
+                    f"buchberger exceeded {cap_seconds:g}s "
+                    f"({len(red.lms)} basis elements, {len(pairs)} pairs pending)"
+                )
+
+        if sat_var is None:
+            def divided(work):
+                return work
+        else:
+            at, fm = pk.field * (pk.nvars - 1 - sat_var), (1 << pk.field) - 1
+
+            def divided(work):
+                """The packed ``work`` divided by its content in sat_var.  A
+                remainder stays one: no leading monomial divides m / x^c
+                unless it divides m, so the quotient needs no reduction."""
+                c = min([m >> at & fm for m in work])
+                if not c:
+                    return work
+                c <<= at
+                return {m - c: v for m, v in work.items()}
+
         # smallest leading monomial first (``red.lead`` is negated; the sort
         # is stable), each found once by the table's key and kept on f
         for f in sorted(gens[gb_prefix:], key=red.lead, reverse=True):
-            r = nf(prep(f))
+            check_cap()
+            r = red.reduce(divided(red.pack_poly(f)))
             if r:
-                r = prep(r)
-                G.append(r)
-                red.append(r)
-                _gm_update(red, pairs, len(G) - 1)
+                red.append_monic(divided(r))
+                _gm_update(red, pairs, len(red.lms) - 1)
 
         # normal selection: the smallest lcm first (red.key is negated)
         key = red.key
@@ -1000,11 +1032,7 @@ def _buchberger_field(
         gate = _HilbertGate(pk, universe.nvars, *hilbert) if hilbert is not None else None
 
         while heap:
-            if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
-                raise ResourceCapExceeded(
-                    f"buchberger exceeded {cap_seconds:g}s "
-                    f"({len(G)} basis elements, {len(pairs)} pairs pending)"
-                )
+            check_cap()
             _, i, j = heapq.heappop(heap)
             l = pairs.pop((i, j), None)
             if l is None:  # removed by a later update
@@ -1018,27 +1046,21 @@ def _buchberger_field(
                 trace_log.append(f"pair ({i},{j}) lcm {pk.unpack(l)} -> {outcome}")
             if not r:
                 continue
-            r = red.remainder(r)
-            if sat_var is not None:
-                # content division can re-enable reduction; run to a fixpoint
-                while r:
-                    c = var_content(r, sat_var)
-                    if not c:
-                        break
-                    r = nf(divide_var_power(r, sat_var, c))
-                if not r:
-                    continue
-            r = field_normalize(r, order)
-            G.append(r)
-            red.append(r)
-            for a, b, l in _gm_update(red, pairs, len(G) - 1):
+            red.append_monic(divided(r))
+            for a, b, l in _gm_update(red, pairs, len(red.lms) - 1):
                 heapq.heappush(heap, (-key(l), a, b))
-        return interreduce(G, order, table=red) if reduced else G
+        if reduced:
+            return _reduced_rows(red, _minimal_rows(red))
+        one = domain.one
+        return prefix + [
+            field_normalize(red.remainder({red.lms[j]: one, **dict(red.tails[j])}), order)
+            for j in range(len(prefix), len(red.lms))
+        ]
 
     return _widening(run, universe.nvars)
 
 
-def interreduce(G, order: TermOrder, *, table: _Reducers | None = None):
+def interreduce(G, order: TermOrder):
     """The reduced basis: minimal leading monomials, fully reduced tails,
     normalized leading coefficients, sorted ascending by leading monomial.
 
@@ -1046,14 +1068,11 @@ def interreduce(G, order: TermOrder, *, table: _Reducers | None = None):
     all tails against one table, so they share its key and divisor caches.
     The element's own leading monomial divides none of its smaller tail
     monomials, and no other minimal one divides its leading monomial, so
-    this is the reduction of the whole element by the others.  ``table``,
-    when given, is a table of G itself, row for row, and G must be a
-    Groebner basis (field-mode ``buchberger`` passes its own): the normal
-    form modulo a Groebner basis is unique, so the tails reduce against all
-    of G to the same result, and nothing is packed again.
+    this is the reduction of the whole element by the others.  Field-mode
+    ``buchberger`` does the same on its own table (``_reduced_rows`` of
+    ``_minimal_rows``): the normal form modulo a Groebner basis is unique,
+    so the tails reduce against the whole basis to the same result.
     """
-    if table is not None:
-        return _reduced_rows(table, _minimal_rows(table))
     items = [g for g in G if g]
     if not items:
         return []
@@ -1572,7 +1591,8 @@ class _BoxMonomials:
         """How many monomials multidegree ``mdeg`` has."""
         out = 1
         for blk, dg in zip(self.blocks, mdeg):
-            out *= comb(dg + len(blk) - 1, dg)
+            if blk:  # an empty block has degree 0 and one monomial, 1
+                out *= comb(dg + len(blk) - 1, dg)
         return out
 
     def of(self, mdeg) -> list:
@@ -1597,21 +1617,25 @@ class _HilbertGate:
     standard monomials in it.  Then no element of multidegree a can bring a
     new leading monomial, so every pair whose lcm lies in a reduces to zero.
 
-    Counting is lazy and incremental.  A multidegree gets its set of
-    standard packed monomials when it is asked about, as soon as the pairs
-    popped in it reach one per ``_PAIR_COST`` of its monomials (the first
-    pair, unless the multidegree is large and its pairs few: their
+    Counting is lazy and incremental, and counts the struck monomials, not
+    the standard ones: a multidegree keeps the set of its monomials that
+    some leading monomial divides, and has count(a) minus its size standard
+    monomials.  It gets its set when it is asked about, as soon as the
+    pairs popped in it reach one per ``_PAIR_COST`` of its monomials (the
+    first pair, unless the multidegree is large and its pairs few: their
     reductions are then cheaper than the count).  Each leading monomial l of
-    multidegree b <= a strikes out its multiples l + m, m of multidegree
-    a - b, once, when a is next asked about.  A complete multidegree drops
-    its set.  A count below its target means the target is wrong (the
-    leading monomials lie in the initial ideal, whose count it is) and
-    raises ``DomainError``.  Multidegrees are compared packed, one field per
-    block (``mdeg``), so b <= a is one subtraction and one mask."""
+    multidegree b <= a adds its multiples l + m, m of multidegree a - b,
+    once, when a is next asked about.  A leading monomial with a variable
+    outside the blocks divides no monomial of a multidegree and is passed
+    over.  A complete multidegree drops its set.  A count below its target
+    means the target is wrong (the leading monomials lie in the initial
+    ideal, whose count it is) and raises ``DomainError``.  Multidegrees are
+    compared packed, one field per block (``mdeg``), so b <= a is one
+    subtraction and one mask."""
 
     __slots__ = (
-        "monos", "target", "multidegree", "mdeg", "leads", "live", "done", "cofactors",
-        "waiting",
+        "monos", "target", "multidegree", "mdeg", "outside", "seen", "leads", "live", "done",
+        "cofactors", "waiting",
     )
 
     def __init__(self, pk: _Packing, nvars: int, blocks, target):
@@ -1622,8 +1646,10 @@ class _HilbertGate:
         while (1 << (8 * width - 1)) - 1 < top:
             width *= 2
         self.mdeg = _packing(len(blocks), width)
+        self.outside = pk.mask(set(range(nvars)).difference(*blocks))
+        self.seen = 0  # leading monomials looked at
         self.leads: list = []  # (packed leading monomial, packed multidegree)
-        self.live: dict = {}  # multidegree -> (standard monomials, leads struck)
+        self.live: dict = {}  # multidegree -> (struck monomials, leads added)
         self.done: set = set()
         self.cofactors: dict = {}  # packed multidegree -> its monomials
         self.waiting: dict = {}  # multidegree -> pairs popped, while not counted
@@ -1632,35 +1658,38 @@ class _HilbertGate:
         """Is the multidegree of the packed monomial l complete for the
         leading monomials ``lms``?  The list may only grow between calls."""
         multidegree, mdeg = self.multidegree, self.mdeg
-        for lm in lms[len(self.leads):]:
-            self.leads.append((lm, mdeg.pack(multidegree(lm))))
+        for lm in lms[self.seen:]:
+            if not lm & self.outside:
+                self.leads.append((lm, mdeg.pack(multidegree(lm))))
+        self.seen = len(lms)
         a = multidegree(l)
         if a in self.done:
             return True
+        count = self.monos.count(a)
         entry = self.live.get(a)
         if entry is None:
             pops = self.waiting.get(a, 0) + 1
-            if pops * _PAIR_COST < self.monos.count(a):
+            if pops * _PAIR_COST < count:
                 self.waiting[a] = pops
                 return False
-            entry = (set(self.monos.of(a)), 0)
-        std, struck = entry
+            entry = (set(), 0)
+        struck, added = entry
         cofactors, guard, pa = self.cofactors, mdeg.guard, mdeg.pack(a)
-        for lm, b in self.leads[struck:]:
+        for lm, b in self.leads[added:]:
             c = pa - b
             if c >= 0 and not c & guard:  # b <= a; c packs a - b
                 ms = cofactors.get(c)
                 if ms is None:
                     ms = cofactors[c] = self.monos.of(mdeg.unpack(c))
-                std.difference_update([lm + m for m in ms])
-        want = self.target(a)
-        if len(std) < want:
+                struck.update(map(lm.__add__, ms))
+        std, want = count - len(struck), self.target(a)
+        if std < want:
             raise DomainError(
-                f"multidegree {a} has {len(std)} standard monomials, "
+                f"multidegree {a} has {std} standard monomials, "
                 f"below its Hilbert target {want}"
             )
-        if len(std) > want:
-            self.live[a] = (std, len(self.leads))
+        if std > want:
+            self.live[a] = (struck, len(self.leads))
             return False
         self.live.pop(a, None)
         self.done.add(a)

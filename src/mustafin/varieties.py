@@ -255,14 +255,38 @@ def column_forms(config: LatticeConfig) -> list:
 
 def minors_ideal(config: LatticeConfig) -> Ideal:
     """All 2x2 minors of the d x (n+1) matrix of column forms: rows gamma <
-    delta, columns alpha < beta; C(d,2)*C(n+1,2) generators."""
-    uni = config.universe()
-    dom = config.field
-    cols = column_forms(config)
+    delta, columns alpha < beta; C(d,2)*C(n+1,2) generators.  They are read
+    off the entries, not multiplied out: the minor of columns a < b and rows
+    r < s has the coefficient M_a[r][i] M_b[s][j] - M_a[s][i] M_b[r][j] at
+    x[i][a] x[j][b] pi^(e_i + e_j), a pi-ring element spread over the powers
+    of pi, or for symbolic entries a difference of two products of A's."""
+    uni, dom, d = config.universe(), config.field, config.d
+    exps, pos, cols = (0,) + config.n_vec, uni.index("pi"), range(config.n + 1)
+    x = [[uni.index(f"x[{i + 1}][{l}]") for i in range(d)] for l in cols]
+    symbolic, M, ring = config.is_symbolic, config.entries, config.pi_ring
+    if symbolic:  # M[l][r][i] is the position of A[r+1][i+1][l]
+        M = [[[uni.index(f"A[{r + 1}][{i + 1}][{l}]") for i in range(d)] for r in range(d)]
+             for l in cols]
     gens = []
-    for a, b in itertools.combinations(range(config.n + 1), 2):
-        for r, s in itertools.combinations(range(config.d), 2):
-            gens.append(cols[a][r] * cols[b][s] - cols[a][s] * cols[b][r])
+    for (a, b), (r, s) in itertools.product(
+        itertools.combinations(cols, 2), itertools.combinations(range(d), 2)
+    ):
+        terms = {}
+        for i, j in itertools.product(range(d), repeat=2):
+            mono = [0] * uni.nvars
+            mono[x[a][i]] = mono[x[b][j]] = 1
+            mono[pos] = exps[i] + exps[j]
+            if symbolic:
+                plus = list(mono)
+                plus[M[a][r][i]] = plus[M[b][s][j]] = mono[M[a][s][i]] = mono[M[b][r][j]] = 1
+                terms[tuple(plus)], terms[tuple(mono)] = dom.one, dom.neg(dom.one)
+                continue
+            coeff = ring.sub(ring.mul(M[a][r][i], M[b][s][j]), ring.mul(M[a][s][i], M[b][r][j]))
+            for k, c in enumerate(coeff):
+                if not dom.is_zero(c):
+                    mono[pos] = exps[i] + exps[j] + k
+                    terms[tuple(mono)] = c
+        gens.append(MPoly(uni, dom, terms, _clean=True))
     return Ideal(gens, uni, dom)
 
 
@@ -341,10 +365,12 @@ def special_fibre(
     On pi-free monomials the fibre order ``korder`` agrees with that order.
     So reading the basis mod pi keeps every leading term and drops only
     tail terms: the result already is the reduced fibre basis, in
-    ascending ``korder`` order, and is only normalized (a no-op over a prime
-    field).  Otherwise a fresh basis over the residue field is computed.
-    Both steps share one time budget, with phases ``saturation`` and
-    ``fibre``.
+    ascending ``korder`` order.  Each fibre generator carries the leading
+    term of its saturation element, pi removed, as its ``korder`` leading
+    term, so none is searched for; over Q, where dropping the pi terms
+    changes the content, the generators are normalized again.  Otherwise a
+    fresh basis over the residue field is computed.  Both steps share one
+    time budget, with phases ``saturation`` and ``fibre``.
     """
     deadline = Deadline(cap_seconds)
     sat = deadline.run("saturation", mustafin_ideal, config, trace_log=trace_log)
@@ -355,7 +381,13 @@ def special_fibre(
     reduced = reduce_ideal_mod_pi(sat, config)
     korder = fibre_weight_order(config)
     if fast:
-        gens = [field_normalize(g, korder) for g in reduced.generators]
+        gens = list(reduced.generators)
+        pos = sat.universe.index("pi")
+        for f, g in zip(gens, sat.generators, strict=True):
+            lc, lm = g.leading_term(worder)
+            f._lt = {korder: (lc, lm[:pos] + lm[pos + 1:])}
+        if config.field.characteristic == 0:
+            gens = [field_normalize(g, korder) for g in gens]
     else:
         gens = deadline.run(
             "fibre",

@@ -628,15 +628,49 @@ def test_buchberger_cap_message_keeps_subsecond_caps():
 
 
 @pytest.mark.parametrize("ring_mode", [False, True])
-def test_cap_message_names_the_budget_and_the_basis_size(ring_mode):
+def test_cap_message_names_the_budget_and_the_basis_size(ring_mode, monkeypatch):
     gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
     # field mode keeps the 2 pairs that pass Gebauer-Moeller; ring mode queues all 3
     pending = 3 if ring_mode else 2
+    if not ring_mode:
+        # field mode also checks its cap before each of its 3 input
+        # reductions: a clock that advances 3e-7 s per reading trips the
+        # 1e-6 s cap at the first pair, after the inputs
+        from types import SimpleNamespace
+
+        from mustafin import groebner
+
+        ticks = itertools.count()
+        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: 3e-7 * next(ticks)))
     with pytest.raises(
         ResourceCapExceeded,
         match=rf"^buchberger exceeded 1e-06s \(3 basis elements, {pending} pairs pending\)$",
     ):
         buchberger(gens, DegRevLex(), ring_mode=ring_mode, cap_seconds=1e-6)
+
+
+def test_field_buchberger_checks_its_cap_before_each_input_reduction(monkeypatch):
+    calls = []
+    real = _Reducers.reduce
+
+    def counted(self, work, **kw):
+        calls.append(len(work))
+        return real(self, work, **kw)
+
+    monkeypatch.setattr(_Reducers, "reduce", counted)
+    gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
+    with pytest.raises(ResourceCapExceeded, match=r"\(0 basis elements, 0 pairs pending\)$"):
+        buchberger(gens, DegRevLex(), cap_seconds=0)
+    # a known prefix is in the table before the first input reduction
+    with pytest.raises(ResourceCapExceeded, match=r"\(2 basis elements, 0 pairs pending\)$"):
+        buchberger([X, Y, X * Y + X], DegRevLex(), gb_prefix=2, cap_seconds=0)
+    # the pruned saturation path on 9 minors
+    I, weights = column_minors(F7, 3, 2, 1, [[0, 1, 2]] * 3)
+    pi = MPoly.var(I.universe, F7, "pi")
+    with pytest.raises(ResourceCapExceeded, match=r"\(0 basis elements"):
+        saturate(I, [pi], pi_fast_weights=weights, cap_seconds=0,
+                 hilbert=(I.universe.grid_indices(), diagonal_target(3)))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1214,6 +1248,117 @@ def test_hilbert_gate_past_one_byte_fields():
     assert log and all(line.endswith("-> pruned") for line in log)
 
 
+class StandardSetGate:
+    """The Hilbert gate that kept the set of standard monomials of each
+    multidegree and struck the multiples of every new leading monomial from
+    it, kept as the oracle of ``_HilbertGate``, which counts the struck
+    monomials instead."""
+
+    def __init__(self, pk, nvars, blocks, target):
+        from mustafin.groebner import _BoxMonomials, _packing
+
+        self.monos = _BoxMonomials(pk, nvars, blocks)
+        self.target, self.multidegree = target, pk.block_degrees(blocks)
+        top, width = pk.bound * max([len(blk) for blk in blocks], default=1), 1
+        while (1 << (8 * width - 1)) - 1 < top:
+            width *= 2
+        self.mdeg = _packing(len(blocks), width)
+        self.leads, self.live, self.done, self.cofactors, self.waiting = [], {}, set(), {}, {}
+
+    def complete(self, lms, l):
+        from mustafin import groebner
+
+        multidegree, mdeg = self.multidegree, self.mdeg
+        for lm in lms[len(self.leads):]:
+            self.leads.append((lm, mdeg.pack(multidegree(lm))))
+        a = multidegree(l)
+        if a in self.done:
+            return True
+        entry = self.live.get(a)
+        if entry is None:
+            pops = self.waiting.get(a, 0) + 1
+            if pops * groebner._PAIR_COST < self.monos.count(a):
+                self.waiting[a] = pops
+                return False
+            entry = (set(self.monos.of(a)), 0)
+        std, struck = entry
+        cofactors, guard, pa = self.cofactors, mdeg.guard, mdeg.pack(a)
+        for lm, b in self.leads[struck:]:
+            c = pa - b
+            if c >= 0 and not c & guard:
+                ms = cofactors.get(c)
+                if ms is None:
+                    ms = cofactors[c] = self.monos.of(mdeg.unpack(c))
+                std.difference_update([lm + m for m in ms])
+        want = self.target(a)
+        if len(std) < want:
+            raise DomainError(
+                f"multidegree {a} has {len(std)} standard monomials, "
+                f"below its Hilbert target {want}"
+            )
+        if len(std) > want:
+            self.live[a] = (std, len(self.leads))
+            return False
+        self.live.pop(a, None)
+        self.done.add(a)
+        return True
+
+
+@st.composite
+def gate_runs(draw):
+    """Blocks over some of up to five variables (the rest outside every
+    block), with an empty block among them; a target drawn per multidegree;
+    a pair cost; and a run of steps, each appending a leading monomial or
+    asking about the multidegree of a monomial."""
+    nvars = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(nvars)))
+    covered = draw(st.integers(1, nvars))
+    cuts = sorted(draw(st.lists(st.integers(0, covered), max_size=3)))
+    blocks = [list(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, covered])]
+    blocks.insert(draw(st.integers(0, len(blocks))), [])
+    salt = draw(st.integers(0, 10**6))
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    steps = draw(st.lists(st.tuples(st.booleans(), mono), min_size=1, max_size=30))
+    return nvars, blocks, salt, draw(st.sampled_from([1, 3, 20, 4096])), steps
+
+
+@given(gate_runs())
+@settings(max_examples=300, deadline=None)
+def test_hilbert_gate_matches_the_standard_set_oracle(run):
+    import random
+
+    from mustafin import groebner
+    from mustafin.groebner import _BoxMonomials
+
+    nvars, blocks, salt, cost, steps = run
+    pk = _Packing(nvars)
+    box = _BoxMonomials(pk, nvars, blocks)
+
+    def target(a):
+        # at most the multidegree's size; below, at or above the true count
+        return random.Random(repr((salt, a))).randint(0, box.count(a))
+
+    gate, oracle = _HilbertGate(pk, nvars, blocks, target), StandardSetGate(pk, nvars, blocks, target)
+
+    def answer(g, lms, l):
+        try:
+            return g.complete(lms, l)
+        except DomainError as exc:
+            return str(exc)
+
+    saved, groebner._PAIR_COST = groebner._PAIR_COST, cost
+    try:
+        lms = []
+        for is_lead, m in steps:
+            if is_lead:
+                lms.append(pk.pack(m))
+            else:
+                l = pk.pack(m)
+                assert answer(gate, lms, l) == answer(oracle, lms, l)
+    finally:
+        groebner._PAIR_COST = saved
+
+
 # ---------------------------------------------------------------------------
 # integer order keys on packed monomials
 
@@ -1523,3 +1668,51 @@ def test_buchberger_interreduces_on_its_table_after_a_known_prefix(case, k):
     unreduced = buchberger(rest, order, gb_prefix=len(prefix), reduced=False)
     assert term_lists(reduced) == term_lists(interreduce(unreduced, order))
     assert term_lists(reduced) == term_lists(buchberger(G, order))
+
+
+def assert_field_normalized(rows, order):
+    """Each row is its own ``field_normalize``, term for term and in order,
+    and its recorded leading term is the one a fresh search finds."""
+    for g in rows:
+        fresh = MPoly(g.universe, g.domain, dict(g.terms))
+        assert g.leading_term(order) == fresh.leading_term(order)
+        assert list(field_normalize(fresh, order).terms.items()) == list(g.terms.items())
+
+
+@given(interreduce_inputs(), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_unreduced_rows_after_a_known_prefix_are_field_normalized(case, k):
+    # the rows of a run leave the table as packed monic rows; the
+    # ``reduced=False`` route must still return field-normalized elements
+    dom, order, G = case
+    G = [g for g in G if g]
+    if not G:
+        reject()
+    prefix = buchberger(G[:k], order, reduced=False) if G[:k] else []
+    rest = prefix + G[k:]
+    rows = buchberger(rest, order, gb_prefix=len(prefix), reduced=False)
+    assert_field_normalized(rows, order)
+    assert term_lists(interreduce(rows, order)) == term_lists(
+        buchberger(rest, order, gb_prefix=len(prefix))
+    )
+
+
+@given(pi_rungs())
+@settings(max_examples=20, deadline=None)
+def test_unreduced_rows_of_the_pruned_fast_path_are_field_normalized(rung):
+    field, d, n, seed, exps = rung
+    I, weights = column_minors(field, d, n, seed, exps)
+    pos = I.universe.index("pi")
+    worder = WeightedPiOrder(weights, pos)
+    kw = dict(sat_var=pos, hilbert=(I.universe.grid_indices(), diagonal_target(d)))
+    rows = buchberger(list(I.generators), worder, reduced=False, **kw)
+    assert_field_normalized(rows, worder)
+    # content division leaves no row divisible by pi, and no row reducible
+    # by the rows before it: a remainder divided by pi^c needs no reduction
+    assert all(var_content(g, pos) == 0 for g in rows)
+    for k, g in enumerate(rows):
+        leads = [h.leading_term(worder)[1] for h in rows[:k]]
+        assert not any(mono_divides(lm, m) for lm in leads for m in g.terms)
+    assert term_lists(interreduce(rows, worder)) == term_lists(
+        buchberger(list(I.generators), worder, **kw)
+    )

@@ -85,6 +85,67 @@ def test_minors_counts_and_example():
     assert any(g == expected or g == -expected for g in I.generators)
 
 
+def column_form_minors(cfg):
+    """The minors as products of the column forms, as ``minors_ideal``
+    built them before it read them off the entries; kept as the oracle."""
+    import itertools
+
+    from mustafin.varieties import column_forms
+
+    cols = column_forms(cfg)
+    return [
+        cols[a][r] * cols[b][s] - cols[a][s] * cols[b][r]
+        for a, b in itertools.combinations(range(cfg.n + 1), 2)
+        for r, s in itertools.combinations(range(cfg.d), 2)
+    ]
+
+
+def assert_minors_match_the_column_form_products(cfg):
+    expected = [g for g in column_form_minors(cfg) if g]
+    got = minors_ideal(cfg).generators
+    # generator for generator in order, and term for term (monomial and
+    # coefficient; a term dict's insertion order is not part of a polynomial)
+    assert len(got) == len(expected)
+    for g, h in zip(got, expected):
+        assert g.terms == h.terms
+
+
+@st.composite
+def pi_mixing_configs(draw):
+    """A random configuration over GF(7) or Q whose entries gain random
+    multiples of pi and pi^2, so a coefficient of a minor spreads over
+    several powers of pi; the constant parts stay invertible."""
+    field = draw(st.sampled_from([GF(7), QQ]))
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    n_vec = tuple(sorted(draw(st.sets(st.integers(1, 7), min_size=d - 1, max_size=d - 1))))
+    base = random_config(d, n, n_vec, field, seed=draw(st.integers(0, 200)))
+    extra = st.lists(st.integers(-3, 3).map(field.from_int), max_size=2)
+    entries = tuple(
+        tuple(tuple(((e[0] if e else field.zero), *draw(extra)) for e in row) for row in mat)
+        for mat in base.entries
+    )
+    return LatticeConfig(d, n, n_vec, field, entries)
+
+
+@given(pi_mixing_configs())
+@settings(max_examples=60, deadline=None)
+def test_minors_match_the_column_form_products(cfg):
+    assert_minors_match_the_column_form_products(cfg)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbolic_minors_match_the_column_form_products(n):
+    assert_minors_match_the_column_form_products(LatticeConfig(3, n, (1, 2), F, "symbolic"))
+
+
+def test_minors_of_random_configs_match_the_column_form_products():
+    for field in (GF(7), QQ, F):
+        for seed in range(5):
+            assert_minors_match_the_column_form_products(random_config(3, 2, (1, 2), field, seed))
+    assert_minors_match_the_column_form_products(random_config(4, 4, (1, 3, 7), F, 1))
+
+
 def test_mustafin_ideal_properties():
     # n=0: no minors at all
     assert mustafin_ideal(identity_config(3, 0, (1, 2))).is_zero()
@@ -175,6 +236,26 @@ def fibre_configs(draw):
 @settings(max_examples=25, deadline=None)
 def test_special_fibre_is_the_interreduced_saturation(cfg):
     assert_fibre_is_the_interreduced_saturation(cfg)
+
+
+def assert_fibre_carries_its_korder_leading_terms(cfg):
+    korder = fibre_weight_order(cfg)
+    for g in special_fibre(cfg).generators:
+        fresh = MPoly(g.universe, g.domain, dict(g.terms))
+        assert g._lt[korder] == fresh.leading_term(korder)
+
+
+@pytest.mark.parametrize(
+    "d, n, n_vec", [(3, 4, (1, 2)), (3, 5, (1, 2)), (4, 3, (1, 3, 7)), (4, 4, (1, 3, 7))]
+)
+def test_special_fibre_carries_its_korder_leading_terms_on_the_ladder(d, n, n_vec):
+    assert_fibre_carries_its_korder_leading_terms(random_config(d, n, n_vec, F, seed=1))
+
+
+@given(fibre_configs())
+@settings(max_examples=25, deadline=None)
+def test_special_fibre_carries_its_korder_leading_terms(cfg):
+    assert_fibre_carries_its_korder_leading_terms(cfg)
 
 
 def test_component_vectors_enumeration():
