@@ -149,7 +149,8 @@ class _Packing:
     Every term order of ``polyring`` compiles an integer key on packed
     monomials from the field arithmetic here (``order_key``): degrees and
     weighted degrees are sums over the fields, the reverse-lex part reverses
-    the fields, and a block order gathers the fields of each block.  Every
+    the fields, and a block order gathers the fields of each of its leaf
+    segments, the reverse-lex ones from one reversal (``runs``).  Every
     width-dependent constant lives in the packing."""
 
     __slots__ = (
@@ -232,9 +233,13 @@ class _Packing:
 
         return fn
 
+    def degree_in(self, positions):
+        """p -> p's total degree in the variables at ``positions``."""
+        return self._summer(self.mask(positions))
+
     def block_degrees(self, blocks):
         """p -> the tuple of p's degrees in the variables of each block."""
-        sums = [self._summer(self.mask(blk)) for blk in blocks]
+        sums = [self.degree_in(blk) for blk in blocks]
         return lambda p: tuple([s(p) for s in sums])
 
     def weigher(self, weights):
@@ -276,21 +281,29 @@ class _Packing:
             p = ((p & low) << s) | ((p >> s) & low)
         return p
 
-    def gatherer(self, positions):
-        """p -> the fields of p at ``positions``, in that order, as a
-        monomial of ``restrict(len(positions))``: one shift and mask per run
-        of consecutive positions."""
+    def runs(self, positions) -> list:
+        """The moves that gather the fields of p at ``positions``, in that
+        order, into a monomial of ``restrict(len(positions))``: a triple
+        (src, low, dst) per run of consecutive positions, the run being
+        (p >> src) & low placed at bit dst."""
         f, n, m = self.field, self.nvars, len(positions)
-        if tuple(positions) == tuple(range(n)):
-            return lambda p: p
-        runs = []
+        out = []
         k = 0
         while k < m:
             size = 1
             while k + size < m and positions[k + size] == positions[k] + size:
                 size += 1
-            runs.append((f * (n - positions[k] - size), (1 << f * size) - 1, f * (m - k - size)))
+            out.append((f * (n - positions[k] - size), (1 << f * size) - 1, f * (m - k - size)))
             k += size
+        return out
+
+    def gatherer(self, positions):
+        """p -> the fields of p at ``positions``, in that order, as a
+        monomial of ``restrict(len(positions))``: one shift and mask per run
+        of consecutive positions (``runs``)."""
+        if tuple(positions) == tuple(range(self.nvars)):
+            return lambda p: p
+        runs = self.runs(positions)
         if len(runs) == 1:
             src, low, _ = runs[0]
             return lambda p: (p >> src) & low
@@ -1211,7 +1224,12 @@ def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
 
 
 def is_groebner(
-    G, order: TermOrder, *, ring_mode: bool = False, cap_seconds: float | None = None
+    G,
+    order: TermOrder,
+    *,
+    ring_mode: bool = False,
+    cap_seconds: float | None = None,
+    _members=(),
 ):
     """Syzygy criterion: the S-combination of every pair that survives a
     Gebauer-Moeller update (``_gm_update``, replayed over G in order)
@@ -1223,32 +1241,56 @@ def is_groebner(
     weak (a step combines reducers through a Bezout identity).  Over a
     principal ideal domain the pairwise S-syzygies generate the syzygies of
     the leading terms, so a set whose surviving S-combinations reduce to
-    zero is a basis, and the G-combinations need no test."""
+    zero is a basis, and the G-combinations need no test.
+
+    ``_members`` (internal; the basis test of ``specialize``) must also
+    reduce to zero, on the same reducer table, after every pair: then G is
+    a basis of an ideal holding them.  The first that does not is the
+    witness, and the cap is checked before each of them too."""
     G = [g for g in G if g]
-    if len(G) <= 1:
+    members = [f for f in _members if f]
+    if len(G) <= 1 and not members:
         return True, None
+    if not G:
+        return False, members[0]
     if ring_mode and getattr(G[0].domain, "is_field", False):
         domain = _FieldAsEuclidean(G[0].domain)
-        G = [MPoly(g.universe, domain, dict(g.terms), _clean=True) for g in G]
+        G, members = [
+            [MPoly(g.universe, domain, dict(g.terms), _clean=True) for g in gs]
+            for gs in (G, members)
+        ]
     t0 = time.monotonic()
     return _widening(
-        lambda pk: _is_groebner_packed(G, order, pk, t0, cap_seconds), G[0].universe.nvars
+        lambda pk: _is_groebner_packed(G, members, order, pk, t0, cap_seconds),
+        G[0].universe.nvars,
     )
 
 
-def _is_groebner_packed(G, order, pk, t0, cap_seconds):
+def _is_groebner_packed(G, members, order, pk, t0, cap_seconds):
     red = _Reducers(order, G[0].universe, G[0].domain, pk, G)
     pairs: dict = {}
     for t in range(len(G)):
         _gm_update(red, pairs, t)
-    for k, (i, j) in enumerate(sorted(pairs, key=lambda ij: (ij[1], ij[0]))):
+    todo = sorted(pairs, key=lambda ij: (ij[1], ij[0]))
+
+    def check_cap(k):
+        # k reductions are done: the pairs first, then the members
         if cap_seconds is not None and time.monotonic() - t0 >= cap_seconds:
-            raise ResourceCapExceeded(
-                f"is_groebner exceeded {cap_seconds:g}s ({k} of {len(pairs)} pairs reduced)"
-            )
+            n = len(todo)
+            done = f"{k} of {n} pairs"
+            if k >= n:
+                done = f"{n} of {n} pairs, {k - n} of {len(members)} members"
+            raise ResourceCapExceeded(f"is_groebner exceeded {cap_seconds:g}s ({done} reduced)")
+
+    for k, (i, j) in enumerate(todo):
+        check_cap(k)
         cand = red.s_combination(i, j)
         if red.reduce(dict(cand)):
             return False, red.to_poly(cand)
+    for k, f in enumerate(members, len(todo)):
+        check_cap(k)
+        if red.reduce(red.pack_poly(f)):
+            return False, f
     return True, None
 
 

@@ -14,6 +14,7 @@ polynomial round-trips.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -215,19 +216,55 @@ class Block(TermOrder):
             out.extend(sub.key(tuple([mono[i] for i in idx])))
         return tuple(out)
 
+    def _leaves(self, positions=None):
+        """The segments with every nested block opened, most significant
+        first: (positions in the universe, suborder) pairs whose suborder is
+        not a ``Block``.  ``positions`` maps this block's positions into an
+        enclosing universe (default: its own)."""
+        for idx, sub in self.segments:
+            pos = idx if positions is None else tuple([positions[i] for i in idx])
+            if isinstance(sub, Block):
+                yield from sub._leaves(pos)
+            else:
+                yield pos, sub
+
     def packed_key(self, pk):
-        # each segment's key on its gathered fields, in fixed-width slots
-        parts, bits = [], 0
-        for idx, sub in reversed(self.segments):
-            compiled = sub.packed_key(pk.restrict(len(idx)))
+        # Each segment's key in a fixed-width slot, the last segment lowest.
+        # A nested block is compiled flat, from its leaf segments, so one key
+        # call makes no inner calls; the slots, and so the key, are those of
+        # the nested form.  A degrevlex leaf is its degree above the
+        # complement of its fields in reverse order, and one complemented
+        # reversal of p serves every such leaf: variable i sits in field
+        # n - 1 - i of it, so a leaf's reversed fields are one gather there.
+        n, f = pk.nvars, pk.field
+        runs, degrees, others, bits = [], [], [], 0
+        for pos, sub in reversed(list(self._leaves())):
+            if type(sub) is DegRevLex:
+                if not pos:
+                    continue
+                runs.extend(
+                    (src, low, dst + bits)
+                    for src, low, dst in pk.runs([n - 1 - i for i in reversed(pos)])
+                )
+                degrees.append((pk.degree_in(pos), bits + f * len(pos)))
+                bits += f * len(pos) + (pk.bound * len(pos)).bit_length()
+                continue
+            compiled = sub.packed_key(pk.restrict(len(pos)))
             if compiled is None:
                 return None
-            parts.append((pk.gatherer(idx), compiled[0], bits))
+            others.append((pk.gatherer(pos), compiled[0], bits))
             bits += compiled[1]
+        reverse, full = pk.reverse, (1 << f * n) - 1
 
         def key(p):
             out = 0
-            for gather, fn, at in parts:
+            if runs:
+                c = full ^ reverse(p)
+                for src, low, dst in runs:
+                    out |= (c >> src & low) << dst
+                for degree, at in degrees:
+                    out |= degree(p) << at
+            for gather, fn, at in others:
                 out |= fn(gather(p)) << at
             return out
 
@@ -562,13 +599,18 @@ class Substitution:
     ``target`` must hold every unassigned variable in use and every
     variable of the polynomial values.  A term splits into its exponents at
     the assigned positions and the rest, each read by one gather.  The
-    image of the assigned part, a coefficient times a term dict, is made
-    once per exponent pattern from powers of the values, all cached for the
-    life of the plan; the terms of one image accumulate into one dict.
+    image of the assigned part is made once per exponent pattern and cached
+    for the life of the plan: a coefficient, from the power list of each
+    coefficient value, times a term dict, from powers of the polynomial
+    values; the terms of one image accumulate into one dict.  A plan whose
+    values are all coefficients applies them on its own path: each term's
+    coefficient is multiplied by the power of each value its nonzero
+    exponents select, read from the power lists (the patterns of a
+    sampled assignment's conditions hardly repeat, so none is cached).
     """
 
     __slots__ = (
-        "source", "target", "domain", "_scalars", "_polys", "_spows", "_ppows", "_assigned",
+        "source", "target", "domain", "_polys", "_powers", "_ppows", "_assigned",
         "_pattern", "_rest", "_unmapped", "_factors",
     )
 
@@ -577,7 +619,7 @@ class Substitution:
     ):
         target = target or source
         self.source, self.target, self.domain = source, target, domain
-        self._scalars: dict[int, object] = {}
+        scalars: dict[int, object] = {}
         self._polys: dict[int, dict] = {}
         for name, val in assignment.items():
             pos = source.index(name)
@@ -586,13 +628,17 @@ class Substitution:
                     val = val.relabel(target)
                 self._polys[pos] = val.terms
             else:
-                self._scalars[pos] = val
-        self._spows: dict[tuple[int, int], object] = {}
+                scalars[pos] = val
+        self._assigned = sorted([*scalars, *self._polys])
+        # per source position: [1, v, v^2, ...] for a coefficient v, grown
+        # on demand; None for any other variable
+        self._powers = [
+            [domain.one, scalars[i]] if i in scalars else None for i in range(source.nvars)
+        ]
         self._ppows: dict[tuple[int, int], dict] = {}
-        self._assigned = sorted([*self._scalars, *self._polys])
         self._pattern = _gatherer(self._assigned)
         dest = [target._index.get(name) for name in source.names]
-        free = [i for i in range(source.nvars) if i not in self._scalars and i not in self._polys]
+        free = [i for i in range(source.nvars) if i not in scalars and i not in self._polys]
         kept = [i for i in free if dest[i] is not None]
         self._unmapped = [i for i in free if dest[i] is None]
         if [dest[i] for i in kept] == list(range(target.nvars)):
@@ -609,15 +655,24 @@ class Substitution:
             self._rest = rest
         self._factors: dict = {}
 
-    def _scalar_pow(self, i: int, e: int):
-        p = self._spows.get((i, e))
-        if p is None:
-            if e == 1:
-                p = self._scalars[i]
-            else:
-                p = self.domain.mul(self._scalar_pow(i, e // 2), self._scalar_pow(i, e - e // 2))
-            self._spows[(i, e)] = p
-        return p
+    def _power(self, powers: list, e: int):
+        """powers[e], the list grown to hold it."""
+        mul = self.domain.mul
+        while len(powers) <= e:
+            powers.append(mul(powers[-1], powers[1]))
+        return powers[e]
+
+    def _coefficient(self, m: tuple):
+        """The product of the coefficient values raised to their exponents
+        in the monomial m; None when it is one."""
+        mul = self.domain.mul
+        coeff = None
+        # only the nonzero exponents reach the loop
+        for powers, e in itertools.compress(zip(self._powers, m), m):
+            if powers is not None:
+                p = powers[e] if e < len(powers) else self._power(powers, e)
+                coeff = p if coeff is None else mul(coeff, p)
+        return coeff
 
     def _poly_pow(self, i: int, e: int) -> dict:
         p = self._ppows.get((i, e))
@@ -630,24 +685,20 @@ class Substitution:
             self._ppows[(i, e)] = p
         return p
 
-    def _factor(self, pattern: tuple) -> tuple:
-        """The image of the assigned exponents ``pattern``: (coefficient,
-        term dict), either None when it is one."""
-        dom = self.domain
-        coeff = terms = None
+    def _factor(self, pattern: tuple, m: tuple) -> tuple:
+        """The image of the assigned exponents ``pattern`` of the monomial
+        m: (coefficient, term dict), either None when it is one."""
+        terms = None
         for i, e in zip(self._assigned, pattern):
-            if not e:
-                continue
-            if i in self._scalars:
-                p = self._scalar_pow(i, e)
-                coeff = p if coeff is None else dom.mul(coeff, p)
-            else:
+            if e and i in self._polys:
                 p = self._poly_pow(i, e)
-                terms = p if terms is None else _terms_mul(terms, p, dom)
-        out = self._factors[pattern] = (coeff, terms)
+                terms = p if terms is None else _terms_mul(terms, p, self.domain)
+        out = self._factors[pattern] = (self._coefficient(m), terms)
         return out
 
     def __call__(self, f: "MPoly") -> "MPoly":
+        if not self._polys:
+            return self._apply_coefficients(f)
         dom, target = self.domain, self.target
         mul, add, iz = dom.mul, dom.add, dom.is_zero
         pattern, rest, unmapped, factors = self._pattern, self._rest, self._unmapped, self._factors
@@ -658,7 +709,7 @@ class Substitution:
                     raise UniverseError(f"variable {self.source.names[i]} missing from target")
             pat = pattern(m)
             fac = factors.get(pat)
-            coeff, terms = self._factor(pat) if fac is None else fac
+            coeff, terms = self._factor(pat, m) if fac is None else fac
             if coeff is not None:
                 c = mul(c, coeff)
                 if iz(c):
@@ -683,6 +734,37 @@ class Substitution:
                     else:
                         out[mm] = s
         return MPoly(target, dom, out, _clean=True)
+
+    def _apply_coefficients(self, f: "MPoly") -> "MPoly":
+        """``__call__`` of a plan whose values are all coefficients: each
+        term's coefficient is multiplied by a power of each value, one per
+        nonzero exponent at an assigned position, and the term lands on one
+        monomial."""
+        dom = self.domain
+        mul, add, iz = dom.mul, dom.add, dom.is_zero
+        compress, all_powers = itertools.compress, self._powers
+        rest, unmapped = self._rest, self._unmapped
+        out: dict = {}
+        for m, c in f.terms.items():
+            for i in unmapped:
+                if m[i]:
+                    raise UniverseError(f"variable {self.source.names[i]} missing from target")
+            for powers, e in compress(zip(all_powers, m), m):
+                if powers is not None:
+                    c = mul(c, powers[e] if e < len(powers) else self._power(powers, e))
+            if iz(c):
+                continue
+            mono = rest(m)
+            cur = out.get(mono)
+            if cur is None:
+                out[mono] = c
+            else:
+                s = add(cur, c)
+                if iz(s):
+                    del out[mono]
+                else:
+                    out[mono] = s
+        return MPoly(self.target, dom, out, _clean=True)
 
 
 def _gatherer(positions):

@@ -32,15 +32,21 @@ variable, once per target (a polynomial, an ideal or a list of
 polynomials of one universe); the substitution itself is a
 ``polyring.Substitution`` plan, the routine behind ``MPoly.substitute``,
 applied to every polynomial of the target; a pi-ring value becomes a
-polynomial in pi by ``polyring.from_pi_element``.  ``_first_violation``
-substitutes all its conditions in one call, and ``check_specialization``
-every distinct polynomial it needs once.  The
-``ObstructionSet`` carries the symbolic basis it was read from, and
-``check_specialization`` reuses it for the same generators instead of
+polynomial in pi by ``polyring.from_pi_element``.  A plan whose values are
+all coefficients, as a sampled assignment's are, takes the scalar path:
+each term's coefficient is multiplied by powers read from one power list
+per variable.  ``_first_violation`` checks all its conditions first and
+substitutes the nonzero ones only when every unit condition holds, and
+``check_specialization`` substitutes every distinct polynomial it needs
+once.  The ``ObstructionSet`` carries the symbolic basis it was read from,
+and ``check_specialization`` reuses it for the same generators instead of
 computing it per check.  The basis test over the pi-coefficient ring runs
 on the packed ring-mode kernel of ``groebner``, with the Gebauer-Moeller
-criteria on leading terms, and the harvest
-of nonzero conditions on its field-mode kernel: each S-pair is reduced by
+criteria on leading terms; the specialized generators of <gens, 1 - t*a>
+are reduced on the same reducer table after the surviving S-combinations,
+under the same time budget.  The commutation check compares reduced bases
+(``_same_ideal``), which are equal exactly when the ideals are.  The harvest
+of nonzero conditions runs on the field-mode kernel: each S-pair is reduced by
 ``_Reducers.reduce``, whose observer reads the coefficient of the grouped
 leading monomial (auxiliary and main variables) from the packed working
 polynomial before each step, by masking the grouped fields.
@@ -61,7 +67,6 @@ from .groebner import (
     buchberger,
     divide_var_power,
     is_groebner,
-    normal_forms,
     saturate,
     var_content,
 )
@@ -106,18 +111,25 @@ def subst(assignment: dict, target):
 
 def _subst_all(assignment: dict, polys) -> list:
     """``subst`` of each polynomial of one universe and domain, in order,
-    with one plan.  A polynomial's missing parameters are checked before
-    the plan is made, so every error is the one a polynomial-by-polynomial
-    loop raises first."""
+    with one plan (``_checked_plan``)."""
     polys = list(polys)
+    plan = _checked_plan(assignment, polys)
+    return [plan(f) for f in polys]
+
+
+def _checked_plan(assignment: dict, polys: list) -> Substitution | None:
+    """The substitution plan for ``polys`` (None for no polynomial), after
+    checking each in order for its universe, domain and missing parameters.
+    The plan is made once the first polynomial passes, and applying it
+    raises nothing, so every error is the one a polynomial-by-polynomial
+    loop raises first."""
     if not polys:
-        return []
+        return None
     uni, dom = polys[0].universe, polys[0].domain
     params = [
         i for i, name in enumerate(uni.names) if name.startswith("A[") and name not in assignment
     ]
     plan = None
-    out = []
     for f in polys:
         if f.universe != uni or f.domain != dom:
             raise UniverseError("subst of polynomials over different universes or domains")
@@ -126,8 +138,7 @@ def _subst_all(assignment: dict, polys) -> list:
             raise DomainError(f"assignment misses parameters {sorted(missing)}")
         if plan is None:
             plan = _plan(assignment, uni, dom)
-        out.append(plan(f))
-    return out
+    return plan
 
 
 def _plan(assignment: dict, uni: VarUniverse, dom) -> Substitution:
@@ -326,10 +337,10 @@ def check_specialization(
     ideal, and (2) the commutation subst(sat(I, a)) = sat(subst(I),
     subst(a)), the latter computed independently.  ``cap_seconds`` bounds
     the symbolic basis, the basis test and the saturation together.  The
-    basis test over the pi-coefficient ring gets the time left and checks
-    it before each pair it reduces; the normal forms of the lifted
-    generators that follow it are checked on entry only.  Both raise with
-    the phase "basis test"."""
+    basis test over the pi-coefficient ring gets the time left: it reduces
+    the surviving S-combinations and then the specialized lifted
+    generators on one reducer table, and checks the time before each
+    reduction, raising with the phase "basis test"."""
     gens = [g for g in gens if g]
     if not gens:
         return SpecializationReport(True, True)
@@ -347,16 +358,15 @@ def check_specialization(
     distinct = list(dict.fromkeys([*gb, *lifted, a_big]))
     image = dict(zip(distinct, subst(assignment, distinct)))
 
-    # (1) basis property of the specialized set over the pi-coefficient ring
+    # (1) basis property of the specialized set over the pi-coefficient
+    # ring: a basis, and of an ideal holding the specialized generators
     ring_gb = [to_pi_coefficients(h) for h in (image[g] for g in gb) if h]
     ring_uni = ring_gb[0].universe
     ring_order, _ = _symbolic_order(ring_uni, aux)
-    ok_gb, _wit = deadline.run("basis test", is_groebner, ring_gb, ring_order, ring_mode=True)
-    if ok_gb:
-        if deadline.expired():
-            raise deadline.exceeded("basis test")
-        spec_lifted = [to_pi_coefficients(image[g]) for g in lifted if image[g]]
-        ok_gb = not any(normal_forms(spec_lifted, ring_gb, ring_order))
+    spec_lifted = [to_pi_coefficients(image[g]) for g in lifted if image[g]]
+    ok_gb, _wit = deadline.run(
+        "basis test", is_groebner, ring_gb, ring_order, ring_mode=True, _members=spec_lifted
+    )
 
     # (2) commutation, with the right side computed from scratch
     aux_pos = big.index(aux)
@@ -387,26 +397,36 @@ def check_specialization(
 
 
 def _same_ideal(A: Ideal, B: Ideal) -> bool:
-    # the order ``saturate`` caches its result under, so B's basis is reused
+    """Whether two ideals over a field are equal, read off their bases
+    under ``default_order``.  It rests on one invariant: every basis an
+    ``Ideal`` holds under that order is the reduced one, normalized by
+    ``field_normalize`` and sorted ascending by the order key.  Field-mode
+    ``buchberger`` returns such a basis, and elimination-route ``saturate``
+    caches the auxiliary-free part of one, which is the reduced basis of
+    the saturation.  An ideal has one reduced basis, so the two lists are
+    equal exactly when the ideals are.  ``saturate`` caches under this
+    order, so a saturation's basis is reused."""
     order = default_order(A.universe)
     gb_a = list(A.groebner_basis(order)) if not A.is_zero() else []
     gb_b = list(B.groebner_basis(order)) if not B.is_zero() else []
-    # one reducer table per side; an unequal pair stops after side A
-    return not any(normal_forms(A.generators, gb_b, order)) and not any(
-        normal_forms(B.generators, gb_a, order)
-    )
+    return gb_a == gb_b
 
 
 def _first_violation(assignment, obstructions: ObstructionSet) -> str:
     """The first condition the assignment violates, as "unit condition X"
-    or "nonzero condition X"; "" when it satisfies them all."""
+    or "nonzero condition X"; "" when it satisfies them all.
+
+    Every condition is checked before any is substituted, so the errors
+    are those of one ``subst`` call on all of them.  The unit conditions
+    are substituted by ``subst``; the nonzero ones, by the checked plan,
+    one at a time and only while no condition before them is violated."""
     units, nonzeros = obstructions.unit_conditions, obstructions.nonzero_conditions
-    values = subst(assignment, [*units, *nonzeros])
-    for cond, val in zip(units, values):
+    plan = _checked_plan(assignment, [*units, *nonzeros])
+    for cond, val in zip(units, subst(assignment, units)):
         if (not val) or _pi_valuation_of_poly(val) > 0:
             return f"unit condition {format_poly(cond)}"
-    for cond, val in zip(nonzeros, values[len(units):]):
-        if not val:
+    for cond in nonzeros:
+        if not plan(cond):
             return f"nonzero condition {format_poly(cond)}"
     return ""
 

@@ -1421,6 +1421,36 @@ def test_packed_key_orders_monomials_as_the_tuple_key(case):
         assert pk.degree(pk.pack(m)) == sum(m)
 
 
+def specialization_blocks():
+    """The nested blocks the specialization check runs, on 5 variables: the
+    elimination order of ``saturate`` over the pi-last default order, and
+    the symbolic order with and without parameters and pi."""
+    from mustafin.polyring import default_order
+    from mustafin.specialize import _symbolic_order
+
+    inner = default_order(VarUniverse(("x", "y", "z", "pi")))
+    assert isinstance(inner, Block)
+    orders = [Block((((4,), DegRevLex()), ((0, 1, 2, 3), inner)), name="sat-elim")]
+    for names, aux in (
+        (("t[0]", "x", "A[1][1][0]", "A[2][1][0]", "pi"), "t[0]"),
+        (("x", "y", "A[1][1][0]", "z", "pi"), None),
+        (("x", "y", "z", "A[1][1][0]", "t[0]"), "t[0]"),
+        (("t[0]", "x", "y", "z", "pi"), "t[0]"),
+        (("x", "y", "z", "w", "t[0]"), "t[0]"),
+    ):
+        orders.append(_symbolic_order(VarUniverse(names), aux)[0])
+    return orders
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_specialization_blocks_sort_as_their_tuple_keys(width):
+    pk = _Packing(5, width)
+    monos = list(itertools.product([0, 1, 2, pk.bound], repeat=5))
+    for order in specialization_blocks():
+        fn = pk.order_key(order)
+        assert sorted(monos, key=lambda m: fn(pk.pack(m))) == sorted(monos, key=order.key)
+
+
 def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
     calls = collections.Counter()
     nvars = 5
@@ -1437,6 +1467,7 @@ def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
         WeightedPiOrder((1, 2, 3, 4, 1), 2),
         Block((((3, 1), DegRevLex()), ((), Lex()), ((0, 4, 2), WeightedPiOrder((2, 1, 1), 1)))),
     ]
+    orders += specialization_blocks()
     uni = VarUniverse(tuple(f"v{i}" for i in range(nvars)))
     for width in (1, 2, 4):
         pk = _Packing(nvars, width)
@@ -1449,6 +1480,58 @@ def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
     red = _Reducers(Block((((0, 1), SquaredDegRevLex()),)), uni, F, _Packing(nvars))
     assert red.key(red.pk.pack((1, 2, 0, 0, 0))) == (-9, 2, 1)
     assert calls == {"SquaredDegRevLex": 1, "Block": 1}
+    # so does a block holding one inside a nested block
+    deep = Block((((4,), DegRevLex()), ((0, 1, 2), Block((((2, 0), SquaredDegRevLex()),)))))
+    assert deep.packed_key(_Packing(nvars)) is None
+
+
+@st.composite
+def nested_blocks(draw, positions, depth=3):
+    """A block order on the universe positions ``positions``, nested up to
+    ``depth`` deep, with its leaf segments flattened by hand: (block,
+    [(universe positions, leaf order)] most significant first)."""
+    shuffled = draw(st.permutations(positions))
+    cuts = sorted(draw(st.lists(st.integers(0, len(shuffled)), min_size=1, max_size=3)))
+    bounds = [0, *cuts, len(shuffled)]
+    segments, leaves = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        seg = tuple(shuffled[a:b])
+        if depth > 0 and draw(st.booleans()):
+            # the inner block numbers its positions within the segment
+            inner, inner_leaves = draw(nested_blocks(tuple(range(len(seg))), depth - 1))
+            segments.append((seg, inner))
+            leaves.extend((tuple(seg[i] for i in idx), sub) for idx, sub in inner_leaves)
+        else:
+            # degrevlex leaves half the time: they share one reversal
+            sub = draw(st.one_of(st.just(DegRevLex()), polyring_orders(len(seg), depth=0)))
+            segments.append((seg, sub))
+            leaves.append((seg, sub))
+    return Block(tuple(segments)), leaves
+
+
+@st.composite
+def nested_and_flat(draw):
+    n = draw(st.integers(0, 6))
+    pk = _Packing(n, draw(st.sampled_from([1, 2])))
+    nested, leaves = draw(nested_blocks(tuple(range(n))))
+    exps = st.one_of(st.integers(0, 3), st.just(pk.bound), st.integers(0, pk.bound))
+    monos = draw(st.lists(st.tuples(*[exps] * n), min_size=1, max_size=8))
+    return pk, nested, Block(tuple(leaves)), monos
+
+
+@given(nested_and_flat())
+@settings(max_examples=300, deadline=None)
+def test_a_nested_block_keys_as_its_flattened_form(case):
+    pk, nested, flat, monos = case
+    (fn, bits), (flat_fn, flat_bits) = nested.packed_key(pk), flat.packed_key(pk)
+    assert bits == flat_bits
+    keys = [fn(pk.pack(m)) for m in monos]
+    assert keys == [flat_fn(pk.pack(m)) for m in monos]
+    assert all(0 <= k < 1 << bits for k in keys)
+    for a, ka in zip(monos, keys):
+        assert nested.key(a) == flat.key(a)
+        for b, kb in zip(monos, keys):
+            assert sign(ka, kb) == sign(nested.key(a), nested.key(b))
 
 
 def old_gm_update(red, pairs, t):

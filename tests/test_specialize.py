@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -14,8 +15,17 @@ import mustafin.specialize as specialize
 from mustafin import groebner
 from mustafin.cli import spec_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
-from mustafin.groebner import buchberger
-from mustafin.polyring import Ideal, MPoly, UniverseError, VarUniverse, mono_divides, parse_poly
+from mustafin.groebner import buchberger, saturate
+from mustafin.polyring import (
+    Ideal,
+    MPoly,
+    Substitution,
+    UniverseError,
+    VarUniverse,
+    default_order,
+    mono_divides,
+    parse_poly,
+)
 from mustafin.specialize import (
     ObstructionSet,
     check_specialization,
@@ -304,6 +314,84 @@ def test_a_batch_substitutes_as_one_call_per_polynomial(fs, assignment):
     assert [g.universe for g in got] == [g.universe for g in expected]
 
 
+F32003 = GF(32003)
+scalar_domains = {
+    "GF(7)": (F7, st.integers(0, 6).map(F7.from_int)),
+    "GF(32003)": (F32003, st.sampled_from([0, 1, 2, 32002, 16001, 7]).map(F32003.from_int)),
+    "QQ": (QQ, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))),
+}
+
+
+@st.composite
+def scalar_cases(draw):
+    """Polynomials with exponents up to 5 over GF(7), GF(32003) or QQ, and
+    an assignment of coefficients (zero included) to some of the
+    variables; the first polynomial gains a multiple of A[1][1][0] - v,
+    which cancels after substitution when A[1][1][0] takes the value v."""
+    dom, value = scalar_domains[draw(st.sampled_from(sorted(scalar_domains)))]
+    coeff = value.filter(lambda c: not dom.is_zero(c))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 5), coeff, max_size=6).map(
+        lambda t: MPoly(SUBST_UNI, dom, t)
+    )
+    fs = draw(st.lists(poly, min_size=1, max_size=4))
+    names = st.sampled_from(["A[1][1][0]", "A[2][1][0]", "x", "pi", "z"])
+    assignment = draw(st.dictionaries(names, value))
+    v = draw(value)
+    if draw(st.booleans()):
+        assignment["A[1][1][0]"] = v
+    a1 = MPoly.var(SUBST_UNI, dom, "A[1][1][0]")
+    fs[0] = fs[0] + (a1 - MPoly.const(SUBST_UNI, dom, v)) * draw(poly)
+    return fs, assignment, v
+
+
+@given(scalar_cases())
+@settings(max_examples=300, deadline=None)
+def test_scalar_values_substitute_as_the_per_term_oracle(case):
+    """All-coefficient assignments take the plan's coefficient path: one
+    plan for the list, the oracle's images, the oracle's first error."""
+    fs, assignment, v = case
+    expected = []
+    try:
+        for f in fs:
+            expected.append(subst_oracle(assignment, f))
+    except (DomainError, UniverseError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            subst(assignment, fs)
+        return
+    got = subst(assignment, fs)
+    assert got == expected == [subst(assignment, f) for f in fs]
+    kept = tuple(n for n in SUBST_UNI.names if n not in assignment)
+    assert all(g.universe.names == kept for g in got)
+
+
+@given(scalar_cases(), st.sampled_from(["x", "y", "pi"]))
+@settings(max_examples=150, deadline=None)
+def test_a_scalar_plan_raises_for_a_free_variable_missing_from_its_target(case, dropped):
+    fs, assignment, _v = case
+    values = {k: val for k, val in assignment.items() if k in SUBST_UNI}
+    assume(dropped not in values)
+    pos = SUBST_UNI.index(dropped)
+    small = VarUniverse(tuple(n for n in SUBST_UNI.names if n not in values))
+    target = VarUniverse(tuple(n for n in small.names if n != dropped))
+    plan = Substitution(SUBST_UNI, fs[0].domain, values, target)
+    message = re.escape(f"variable {dropped} missing from target")
+    for f in fs:
+        if any(m[pos] for m in f.terms):
+            with pytest.raises(UniverseError, match=message):
+                plan(f)
+        else:
+            assert plan(f) == f.substitute(values, small).relabel(target)
+
+
+def test_a_scalar_plan_grows_its_power_lists_and_cancels_terms():
+    uni, x, y, A1, A2, pi = example_setup(QQ)
+    half = Fraction(1, 2)
+    f = A1 ** 5 * x - x.scale(Fraction(1, 32)) + A2 ** 3 * y + A2 * x
+    got = subst({"A[1][1][0]": half, "A[2][1][0]": QQ.zero}, f)
+    assert got == subst_oracle({"A[1][1][0]": half, "A[2][1][0]": QQ.zero}, f)
+    assert not got  # A1^5 x cancels, every A2 term dies with the zero value
+
+
 def test_a_batch_over_two_universes_raises():
     uni, x, y, A1, A2, pi = example_setup(F)
     small = VarUniverse(("A[2][1][0]", "pi"))
@@ -584,6 +672,125 @@ def test_first_violation_names_the_condition_of_one_call_per_condition(vals):
     )
 
 
+def first_violation_all_at_once(assignment, obstructions):
+    """``_first_violation`` substituting every condition in one ``subst``
+    call before reading any: the reference for the version that
+    substitutes the nonzero conditions only when the unit ones hold."""
+    units, nonzeros = obstructions.unit_conditions, obstructions.nonzero_conditions
+    values = subst(assignment, [*units, *nonzeros])
+    for cond, val in zip(units, values):
+        if (not val) or specialize._pi_valuation_of_poly(val) > 0:
+            return f"unit condition {specialize.format_poly(cond)}"
+    for cond, val in zip(nonzeros, values[len(units):]):
+        if not val:
+            return f"nonzero condition {specialize.format_poly(cond)}"
+    return ""
+
+
+@functools.cache
+def small_field_obstructions(p):
+    """The obstruction set of the symbolic d=3 n=1 minors over GF(p)."""
+    from mustafin.varieties import LatticeConfig, minors_ideal
+
+    dom = GF(p)
+    minors = minors_ideal(LatticeConfig(3, 1, (1, 2), dom, "symbolic"))
+    obs = obstruction_polynomials(list(minors.generators), MPoly.var(minors.universe, dom, "pi"))
+    assert not obs.incomplete and obs.unit_conditions and obs.nonzero_conditions
+    return obs
+
+
+@st.composite
+def small_field_samples(draw):
+    """An assignment of the 18 parameters over GF(3) or GF(5): field values,
+    now and then a value with pi terms, and one time in three up to
+    three parameters left out."""
+    p = draw(st.sampled_from([3, 5]))
+    ring = PiRing(GF(p))
+    field_value = st.integers(0, p - 1).map(GF(p).from_int)
+    pi_value = st.lists(st.integers(0, p - 1), min_size=2, max_size=3).map(ring.element)
+    names = [f"A[{i}][{j}][{l}]" for l in (0, 1) for i in (1, 2, 3) for j in (1, 2, 3)]
+    assignment = {
+        name: draw(pi_value if draw(st.integers(0, 9)) == 0 else field_value) for name in names
+    }
+    if draw(st.integers(0, 2)) == 0:
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+            del assignment[name]
+    return p, assignment
+
+
+@given(small_field_samples())
+@settings(max_examples=200, deadline=None)
+def test_first_violation_matches_substituting_all_conditions_at_once(case):
+    p, assignment = case
+    obs = small_field_obstructions(p)
+    try:
+        expected = first_violation_all_at_once(assignment, obs)
+    except (DomainError, UniverseError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            specialize._first_violation(assignment, obs)
+        return
+    assert specialize._first_violation(assignment, obs) == expected
+
+
+def test_first_violation_skips_the_nonzero_conditions_after_a_unit_one_fails(monkeypatch):
+    obs = small_field_obstructions(3)
+    names = [f"A[{i}][{j}][{l}]" for l in (0, 1) for i in (1, 2, 3) for j in (1, 2, 3)]
+    assignment = dict.fromkeys(names, GF(3).zero)
+    applied = []
+    call = Substitution.__call__
+
+    def counting(self, f):
+        applied.append(f)
+        return call(self, f)
+
+    monkeypatch.setattr(Substitution, "__call__", counting)
+    assert specialize._first_violation(assignment, obs).startswith("unit condition")
+    # the unit conditions only (some of them are nonzero conditions too)
+    assert len(applied) == len(obs.unit_conditions)
+
+
+def test_the_budget_runs_out_between_the_lifted_generators(monkeypatch):
+    # the basis test reduces the surviving S-combinations and then the
+    # specialized lifted generators on one table, checking the clock before
+    # each; a clock that jumps past the budget during the first lifted
+    # generator stops the check before the second
+    from types import SimpleNamespace
+
+    gens, pi = symbolic_minors_d3n1()
+    obs = obstruction_polynomials(gens, pi)
+    sample = generic_sample(1, F, (3, 1), obs)
+    s_combinations = []
+    s_combination = groebner._Reducers.s_combination
+
+    def counted(self, i, j):
+        s_combinations.append((i, j))
+        return s_combination(self, i, j)
+
+    monkeypatch.setattr(groebner._Reducers, "s_combination", counted)
+    assert check_specialization(gens, pi, sample.assignment, obstructions=obs).ok
+    pairs = len(s_combinations)
+    assert pairs
+
+    now = [0.0]
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    reductions = []
+    reduce = groebner._Reducers.reduce
+
+    def clocked(self, work, **kw):
+        reductions.append(len(work))
+        if len(reductions) == pairs + 1:  # the first lifted generator
+            now[0] = 100.0
+        return reduce(self, work, **kw)
+
+    monkeypatch.setattr(groebner._Reducers, "reduce", clocked)
+    with pytest.raises(groebner.ResourceCapExceeded) as exc:
+        check_specialization(gens, pi, sample.assignment, obstructions=obs, cap_seconds=30)
+    assert exc.value.phase == "basis test"
+    assert str(exc.value).startswith("basis test: exceeded 30s (is_groebner exceeded 30s ")
+    assert re.search(rf"\({pairs} of {pairs} pairs, 1 of \d+ members reduced\)$", exc.value.detail)
+    assert len(reductions) == pairs + 1
+
+
 def test_an_expired_deadline_stops_the_check_at_its_basis_test():
     # handed its basis, the check runs no capped call before the basis
     # test over L[pi], so a zero budget is spent exactly there
@@ -669,21 +876,94 @@ def test_one_converted_basis_shares_its_ring_and_universe(monkeypatch):
     assert [rep.ok for rep in shared] == [True, True, True, True, False]
 
 
-def test_same_ideal_stops_after_the_first_side_on_an_unequal_pair(monkeypatch):
+def test_same_ideal_makes_no_normal_form_call(monkeypatch):
+    # equality is read off the two reduced bases; no normal form is taken
     uni, x, y, A1, A2, pi = example_setup(F)
     small, big = Ideal([x * y], uni, F), Ideal([x, y], uni, F)
-    calls = []
-    normal_forms = specialize.normal_forms
 
-    def counting(fs, G, order):
-        calls.append(fs)
-        return normal_forms(fs, G, order)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("normal form taken")
 
-    monkeypatch.setattr(specialize, "normal_forms", counting)
+    monkeypatch.setattr(groebner, "normal_forms", forbidden)
+    monkeypatch.setattr(groebner, "normal_form", forbidden)
     assert specialize._same_ideal(small, small)
-    assert len(calls) == 2
-    calls.clear()
+    assert specialize._same_ideal(big, Ideal([x + y, y], uni, F))
     assert not specialize._same_ideal(big, small)
-    assert len(calls) == 1
     assert not specialize._same_ideal(small, big)
-    assert len(calls) == 3
+    one = MPoly.const(uni, F, F.one)
+    assert not specialize._same_ideal(Ideal([x + one], uni, F), Ideal([x + one + one], uni, F))
+    assert not specialize._same_ideal(Ideal([], uni, F), small)
+    assert specialize._same_ideal(Ideal([], uni, F), Ideal([], uni, F))
+
+
+def same_ideal_oracle(A, B):
+    """Ideal equality by normal forms: every generator of each side
+    reduces to zero modulo the basis of the other (the reference for
+    ``_same_ideal``)."""
+    order = default_order(A.universe)
+    gb_a = list(A.groebner_basis(order)) if not A.is_zero() else []
+    gb_b = list(B.groebner_basis(order)) if not B.is_zero() else []
+    return not any(groebner.normal_forms(A.generators, gb_b, order)) and not any(
+        groebner.normal_forms(B.generators, gb_a, order)
+    )
+
+
+IDEAL_UNI = VarUniverse(("x", "y", "z", "pi"))
+ideal_coeffs = {
+    "GF(7)": (F7, st.integers(1, 6).map(F7.from_int)),
+    "QQ": (QQ, st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))),
+}
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Pairs of ideals over GF(7) or QQ in x, y, z, pi: random ideals, the
+    same ideal on other generators, and elimination-route saturations by
+    z, whose bases ``saturate`` caches under ``default_order``."""
+    dom, coeff = ideal_coeffs[draw(st.sampled_from(sorted(ideal_coeffs)))]
+    mono = st.tuples(*[st.integers(0, 2)] * 3, st.integers(0, 1))
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(
+        lambda t: MPoly(IDEAL_UNI, dom, t)
+    )
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    other = draw(st.lists(poly, max_size=2))
+    A = Ideal(gens, IDEAL_UNI, dom)
+    # the same ideal: the first generator moved by a multiple of the others
+    shift = gens[0]
+    for g, c in zip(gens[1:], draw(st.lists(coeff, min_size=2, max_size=2))):
+        shift = shift + g.scale(c)
+    same = Ideal([shift, *gens[1:]], IDEAL_UNI, dom)
+    # most often the same leading monomials, and another ideal
+    moved = Ideal([gens[0] + MPoly.const(IDEAL_UNI, dom, draw(coeff)), *gens[1:]], IDEAL_UNI, dom)
+    bigger = Ideal([*gens, *other], IDEAL_UNI, dom)
+    z = MPoly.var(IDEAL_UNI, dom, "z")
+    S = saturate(A, [z])
+    assert (default_order(IDEAL_UNI), False) in S._gb_cache
+    fresh = Ideal(S.generators, IDEAL_UNI, dom)
+    candidates = [A, same, moved, bigger, S, saturate(S, [z]), fresh, saturate(moved, [z])]
+    return draw(st.sampled_from(candidates)), draw(st.sampled_from(candidates))
+
+
+@given(ideal_pairs())
+@settings(max_examples=150, deadline=None)
+def test_same_ideal_matches_the_normal_form_oracle(pair):
+    A, B = pair
+    assert specialize._same_ideal(A, B) == same_ideal_oracle(A, B)
+    assert specialize._same_ideal(B, A) == same_ideal_oracle(B, A)
+
+
+@pytest.mark.parametrize("dom", [F7, QQ], ids=["GF(7)", "QQ"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_same_ideal_matches_the_oracle_on_fast_path_saturations(dom, seed):
+    from mustafin.varieties import minors_ideal, random_config
+
+    cfg = random_config(2, 1, (1,), dom, seed=seed)
+    I = minors_ideal(cfg)
+    pi = MPoly.var(I.universe, dom, "pi")
+    fast = saturate(I, [pi], pi_fast_weights=cfg.weights)
+    slow = saturate(I, [pi])
+    assert (default_order(I.universe), False) not in fast._gb_cache
+    for A, B in ((fast, slow), (fast, I), (slow, I), (fast, saturate(fast, [pi]))):
+        for X, Y in ((A, B), (B, A)):
+            assert specialize._same_ideal(X, Y) == same_ideal_oracle(X, Y)
+    assert specialize._same_ideal(fast, slow)
