@@ -6,9 +6,9 @@ Three domains cover every computation in this package:
 * ``PrimeField(p)`` -- integers mod a prime, the fast backend for randomized
   trials (default modulus 32003).
 * ``PiRing(base)`` -- univariate polynomials in the uniformiser ``pi`` over
-  one of the two fields above.  This Euclidean domain stands in for the
-  valuation ring: every ring element that actually occurs in our
-  computations is polynomial in ``pi``, so no power series are needed.
+  one of the two fields above, standing for elements of the valuation ring
+  L[pi]_(pi): pi^v times a unit part, by which the basis test multiplies
+  instead of dividing, so no power series are needed.
 
 Elements are plain Python values (``Fraction``, ``int``, tuple of base
 elements); the domain objects carry the arithmetic.  Everything is immutable
@@ -235,7 +235,7 @@ def _kronecker_mul(f, g, p):
 
 
 class PiRing:
-    """Polynomials in ``pi`` over a base field, as a Euclidean domain.
+    """Polynomials in ``pi`` over a base field.
 
     Elements are tuples of base-field elements, index i = coefficient of
     pi^i, with trailing zeros stripped; the zero element is ``()``.
@@ -346,17 +346,6 @@ class PiRing:
         if not f:
             raise DomainError("degree of zero undefined")
         return len(f) - 1
-
-    def leading(self, f):
-        return f[-1]
-
-    def monic(self, f):
-        if not f:
-            return f
-        lc = f[-1]
-        if lc == self.base.one:
-            return f
-        return self.scalar_mul(self.base.inv(lc), f)
 
     def divmod(self, f, g):
         """Polynomial division: f = q*g + r with deg r < deg g."""

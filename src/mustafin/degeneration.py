@@ -185,7 +185,7 @@ def special_fibre_of_model(
         "fibre", buchberger, list(reduced.generators), DegRevLex(), universe=uni_k, domain=dom
     )
     out = Ideal(basis, uni_k, dom)
-    out._gb_cache[(DegRevLex(), False)] = tuple(basis)
+    out._gb_cache[DegRevLex()] = tuple(basis)
     return out
 
 

@@ -1,6 +1,6 @@
 """Groebner engines and derived ideal operations.
 
-Two engines share one reduction framework:
+One reduction kernel, ``_Reducers``, has two coefficient modes:
 
 * field mode -- classical Buchberger with Gebauer-Moeller pair pruning and
   normal selection; the result is interreduced, so equal ideals get equal
@@ -9,22 +9,20 @@ Two engines share one reduction framework:
   tails of the minimal rows are reduced against the whole basis (the
   normal form modulo a Groebner basis is unique); ``MPoly``s are built
   only for the output.
-* euclidean-ring mode -- coefficients in a Euclidean domain (here L[pi]).
-  Each pair contributes an S-combination (leading terms cancelled through
-  the coefficient lcm) and a G-combination (gcd of the leading coefficients
-  realized via the extended Euclidean algorithm); together these generate
-  the leading-term syzygy module over a Euclidean domain.  Ring-mode
-  Buchberger processes all pairs: it runs at desk scale only, correctness
-  over speed.  The basis test ``is_groebner`` applies the Gebauer-Moeller
-  criteria to leading terms (``_gm_update``) and reduces only the
-  S-combinations of the surviving pairs.
+* valuation mode -- coefficients in ``PiRing``, read as elements of the
+  discrete valuation ring L[pi]_(pi).  A leading coefficient is pi^v
+  times a unit, so the leading terms behave as the monomials pi^v x^m:
+  of two leading coefficients one divides the other, the S-combinations
+  alone generate the syzygies of the leading terms, and the
+  Gebauer-Moeller criteria apply to the leading terms unchanged.  The
+  basis test ``is_groebner`` runs in this mode over a ``PiRing``;
+  ``buchberger`` needs a field.
 
-Both modes share one reduction kernel, ``_Reducers``, behind
-``normal_form``, ``interreduce``, ``is_groebner`` and the Buchberger
-loops.  It works on packed
-monomials: an exponent tuple becomes one int with a fixed-width field per
-variable, so a product is an addition and a divisibility test is a
-subtraction and a mask (see ``_Packing``).  A field of w bytes holds
+The kernel is behind ``normal_form``, ``interreduce``, ``is_groebner`` and
+the Buchberger loop.  It works on packed monomials: an exponent tuple
+becomes one int with a fixed-width field per variable, so a product is an
+addition and a divisibility test is a subtraction and a mask (see
+``_Packing``).  A field of w bytes holds
 exponents up to 2^(8w - 1) - 1.  Every computation starts with one-byte
 fields (exponents up to 127); an input or intermediate monomial past the
 bound raises an overflow inside the kernel, never a silent carry, and the
@@ -40,10 +38,13 @@ tuple key.  A field-mode run sorts its inputs by that key
 pending pairs in a dict from pair to the lcm of the leading monomials:
 each lcm is computed once, when the pair is made, and the Gebauer-Moeller
 update and the pair heap read it back (``_gm_update``).
-In ring mode a step may combine several elements through a Bezout identity
-of their leading coefficients.  ``_Reducers.reduce`` takes one observer,
-called before every step; the obstruction harvest in ``specialize`` reads
-the reduction through it.
+In valuation mode the pair criteria read packed leading terms: the
+monomial with the valuation of the leading coefficient in one more field
+(``_Reducers.lts``).  A reduction step there multiplies the working
+polynomial by the reducer's unit part, so every coefficient stays in
+L[pi].  The field-mode ``_Reducers.reduce`` takes one observer, called
+before every step; the obstruction harvest in ``specialize`` reads the
+reduction through it.
 
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
@@ -65,7 +66,6 @@ One function builds every such Rabinowitsch system <gens, 1 - t_i a_i>:
 
 from __future__ import annotations
 
-import collections
 import functools
 import heapq
 import itertools
@@ -394,21 +394,24 @@ class _Reducers:
 
     ``reduce`` computes normal forms against it.  Over a field the largest
     remaining term is rewritten by the first element, in basis order, whose
-    leading monomial divides it.  Over a Euclidean domain (``ring``) it is
-    rewritten by the shortest prefix of those elements whose leading
-    coefficients have a gcd dividing its coefficient, with the extended-gcd
-    cofactors.  A term no element
+    leading monomial divides it.  Over ``PiRing`` (``ring``) the table also
+    keeps every leading coefficient as pi^v times a unit part u, and the
+    packed leading term: the leading monomial with v in one more, last,
+    field (``lts``, packed by ``lt_pk``; over a field ``lts`` is ``lms``).
+    The largest term c x^m is rewritten by the element of least v whose
+    leading monomial divides x^m (the first of those in basis order), when
+    its v is at most the valuation of c.  A term no element
     rewrites moves to the remainder.  The working polynomial is a dict with
     a heap of negated order keys beside it, bare ints that a dict maps back
-    to their monomials; keys, first divisors and (ring mode) divisor lists
-    with their gcd chains are cached per monomial for the life of the table.
-    A monomial no element divides caches the table length it was checked
-    against, and a later reduction checks only the elements appended since.
+    to their monomials; keys and divisors are cached per monomial for the
+    life of the table.  A monomial no element divides caches the table
+    length it was checked against, and a later reduction checks only the
+    elements appended since.
     """
 
     __slots__ = (
-        "order", "universe", "domain", "pk", "ring", "lms", "lcs", "tails", "_polys", "_keys",
-        "_monos", "_divisors", "_okey", "_lc_lcms",
+        "order", "universe", "domain", "pk", "ring", "lms", "lcs", "tails", "vals", "units",
+        "lts", "lt_pk", "_polys", "_keys", "_monos", "_divisors", "_okey",
     )
 
     def __init__(self, order: TermOrder, universe: VarUniverse, domain, pk: _Packing, basis=()):
@@ -417,25 +420,38 @@ class _Reducers:
         self.lms: list[int] = []
         self.lcs: list = []
         self.tails: list = []
+        self.vals: list[int] = []
+        self.units: list = []
+        self.lts, self.lt_pk = self.lms, pk
+        if self.ring:
+            self.lts, self.lt_pk = [], _packing(pk.nvars + 1, pk.width)
         self._polys: list[MPoly] = []
         self._keys: dict = {}
         self._monos: dict = {}
         self._divisors: dict = {}
-        self._lc_lcms: dict = {}
         self._okey = pk.order_key(order)
         for g in basis:
             self.append(g)
 
     def append(self, g: MPoly):
         lc, lm = g.leading_term(self.order)
-        self.lms.append(self.pk.pack(lm))
+        p = self.pk.pack(lm)
+        self.lms.append(p)
         self.lcs.append(lc)
         self.tails.append(None)
         self._polys.append(g)
+        if self.ring:
+            v = self.domain.pi_valuation(lc)
+            if v > self.pk.bound:
+                raise self.pk.overflow()
+            self.vals.append(v)
+            self.units.append(self.domain.unshift(lc, v))
+            self.lts.append(p << self.pk.field | v)
 
     def append_monic(self, work: dict):
         """Append the nonzero packed ``work``, its leading term first (as in
-        a remainder of ``reduce``), as a monic row, with no ``MPoly``."""
+        a remainder of ``reduce``), as a monic row, with no ``MPoly``.  Field
+        mode only."""
         terms = iter(work.items())
         lm, lc = next(terms)
         inv, mul = self.domain.inv(lc), self.domain.mul
@@ -535,51 +551,18 @@ class _Reducers:
 
     def s_combination(self, i: int, j: int) -> dict:
         """The S-combination of elements i and j as a packed dict: over a
-        field the S-polynomial, over a Euclidean domain the leading terms
-        cancelled through the lcm of the leading coefficients."""
+        field the S-polynomial; over ``PiRing``, with v the larger of the
+        two valuations, pi^(v - v_i) u_j x^(l - m_i) g_i minus
+        pi^(v - v_j) u_i x^(l - m_j) g_j, whose leading terms cancel."""
         if not self.ring:
             return self.spoly(i, j)
-        dom, ci, cj = self.domain, self.lcs[i], self.lcs[j]
-        l = self.pk.lcm(self.lms[i], self.lms[j])
-        if not (dom.is_unit(ci) or dom.is_unit(cj)):  # else their gcd is one
-            d = dom.extended_gcd(ci, cj)[0]
-            ci, cj = dom.exact_div(ci, d), dom.exact_div(cj, d)
-        return self._combine(((i, l - self.lms[i], cj), (j, l - self.lms[j], dom.neg(ci))))
-
-    def combinations(self, i: int, j: int) -> list:
-        """The combinations of elements i and j that a basis must reduce to
-        zero, as packed dicts: the S-combination and, over a Euclidean
-        domain unless one leading coefficient divides the other, the
-        G-combination (their gcd, by the extended Euclidean algorithm)."""
-        out = [self.s_combination(i, j)]
-        dom, ci, cj = self.domain, self.lcs[i], self.lcs[j]
-        if self.ring and not (dom.divides(ci, cj) or dom.divides(cj, ci)):
-            l = self.pk.lcm(self.lms[i], self.lms[j])
-            d, (u, v) = dom.extended_gcd(ci, cj)
-            g = self._combine(((i, l - self.lms[i], u), (j, l - self.lms[j], v)))
-            g[l] = d  # u*ci + v*cj; the tails stay below l
-            out.append(g)
-        return out
-
-    def lc_lcm(self, i: int, j: int) -> tuple:
-        """(lcm of the leading coefficients of elements i and j, normalized
-        as ``extended_gcd(c, 0)`` normalizes c, whether their gcd is a
-        unit), cached: the coefficient part of the pair's term lcm."""
-        out = self._lc_lcms.get((i, j))
-        if out is None:
-            dom, ci, cj = self.domain, self.lcs[i], self.lcs[j]
-            unit_i, unit_j = dom.is_unit(ci), dom.is_unit(cj)
-            if unit_i and unit_j:
-                out = (dom.one, True)
-            elif unit_i or unit_j:  # the lcm is the other one, normalized
-                k = j if unit_i else i
-                out = (self.lc_lcm(k, k)[0], True)
-            else:
-                d = dom.extended_gcd(ci, cj)[0]
-                lcm = dom.extended_gcd(dom.exact_div(dom.mul(ci, cj), d), dom.zero)[0]
-                out = (lcm, dom.is_unit(d))
-            self._lc_lcms[(i, j)] = out
-        return out
+        dom, lms, vals, units = self.domain, self.lms, self.vals, self.units
+        l = self.pk.lcm(lms[i], lms[j])
+        v = max(vals[i], vals[j])
+        return self._combine((
+            (i, l - lms[i], dom.shift(units[j], v - vals[i])),
+            (j, l - lms[j], dom.neg(dom.shift(units[i], v - vals[j]))),
+        ))
 
     def _combine(self, parts) -> dict:
         """Sum of c * x^q * tail_j over the (j, q, c) in ``parts``."""
@@ -609,29 +592,22 @@ class _Reducers:
                 raise self.pk.overflow()
         return work
 
-    def reduce(self, work: dict, *, skip=(), observe=None) -> dict:
-        """Normal form of the packed polynomial ``work`` (consumed), with
-        the elements whose indices are in ``skip`` left out of the basis.
-        Only ring-mode Buchberger's final pruning skips elements; a reduction
-        with ``skip`` starts an empty divisor cache, and ``interreduce``
-        needs none (it reduces tails).
+    def reduce(self, work: dict, *, observe=None) -> dict:
+        """Normal form of the packed polynomial ``work`` (consumed).  Over
+        ``PiRing`` it is a weak normal form: the remainder r has u f - r in
+        the ideal for a unit u of L[pi]_(pi) (``_reduce_valuation``).
 
-        ``observe``, when given, is called before every step as
+        ``observe`` (field mode), when given, is called before every step as
         ``observe(lm, lc, work, step)``: the largest remaining term lc*x^lm,
         already taken out of ``work``, which holds the rest of the working
         polynomial; and the step as (index, coefficient, packed quotient)
         triples, subtracting sum c * x^q * basis[index], or () when the term
         moves to the remainder."""
+        if self.ring:
+            return self._reduce_valuation(work)
         lms, lcs, tails = self.lms, self.lcs, self.tails
         guard = self.pk.guard
         divisors = self._divisors
-        if skip:
-            lms = list(lms)
-            for k in skip:
-                lms[k] = guard  # exceeds every valid monomial, so divides none
-            divisors = {}
-        if self.ring:
-            return self._reduce_ring(work, lms, divisors, observe)
         none_yet = ~len(lms)
         dom = self.domain
         mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
@@ -687,16 +663,20 @@ class _Reducers:
                         work[mm] = s
         return remainder
 
-    def _reduce_ring(self, work: dict, lms: list, chains: dict, observe) -> dict:
-        """The Euclidean branch of ``reduce``.  ``chains`` maps a monomial to
-        the indices of the elements whose leading monomials divide it, the
-        running (gcd, cofactors) over their leading coefficients, grown only
-        as far as some coefficient has needed, and the table length it has
-        scanned (elements appended later are scanned when next needed)."""
-        lcs, tails, guard = self.lcs, self.tails, self.pk.guard
+    def _reduce_valuation(self, work: dict) -> dict:
+        """The ``PiRing`` branch of ``reduce``.  A step on c x^m takes the
+        element j of least valuation v_j among those whose leading monomial
+        divides x^m; when v_j is at most the valuation of c, the working
+        polynomial becomes u_j work - (c / pi^v_j) x^q tail_j, with
+        x^q = x^m / lm_j, and the remainder so far is multiplied by u_j as
+        well.  ``_divisors`` caches that element (-1 for none) per monomial
+        with the table length scanned."""
+        lms, vals, units, tails = self.lms, self.vals, self.units, self.tails
+        guard = self.pk.guard
+        divisors = self._divisors
         dom = self.domain
-        mul, sub, neg, iz = dom.mul, dom.sub, dom.neg, dom.is_zero
-        divides, xgcd = dom.divides, dom.extended_gcd
+        mul, sub, neg, iz, one = dom.mul, dom.sub, dom.neg, dom.is_zero, dom.one
+        valuation, unshift = dom.pi_valuation, dom.unshift
         keys, key, monos = self._keys, self.key, self._monos
         heappush, heappop = heapq.heappush, heapq.heappop
         heap = [key(m) for m in work]
@@ -707,76 +687,51 @@ class _Reducers:
             lc = work.pop(lm, None)
             if lc is None:  # cancelled after it was pushed
                 continue
-            entry = chains.get(lm)
-            if entry is None:
-                entry = chains[lm] = [[], [], 0]
-            divs, chain, scanned = entry
+            j, scanned = divisors.get(lm, (-1, 0))
             if scanned < len(lms):  # new elements come last in basis order
-                for j in range(scanned, len(lms)):
-                    q = lm - lms[j]
-                    if q >= 0 and not q & guard:
-                        divs.append(j)
-                entry[2] = len(lms)
-            k = 0
-            while True:
-                if k == len(chain):
-                    if k == len(divs):
-                        break
-                    glc = lcs[divs[k]]
-                    if k:
-                        g_run, combo = chain[-1]
-                        d, (u, v) = xgcd(g_run, glc)
-                        chain.append((d, tuple([mul(u, c) for c in combo]) + (v,)))
-                    else:
-                        d, (u, _) = xgcd(glc, dom.zero)
-                        chain.append((d, (u,)))
-                g_run, combo = chain[k]
-                if divides(g_run, lc):
-                    break
-                k += 1
-            if k == len(divs):
+                for k in range(scanned, len(lms)):
+                    q = lm - lms[k]
+                    if q >= 0 and not q & guard and (j < 0 or vals[k] < vals[j]):
+                        j = k
+                divisors[lm] = (j, len(lms))
+            if j < 0 or vals[j] > valuation(lc):
                 remainder[lm] = lc
-                if observe is not None:
-                    observe(lm, lc, work, ())
                 continue
-            scale = dom.exact_div(lc, g_run)
-            step = []
-            for j, c0 in zip(divs, combo):
-                c = mul(scale, c0)
-                if not iz(c):
-                    step.append((j, c, lm - lms[j]))
-            if observe is not None:
-                observe(lm, lc, work, step)
-            for j, c, q in step:
-                tail = tails[j]
-                if tail is None:
-                    tail = self._tail(j)
-                # the leading terms cancel: the cofactors combine the leading
-                # coefficients to g_run, and scale * g_run = lc
-                for m, gv in tail:
-                    mm = m + q
-                    cur = work.get(mm)
-                    if cur is None:
-                        if mm & guard:
-                            raise self.pk.overflow()
-                        work[mm] = neg(mul(c, gv))
-                        k = keys.get(mm)
-                        if k is None:
-                            k = key(mm)
-                        heappush(heap, k)
+            u = units[j]
+            if u != one:
+                for part in (work, remainder):
+                    for m, c in part.items():
+                        part[m] = mul(u, c)
+            c = unshift(lc, vals[j])
+            q = lm - lms[j]
+            tail = tails[j]
+            if tail is None:
+                tail = self._tail(j)
+            for m, gv in tail:
+                mm = m + q
+                cur = work.get(mm)
+                if cur is None:
+                    if mm & guard:
+                        raise self.pk.overflow()
+                    work[mm] = neg(mul(c, gv))
+                    k = keys.get(mm)
+                    if k is None:
+                        k = key(mm)
+                    heappush(heap, k)
+                else:
+                    s = sub(cur, mul(c, gv))
+                    if iz(s):
+                        del work[mm]
                     else:
-                        s = sub(cur, mul(c, gv))
-                        if iz(s):
-                            del work[mm]
-                        else:
-                            work[mm] = s
+                        work[mm] = s
         return remainder
 
 
 def normal_form(f: MPoly, G, order: TermOrder) -> MPoly:
     """Normal form of f modulo G: rewrite leading terms while possible, move
     irreducible leading terms to the remainder, continue on the tail.  Over
-    a Euclidean domain a step may combine several elements of G."""
+    ``PiRing`` it is the weak normal form of ``_Reducers.reduce``, correct
+    up to a unit of L[pi]_(pi)."""
     basis = [g for g in G if g]
 
     def run(pk):
@@ -857,68 +812,46 @@ def divide_var_power(f: MPoly, pos: int, e: int) -> MPoly:
 
 def _gm_update(red: _Reducers, pairs: dict, t: int) -> list:
     """Gebauer-Moeller update when element t is appended.  ``pairs`` maps
-    each pending pair (i, j) to the lcm of its leading monomials; the pairs
-    that t makes redundant are deleted from it and the surviving new pairs
-    (i, t) are added, each lcm computed once.  Returns the new pairs as
-    (i, t, lcm) triples.
+    each pending pair (i, j) to the lcm of its packed leading terms
+    (``_Reducers.lts``); the pairs that t makes redundant are deleted from
+    it and the surviving new pairs (i, t) are added, each lcm computed
+    once.  Returns the new pairs as (i, t, lcm) triples.
 
-    Over a Euclidean domain (``red.ring``) the criteria compare leading
-    terms: the lcm of a pair is the normalized lcm of its leading
-    coefficients (``_Reducers.lc_lcm``) times that of its leading monomials,
-    one term divides another when both parts divide, and the product
-    criterion also needs a unit gcd of the coefficients.  Normalizing makes
-    equal lcms compare equal, not merely associate.  The coefficients are
-    read only where the monomials alone would prune."""
-    lms, guard, lm_t = red.lms, red.pk.guard, red.lms[t]
-    top, lcms = red.pk.field - 1, []
-    for lm in lms[:t]:  # ``_Packing.lcm``, inline
+    Over a field a leading term is the leading monomial.  Over ``PiRing``
+    it is pi^v x^m, v the valuation of the leading coefficient, with v in
+    a last field, so the criteria compare valuations by field arithmetic:
+    the lcm takes the larger valuation, a term divides another when its
+    valuation is at most the other's, and the product criterion needs
+    coprime monomials and one valuation 0."""
+    lts, pk = red.lts, red.lt_pk
+    guard, lm_t = pk.guard, lts[t]
+    top, lcms = pk.field - 1, []
+    for lm in lts[:t]:  # ``_Packing.lcm``, inline
         ge = ((lm | guard) - lm_t) & guard
         lcms.append(lm_t ^ ((lm ^ lm_t) & (ge - (ge >> top))))
-    ring = red.ring
-    if ring:
-        lc_lcm, divides, lc_t = red.lc_lcm, red.domain.divides, red.lcs[t]
-        kept_lcs: dict = {}  # kept monomial lcm -> the coefficient lcms kept with it
     doomed = []
     for (i, j), l in pairs.items():
         q = l - lm_t
-        if q >= 0 and not q & guard:
-            if not ring:
-                if l != lcms[i] and l != lcms[j]:
-                    doomed.append((i, j))
-                continue
-            c = lc_lcm(i, j)[0]
-            if (
-                divides(lc_t, c)
-                and (l != lcms[i] or c != lc_lcm(i, t)[0])
-                and (l != lcms[j] or c != lc_lcm(j, t)[0])
-            ):
-                doomed.append((i, j))
+        if q >= 0 and not q & guard and l != lcms[i] and l != lcms[j]:
+            doomed.append((i, j))
     for ij in doomed:
         del pairs[ij]
     # by degree, ties by index: a strict divisor comes first, so the lcms
     # kept are those with no strict divisor among the candidates, whichever
     # order extends divisibility, and of equal lcms the one with least i
-    # (in ring mode a strict divisor may come later; both are then kept)
-    degree = red.pk.degree
+    degree = pk.degree
     cands = sorted(range(t), key=[degree(l) for l in lcms].__getitem__)
     new = []
     kept: list[int] = []
     for i in cands:
         l = lcms[i]
-        if ring:
-            c, coprime_lcs = lc_lcm(i, t)
         for l2 in kept:
             q = l - l2
-            # a kept lcm divides or equals l
-            if q >= 0 and not q & guard and (
-                not ring or any(divides(c2, c) for c2 in kept_lcs[l2])
-            ):
+            if q >= 0 and not q & guard:  # a kept lcm divides or equals l
                 break
         else:
             kept.append(l)
-            if ring:
-                kept_lcs.setdefault(l, []).append(c)
-            if l != lms[i] + lm_t or (ring and not coprime_lcs):  # else coprime
+            if l != lts[i] + lm_t:  # else coprime
                 pairs[(i, t)] = l
                 new.append((i, t, l))
     return new
@@ -930,7 +863,6 @@ def buchberger(
     *,
     universe: VarUniverse | None = None,
     domain=None,
-    ring_mode: bool = False,
     sat_var: int | None = None,
     cap_seconds: float | None = None,
     trace_log: list | None = None,
@@ -938,20 +870,20 @@ def buchberger(
     gb_prefix: int = 0,
     hilbert=None,
 ):
-    """Groebner basis of <gens> with respect to ``order``.
+    """Groebner basis of <gens> with respect to ``order``, over a field.
 
-    ``sat_var`` (field mode only) divides every inserted polynomial by its
-    content in that variable; with a compatible weighted order this computes
-    a basis of the saturation directly.  Callers own the homogeneity
-    precondition.  Field mode checks ``cap_seconds`` before every input
-    reduction and every pair.
+    ``sat_var`` divides every inserted polynomial by its content in that
+    variable; with a compatible weighted order this computes a basis of the
+    saturation directly.  Callers own the homogeneity precondition.
+    ``cap_seconds`` is checked before every input reduction and every
+    pair.
 
     ``gb_prefix`` marks the first k generators as an already-known basis
     with respect to ``order``: pairs among them are skipped.  Sound only
     when the prefix really is one (incremental queries against a cached
     basis).
 
-    ``hilbert = (blocks, target)`` (field mode only) prunes pairs by the
+    ``hilbert = (blocks, target)`` prunes pairs by the
     Hilbert function (Traverso): a popped pair is skipped, unreduced, once
     the leading monomials leave exactly ``target(a)`` standard monomials in
     the block multidegree a of its lcm.  Sound when every generator is
@@ -968,15 +900,8 @@ def buchberger(
         return []
     universe = universe or gens[0].universe
     domain = domain or gens[0].domain
-    if ring_mode:
-        if sat_var is not None or hilbert is not None:
-            raise DomainError("content saturation and Hilbert targets are field-mode paths")
-        if getattr(domain, "is_field", False):
-            domain = _FieldAsEuclidean(domain)
-            gens = [MPoly(universe, domain, dict(g.terms), _clean=True) for g in gens]
-        return _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log)
     if not getattr(domain, "is_field", False):
-        raise DomainError("field-mode buchberger over a non-field domain")
+        raise DomainError("buchberger needs field coefficients")
     if hilbert is not None:
         blocks = hilbert[0]
         covered = [p for blk in blocks for p in blk]
@@ -1081,7 +1006,7 @@ def interreduce(G, order: TermOrder):
     all tails against one table, so they share its key and divisor caches.
     The element's own leading monomial divides none of its smaller tail
     monomials, and no other minimal one divides its leading monomial, so
-    this is the reduction of the whole element by the others.  Field-mode
+    this is the reduction of the whole element by the others.
     ``buchberger`` does the same on its own table (``_reduced_rows`` of
     ``_minimal_rows``): the normal form modulo a Groebner basis is unique,
     so the tails reduce against the whole basis to the same result.
@@ -1134,92 +1059,6 @@ def _reduced_rows(red: _Reducers, rows) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger, euclidean-ring mode
-
-
-class _FieldAsEuclidean:
-    """Adapter running ring mode over a field (every nonzero element is a
-    unit, so gcds are trivial)."""
-
-    is_field = False
-
-    def __init__(self, base):
-        self._f = base
-        self.characteristic = base.characteristic
-        self.name = base.name
-        self.zero = base.zero
-        self.one = base.one
-
-    def __getattr__(self, attr):
-        return getattr(self._f, attr)
-
-    def divides(self, a, b):
-        return not self._f.is_zero(a) or self._f.is_zero(b)
-
-    def exact_div(self, b, a):
-        return self._f.div(b, a)
-
-    def is_unit(self, a):
-        return not self._f.is_zero(a)
-
-    def extended_gcd(self, a, b):
-        f = self._f
-        if f.is_zero(a):
-            if f.is_zero(b):
-                raise DomainError("gcd(0, 0) undefined")
-            return f.one, (f.zero, f.inv(b))
-        return f.one, (f.inv(a), f.zero)
-
-    def __eq__(self, other):
-        return isinstance(other, _FieldAsEuclidean) and other._f == self._f
-
-    def __hash__(self):
-        return hash(("FieldAsEuclidean", self._f))
-
-
-def _buchberger_ring(gens, order, universe, domain, cap_seconds, trace_log):
-    t0 = time.monotonic()
-    log_start = len(trace_log) if trace_log is not None else 0
-
-    def run(pk):
-        if trace_log is not None:
-            del trace_log[log_start:]  # lines of a narrower run
-        red = _Reducers(order, universe, domain, pk, gens)
-        G = list(gens)
-        queue = collections.deque((j, i) for j in range(len(G)) for i in range(j))
-        while queue:
-            if cap_seconds is not None and time.monotonic() - t0 > cap_seconds:
-                raise ResourceCapExceeded(
-                    f"buchberger exceeded {cap_seconds:g}s "
-                    f"({len(G)} basis elements, {len(queue)} pairs pending)"
-                )
-            j, i = queue.popleft()
-            for cand in red.combinations(i, j):
-                r = red.reduce(cand)
-                if trace_log is not None:
-                    l = pk.unpack(pk.lcm(red.lms[i], red.lms[j]))
-                    trace_log.append(
-                        f"ring pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}"
-                    )
-                if r:
-                    t = len(G)
-                    G.append(red.remainder(r))
-                    red.append(G[t])
-                    queue.extend((t, k) for k in range(t))
-        # drop every element that the others, in basis order, reduce to zero
-        dropped: set = set()
-        out: list[MPoly] = []
-        for idx, g in enumerate(G):
-            if red.reduce(red.pack_poly(g), skip=dropped | {idx}):
-                out.append(g)
-            else:
-                dropped.add(idx)
-        return out
-
-    return _widening(run, universe.nvars)
-
-
-# ---------------------------------------------------------------------------
 # derived operations
 
 
@@ -1227,7 +1066,6 @@ def is_groebner(
     G,
     order: TermOrder,
     *,
-    ring_mode: bool = False,
     cap_seconds: float | None = None,
     _members=(),
 ):
@@ -1237,11 +1075,13 @@ def is_groebner(
     with a nonzero normal form.  ``cap_seconds`` is checked before each
     reduction.
 
-    In ring mode the update compares leading terms, and the reduction is
-    weak (a step combines reducers through a Bezout identity).  Over a
-    principal ideal domain the pairwise S-syzygies generate the syzygies of
-    the leading terms, so a set whose surviving S-combinations reduce to
-    zero is a basis, and the G-combinations need no test.
+    The mode follows the domain.  Over ``PiRing`` the test is for a
+    standard basis over the valuation ring L[pi]_(pi): the update compares
+    leading terms pi^v x^m, and the reduction is the weak one of
+    ``_Reducers.reduce``.  Of two leading coefficients there one divides
+    the other, so the pairwise S-syzygies generate the syzygies of the
+    leading terms, and a set whose surviving S-combinations reduce to zero
+    is a standard basis (Markwig, Ren and Wienand, JSC 79, 2017).
 
     ``_members`` (internal; the basis test of ``specialize``) must also
     reduce to zero, on the same reducer table, after every pair: then G is
@@ -1253,12 +1093,6 @@ def is_groebner(
         return True, None
     if not G:
         return False, members[0]
-    if ring_mode and getattr(G[0].domain, "is_field", False):
-        domain = _FieldAsEuclidean(G[0].domain)
-        G, members = [
-            [MPoly(g.universe, domain, dict(g.terms), _clean=True) for g in gs]
-            for gs in (G, members)
-        ]
     t0 = time.monotonic()
     return _widening(
         lambda pk: _is_groebner_packed(G, members, order, pk, t0, cap_seconds),
@@ -1386,7 +1220,7 @@ def saturate(
                     hilbert=hilbert,
                 )
                 out = Ideal(gb, uni, dom)
-                out._gb_cache[(worder, False)] = tuple(gb)
+                out._gb_cache[worder] = tuple(gb)
                 return out
 
     big, aux, lifted = _adjoin_inverses(uni, I.generators, elems)
@@ -1410,7 +1244,7 @@ def saturate(
     kept = [g for g in gb if all(m[p] == 0 for m in g.terms for p in aux_pos)]
     gens = [g.relabel(uni) for g in kept]
     out = Ideal(gens, uni, dom)
-    out._gb_cache[(inner, False)] = tuple(gens)
+    out._gb_cache[inner] = tuple(gens)
     return out
 
 

@@ -1041,25 +1041,21 @@ class Ideal:
     def is_monomial(self) -> bool:
         return all(g.is_monomial() for g in self.generators)
 
-    def groebner_basis(
-        self, order: TermOrder | None = None, *, ring_mode=False, cap_seconds=None
-    ):
+    def groebner_basis(self, order: TermOrder | None = None, *, cap_seconds=None):
         from . import groebner  # local import to avoid a cycle
 
         order = order or DegRevLex()
-        key = (order, ring_mode)
-        if key not in self._gb_cache:
-            self._gb_cache[key] = tuple(
+        if order not in self._gb_cache:
+            self._gb_cache[order] = tuple(
                 groebner.buchberger(
                     list(self.generators),
                     order,
                     universe=self.universe,
                     domain=self.domain,
-                    ring_mode=ring_mode,
                     cap_seconds=cap_seconds,
                 )
             )
-        return self._gb_cache[key]
+        return self._gb_cache[order]
 
     def texts(self, order: TermOrder | None = None) -> list[str]:
         return [format_poly(g, order) for g in self.generators]

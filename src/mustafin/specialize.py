@@ -2,54 +2,66 @@
 
 A symbolic run treats the parameters A[i][j][l] as ring variables over the
 base field (with pi a variable as well).  From a basis of the saturating
-ideal <gens, 1 - t*a>, computed under the block order
+ideal <gens, 1 - t*a> (``groebner._adjoin_inverses``; t is the first name
+t[k] not in use), computed under the block order
 
     t (the saturation auxiliary)  >  main variables  >  parameters  >  pi,
 
 two families of parameter conditions fall out:
 
 * unit conditions: for each basis element, the polynomial standing in front
-  of its leading main-variable monomial, with pi content stripped.  A
-  specialization turning all of these into valuation-0 elements keeps every
-  leading term alive.
+  of its leading main-variable monomial, with pi content stripped.  They
+  alone certify a specialization (below).
 * nonzero conditions: the leading-group coefficients of the intermediate
-  remainders in the reductions that certify the basis (the recorded
-  criterion combination chains).  These must stay nonzero.
+  remainders in the reductions of the basis's S-pairs, which depend on the
+  reduction strategy.  ``generic_sample`` keeps them nonzero; the basis
+  test does not need them.
 
-The system <gens, 1 - t*a> comes from ``groebner._adjoin_inverses``, the
-one construction behind ``saturate`` and ``radical_membership`` as well;
-t is the first name t[k] not in use.
+``check_specialization`` verifies a concrete assignment directly: the
+specialized set must be a standard basis over the valuation ring
+D = L[pi]_(pi), and substitution must commute with saturation.
 
-Condition sets depend on the basis and the (deterministic, greedy)
-reduction strategy; different strategies give different, individually
-sufficient sets.  ``check_specialization`` verifies a concrete assignment
-directly: the specialized set must be a basis over the pi-coefficient ring,
-and substitution must commute with saturation.
+Why the unit conditions suffice: the specialization theorem of Gianni
+(EUROCAL '87, LNCS 378) and Kalkbrener (JSC 24, 1997), with "the leading
+coefficient is a unit of D" in place of "nonzero".  Let G be the symbolic
+basis, R = L[A, pi] and phi: R -> D the substitution.  Over R the leading
+coefficient of g in G, in t and the main variables, is pi^k h with h prime
+to pi, its unit condition; suppose every phi(h) is a unit of D.
 
-Each piece of algebra is done once.  ``subst`` only checks for missing
-parameters, shrinks the universe and spreads pi-ring values over the pi
-variable, once per target (a polynomial, an ideal or a list of
-polynomials of one universe); the substitution itself is a
-``polyring.Substitution`` plan, the routine behind ``MPoly.substitute``,
-applied to every polynomial of the target; a pi-ring value becomes a
-polynomial in pi by ``polyring.from_pi_element``.  A plan whose values are
-all coefficients, as a sampled assignment's are, takes the scalar path:
-each term's coefficient is multiplied by powers read from one power list
-per variable.  ``_first_violation`` checks all its conditions first and
-substitutes the nonzero ones only when every unit condition holds, and
-``check_specialization`` substitutes every distinct polynomial it needs
-once.  The ``ObstructionSet`` carries the symbolic basis it was read from,
-and ``check_specialization`` reuses it for the same generators instead of
-computing it per check.  The basis test over the pi-coefficient ring runs
-on the packed ring-mode kernel of ``groebner``, with the Gebauer-Moeller
-criteria on leading terms; the specialized generators of <gens, 1 - t*a>
-are reduced on the same reducer table after the surviving S-combinations,
-under the same time budget.  The commutation check compares reduced bases
-(``_same_ideal``), which are equal exactly when the ideals are.  The harvest
-of nonzero conditions runs on the field-mode kernel: each S-pair is reduced by
-``_Reducers.reduce``, whose observer reads the coefficient of the grouped
-leading monomial (auxiliary and main variables) from the packed working
-polynomial before each step, by masking the grouped fields.
+* phi(g) keeps the leading monomial of g; its coefficient has valuation k.
+* For g, g' in G and L = lcm(lc g, lc g') = pi^v lcm(h, h'), v = max(k, k'),
+  every monomial of the S-polynomial S = (L / lc g) x^q g -
+  (L / lc g') x^q' g' is below the lcm m of the two leading monomials in t
+  and the main variables.  G is a Groebner basis under an order with those
+  variables in its first blocks, so S = sum c_i g_i with the leading
+  monomial of every c_i g_i below m there.
+* phi(S) = sum phi(c_i) phi(g_i) keeps that bound, and phi(S) is a unit
+  times the S-combination of phi(g) and phi(g') that
+  ``groebner._Reducers.s_combination`` forms: e = phi(gcd(h, h')) divides
+  the unit phi(h), and phi(L / lc g) = pi^(v - k) phi(h') / e, likewise
+  for g'.
+* Of two leading coefficients in D one divides the other, so the
+  S-syzygies generate the syzygies of the leading terms, and a set whose
+  S-combinations all have such representations is a standard basis
+  (Markwig, Ren and Wienand, JSC 79, 2017).
+
+So phi(G) is a standard basis over D of the ideal it generates, which holds
+the specialized <gens, 1 - t*a> since G generates it: both parts of the
+basis test pass, for values that depend on pi too.  Over L[pi] every phi(h)
+would have to be a nonzero constant, which a value such as 1 + pi^2 is not.
+
+Each piece of algebra is done once.  ``subst`` makes one
+``polyring.Substitution`` plan per target, and ``check_specialization``
+substitutes every distinct polynomial it needs once.  The
+``ObstructionSet`` carries the generators and element it was built from,
+its symbolic basis and the lifted system, and ``check_specialization``
+reuses the last two for the same inputs.  The basis test runs on the
+valuation mode of the packed kernel of ``groebner``; the specialized
+generators of <gens, 1 - t*a> are reduced on the table of its
+S-combinations, under the same time budget.  The commutation check
+compares reduced bases (``_same_ideal``).  The harvest of nonzero
+conditions runs on the field mode, through the observer of
+``_Reducers.reduce``.
 """
 
 from __future__ import annotations
@@ -208,15 +220,19 @@ def _strip_pi_content(f: MPoly) -> MPoly:
 
 @dataclass
 class ObstructionSet:
-    """Parameter conditions under which the symbolic basis specializes to a
-    basis: unit_conditions must take pi-valuation 0, nonzero_conditions must
-    stay nonzero.
+    """Parameter conditions read off the symbolic basis.  An assignment
+    under which every unit condition takes pi-valuation 0 specializes the
+    basis to a standard basis over L[pi]_(pi) (see the module docstring).
+    The nonzero conditions are the coefficients met while reducing the
+    basis's S-pairs; ``generic_sample`` keeps them nonzero, and the basis
+    test does not need them.
 
-    ``basis`` is the symbolic basis the conditions were read from and
-    ``lifted`` the generators <gens, 1 - t*a> it is a basis of, so that
-    ``check_specialization`` on the same generators need not compute it
-    again.  Both are None for an incomplete set and for one parsed from
-    text.
+    ``gens`` and ``a`` are what the set was built from, ``basis`` the
+    symbolic basis the conditions were read from and ``lifted`` the
+    generators <gens, 1 - t*a> it is a basis of, so that
+    ``check_specialization`` on the same generators and element computes
+    and relabels neither again.  All four are None for an incomplete set
+    and for one parsed from text.
     """
 
     unit_conditions: list
@@ -224,6 +240,8 @@ class ObstructionSet:
     incomplete: bool = False
     basis: list | None = field(default=None, compare=False, repr=False)
     lifted: list | None = field(default=None, compare=False, repr=False)
+    gens: list | None = field(default=None, compare=False, repr=False)
+    a: MPoly | None = field(default=None, compare=False, repr=False)
 
     def texts(self) -> dict:
         return {
@@ -298,7 +316,7 @@ def obstruction_polynomials(
     unit, nonzero, incomplete = _widening(run, big.nvars)
     if incomplete:
         return ObstructionSet(unit, nonzero, True)
-    return ObstructionSet(unit, nonzero, False, gb, lifted)
+    return ObstructionSet(unit, nonzero, False, gb, lifted, gens, a_elem)
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +351,30 @@ def check_specialization(
     cap_seconds: float | None = None,
 ) -> SpecializationReport:
     """Specialize the symbolic basis of <gens, 1 - t*a> and verify (1) that
-    the result is a basis, over the pi-coefficient ring, of the specialized
+    the result is a standard basis, over L[pi]_(pi), of the specialized
     ideal, and (2) the commutation subst(sat(I, a)) = sat(subst(I),
     subst(a)), the latter computed independently.  ``cap_seconds`` bounds
     the symbolic basis, the basis test and the saturation together.  The
-    basis test over the pi-coefficient ring gets the time left: it reduces
-    the surviving S-combinations and then the specialized lifted
-    generators on one reducer table, and checks the time before each
-    reduction, raising with the phase "basis test"."""
+    basis test gets the time left: it reduces the surviving S-combinations
+    and then the specialized lifted generators on one reducer table, and
+    checks the time before each reduction, raising with the phase "basis
+    test"."""
     gens = [g for g in gens if g]
     if not gens:
         return SpecializationReport(True, True)
     dom = gens[0].domain
-    big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
     deadline = Deadline(cap_seconds)
-    if obstructions is not None and obstructions.basis is not None and obstructions.lifted == lifted:
-        gb = obstructions.basis
+    if (
+        obstructions is not None
+        and obstructions.basis is not None
+        and obstructions.gens == gens
+        and obstructions.a == a_elem
+    ):
+        gb, lifted = obstructions.basis, obstructions.lifted
+        big = lifted[0].universe
+        aux = big.names[-1]  # ``_adjoin_inverses`` appends the auxiliary
     else:
+        big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
         order, _group = _symbolic_order(big, aux)
         gb = deadline.run("basis", buchberger, lifted, order, universe=big, domain=dom)
 
@@ -358,14 +383,14 @@ def check_specialization(
     distinct = list(dict.fromkeys([*gb, *lifted, a_big]))
     image = dict(zip(distinct, subst(assignment, distinct)))
 
-    # (1) basis property of the specialized set over the pi-coefficient
-    # ring: a basis, and of an ideal holding the specialized generators
+    # (1) the specialized set over L[pi]_(pi): a standard basis, and of an
+    # ideal holding the specialized generators
     ring_gb = [to_pi_coefficients(h) for h in (image[g] for g in gb) if h]
     ring_uni = ring_gb[0].universe
     ring_order, _ = _symbolic_order(ring_uni, aux)
     spec_lifted = [to_pi_coefficients(image[g]) for g in lifted if image[g]]
     ok_gb, _wit = deadline.run(
-        "basis test", is_groebner, ring_gb, ring_order, ring_mode=True, _members=spec_lifted
+        "basis test", is_groebner, ring_gb, ring_order, _members=spec_lifted
     )
 
     # (2) commutation, with the right side computed from scratch

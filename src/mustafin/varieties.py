@@ -377,7 +377,7 @@ def special_fibre(
     if sat.is_zero():
         return Ideal((), fibre_universe(config.d, config.n), config.field)
     worder = WeightedPiOrder(config.weights, sat.universe.index("pi"))
-    fast = (worder, False) in sat._gb_cache
+    fast = worder in sat._gb_cache
     reduced = reduce_ideal_mod_pi(sat, config)
     korder = fibre_weight_order(config)
     if fast:
@@ -398,7 +398,7 @@ def special_fibre(
             domain=reduced.domain,
         )
     out = Ideal(gens, reduced.universe, reduced.domain)
-    out._gb_cache[(korder, False)] = tuple(gens)
+    out._gb_cache[korder] = tuple(gens)
     return out
 
 

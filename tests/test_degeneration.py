@@ -239,7 +239,7 @@ def test_integral_model_matches_content_clearing(gens):
     new, old = integral_model(I), content_clearing_integral_model(I)
     assert new.generators == old.generators
     order = default_order(UXY)
-    assert new._gb_cache[(order, False)] == old._gb_cache[(order, False)]
+    assert new._gb_cache[order] == old._gb_cache[order]
 
 
 def test_fibre_of_trivial_model_is_ambient_fibre():

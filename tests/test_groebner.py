@@ -23,7 +23,6 @@ from mustafin.groebner import (
     radical_membership,
     ResourceCapExceeded,
     saturate,
-    _FieldAsEuclidean,
     _HilbertGate,
     _Packing,
     _Reducers,
@@ -119,29 +118,25 @@ def replay(steps, f, basis, order):
     return remainder + work, leads
 
 
-def ideal_membership(f, I, order, *, ring_mode=False):
-    """f in I: its normal form against a basis of I vanishes.  Ring mode
-    over a field runs the Euclidean-ring engine on the field."""
+def ideal_membership(f, I, order):
+    """f in I: its normal form against a basis of I vanishes."""
     if not f:
         return True
     if I.is_zero():
         return False
-    gb = I.groebner_basis(order, ring_mode=ring_mode)
-    if ring_mode and getattr(f.domain, "is_field", False):
-        dom = _FieldAsEuclidean(f.domain)
-        f = MPoly(f.universe, dom, dict(f.terms), _clean=True)
-        gb = [MPoly(g.universe, dom, dict(g.terms), _clean=True) for g in gb]
-    return not normal_form(f, list(gb), order)
+    return not normal_form(f, list(I.groebner_basis(order)), order)
 
 
 def reduce_one_step(f: MPoly, E, order: TermOrder):
     """One leading-term rewriting step of f modulo E, or None: the textbook
-    step on plain MPoly arithmetic that the packed kernel is checked against.
+    step on plain MPoly arithmetic.
 
     Over a field a single reducer with dividing leading monomial suffices;
-    over a Euclidean domain reducers are collected greedily in basis order
-    until the gcd of their leading coefficients divides lc(f), and the
-    cofactors come from the extended Euclidean algorithm.
+    over the Euclidean domain L[pi] reducers are collected greedily in basis
+    order until the gcd of their leading coefficients divides lc(f), and
+    the cofactors come from the extended Euclidean algorithm.  The L[pi]
+    step serves the Euclidean basis test ``textbook_is_groebner_ring``:
+    every set it accepts, the valuation test of the kernel must accept.
     """
     if not f:
         return None
@@ -244,22 +239,23 @@ def test_buchberger_examples():
     # {x+y, x} needs y
     gb2 = buchberger([X + Y, X], LEX)
     assert {g.leading_term(LEX)[1] for g in gb2} == {(1, 0), (0, 1)}
-    # euclidean coefficients: {2x, 3x} keeps a generator with unit lc, and
-    # x itself is a member since gcd(2, 3) = 1
-    two_x = XR.scale(R.from_int(2))
-    three_x = XR.scale(R.from_int(3))
-    gbr = buchberger([two_x, three_x], LEX, ring_mode=True)
-    assert any(
-        g.leading_term(LEX)[1] == (1, 0) and R.pi_valuation(g.leading_term(LEX)[0]) == 0
-        for g in gbr
-    )
-    assert ideal_membership(XR, Ideal([two_x, three_x]), LEX, ring_mode=True)
-    # non-unit leading coefficients with unit gcd: x reduces to zero through
-    # the Bezout combination, so the pair is already a basis
+    # Buchberger needs field coefficients; over L[pi]_(pi) only the basis
+    # test runs
+    with pytest.raises(DomainError, match="field coefficients"):
+        buchberger([XR], LEX)
+    # 1 + pi is a unit of L[pi]_(pi): x reduces to zero against (1 + pi) x,
+    # the weak normal form multiplying it by 1 + pi, and with pi x the
+    # pair is a standard basis
     one_pi = R.element([Fraction(1), Fraction(1)])
     pair = [XR.scale(R.pi), XR.scale(one_pi)]
-    assert is_groebner(pair, LEX, ring_mode=True)[0]
-    assert ideal_membership(XR, Ideal(pair), LEX, ring_mode=True)
+    assert is_groebner(pair, LEX) == (True, None)
+    assert not normal_form(XR, pair, LEX)
+    # pi x is not a multiple of pi^2 x; the S-combination
+    # y (pi^2 x + y) - pi^2 (x y + pi x) = y^2 - pi^3 x of the pair below
+    # leaves y^2 + pi y, so the pair is no standard basis
+    assert normal_form(XR.scale(R.pi), [XR.scale(R.mul(R.pi, R.pi))], LEX) == XR.scale(R.pi)
+    ok, witness = is_groebner([XR.scale(R.mul(R.pi, R.pi)) + YR, XR.scale(R.pi) + XR * YR], LEX)
+    assert not ok and witness
 
 
 def test_is_groebner_witness():
@@ -627,26 +623,22 @@ def test_buchberger_cap_message_keeps_subsecond_caps():
         buchberger(gens, DegRevLex(), cap_seconds=1e-6)
 
 
-@pytest.mark.parametrize("ring_mode", [False, True])
-def test_cap_message_names_the_budget_and_the_basis_size(ring_mode, monkeypatch):
+def test_cap_message_names_the_budget_and_the_basis_size(monkeypatch):
     gens = [X * X + Y, X * Y + X, Y * Y * Y + X]
-    # field mode keeps the 2 pairs that pass Gebauer-Moeller; ring mode queues all 3
-    pending = 3 if ring_mode else 2
-    if not ring_mode:
-        # field mode also checks its cap before each of its 3 input
-        # reductions: a clock that advances 3e-7 s per reading trips the
-        # 1e-6 s cap at the first pair, after the inputs
-        from types import SimpleNamespace
+    # 2 pairs pass Gebauer-Moeller.  The cap is also checked before each of
+    # the 3 input reductions: a clock that advances 3e-7 s per reading trips
+    # the 1e-6 s cap at the first pair, after the inputs
+    from types import SimpleNamespace
 
-        from mustafin import groebner
+    from mustafin import groebner
 
-        ticks = itertools.count()
-        monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: 3e-7 * next(ticks)))
+    ticks = itertools.count()
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: 3e-7 * next(ticks)))
     with pytest.raises(
         ResourceCapExceeded,
-        match=rf"^buchberger exceeded 1e-06s \(3 basis elements, {pending} pairs pending\)$",
+        match=r"^buchberger exceeded 1e-06s \(3 basis elements, 2 pairs pending\)$",
     ):
-        buchberger(gens, DegRevLex(), ring_mode=ring_mode, cap_seconds=1e-6)
+        buchberger(gens, DegRevLex(), cap_seconds=1e-6)
 
 
 def test_field_buchberger_checks_its_cap_before_each_input_reduction(monkeypatch):
@@ -674,26 +666,25 @@ def test_field_buchberger_checks_its_cap_before_each_input_reduction(monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# ring mode on the packed kernel against the reduce_one_step loop
+# the valuation mode of the packed kernel against plain MPoly loops, and the
+# Euclidean basis test over L[pi] as a weaker oracle
 
 
 def textbook_nf_ring(f, basis, order):
-    """Slow reference for ring mode: apply ``reduce_one_step`` while it
-    rewrites the leading term, else move that term to the remainder; plain
-    MPoly arithmetic throughout."""
+    """The Euclidean normal form over L[pi]: apply ``reduce_one_step`` while
+    it rewrites the leading term, else move that term to the remainder;
+    plain MPoly arithmetic throughout."""
     uni, dom = f.universe, f.domain
-    work, remainder, steps = f, MPoly.zero(uni, dom), []
+    work, remainder = f, MPoly.zero(uni, dom)
     while work:
         step = reduce_one_step(work, basis, order)
         if step is None:
             lc, lm = work.leading_term(order)
             t = MPoly.term(uni, dom, lc, lm)
             remainder, work = remainder + t, work - t
-            steps.append(ReductionStep((), (), (lm,)))
         else:
-            work, s = step
-            steps.append(s)
-    return remainder, steps
+            work = step[0]
+    return remainder
 
 
 def textbook_combinations(gi, gj, order):
@@ -714,115 +705,159 @@ def textbook_combinations(gi, gj, order):
 
 
 def textbook_is_groebner_ring(G, order):
-    """The slow oracle: every S- and G-combination of every pair reduces to
-    zero."""
+    """The Euclidean basis test over L[pi]: every S- and G-combination of
+    every pair reduces to zero."""
     for j in range(len(G)):
         for i in range(j):
             for cand in textbook_combinations(G[i], G[j], order):
-                if textbook_nf_ring(cand, G, order)[0]:
+                if textbook_nf_ring(cand, G, order):
                     return False, cand
     return True, None
+
+
+def valuation_step(f, E, order):
+    """One weak-normal-form step of f over L[pi]_(pi), or None: the element
+    of E of least leading-coefficient valuation v (the first of those)
+    whose leading monomial divides lm(f), if v <= v(lc f).  Returns
+    (u f - (lc f / pi^v) x^q g, u), u the unit part of lc g."""
+    dom = f.domain
+    lc, lm = f.leading_term(order)
+    best = None
+    for g in E:
+        glc, glm = g.leading_term(order)
+        if mono_divides(glm, lm) and (best is None or dom.pi_valuation(glc) < best[0]):
+            best = (dom.pi_valuation(glc), glc, glm, g)
+    if best is None or best[0] > dom.pi_valuation(lc):
+        return None
+    v, glc, glm, g = best
+    u = dom.unshift(glc, v)
+    q = tuple(a - b for a, b in zip(lm, glm))
+    return f.scale(u) - g.mono_shift(q).scale(dom.unshift(lc, v)), u
+
+
+def textbook_nf_valuation(f, basis, order):
+    """The weak normal form over L[pi]_(pi) on plain MPoly arithmetic:
+    ``valuation_step`` while it applies, else the leading term moves to the
+    remainder; a step's unit multiplies the remainder too."""
+    uni, dom = f.universe, f.domain
+    work, remainder = f, MPoly.zero(uni, dom)
+    while work:
+        step = valuation_step(work, basis, order)
+        if step is None:
+            lc, lm = work.leading_term(order)
+            t = MPoly.term(uni, dom, lc, lm)
+            remainder, work = remainder + t, work - t
+        else:
+            work, u = step
+            remainder = remainder.scale(u)
+    return remainder
+
+
+def valuation_s_poly(gi, gj, order):
+    """pi^(v - v_i) u_j x^(l - m_i) g_i - pi^(v - v_j) u_i x^(l - m_j) g_j,
+    v the larger valuation, u the unit parts of the leading coefficients."""
+    uni, dom = gi.universe, gi.domain
+    (ci, mi), (cj, mj) = gi.leading_term(order), gj.leading_term(order)
+    vi, vj = dom.pi_valuation(ci), dom.pi_valuation(cj)
+    v = max(vi, vj)
+    l = tuple(max(a, b) for a, b in zip(mi, mj))
+    qi = tuple(a - b for a, b in zip(l, mi))
+    qj = tuple(a - b for a, b in zip(l, mj))
+    ui, uj = dom.unshift(ci, vi), dom.unshift(cj, vj)
+    return gi * MPoly.term(uni, dom, dom.shift(uj, v - vi), qi) - gj * MPoly.term(
+        uni, dom, dom.shift(ui, v - vj), qj
+    )
+
+
+def textbook_is_standard_basis(G, order):
+    """The all-pairs valuation test: the S-polynomial of every pair has
+    weak normal form zero."""
+    for j in range(len(G)):
+        for i in range(j):
+            s = valuation_s_poly(G[i], G[j], order)
+            if textbook_nf_valuation(s, G, order):
+                return False, s
+    return True, None
+
+
+def textbook_standard_basis(gens, order, limit=6):
+    """Buchberger's loop over L[pi]_(pi) on plain MPoly arithmetic, every
+    pair in turn; None once the set would pass ``limit`` elements."""
+    G = [g for g in gens if g]
+    queue = [(i, j) for j in range(len(G)) for i in range(j)]
+    while queue:
+        i, j = queue.pop(0)
+        r = textbook_nf_valuation(valuation_s_poly(G[i], G[j], order), G, order)
+        if r:
+            if len(G) == limit:
+                return None
+            G.append(r)
+            queue.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    return G
 
 
 def assert_is_groebner_matches_the_oracle(G, order):
     """``is_groebner`` tests only the pairs that survive its criteria, so a
     False witness may come from another pair than the oracle's: it must be
-    the S-combination of two elements, with a nonzero normal form."""
-    ok, witness = is_groebner(G, order, ring_mode=True)
-    assert ok == textbook_is_groebner_ring(G, order)[0]
+    the S-combination of two elements, with a nonzero weak normal form."""
+    ok, witness = is_groebner(G, order)
+    assert ok == textbook_is_standard_basis(G, order)[0]
     if ok:
         assert witness is None
         return
     G = [g for g in G if g]
     s_combinations = [
-        textbook_combinations(G[i], G[j], order)[0]
-        for j in range(len(G))
-        for i in range(j)
+        valuation_s_poly(G[i], G[j], order) for j in range(len(G)) for i in range(j)
     ]
     assert witness in s_combinations
-    assert textbook_nf_ring(witness, G, order)[0]
+    assert textbook_nf_valuation(witness, G, order)
 
 
 UR = VarUniverse(("x", "y", "z"))
 R7 = PiRing(F7)
-E7 = _FieldAsEuclidean(F7)
 RING_ORDERS = [
     DegRevLex(),
     Lex(),
     Block((((0,), DegRevLex()), ((1, 2), DegRevLex())), name="elim-x"),
 ]
 pi_coeffs = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(R7.element).filter(bool)
-ring_coeffs = st.one_of(
-    st.tuples(st.just(R7), pi_coeffs), st.tuples(st.just(E7), st.integers(1, 6))
-)
 
 
 @st.composite
 def ring_case(draw):
-    """A polynomial and a basis over PiRing(F7) or over F7 run as a
-    Euclidean domain, every exponent times a factor k: with k = 30 the
-    inputs fit one-byte fields and a product can leave them, with k = 50
-    the inputs overflow them when packed."""
-    dom = draw(st.sampled_from([R7, E7]))
-    coeff = pi_coeffs if dom is R7 else st.integers(1, 6)
+    """A polynomial and a basis over PiRing(F7), every exponent times a
+    factor k: with k = 30 the inputs fit one-byte fields and a product can
+    leave them, with k = 50 the inputs overflow them when packed."""
     k = draw(st.sampled_from([1, 1, 30, 50]))
     mono = st.tuples(*[st.integers(0, 2)] * 3).map(lambda m: tuple(k * e for e in m))
-    poly = st.dictionaries(mono, coeff, max_size=4).map(lambda t: MPoly(UR, dom, t))
+    poly = st.dictionaries(mono, pi_coeffs, max_size=4).map(lambda t: MPoly(UR, R7, t))
     return draw(poly), draw(st.lists(poly.filter(bool), min_size=1, max_size=4))
 
 
 @given(st.sampled_from(RING_ORDERS), ring_case())
 @settings(max_examples=150, deadline=None)
-def test_ring_mode_kernel_matches_the_reduce_one_step_loop(order, case):
+def test_valuation_kernel_matches_the_textbook_loop(order, case):
     f, basis = case
-    nf, trace = traced_normal_form(f, basis, order)
-    expected, steps = textbook_nf_ring(f, basis, order)
-    assert nf == expected
-    assert trace == steps
+    expected = textbook_nf_valuation(f, basis, order)
     assert normal_form(f, basis, order) == expected
-    replayed, _leads = replay(trace, f, basis, order)
-    assert replayed == expected
     # the batch entry point reduces against one table: same remainders
     g = basis[0] * f + basis[-1]
-    assert normal_forms([f, g, f], basis, order) == [expected, normal_form(g, basis, order), expected]
+    assert normal_forms([f, g, f], basis, order) == [
+        expected, textbook_nf_valuation(g, basis, order), expected
+    ]
     assert_is_groebner_matches_the_oracle(basis, order)
 
 
-def textbook_buchberger_ring(gens, order):
-    """The ring-mode Buchberger loop on plain MPoly arithmetic: every pair,
-    FIFO, both combinations reduced against the growing basis; then each
-    element the others reduce to zero is dropped."""
-    G, log = list(gens), []
-    queue = [(j, i) for j in range(len(G)) for i in range(j)]
-    while queue:
-        j, i = queue.pop(0)
-        l = tuple(max(a, b) for a, b in zip(G[i].leading_term(order)[1], G[j].leading_term(order)[1]))
-        for cand in textbook_combinations(G[i], G[j], order):
-            r = textbook_nf_ring(cand, G, order)[0]
-            log.append(f"ring pair ({i},{j}) lcm {l} -> {'0' if not r else 'new'}")
-            if r:
-                G.append(r)
-                queue.extend((len(G) - 1, k) for k in range(len(G) - 1))
-    out = []
-    for idx in range(len(G)):
-        others = [h for k, h in enumerate(G) if k != idx and h]
-        if textbook_nf_ring(G[idx], others, order)[0]:
-            out.append(G[idx])
-        else:
-            G[idx] = MPoly.zero(G[idx].universe, G[idx].domain)
-    return out, log
-
-
 def test_ring_table_takes_in_elements_appended_after_a_reduction():
-    # the Buchberger loop appends to a table whose divisor lists are cached
-    # per monomial: x*y is irreducible by pi*x alone, not once x + y is in
+    # divisors are cached per monomial: x*y is irreducible by pi*x alone,
+    # not once x + y, of lower valuation, is in
     xr, yr = (MPoly.var(U, R, v) for v in ("x", "y"))
     f = xr * yr
     red = _Reducers(LEX, U, R, _Packing(2), [xr.scale(R.pi)])
     assert red.to_poly(red.reduce(red.pack_poly(f))) == f
     red.append(xr + yr)
-    expected = textbook_nf_ring(f, [xr.scale(R.pi), xr + yr], LEX)[0]
-    assert expected != f
+    expected = textbook_nf_valuation(f, [xr.scale(R.pi), xr + yr], LEX)
+    assert expected == -(yr * yr)
     assert red.to_poly(red.reduce(red.pack_poly(f))) == expected
 
 
@@ -839,102 +874,66 @@ def test_field_table_takes_in_elements_appended_after_a_reduction(basis, f, k):
     assert red.to_poly(red.reduce(red.pack_poly(f))) == textbook_division(f, basis, order)[0]
 
 
-@st.composite
-def ring_generators(draw):
-    """Two small generators: ring mode processes every pair, and over
-    PiRing larger inputs grow past desk scale."""
-    dom = draw(st.sampled_from([R7, E7]))
-    coeff = pi_coeffs.filter(lambda c: len(c) <= 2) if dom is R7 else st.integers(1, 6)
-    k = draw(st.sampled_from([1, 1, 30, 50]))
-    mono = st.tuples(*[st.integers(0, 2)] * 3).map(lambda m: tuple(k * e for e in m))
-    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda t: MPoly(UR, dom, t))
-    return draw(st.lists(poly, min_size=2, max_size=2))
-
-
-@given(st.sampled_from(RING_ORDERS), ring_generators())
-@settings(max_examples=60, deadline=None)
-def test_ring_buchberger_matches_the_textbook_loop(order, gens):
-    log = []
-    # every run here takes well under a second; a cap turns a runaway loop
-    # (a stale divisor cache) into a failure instead of a hang
-    gb = buchberger(gens, order, ring_mode=True, trace_log=log, cap_seconds=5)
-    expected, expected_log = textbook_buchberger_ring(gens, order)
-    assert gb == expected
-    assert log == expected_log
-
-
 def test_ring_mode_overflow_of_one_byte_fields_reruns_wider():
-    # y x^127 against {pi y - x, (1 + pi) y}: the gcd step rewrites y through
-    # both elements and makes x^128, past one-byte fields
+    # y x^127 against {pi y, (1 + pi)(y - x)}: the element of valuation 0
+    # rewrites y, multiplying the work by 1 + pi, and makes x^128, past
+    # one-byte fields
     xr, yr = (MPoly.var(U, R, v) for v in ("x", "y"))
-    basis = [yr.scale(R.pi) - xr, yr.scale(R.element([Fraction(1), Fraction(1)]))]
+    one_pi = R.element([Fraction(1), Fraction(1)])
+    basis = [yr.scale(R.pi), (yr - xr).scale(one_pi)]
     y_first = Lex(perm=(1, 0))
     f = MPoly.term(U, R, R.one, (127, 1))
     red = _Reducers(y_first, U, R, _Packing(2), basis)
     with pytest.raises(DomainError):
         red.reduce(red.pack_poly(f))
-    nf, trace = traced_normal_form(f, basis, y_first)
-    expected, steps = textbook_nf_ring(f, basis, y_first)
-    assert (nf, trace) == (expected, steps)
-    assert len(steps[0].reducers) == 2
+    expected = textbook_nf_valuation(f, basis, y_first)
+    assert normal_form(f, basis, y_first) == expected == MPoly.term(U, R, one_pi, (128, 0))
     assert_is_groebner_matches_the_oracle(basis, y_first)
-
-
-def test_ring_buchberger_log_and_basis_survive_widening():
-    # every exponent times 50 overflows one-byte fields at packing; the
-    # scaled run must make the same pairs and the scaled basis
-    xr, yr = (MPoly.var(U, R, v) for v in ("x", "y"))
-    gens = [xr.scale(R.pi) + yr, xr * yr.scale(R.element([Fraction(1), Fraction(1)])) - xr]
-    log, big_log = [], []
-    gb = buchberger(gens, LEX, ring_mode=True, trace_log=log)
-    big = buchberger([scaled(g, 50) for g in gens], LEX, ring_mode=True, trace_log=big_log)
-    assert big == [scaled(g, 50) for g in gb]
-    assert without_lcm(big_log) == without_lcm(log)
-    assert is_groebner(gb, LEX) == (True, None)
-    assert is_groebner(big, LEX) == (True, None)
-    for g in gens:
-        assert ideal_membership(g, Ideal(gens), LEX, ring_mode=True)
+    # a leading-coefficient valuation past the bound of one-byte fields
+    # reruns wider too: the S-combination of pi^130 y and pi^131 y + x is -x
+    deep = R.shift(R.one, 130)
+    G = [yr.scale(deep), yr.scale(R.mul(deep, R.pi)) + xr]
+    assert is_groebner(G, y_first) == (False, -xr)
+    assert_is_groebner_matches_the_oracle(G, y_first)
 
 
 # units, powers of pi, and elements sharing a factor with pi or with 1 + pi
 CRITERIA_COEFFS = [
     R7.element(c) for c in ([1], [3], [0, 1], [0, 2], [0, 0, 1], [1, 1], [0, 1, 1], [2, 5])
 ]
+UNITS7 = [R7.from_int(k) for k in range(1, 7)] + [R7.element([1, 1]), R7.element([3, 0, 2])]
 
 
 @st.composite
 def criteria_case(draw):
-    """A set for ring-mode ``is_groebner`` over PiRing(F7) or F7 run as a
-    Euclidean domain: raw generators, or their ring-mode basis as computed,
-    with one element dropped, or with one element scaled by pi (by a unit
-    over F7).  Some sets also get an element with the leading monomial of
-    another and an associate leading coefficient."""
-    dom = draw(st.sampled_from([R7, R7, E7]))
-    coeff = st.sampled_from(CRITERIA_COEFFS) if dom is R7 else st.integers(1, 6)
+    """A set for ``is_groebner`` over PiRing(F7): raw generators, or their
+    standard basis from the textbook loop, with one element dropped, or
+    with one element scaled by pi.  Some sets also get an element with the
+    leading monomial of another and an associate leading coefficient."""
+    coeff = st.sampled_from(CRITERIA_COEFFS)
     # sparse monomials, so that leading monomials are often coprime
     mono = st.tuples(*[st.sampled_from([0, 0, 1, 2])] * 3)
-    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda t: MPoly(UR, dom, t))
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda t: MPoly(UR, R7, t))
     order = draw(st.sampled_from(RING_ORDERS))
     kind = draw(st.sampled_from(["raw", "raw", "basis", "dropped", "scaled"]))
     G = draw(st.lists(poly, min_size=2, max_size=4 if kind == "raw" else 3))
     if kind != "raw":
-        try:
-            G = buchberger(G, order, ring_mode=True, cap_seconds=0.5)
-        except ResourceCapExceeded:
+        G = textbook_standard_basis(G, order)
+        if G is None:
             reject()
         if kind == "dropped" and len(G) > 1:
             del G[draw(st.integers(0, len(G) - 1))]
         elif kind == "scaled":
             k = draw(st.integers(0, len(G) - 1))
-            G[k] = G[k].scale(R7.pi if dom is R7 else dom.from_int(3))
+            G[k] = G[k].scale(R7.pi)
     if draw(st.booleans()):
         # an associate leading term: a unit multiple of an element plus a
         # polynomial below its leading monomial
         g = G[draw(st.integers(0, len(G) - 1))]
         lm = g.leading_term(order)[1]
-        unit = dom.from_int(draw(st.integers(1, 6)))
+        unit = draw(st.sampled_from(UNITS7))
         below = {m: c for m, c in draw(poly).terms.items() if order.key(m) < order.key(lm)}
-        G = G + [g.scale(unit) + MPoly(UR, dom, below)]
+        G = G + [g.scale(unit) + MPoly(UR, R7, below)]
     return order, G
 
 
@@ -943,24 +942,30 @@ def ur_polys(dom, *texts):
 
 
 @given(criteria_case())
-@example((DegRevLex(), ur_polys(R7, "pi*x + 1", "pi*y + 1")))  # coprime monomials, gcd pi
+@example((DegRevLex(), ur_polys(R7, "pi*x + 1", "pi*y + 1")))  # coprime monomials, both v = 1
+@example((DegRevLex(), ur_polys(R7, "x + pi", "pi*y + 1")))  # coprime monomials, one v = 0
 @example((Lex(), ur_polys(R7, "pi^2*x^2 + 3*x*z + pi^2", "(pi + pi^2)*x*z", "2 + 5*pi")))
 @settings(max_examples=200, deadline=None)
 def test_ring_mode_criteria_match_the_all_pairs_oracle(case):
+    """The Gebauer-Moeller valuation test agrees with the all-pairs loop,
+    and accepts every set that the Euclidean test over L[pi] accepts: a
+    Groebner basis over L[pi] is a standard basis over L[pi]_(pi)."""
     order, G = case
     assert_is_groebner_matches_the_oracle(G, order)
+    if textbook_is_groebner_ring(G, order)[0]:
+        assert is_groebner(G, order)[0]
 
 
 def test_associate_coefficient_lcms_compare_equal():
-    # pairs (0, 1) and (1, 2) have the coefficient lcms 2*6 = 5 and 6*4 = 3
-    # in F7, times x^2 y^2 z: associates, not equal.  Compared raw, the
-    # update for element 2 drops pair (0, 1), and the verdict on this
-    # non-basis is True.
-    x, y, z = (MPoly.var(UR, E7, v) for v in UR.names)
-    c = E7.from_int
-    G = [(x * x * z).scale(c(2)), (x * x * y * y * z).scale(c(6)) + (x * y * z * z).scale(c(3)),
-         (x * x * z).scale(c(4))]
-    assert textbook_is_groebner_ring(G, LEX)[0] is False
+    # the leading coefficients 2 pi, 6 pi and (4 + pi) pi are associates in
+    # L[pi]_(pi): the pairs (0, 1), (0, 2) and (1, 2) have the same
+    # coefficient lcm pi, and the criteria must still test this non-basis
+    # as the all-pairs loop does
+    x, y, z = (MPoly.var(UR, R7, v) for v in UR.names)
+    c = R7.element
+    G = [(x * x * z).scale(c([0, 2])), (x * x * y * y * z).scale(c([0, 6])) + (x * y * z * z).scale(c([3])),
+         (x * x * z).scale(c([0, 4, 1]))]
+    assert textbook_is_standard_basis(G, LEX)[0] is False
     assert_is_groebner_matches_the_oracle(G, LEX)
 
 
@@ -994,7 +999,7 @@ def test_criteria_reduce_fewer_pairs_on_the_specialized_minors_basis(monkeypatch
         return reduce(self, work, **kw)
 
     monkeypatch.setattr(_Reducers, "reduce", counting)
-    assert is_groebner(G, order, ring_mode=True) == (True, None)
+    assert is_groebner(G, order) == (True, None)
     assert 0 < len(reduced) < 15
 
 
@@ -1200,7 +1205,7 @@ def test_hilbert_pruning_keeps_the_saturated_basis(rung):
         hilbert=(I.universe.grid_indices(), diagonal_target(d)),
     )
     worder = WeightedPiOrder(weights, I.universe.index("pi"))
-    assert (worder, False) in pruned._gb_cache
+    assert worder in pruned._gb_cache
     assert [g.text(worder) for g in pruned.generators] == [g.text(worder) for g in plain.generators]
     assert len(pruned_log) == len(plain_log)
     assert not any(line.endswith("-> pruned") for line in plain_log)
@@ -1224,8 +1229,6 @@ def test_hilbert_target_needs_every_other_variable_in_a_block():
     with pytest.raises(DomainError, match="homogeneous per block"):
         buchberger(gens + [MPoly.var(uni, F, "x[1][0]") + MPoly.var(uni, F, "x[1][1]")],
                    worder, sat_var=pi_pos, hilbert=(blocks, target))
-    with pytest.raises(DomainError, match="field-mode"):
-        buchberger(gens, worder, ring_mode=True, hilbert=(blocks, target))
     assert buchberger(gens, worder, sat_var=pi_pos, hilbert=(blocks, target)) == buchberger(
         gens, worder, sat_var=pi_pos
     )
@@ -1395,6 +1398,23 @@ def polyring_orders(draw, n, depth=2):
 
 
 @st.composite
+def revlex_blocks(draw, n):
+    """A block order on n >= 2 variables split into two to four non-empty
+    segments, at least two of them degrevlex and the others drawn by
+    ``polyring_orders``: the degrevlex leaves share one reversal of the
+    fields and must each land in their own slot of the key."""
+    shuffled = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True)))
+    bounds = [0, *cuts, n]
+    parts = [tuple(shuffled[a:b]) for a, b in zip(bounds, bounds[1:])]
+    revlex = draw(st.sets(st.sampled_from(range(len(parts))), min_size=2))
+    return Block(tuple(
+        (idx, DegRevLex() if k in revlex else draw(polyring_orders(len(idx), 1)))
+        for k, idx in enumerate(parts)
+    ))
+
+
+@st.composite
 def keyed_monomials(draw):
     n = draw(st.integers(0, 6))
     pk = _Packing(n, draw(st.sampled_from([1, 2])))
@@ -1402,7 +1422,11 @@ def keyed_monomials(draw):
         st.integers(0, 3), st.just(pk.bound), st.just(pk.bound - 1), st.integers(0, pk.bound)
     )
     monos = draw(st.lists(st.tuples(*[exps] * n), min_size=1, max_size=12))
-    return pk, draw(polyring_orders(n)), monos
+    # small exponents tie often in every segment's degree, where the
+    # reverse-lex parts decide
+    monos += draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=8))
+    orders = polyring_orders(n) if n < 2 else st.one_of(polyring_orders(n), revlex_blocks(n))
+    return pk, draw(orders), monos
 
 
 @given(keyed_monomials())
@@ -1636,7 +1660,7 @@ def test_recorded_leading_terms_survive_scaling_and_content_division(order, f, c
 
 
 def test_is_groebner_checks_its_cap_before_each_reduction():
-    x, y, z = (MPoly.var(UR, E7, v) for v in UR.names)
+    x, y, z = (MPoly.var(UR, R7, v) for v in UR.names)
     G = [x * y + z, x * z + y]
     assert is_groebner(G, LEX, cap_seconds=60)[0] is False
     with pytest.raises(ResourceCapExceeded, match=r"is_groebner exceeded 0s \(0 of 1 pairs"):
@@ -1649,8 +1673,8 @@ def test_is_groebner_checks_its_cap_before_each_reduction():
 
 def skip_interreduce(G, order):
     """The interreduction that reduced each whole minimal element against
-    the others (``skip`` left it out of the table), kept as the oracle:
-    minimal elements by tuple-key leading monomials, sorted the same way."""
+    a table of the others, kept as the oracle: minimal elements by
+    tuple-key leading monomials, sorted the same way."""
     okey = order.key
     items = sorted([g for g in G if g], key=lambda g: okey(g.leading_term(order)[1]))
     if not items:
@@ -1662,10 +1686,11 @@ def skip_interreduce(G, order):
             minimal.append(g)
 
     def run(pk):
-        red = _Reducers(order, items[0].universe, items[0].domain, pk, minimal)
         out = []
         for idx, g in enumerate(minimal):
-            r = red.reduce(red.pack_poly(g), skip=(idx,))
+            others = minimal[:idx] + minimal[idx + 1:]
+            red = _Reducers(order, items[0].universe, items[0].domain, pk, others)
+            r = red.reduce(red.pack_poly(g))
             if r:
                 out.append(field_normalize(red.remainder(r), order))
         return out

@@ -112,7 +112,7 @@ def test_check_specialization_pass_and_fail():
         gens, pi, {"A[1][1][0]": F.from_int(5), "A[2][1][0]": ring.pi},
         obstructions=obs,
     )
-    assert not bad.ok
+    assert not bad.ok and not bad.groebner_ok and not bad.commutation_ok
     assert "A[2][1][0]" in bad.diagnosis
     # parameter-free inputs are always fine
     triv = check_specialization([x + y], pi, {})
@@ -433,14 +433,20 @@ def test_check_reuses_the_obstruction_basis_only_for_its_generators(monkeypatch)
     )
     assert parsed.texts() == texts and parsed.basis is None
 
-    calls = []
-    real = specialize.buchberger
+    calls, lifts = [], []
+    real, adjoin = specialize.buchberger, specialize._adjoin_inverses
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def counting_lifts(*args):
+        lifts.append(1)
+        return adjoin(*args)
+
     monkeypatch.setattr(specialize, "buchberger", counting)
+    # a reused basis comes with its lifted generators: none is relabelled
+    monkeypatch.setattr(specialize, "_adjoin_inverses", counting_lifts)
     ring = PiRing(F)
     for assignment in (
         {"A[1][1][0]": F.from_int(5), "A[2][1][0]": F.from_int(7)},
@@ -452,8 +458,9 @@ def test_check_reuses_the_obstruction_basis_only_for_its_generators(monkeypatch)
                 obstructions=dataclasses.replace(given_obs, basis=None, lifted=None),
             )
             calls.clear()
+            lifts.clear()
             rep = check_specialization(gens, pi, assignment, obstructions=given_obs)
-            assert len(calls) == builds
+            assert len(calls) == len(lifts) == builds
             assert rep == fresh
 
 
@@ -749,6 +756,77 @@ def test_first_violation_skips_the_nonzero_conditions_after_a_unit_one_fails(mon
     assert len(applied) == len(obs.unit_conditions)
 
 
+# ---------------------------------------------------------------------------
+# the basis test over L[pi]_(pi) on pi-dependent values
+
+# symbolic d=3 n=1 minors, n_vec (1, 2), GF(5): every unit condition takes
+# a value of valuation 0, such as 1 + pi^2, a unit of L[pi]_(pi) but not of
+# L[pi], and the Euclidean basis test over L[pi] rejected the specialized set
+PI_DEPENDENT_CASE = {
+    "A[1][1][0]": "1", "A[1][2][0]": "3", "A[1][3][0]": "3",
+    "A[2][1][0]": "4", "A[2][2][0]": "2", "A[2][3][0]": "pi + pi^2",
+    "A[3][1][0]": "4", "A[3][2][0]": "3", "A[3][3][0]": "1 + 3*pi + 3*pi^2",
+    "A[1][1][1]": "3 + 3*pi + 2*pi^2", "A[1][2][1]": "2 + pi^2", "A[1][3][1]": "3",
+    "A[2][1][1]": "3", "A[2][2][1]": "3 + 2*pi + 4*pi^2", "A[2][3][1]": "2 + 3*pi + 4*pi^2",
+    "A[3][1][1]": "4 + pi^2", "A[3][2][1]": "1", "A[3][3][1]": "pi + 3*pi^2",
+}
+
+
+def test_a_pi_dependent_assignment_meeting_every_condition_is_certified():
+    ring = PiRing(GF(5))
+    assignment = {name: ring.parse(text) for name, text in PI_DEPENDENT_CASE.items()}
+    obs = small_field_obstructions(5)
+    assert specialize._first_violation(assignment, obs) == ""
+    values = subst(assignment, obs.unit_conditions)
+    assert all(specialize._pi_valuation_of_poly(v) == 0 for v in values)
+    assert any(not v.is_constant() for v in values)
+    rep = check_specialization(obs.gens, obs.a, assignment, obstructions=obs)
+    assert rep.groebner_ok and rep.ok and rep.diagnosis == ""
+
+
+def test_spec_check_certifies_the_pi_dependent_assignment(tmp_path):
+    obs = small_field_obstructions(5)
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({
+        "variables": list(obs.a.universe.names),
+        "generators": [g.text() for g in obs.gens],
+        "element": "pi",
+        "field": {"Fp": 5},
+    }))
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(PI_DEPENDENT_CASE))
+    res = CliRunner().invoke(spec_group, ["check", "--gens", str(gens), "--assignment", str(assign)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["verdict"] == "pass" and rep["groebner_ok"] is True
+
+
+@st.composite
+def pi_dependent_samples(draw):
+    """An assignment of the 18 parameters over GF(p), p in 3, 5, 7: each
+    value has a uniform constant coefficient and, one time in two, two
+    more uniform coefficients."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    ring = PiRing(GF(p))
+    coeff = st.integers(0, p - 1)
+    value = st.one_of(st.tuples(coeff), st.tuples(coeff, coeff, coeff)).map(ring.element)
+    names = [f"A[{i}][{j}][{l}]" for l in (0, 1) for i in (1, 2, 3) for j in (1, 2, 3)]
+    return p, {name: draw(value) for name in names}
+
+
+@given(pi_dependent_samples())
+@settings(max_examples=60, deadline=None)
+def test_meeting_every_unit_condition_passes_the_basis_test(case):
+    # the specialization theorem over L[pi]_(pi) in the module docstring:
+    # the unit conditions alone certify the basis, whatever the values'
+    # dependence on pi
+    p, assignment = case
+    obs = small_field_obstructions(p)
+    values = subst(assignment, obs.unit_conditions)
+    if all(v and specialize._pi_valuation_of_poly(v) == 0 for v in values):
+        assert check_specialization(obs.gens, obs.a, assignment, obstructions=obs).groebner_ok
+
+
 def test_the_budget_runs_out_between_the_lifted_generators(monkeypatch):
     # the basis test reduces the surviving S-combinations and then the
     # specialized lifted generators on one table, checking the clock before
@@ -938,7 +1016,7 @@ def ideal_pairs(draw):
     bigger = Ideal([*gens, *other], IDEAL_UNI, dom)
     z = MPoly.var(IDEAL_UNI, dom, "z")
     S = saturate(A, [z])
-    assert (default_order(IDEAL_UNI), False) in S._gb_cache
+    assert default_order(IDEAL_UNI) in S._gb_cache
     fresh = Ideal(S.generators, IDEAL_UNI, dom)
     candidates = [A, same, moved, bigger, S, saturate(S, [z]), fresh, saturate(moved, [z])]
     return draw(st.sampled_from(candidates)), draw(st.sampled_from(candidates))
@@ -962,7 +1040,7 @@ def test_same_ideal_matches_the_oracle_on_fast_path_saturations(dom, seed):
     pi = MPoly.var(I.universe, dom, "pi")
     fast = saturate(I, [pi], pi_fast_weights=cfg.weights)
     slow = saturate(I, [pi])
-    assert (default_order(I.universe), False) not in fast._gb_cache
+    assert default_order(I.universe) not in fast._gb_cache
     for A, B in ((fast, slow), (fast, I), (slow, I), (fast, saturate(fast, [pi]))):
         for X, Y in ((A, B), (B, A)):
             assert specialize._same_ideal(X, Y) == same_ideal_oracle(X, Y)
