@@ -336,17 +336,6 @@ class PiRing:
                 out[i + j] = base.add(out[i + j], base.mul(a, b))
         return self._trim(out)
 
-    def scalar_mul(self, a, f):
-        if self.base.is_zero(a):
-            return ()
-        mul = self.base.mul
-        return self._trim([mul(a, c) for c in f])
-
-    def degree(self, f) -> int:
-        if not f:
-            raise DomainError("degree of zero undefined")
-        return len(f) - 1
-
     def divmod(self, f, g):
         """Polynomial division: f = q*g + r with deg r < deg g."""
         if not g:
@@ -375,13 +364,6 @@ class PiRing:
                 r[i - dg + j] = base.sub(r[i - dg + j], base.mul(c, b))
         return self._trim(q), self._trim(r)
 
-    def divides(self, f, g) -> bool:
-        """True iff f divides g exactly."""
-        if not f:
-            return not g
-        _, r = self.divmod(g, f)
-        return not r
-
     def exact_div(self, g, f):
         q, r = self.divmod(g, f)
         if r:
@@ -391,23 +373,6 @@ class PiRing:
     def is_unit(self, f) -> bool:
         """Units of the polynomial ring itself: nonzero constants."""
         return len(f) == 1
-
-    def extended_gcd(self, f, g):
-        """Monic gcd d plus (u, v) with u*f + v*g = d."""
-        if not f and not g:
-            raise DomainError("gcd(0, 0) undefined")
-        r0, s0, t0 = f, self.one, self.zero
-        r1, s1, t1 = g, self.zero, self.one
-        while r1:
-            q, r = self.divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self.sub(s0, self.mul(q, s1))
-            t0, t1 = t1, self.sub(t0, self.mul(q, t1))
-        lc_inv = self.base.inv(r0[-1])
-        return (
-            self.scalar_mul(lc_inv, r0),
-            (self.scalar_mul(lc_inv, s0), self.scalar_mul(lc_inv, t0)),
-        )
 
     def pi_valuation(self, f) -> int:
         if not f:

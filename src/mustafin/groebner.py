@@ -61,7 +61,10 @@ One function builds every such Rabinowitsch system <gens, 1 - t_i a_i>:
 ``_adjoin_inverses``.  ``saturate`` eliminates its auxiliaries,
 ``radical_membership`` asks whether <I, 1 - t f> is the unit ideal, and
 ``specialize`` reads its parameter conditions off the basis of
-<gens, 1 - t a>.
+<gens, 1 - t a>.  Radical queries against one ideal lift and pack its
+basis once: the packed table of the lifted basis, one per packing width,
+lives on the ``Ideal`` as long as the ideal does, and each query's
+Buchberger run appends its row to a ``fork`` of it.
 """
 
 from __future__ import annotations
@@ -432,6 +435,31 @@ class _Reducers:
         self._okey = pk.order_key(order)
         for g in basis:
             self.append(g)
+
+    @classmethod
+    def known(cls, order, universe, domain, pk: _Packing, basis) -> "_Reducers":
+        """A field-mode table of an already-known basis, every row packed
+        now: its leading monomial, leading coefficient and monic tail.  The
+        ``gb_prefix`` of ``buchberger`` is built this way; a table kept for
+        many runs is run on through ``fork``."""
+        red = cls(order, universe, domain, pk, basis)
+        for j in range(len(red.lms)):
+            red._tail(j)
+        return red
+
+    def fork(self) -> "_Reducers":
+        """A table that starts with these rows and leaves this one as it
+        is: the row lists are copied, and the key caches are shared, since
+        a key depends only on the order, the packing and the monomial.  The
+        divisor cache, which depends on the rows, starts empty."""
+        new = object.__new__(_Reducers)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        for name in ("lms", "lcs", "tails", "vals", "units", "_polys"):
+            setattr(new, name, list(getattr(self, name)))
+        new.lts = list(self.lts) if self.ring else new.lms
+        new._divisors = {}
+        return new
 
     def append(self, g: MPoly):
         lc, lm = g.leading_term(self.order)
@@ -869,6 +897,7 @@ def buchberger(
     reduced: bool = True,
     gb_prefix: int = 0,
     hilbert=None,
+    _tables: dict | None = None,
 ):
     """Groebner basis of <gens> with respect to ``order``, over a field.
 
@@ -881,7 +910,11 @@ def buchberger(
     ``gb_prefix`` marks the first k generators as an already-known basis
     with respect to ``order``: pairs among them are skipped.  Sound only
     when the prefix really is one (incremental queries against a cached
-    basis).
+    basis).  ``_tables`` (internal; ``radical_membership``) keeps the
+    packed table of the prefix per packing width, for the life of the
+    dict: a run at a width with no table builds it there, and every run
+    appends to a ``fork`` of it, so the prefix is packed once for many
+    runs.  The prefix generators must be the same in every such run.
 
     ``hilbert = (blocks, target)`` prunes pairs by the
     Hilbert function (Traverso): a popped pair is skipped, unreduced, once
@@ -913,13 +946,13 @@ def buchberger(
             raise DomainError("a Hilbert target needs generators homogeneous per block")
     return _buchberger_field(
         gens, order, universe, domain, sat_var, cap_seconds, trace_log, reduced,
-        gb_prefix, hilbert,
+        gb_prefix, hilbert, _tables,
     )
 
 
 def _buchberger_field(
     gens, order, universe, domain, sat_var, cap_seconds, trace_log, reduced,
-    gb_prefix=0, hilbert=None,
+    gb_prefix=0, hilbert=None, tables=None,
 ):
     t0 = time.monotonic()
     log_start = len(trace_log) if trace_log is not None else 0
@@ -927,8 +960,14 @@ def _buchberger_field(
     def run(pk):
         if trace_log is not None:
             del trace_log[log_start:]  # lines of a narrower run
-        prefix = [field_normalize(g, order) for g in gens[:gb_prefix]]
-        red = _Reducers(order, universe, domain, pk, prefix)
+        base = None if tables is None else tables.get(pk.width)
+        if base is None:
+            prefix = [field_normalize(g, order) for g in gens[:gb_prefix]]
+            base = _Reducers.known(order, universe, domain, pk, prefix)
+            if tables is not None:
+                tables[pk.width] = base
+        prefix = base._polys[:gb_prefix]
+        red = base if tables is None else base.fork()
         pairs: dict = {}  # pending pair (i, j) -> lcm of its leading monomials
 
         def check_cap():
@@ -1291,6 +1330,13 @@ def radical_membership(f: MPoly, I: Ideal, *, cap_seconds: float | None = None) 
     """f in sqrt(I), by the trick of adjoining 1 - t f and testing whether the
     ideal becomes the whole ring.  Field coefficients only.
 
+    The basis of I (under ``default_order``, cached on I) is a known prefix
+    of the extended run.  The first query lifts it by ``_adjoin_inverses``
+    and keeps, on I (``Ideal._radical_prefix``), the lifted basis, the
+    extended order and a table per packing width that ``buchberger``
+    builds once; every query runs on a fork of it, so only the row 1 - t f
+    is new.  The kept prefix lives and dies with I.
+
     ``cap_seconds`` bounds the basis of I and the extended run together:
     the extension gets the time the basis left.  A cap hit raises
     ``ResourceCapExceeded`` with no phase, so a caller's ``Deadline`` names
@@ -1299,10 +1345,6 @@ def radical_membership(f: MPoly, I: Ideal, *, cap_seconds: float | None = None) 
         raise DomainError("radical membership needs field coefficients")
     if not f:
         return True
-    if f.is_constant():
-        # a nonzero constant is in the radical iff the ideal is the ring
-        gb = I.groebner_basis(DegRevLex(), cap_seconds=cap_seconds)
-        return any(g.is_constant() for g in gb)
     uni = I.universe
     t0 = time.monotonic()
     # seed with the cached basis of I: appending one trailing degrevlex
@@ -1310,6 +1352,9 @@ def radical_membership(f: MPoly, I: Ideal, *, cap_seconds: float | None = None) 
     # radical queries against one ideal share the heavy part of the work
     base_order = default_order(uni)
     base_gb = I.groebner_basis(base_order, cap_seconds=cap_seconds)
+    if f.is_constant():
+        # a nonzero constant is in the radical iff the ideal is the ring
+        return any(g.is_constant() for g in base_gb)
     left = None
     if cap_seconds is not None:
         left = cap_seconds - (time.monotonic() - t0)
@@ -1317,15 +1362,26 @@ def radical_membership(f: MPoly, I: Ideal, *, cap_seconds: float | None = None) 
             raise ResourceCapExceeded(
                 f"radical membership exceeded {cap_seconds:g}s (basis of {len(base_gb)} elements)"
             )
-    big, _aux, gens = _adjoin_inverses(uni, base_gb, [f])
+    known = I._radical_prefix.get(base_order)
+    if known is None:
+        big, _aux, gens = _adjoin_inverses(uni, base_gb, [f])
+        # the lifted basis, the extended order, the packed tables by width
+        known = I._radical_prefix[base_order] = (
+            gens[:-1], _append_aux_order(base_order, uni, big), {}
+        )
+    else:
+        big, _aux, row = _adjoin_inverses(uni, (), [f])
+        gens = known[0] + row
+    lifted, ext_order, tables = known
     gb = buchberger(
         gens,
-        _append_aux_order(base_order, uni, big),
+        ext_order,
         universe=big,
         domain=I.domain,
         cap_seconds=left,
         reduced=False,
-        gb_prefix=len(base_gb),
+        gb_prefix=len(lifted),
+        _tables=tables,
     )
     return any(g.is_constant() for g in gb)
 

@@ -1015,13 +1015,18 @@ def parse_poly(text: str, universe: VarUniverse, domain) -> MPoly:
 
 
 class Ideal:
-    """Generator list with a per-order cache of Groebner bases.
+    """Generator list with a per-order cache of Groebner bases
+    (``_gb_cache``) and, beside it, the Rabinowitsch prefix that
+    ``groebner.radical_membership`` runs its queries on (``_radical_prefix``:
+    per base order, the basis lifted into the universe with the auxiliary,
+    the extended order and one packed reducer table per packing width).
 
     Generators are immutable, so a cached basis never goes stale; each cache
-    slot is written once and then only read.
+    slot is written once and then only read.  The caches live and die with
+    the ideal.
     """
 
-    __slots__ = ("generators", "universe", "domain", "_gb_cache")
+    __slots__ = ("generators", "universe", "domain", "_gb_cache", "_radical_prefix")
 
     def __init__(self, generators, universe=None, domain=None):
         gens = tuple(g for g in generators if g)
@@ -1034,6 +1039,7 @@ class Ideal:
                 raise UniverseError("mixed universes/domains in ideal")
         self.generators = gens
         self._gb_cache: dict = {}
+        self._radical_prefix: dict = {}
 
     def is_zero(self) -> bool:
         return not self.generators

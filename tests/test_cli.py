@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import mustafin
 from mustafin.cli import (
     degen_group,
     mustafin_group,
@@ -520,6 +524,39 @@ def test_trials_in_worker_processes_give_the_same_report(runner, d2_config, tmp_
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert [t["seed"] for t in json.loads(outs[0])["trials"]] == [1, 2, 3]
+
+
+def test_degen_support_reports_are_byte_identical_across_runs(runner, d3_config, tmp_path):
+    # radical queries keep packed tables on their fibre ideal: no report may
+    # depend on the hash seed or on state left over from an earlier run
+    conic = tmp_path / "conic.json"
+    conic.write_text(json.dumps({
+        "generators": ["28378*y[1]^2 + 2601*y[1]*y[2] + 8566*y[2]^2 + 24172*y[1]*y[3]"
+                       " + 5204*y[2]*y[3] + 13319*y[3]^2"],
+        "dim": 1,
+        "degree": 2,
+    }))
+    args = ["support", "--config", d3_config, "--curve", str(conic)]
+    outs = []
+    for k in range(3):
+        out = tmp_path / f"in-process-{k}.json"
+        res = runner.invoke(degen_group, [*args, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outs.append(out.read_bytes())
+    src = str(pathlib.Path(mustafin.__file__).resolve().parent.parent)
+    for seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{seed}.json"
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from mustafin.cli import degen_group; degen_group()",
+             *args, "--out", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        outs.append(out.read_bytes())
+    assert json.loads(outs[0])["delta"] is not None
+    assert all(o == outs[0] for o in outs)
 
 
 SHARED = {"--config", "--seed", "--field", "--out"}

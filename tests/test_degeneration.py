@@ -498,6 +498,39 @@ def test_support_analysis_asks_each_radical_query_once(monkeypatch):
     assert asked and len(asked) == len(set(asked))
 
 
+def test_support_analysis_lifts_and_packs_the_fibre_basis_once(monkeypatch):
+    from mustafin import degeneration
+
+    asked, builds, lifts = [], [], []
+    real_known = groebner._Reducers.known.__func__
+    real_relabel = MPoly.relabel
+
+    def known(cls, order, universe, domain, pk, basis):
+        if basis and "t[0]" in universe:
+            builds.append((pk.width, len(basis)))
+        return real_known(cls, order, universe, domain, pk, basis)
+
+    def relabel(self, universe):
+        if asked and "t[0]" in universe:
+            lifts.append(self)
+        return real_relabel(self, universe)
+
+    def counting(f, I, **kwargs):
+        asked.append(f)
+        return radical_membership(f, I, **kwargs)
+
+    monkeypatch.setattr(groebner._Reducers, "known", classmethod(known))
+    monkeypatch.setattr(MPoly, "relabel", relabel)
+    monkeypatch.setattr(degeneration, "radical_membership", counting)
+    support_analysis(random_config(3, 2, (1, 2), F, seed=11), random_line(99))
+    # one table of the fibre basis, at one-byte fields; besides the basis
+    # lifted once, one relabel per query (its f) that is not a constant
+    (width, size), = builds
+    queries = [f for f in asked if not f.is_constant()]
+    assert width == 1 and len(queries) > 1
+    assert len(lifts) == size + len(queries)
+
+
 def test_deadline_hands_each_call_the_time_left():
     seen = []
 

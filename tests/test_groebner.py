@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, reject, settings, strategies as st
 
+from pi_euclid import divides, extended_gcd
+
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
 import re
 
@@ -38,6 +40,7 @@ from mustafin.groebner import (
 from mustafin.polyring import (
     Block,
     DegRevLex,
+    default_order,
     Ideal,
     Lex,
     MPoly,
@@ -162,14 +165,14 @@ def reduce_one_step(f: MPoly, E, order: TermOrder):
     for j, g in divisors:
         glc = g.leading_term(order)[0]
         if g_run is None:
-            d, (u, _) = dom.extended_gcd(glc, dom.zero)
+            d, (u, _) = extended_gcd(dom, glc, dom.zero)
             g_run, combo = d, [u]
         else:
-            d, (u, v) = dom.extended_gcd(g_run, glc)
+            d, (u, v) = extended_gcd(dom, g_run, glc)
             combo = [dom.mul(u, c) for c in combo] + [v]
             g_run = d
         used.append((j, g))
-        if dom.divides(g_run, lc):
+        if divides(dom, g_run, lc):
             break
     else:
         return None
@@ -695,11 +698,11 @@ def textbook_combinations(gi, gj, order):
     l = tuple(max(a, b) for a, b in zip(mi, mj))
     qi = tuple(a - b for a, b in zip(l, mi))
     qj = tuple(a - b for a, b in zip(l, mj))
-    d, (u, v) = dom.extended_gcd(ci, cj)
+    d, (u, v) = extended_gcd(dom, ci, cj)
     s = gi * MPoly.term(uni, dom, dom.exact_div(cj, d), qi) - gj * MPoly.term(
         uni, dom, dom.exact_div(ci, d), qj
     )
-    if dom.divides(ci, cj) or dom.divides(cj, ci):
+    if divides(dom, ci, cj) or divides(dom, cj, ci):
         return [s]
     return [s, gi * MPoly.term(uni, dom, u, qi) + gj * MPoly.term(uni, dom, v, qj)]
 
@@ -1824,3 +1827,55 @@ def test_unreduced_rows_of_the_pruned_fast_path_are_field_normalized(rung):
     assert term_lists(interreduce(rows, worder)) == term_lists(
         buchberger(list(I.generators), worder, **kw)
     )
+
+
+# ---------------------------------------------------------------------------
+# radical queries share one packed Rabinowitsch prefix per ideal
+
+
+@st.composite
+def radical_queries(draw):
+    """Up to three binomials in x, y, pi over F7, and a few queries of one
+    or two terms.  One query may be x^130 or y^130 times the first
+    generator: it lies in the ideal, and its exponents overflow one-byte
+    packing fields.  (Over Q, or with longer polynomials, the coefficients
+    or the bases of random Rabinowitsch runs swell.)"""
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 6))
+    polys = st.lists(term, min_size=1, max_size=2).map(lambda ts: MPoly(U3, F7, dict(ts)))
+    G = draw(st.lists(polys, min_size=1, max_size=3))
+    queries = draw(st.lists(polys, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        wide = MPoly.var(U3, F7, draw(st.sampled_from(["x", "y"]))) ** 130 * G[0]
+        queries.insert(draw(st.integers(0, len(queries))), wide)
+    return G, queries
+
+
+@given(radical_queries())
+@settings(max_examples=40, deadline=None)
+def test_radical_queries_on_one_ideal_do_not_see_each_other(case):
+    G, queries = case
+    fresh = [radical_membership(f, Ideal(G)) for f in queries]
+    wide = [max(map(max, f.terms)) > 127 for f in queries]
+    assert all(ok for ok, w in zip(fresh, wide) if w)  # a multiple of a generator
+    forward, backward = Ideal(G), Ideal(G)
+    assert [radical_membership(f, forward) for f in queries] == fresh
+    assert [radical_membership(f, backward) for f in reversed(queries)] == fresh[::-1]
+    for I in (forward, backward):
+        if all(f.is_constant() for f in queries):  # answered off the basis
+            assert not I._radical_prefix
+            continue
+        (lifted, _order, tables), = I._radical_prefix.values()
+        # one table per packing width, each still the lifted basis alone
+        assert sorted(tables) == ([1, 2] if any(wide) else [1])
+        for table in tables.values():
+            assert len(table.lms) == len(table.tails) == len(lifted)
+            assert table._polys == lifted and not table._divisors
+
+
+def test_a_constant_query_takes_the_basis_the_other_queries_take():
+    x, pi = (MPoly.var(U3, F7, v) for v in ("x", "pi"))
+    I = Ideal([x * x - pi, x * pi])
+    one = MPoly.const(U3, F7, F7.one)
+    assert not radical_membership(one, I) and radical_membership(x, I)
+    assert list(I._gb_cache) == [default_order(U3)]
+    assert radical_membership(one, Ideal([x * x - pi, x * pi, pi - one]))
