@@ -437,7 +437,7 @@ def _gens_from_payload(payload, field):
 @click.option("--gens", "gens_path", type=click.Path(), default=None, help="JSON {variables, generators, element}")
 @_options("config", "field", "out", "cap-seconds", "cap-mb")
 def spec_obstructions(gens_path, config_path, field_flag, out_path, cap_seconds, cap_mb):
-    """Unit and nonzero conditions for specializing a saturating basis."""
+    """Unit conditions that certify specializing a saturating basis."""
     _apply_mem_cap(cap_mb)
     if gens_path:
         payload = _load_json(gens_path, "generators")
@@ -515,8 +515,7 @@ def spec_sample(obs_path, max_attempts, config_path, seed, field_flag, out_path)
         uni = sym.universe()
         try:
             obs = spec_mod.ObstructionSet(
-                [parse_poly(t, uni, cfg.field) for t in payload.get("unit_conditions", [])],
-                [parse_poly(t, uni, cfg.field) for t in payload.get("nonzero_conditions", [])],
+                [parse_poly(t, uni, cfg.field) for t in payload.get("unit_conditions", [])]
             )
         except (AttributeError, DomainError, TypeError, ValueError) as exc:
             raise SystemExit(_usage_error(f"bad obstructions file: {exc}"))

@@ -43,8 +43,7 @@ monomial with the valuation of the leading coefficient in one more field
 (``_Reducers.lts``).  A reduction step there multiplies the working
 polynomial by the reducer's unit part, so every coefficient stays in
 L[pi].  The field-mode ``_Reducers.reduce`` takes one observer, called
-before every step; the obstruction harvest in ``specialize`` reads the
-reduction through it.
+before every step with the step it takes.
 
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
@@ -60,7 +59,7 @@ eliminate the fresh auxiliaries.
 One function builds every such Rabinowitsch system <gens, 1 - t_i a_i>:
 ``_adjoin_inverses``.  ``saturate`` eliminates its auxiliaries,
 ``radical_membership`` asks whether <I, 1 - t f> is the unit ideal, and
-``specialize`` reads its parameter conditions off the basis of
+``specialize`` reads its unit conditions off the basis of
 <gens, 1 - t a>.  Radical queries against one ideal lift and pack its
 basis once: the packed table of the lifted basis, one per packing width,
 lives on the ``Ideal`` as long as the ideal does, and each query's
@@ -630,7 +629,9 @@ class _Reducers:
         already taken out of ``work``, which holds the rest of the working
         polynomial; and the step as (index, coefficient, packed quotient)
         triples, subtracting sum c * x^q * basis[index], or () when the term
-        moves to the remainder."""
+        moves to the remainder.  It is the one view of the kernel's step
+        choices: a textbook-division oracle in the tests replays them, and
+        an engine stats sink can count steps through it."""
         if self.ring:
             return self._reduce_valuation(work)
         lms, lcs, tails = self.lms, self.lcs, self.tails

@@ -7,15 +7,10 @@ t[k] not in use), computed under the block order
 
     t (the saturation auxiliary)  >  main variables  >  parameters  >  pi,
 
-two families of parameter conditions fall out:
-
-* unit conditions: for each basis element, the polynomial standing in front
-  of its leading main-variable monomial, with pi content stripped.  They
-  alone certify a specialization (below).
-* nonzero conditions: the leading-group coefficients of the intermediate
-  remainders in the reductions of the basis's S-pairs, which depend on the
-  reduction strategy.  ``generic_sample`` keeps them nonzero; the basis
-  test does not need them.
+the unit conditions are read off: for each basis element, the polynomial
+standing in front of its leading (auxiliary and main-variable) monomial,
+with pi content stripped.  They alone certify a specialization (below), and
+``generic_sample`` draws until every one of them takes pi-valuation 0.
 
 ``check_specialization`` verifies a concrete assignment directly: the
 specialized set must be a standard basis over the valuation ring
@@ -59,9 +54,7 @@ reuses the last two for the same inputs.  The basis test runs on the
 valuation mode of the packed kernel of ``groebner``; the specialized
 generators of <gens, 1 - t*a> are reduced on the table of its
 S-combinations, under the same time budget.  The commutation check
-compares reduced bases (``_same_ideal``).  The harvest of nonzero
-conditions runs on the field mode, through the observer of
-``_Reducers.reduce``.
+compares reduced bases (``_same_ideal``).
 """
 
 from __future__ import annotations
@@ -73,9 +66,7 @@ from .coeffs import DomainError, base_field
 from .groebner import (
     Deadline,
     ResourceCapExceeded,
-    _Reducers,
     _adjoin_inverses,
-    _widening,
     buchberger,
     divide_var_power,
     is_groebner,
@@ -123,20 +114,13 @@ def subst(assignment: dict, target):
 
 def _subst_all(assignment: dict, polys) -> list:
     """``subst`` of each polynomial of one universe and domain, in order,
-    with one plan (``_checked_plan``)."""
+    with one plan.  Every polynomial is checked for its universe, domain
+    and missing parameters before any is substituted, and the plan is made
+    once the first one passes, so every error is the one a
+    polynomial-by-polynomial loop raises first."""
     polys = list(polys)
-    plan = _checked_plan(assignment, polys)
-    return [plan(f) for f in polys]
-
-
-def _checked_plan(assignment: dict, polys: list) -> Substitution | None:
-    """The substitution plan for ``polys`` (None for no polynomial), after
-    checking each in order for its universe, domain and missing parameters.
-    The plan is made once the first polynomial passes, and applying it
-    raises nothing, so every error is the one a polynomial-by-polynomial
-    loop raises first."""
     if not polys:
-        return None
+        return []
     uni, dom = polys[0].universe, polys[0].domain
     params = [
         i for i, name in enumerate(uni.names) if name.startswith("A[") and name not in assignment
@@ -150,7 +134,7 @@ def _checked_plan(assignment: dict, polys: list) -> Substitution | None:
             raise DomainError(f"assignment misses parameters {sorted(missing)}")
         if plan is None:
             plan = _plan(assignment, uni, dom)
-    return plan
+    return [plan(f) for f in polys]
 
 
 def _plan(assignment: dict, uni: VarUniverse, dom) -> Substitution:
@@ -220,12 +204,9 @@ def _strip_pi_content(f: MPoly) -> MPoly:
 
 @dataclass
 class ObstructionSet:
-    """Parameter conditions read off the symbolic basis.  An assignment
-    under which every unit condition takes pi-valuation 0 specializes the
-    basis to a standard basis over L[pi]_(pi) (see the module docstring).
-    The nonzero conditions are the coefficients met while reducing the
-    basis's S-pairs; ``generic_sample`` keeps them nonzero, and the basis
-    test does not need them.
+    """The unit conditions read off the symbolic basis.  An assignment
+    under which every one takes pi-valuation 0 specializes the basis to a
+    standard basis over L[pi]_(pi) (see the module docstring).
 
     ``gens`` and ``a`` are what the set was built from, ``basis`` the
     symbolic basis the conditions were read from and ``lifted`` the
@@ -236,7 +217,6 @@ class ObstructionSet:
     """
 
     unit_conditions: list
-    nonzero_conditions: list
     incomplete: bool = False
     basis: list | None = field(default=None, compare=False, repr=False)
     lifted: list | None = field(default=None, compare=False, repr=False)
@@ -246,9 +226,6 @@ class ObstructionSet:
     def texts(self) -> dict:
         return {
             "unit_conditions": sorted(format_poly(f) for f in self.unit_conditions),
-            "nonzero_conditions": sorted(
-                format_poly(f) for f in self.nonzero_conditions
-            ),
             "incomplete": self.incomplete,
         }
 
@@ -259,64 +236,35 @@ def obstruction_polynomials(
     *,
     cap_seconds: float | None = None,
 ) -> ObstructionSet:
-    """Extract unit and nonzero conditions from the symbolic basis of
-    <gens, 1 - t*a> and its criterion-combination reduction chains.
-
-    ``cap_seconds`` bounds the basis and the harvest together.  A capped
-    basis gives an empty incomplete set; a harvest out of time stops before
-    its next S-pair and returns the conditions found so far, incomplete."""
+    """The unit conditions of the symbolic basis of <gens, 1 - t*a>, in
+    basis order, each once: the coefficient of an element's leading
+    monomial in t and the main variables, pi content stripped, when it is
+    not a constant.  ``cap_seconds`` bounds the basis; a capped basis
+    gives an empty incomplete set."""
     gens = [g for g in gens if g]
     if not gens:
-        return ObstructionSet([], [])
+        return ObstructionSet([])
     dom = gens[0].domain
     big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
     order, group_pos = _symbolic_order(big, aux)
-    deadline = Deadline(cap_seconds)
     try:
-        gb = deadline.run("basis", buchberger, lifted, order, universe=big, domain=dom)
+        gb = Deadline(cap_seconds).run("basis", buchberger, lifted, order, universe=big, domain=dom)
     except ResourceCapExceeded:
-        return ObstructionSet([], [], True)
-
-    def run(pk):
-        red = _Reducers(order, big, dom, pk, gb)
-        group = set(group_pos)
-        gmask = pk.pack([pk.bound if i in group else 0 for i in range(big.nvars)])
-        # insertion-ordered sets of the stripped coefficients
-        unit, nonzero = {}, {}
-
-        def record(conds, lead, terms):
-            # the coefficient of x^lead: the terms whose grouped part is lead
-            coeff = _strip_pi_content(
-                red.to_poly({m - lead: c for m, c in terms if m & gmask == lead})
-            )
-            if not coeff.is_constant():
-                conds.setdefault(coeff)
-
-        for k, g in enumerate(gb):
-            record(unit, red.lms[k] & gmask, red.pack_poly(g).items())
-
-        last = None
-
-        def observe(lm, lc, work, _step):
-            # one condition each time the grouped leading monomial drops
-            nonlocal last
-            lead = lm & gmask
-            if lead != last:
-                last = lead
-                record(nonzero, lead, [(lm, lc), *work.items()])
-
-        for j in range(len(gb)):
-            for i in range(j):
-                if deadline.expired():
-                    return list(unit), list(nonzero), True
-                last = None
-                red.reduce(red.spoly(i, j), observe=observe)
-        return list(unit), list(nonzero), False
-
-    unit, nonzero, incomplete = _widening(run, big.nvars)
-    if incomplete:
-        return ObstructionSet(unit, nonzero, True)
-    return ObstructionSet(unit, nonzero, False, gb, lifted, gens, a_elem)
+        return ObstructionSet([], True)
+    group = set(group_pos)
+    unit = {}  # insertion-ordered set
+    for g in gb:
+        lm = g.leading_term(order)[1]
+        # the terms whose grouped part is that of lm, with that part taken off
+        coeff = {
+            tuple(0 if i in group else e for i, e in enumerate(m)): c
+            for m, c in g.terms.items()
+            if all(m[i] == lm[i] for i in group)
+        }
+        h = _strip_pi_content(MPoly(big, dom, coeff, _clean=True))
+        if not h.is_constant():
+            unit.setdefault(h)
+    return ObstructionSet(list(unit), False, gb, lifted, gens, a_elem)
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +386,13 @@ def _same_ideal(A: Ideal, B: Ideal) -> bool:
 
 
 def _first_violation(assignment, obstructions: ObstructionSet) -> str:
-    """The first condition the assignment violates, as "unit condition X"
-    or "nonzero condition X"; "" when it satisfies them all.
-
-    Every condition is checked before any is substituted, so the errors
-    are those of one ``subst`` call on all of them.  The unit conditions
-    are substituted by ``subst``; the nonzero ones, by the checked plan,
-    one at a time and only while no condition before them is violated."""
-    units, nonzeros = obstructions.unit_conditions, obstructions.nonzero_conditions
-    plan = _checked_plan(assignment, [*units, *nonzeros])
+    """The first unit condition the assignment violates, as "unit
+    condition X"; "" when it meets them all.  The conditions are
+    substituted by one ``subst`` call, whose errors are raised first."""
+    units = obstructions.unit_conditions
     for cond, val in zip(units, subst(assignment, units)):
         if (not val) or _pi_valuation_of_poly(val) > 0:
             return f"unit condition {format_poly(cond)}"
-    for cond in nonzeros:
-        if not plan(cond):
-            return f"nonzero condition {format_poly(cond)}"
     return ""
 
 
@@ -490,9 +430,9 @@ def generic_sample(
 ) -> SampleReport:
     """Uniform random parameter assignment A[i][j][l] with every matrix
     invertible mod pi; with obstructions, resample until every unit
-    condition takes pi-valuation 0 and every nonzero condition is nonzero.
-    Deterministic per seed; exceeding the cap raises with the last violated
-    condition."""
+    condition takes pi-valuation 0, which certifies the specialization (see
+    the module docstring).  Deterministic per seed; exceeding the cap
+    raises with the last violated condition."""
     from .varieties import _det
 
     fld = base_field(fld)

@@ -23,7 +23,6 @@ from mustafin.polyring import (
     UniverseError,
     VarUniverse,
     default_order,
-    mono_divides,
     parse_poly,
 )
 from mustafin.specialize import (
@@ -159,20 +158,21 @@ def test_generic_sample_determinism_and_obstructions():
     # an obstruction forcing resampling: A[1][1][0] must be a unit
     uni = VarUniverse(("A[1][1][0]",))
     cond = MPoly.var(uni, F, "A[1][1][0]")
-    obs = ObstructionSet([cond], [])
+    obs = ObstructionSet([cond])
     rep = generic_sample(2, F, (2, 1), obs)
     assert not F.is_zero(rep.assignment["A[1][1][0]"])
 
 
 def test_generic_sample_small_field_cap():
-    # over F_2 with many nonzero conditions the cap trips quickly
+    # over F_2 with many unit conditions the cap trips quickly: a constant
+    # value v makes A - 1 the constant v - 1, violated exactly when v = 1
     F2 = GF(2)
     uni = VarUniverse(tuple(f"A[{i}][{j}][0]" for i in (1, 2) for j in (1, 2)))
     conds = [
         MPoly.var(uni, F2, name) - MPoly.const(uni, F2, F2.one)
         for name in uni.names
     ]
-    obs = ObstructionSet([], conds)
+    obs = ObstructionSet(conds)
     # requiring every entry different from 1 contradicts invertibility mod 2
     with pytest.raises(DomainError):
         generic_sample(1, F2, (2, 0), obs, max_attempts=40)
@@ -199,9 +199,6 @@ def test_commutation_on_sampled_assignments():
         for c in obs.unit_conditions:
             v = subst(assignment, c)
             if not v or ("pi" in v.universe and min(m[v.universe.index("pi")] for m in v.terms) > 0):
-                ok = False
-        for c in obs.nonzero_conditions:
-            if not subst(assignment, c):
                 ok = False
         if not ok:
             continue
@@ -427,10 +424,7 @@ def test_check_reuses_the_obstruction_basis_only_for_its_generators(monkeypatch)
     capped = obstruction_polynomials(gens, pi, cap_seconds=1e-9)
     assert capped.incomplete and capped.basis is None
     texts = obs.texts()
-    parsed = ObstructionSet(
-        [parse_poly(t, uni, F) for t in texts["unit_conditions"]],
-        [parse_poly(t, uni, F) for t in texts["nonzero_conditions"]],
-    )
+    parsed = ObstructionSet([parse_poly(t, uni, F) for t in texts["unit_conditions"]])
     assert parsed.texts() == texts and parsed.basis is None
 
     calls, lifts = [], []
@@ -465,7 +459,7 @@ def test_check_reuses_the_obstruction_basis_only_for_its_generators(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# the obstruction harvest on the packed kernel against plain MPoly arithmetic
+# the unit conditions against plain MPoly arithmetic
 
 
 def leading_group(f, order, group_pos):
@@ -481,45 +475,16 @@ def leading_group(f, order, group_pos):
     return lead, MPoly(f.universe, f.domain, coeff, _clean=True)
 
 
-def mpoly_harvest(gb, order, group_pos):
+def mpoly_unit_conditions(gb, order, group_pos):
     """Slow reference for the conditions read from a symbolic basis: the
-    leading-group coefficient of every element, and of every working
-    polynomial of every S-pair's reduction chain whenever its grouped
-    leading monomial drops, read before the step.  A step rewrites the
-    leading term by the first element whose leading monomial divides it,
-    else drops it; plain MPoly arithmetic throughout."""
-    uni, dom = gb[0].universe, gb[0].domain
-    unit, nonzero = [], []
-
-    def record(conds, coeff):
-        stripped = specialize._strip_pi_content(coeff)
-        if not stripped.is_constant() and stripped not in conds:
-            conds.append(stripped)
-
+    leading-group coefficient of every element, pi content stripped, the
+    non-constant ones once each in basis order."""
+    unit = []
     for g in gb:
-        record(unit, leading_group(g, order, group_pos)[1])
-    for j in range(len(gb)):
-        for i in range(j):
-            (ci, mi), (cj, mj) = gb[i].leading_term(order), gb[j].leading_term(order)
-            l = tuple(max(a, b) for a, b in zip(mi, mj))
-            work = gb[i].mono_shift(tuple(a - b for a, b in zip(l, mi))).scale(dom.inv(ci))
-            work = work - gb[j].mono_shift(tuple(a - b for a, b in zip(l, mj))).scale(dom.inv(cj))
-            last = None
-            while work:
-                lead, coeff = leading_group(work, order, group_pos)
-                if lead != last:
-                    record(nonzero, coeff)
-                    last = lead
-                lc, lm = work.leading_term(order)
-                for g in gb:
-                    glc, glm = g.leading_term(order)
-                    if mono_divides(glm, lm):
-                        q = tuple(a - b for a, b in zip(lm, glm))
-                        work = work - g.mono_shift(q).scale(dom.div(lc, glc))
-                        break
-                else:
-                    work = work - MPoly.term(uni, dom, lc, lm)
-    return unit, nonzero
+        stripped = specialize._strip_pi_content(leading_group(g, order, group_pos)[1])
+        if not stripped.is_constant() and stripped not in unit:
+            unit.append(stripped)
+    return unit
 
 
 HARVEST_UNI = VarUniverse(("x", "y", "A[1][1][0]", "A[2][1][0]", "pi"))
@@ -545,30 +510,26 @@ def harvest_case(draw):
 
 @given(harvest_case())
 @settings(max_examples=80, deadline=None)
-def test_harvest_matches_the_mpoly_reduction_chains(gens):
+def test_unit_conditions_match_the_mpoly_leading_coefficients(gens):
     pi = MPoly.var(HARVEST_UNI, gens[0].domain, "pi")
     big, (aux,), lifted = groebner._adjoin_inverses(HARVEST_UNI, gens, [pi])
     order, group_pos = specialize._symbolic_order(big, aux)
-    # a few inputs have bases that take minutes, and bases past 12 elements
-    # make the MPoly chains take seconds
+    # a few inputs have bases that take minutes
     try:
         gb = buchberger(lifted, order, universe=big, domain=gens[0].domain, cap_seconds=0.5)
     except groebner.ResourceCapExceeded:
         reject()
-    assume(len(gb) <= 12)
-    unit, nonzero = mpoly_harvest(gb, order, group_pos)
     obs = obstruction_polynomials(gens, pi)
     assert obs.basis == gb and not obs.incomplete
-    assert obs.unit_conditions == unit
-    assert obs.nonzero_conditions == nonzero
+    assert obs.unit_conditions == mpoly_unit_conditions(gb, order, group_pos)
 
 
 # ---------------------------------------------------------------------------
 # `spec obstructions` reports recorded from the MPoly harvest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-# sha256 of the 2.1 MB report on the symbolic d=3 n=2 minors
-D3N2_SHA256 = "fe385d61610f9345c5723a8b30d185bff38baba248e27d0a59e2fd30e22cd540"
+# sha256 of the report on the symbolic d=3 n=2 minors
+D3N2_SHA256 = "3dffd509840e095cfbbb2a4169c3fb22a5fb74099af7fc7931a3e5cabd698fb0"
 
 
 def run_spec_obstructions(tmp_path, n):
@@ -582,13 +543,13 @@ def run_spec_obstructions(tmp_path, n):
 
 def test_spec_obstructions_report_matches_the_mpoly_harvest(tmp_path):
     # written by `spec obstructions` when the harvest still ran reduce_one_step
-    # on MPoly arithmetic; the packed kernel must not move a byte
+    # on MPoly arithmetic, less the nonzero conditions since dropped; the
+    # packed kernel must not move a byte
     assert run_spec_obstructions(tmp_path, 1) == (GOLDEN / "obstructions-d3n1.out.json").read_bytes()
     assert hashlib.sha256(run_spec_obstructions(tmp_path, 2)).hexdigest() == D3N2_SHA256
 
 
-# ---------------------------------------------------------------------------
-# one budget for the basis and the harvest
+# the budget of the symbolic basis
 
 
 def symbolic_minors_d3n1():
@@ -598,31 +559,24 @@ def symbolic_minors_d3n1():
     return list(minors.generators), MPoly.var(minors.universe, F, "pi")
 
 
-class SlowPairs(groebner._Reducers):
-    """The kernel with every S-pair of the harvest 0.05 s slower."""
-
-    def spoly(self, i, j):
-        time.sleep(0.05)
-        return super().spoly(i, j)
-
-
-def test_harvest_out_of_budget_returns_what_it_found(monkeypatch):
+def test_a_capped_obstruction_basis_gives_an_empty_incomplete_set(monkeypatch):
     gens, pi = symbolic_minors_d3n1()
     full = obstruction_polynomials(gens, pi)
-    assert len(full.basis) == 6 and full.nonzero_conditions  # 15 S-pairs
-    monkeypatch.setattr(specialize, "_Reducers", SlowPairs)
+    assert len(full.basis) == 6 and full.unit_conditions
+    # each of the basis's 10 S-pairs made 0.05 s slower: 0.5 s in all
+    spoly = groebner._Reducers.spoly
+
+    def slow(self, i, j):
+        time.sleep(0.05)
+        return spoly(self, i, j)
+
+    monkeypatch.setattr(groebner._Reducers, "spoly", slow)
     start = time.monotonic()
     capped = obstruction_polynomials(gens, pi, cap_seconds=0.3)
-    # the deadline is read before each S-pair, so at most one pair runs past it
+    # the deadline is read before each pair, so at most one pair runs past it
     assert time.monotonic() - start < 0.3 + 0.2
-    assert capped.incomplete and capped.basis is None
-    assert capped.unit_conditions == full.unit_conditions
-    found = capped.nonzero_conditions
-    assert found and len(found) < len(full.nonzero_conditions)
-    assert found == full.nonzero_conditions[: len(found)]
-    # a capped basis harvests nothing
-    none = obstruction_polynomials(gens, pi, cap_seconds=1e-9)
-    assert none.incomplete and none.unit_conditions == none.nonzero_conditions == []
+    assert capped.incomplete and capped.basis is None and capped.unit_conditions == []
+    assert obstruction_polynomials(gens, pi).unit_conditions == full.unit_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +588,16 @@ def test_violated_condition_messages():
     gens = [pi * A1 * x + A2 * y]
     ring = PiRing(F)
     assignment = {"A[1][1][0]": F.from_int(5), "A[2][1][0]": ring.pi}
-    unit = ObstructionSet([A2], [])
-    nonzero = ObstructionSet([], [A2 - pi])
+    unit = ObstructionSet([A2])
     assert check_specialization(gens, pi, assignment, obstructions=unit).diagnosis == (
         "unit condition A[2][1][0] violated"
     )
-    assert check_specialization(gens, pi, assignment, obstructions=nonzero).diagnosis == (
-        "nonzero condition A[2][1][0] + 32002*pi violated"
-    )
-    # sampling reports the last violation without the suffix; pi never
-    # takes valuation 0 and the zero polynomial is never nonzero
+    # sampling reports the last violation without the suffix; neither pi
+    # nor the zero polynomial ever takes valuation 0
     small = VarUniverse(("pi",))
     for obs, text in (
-        (ObstructionSet([MPoly.var(small, F, "pi")], []), "unit condition pi"),
-        (ObstructionSet([], [MPoly.zero(small, F)]), "nonzero condition 0"),
+        (ObstructionSet([MPoly.var(small, F, "pi")]), "unit condition pi"),
+        (ObstructionSet([MPoly.zero(small, F)]), "unit condition 0"),
     ):
         with pytest.raises(DomainError) as exc:
             generic_sample(1, F, (2, 1), obs, max_attempts=3)
@@ -661,9 +611,6 @@ def first_violation_one_call_per_condition(assignment, obstructions):
         val = subst(assignment, cond)
         if not val or specialize._pi_valuation_of_poly(val) > 0:
             return f"unit condition {specialize.format_poly(cond)}"
-    for cond in obstructions.nonzero_conditions:
-        if not subst(assignment, cond):
-            return f"nonzero condition {specialize.format_poly(cond)}"
     return ""
 
 
@@ -672,25 +619,21 @@ def first_violation_one_call_per_condition(assignment, obstructions):
 def test_first_violation_names_the_condition_of_one_call_per_condition(vals):
     uni, x, y, A1, A2, pi = example_setup(F7)
     one = MPoly.const(uni, F7, F7.one)
-    obs = ObstructionSet([A2, A1 + A2, A1 * A2 + pi], [A1, A2 - pi, A1 * A2 + A1 + one])
+    obs = ObstructionSet([A2, A1 + A2, A1 * A2 + pi, A1, A2 - pi, A1 * A2 + A1 + one])
     assignment = {"A[1][1][0]": vals[0], "A[2][1][0]": vals[1]}
     assert specialize._first_violation(assignment, obs) == first_violation_one_call_per_condition(
         assignment, obs
     )
 
 
-def first_violation_all_at_once(assignment, obstructions):
-    """``_first_violation`` substituting every condition in one ``subst``
-    call before reading any: the reference for the version that
-    substitutes the nonzero conditions only when the unit ones hold."""
-    units, nonzeros = obstructions.unit_conditions, obstructions.nonzero_conditions
-    values = subst(assignment, [*units, *nonzeros])
-    for cond, val in zip(units, values):
+def first_violation_substituting_each_first(assignment, obstructions):
+    """``_first_violation`` as one ``subst`` call per condition, each made
+    and checked before any is read: the reference for the errors of the
+    batched version, which must be those of the first failing call."""
+    values = [subst(assignment, cond) for cond in obstructions.unit_conditions]
+    for cond, val in zip(obstructions.unit_conditions, values):
         if (not val) or specialize._pi_valuation_of_poly(val) > 0:
             return f"unit condition {specialize.format_poly(cond)}"
-    for cond, val in zip(nonzeros, values[len(units):]):
-        if not val:
-            return f"nonzero condition {specialize.format_poly(cond)}"
     return ""
 
 
@@ -702,7 +645,7 @@ def small_field_obstructions(p):
     dom = GF(p)
     minors = minors_ideal(LatticeConfig(3, 1, (1, 2), dom, "symbolic"))
     obs = obstruction_polynomials(list(minors.generators), MPoly.var(minors.universe, dom, "pi"))
-    assert not obs.incomplete and obs.unit_conditions and obs.nonzero_conditions
+    assert not obs.incomplete and obs.unit_conditions
     return obs
 
 
@@ -731,29 +674,12 @@ def test_first_violation_matches_substituting_all_conditions_at_once(case):
     p, assignment = case
     obs = small_field_obstructions(p)
     try:
-        expected = first_violation_all_at_once(assignment, obs)
+        expected = first_violation_substituting_each_first(assignment, obs)
     except (DomainError, UniverseError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             specialize._first_violation(assignment, obs)
         return
     assert specialize._first_violation(assignment, obs) == expected
-
-
-def test_first_violation_skips_the_nonzero_conditions_after_a_unit_one_fails(monkeypatch):
-    obs = small_field_obstructions(3)
-    names = [f"A[{i}][{j}][{l}]" for l in (0, 1) for i in (1, 2, 3) for j in (1, 2, 3)]
-    assignment = dict.fromkeys(names, GF(3).zero)
-    applied = []
-    call = Substitution.__call__
-
-    def counting(self, f):
-        applied.append(f)
-        return call(self, f)
-
-    monkeypatch.setattr(Substitution, "__call__", counting)
-    assert specialize._first_violation(assignment, obs).startswith("unit condition")
-    # the unit conditions only (some of them are nonzero conditions too)
-    assert len(applied) == len(obs.unit_conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +751,17 @@ def test_meeting_every_unit_condition_passes_the_basis_test(case):
     values = subst(assignment, obs.unit_conditions)
     if all(v and specialize._pi_valuation_of_poly(v) == 0 for v in values):
         assert check_specialization(obs.gens, obs.a, assignment, obstructions=obs).groebner_ok
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_small_field_samples_come_within_the_cap_and_are_certified(p, seed):
+    # the unit conditions alone leave the sampler room on small fields, and
+    # every sample they pass is certified
+    obs = small_field_obstructions(p)
+    sample = generic_sample(seed, GF(p), (3, 1), obs)
+    rep = check_specialization(obs.gens, obs.a, sample.assignment, obstructions=obs)
+    assert rep.groebner_ok and rep.commutation_ok
 
 
 def test_the_budget_runs_out_between_the_lifted_generators(monkeypatch):
