@@ -241,7 +241,6 @@ def support_analysis(
     X: SubvarietyInput,
     *,
     cap_seconds: float | None = None,
-    skip_ambient_check: bool = False,
 ) -> SupportReport:
     """Least level l with the fibre of the model inside the union of the
     V(I_v) of support size <= l, plus the star-like verdict.
@@ -253,14 +252,13 @@ def support_analysis(
     model, fibre, level l, star or minimal support.
     """
     deadline = Deadline(cap_seconds)
-    if not skip_ambient_check:
-        amb = deadline.run("ambient check", conjecture_check, config, "both-containments")
-        if amb.capped:
-            raise deadline.exceeded("ambient check")
-        if not amb.equal:
-            return SupportReport(
-                None, [], False, aborted="genericity violated, resample"
-            )
+    amb = deadline.run("ambient check", conjecture_check, config, "both-containments")
+    if amb.capped:
+        raise deadline.exceeded("ambient check")
+    if not amb.equal:
+        return SupportReport(
+            None, [], False, aborted="genericity violated, resample"
+        )
     d, n = config.d, config.n
     dom = config.field
     fibre = special_fibre_of_model(config, X, deadline=deadline)

@@ -31,13 +31,13 @@ table holds each basis element's packed leading monomial, leading
 coefficient and monic tail once per basis, and the working polynomial keeps
 a heap of order keys, so each step finds its largest term without a scan.
 An order key is one int per packed monomial, computed with field
-arithmetic (``_Packing.order_key``, ``TermOrder.packed_key``) and cached
-per table; only an order defined outside ``polyring`` keeps its flattened
-tuple key.  A field-mode run sorts its inputs by that key
-(``_Reducers.lead``), finding each leading term once, and keeps its
-pending pairs in a dict from pair to the lcm of the leading monomials:
-each lcm is computed once, when the pair is made, and the Gebauer-Moeller
-update and the pair heap read it back (``_gm_update``).
+arithmetic (``_Packing.order_key``, ``TermOrder.packed_key``, which every
+order of ``polyring`` compiles) and cached per table.  A field-mode run
+sorts its inputs by that key (``_Reducers.lead``), finding each leading
+term once, and keeps its pending pairs in a dict from pair to the lcm of
+the leading monomials: each lcm is computed once, when the pair is made,
+and the Gebauer-Moeller update and the pair heap read it back
+(``_gm_update``).
 In valuation mode the pair criteria read packed leading terms: the
 monomial with the valuation of the leading coefficient in one more field
 (``_Reducers.lts``).  A reduction step there multiplies the working
@@ -53,8 +53,9 @@ saturated ideal.  The content is read off the packed field of the
 variable and divided out by one subtraction per term.  A Hilbert target
 prunes the pairs whose multidegree is complete (``_HilbertGate``, which
 counts the monomials the leading monomials strike, never the standard
-ones).  Everything else takes the textbook route: adjoin 1 - t_i * a_i,
-eliminate the fresh auxiliaries.
+ones).  Everything else takes the textbook route: adjoin 1 - t_i * a_i
+and eliminate the fresh auxiliaries with ``eliminate``, the one
+elimination of the package.
 
 One function builds every such Rabinowitsch system <gens, 1 - t_i a_i>:
 ``_adjoin_inverses``.  ``saturate`` eliminates its auxiliaries,
@@ -86,7 +87,6 @@ from .polyring import (
     TermOrder,
     VarUniverse,
     WeightedPiOrder,
-    order_eliminates,
 )
 
 
@@ -113,9 +113,6 @@ class Deadline:
     def exceeded(self, phase: str, detail: str = "") -> ResourceCapExceeded:
         extra = f" ({detail})" if detail else ""
         return ResourceCapExceeded(f"{phase}: exceeded {self.cap:g}s{extra}", phase, detail)
-
-    def expired(self) -> bool:
-        return self.end is not None and time.monotonic() >= self.end
 
     def run(self, phase: str, fn, *args, **kwargs):
         if self.end is None:
@@ -323,18 +320,11 @@ class _Packing:
         return _packing(nvars, self.width)
 
     def order_key(self, order: TermOrder):
-        """p -> the key of ``order`` on packed monomials, compiled once per
-        packing: an int (``order.packed_key``) for every order of
-        ``polyring``, else the flattened ``order.key`` as a ``_FlatKey``."""
+        """p -> the key of ``order`` on packed monomials
+        (``order.packed_key``), compiled once per packing."""
         fn = self._keys.get(order)
         if fn is None:
-            compiled = order.packed_key(self)
-            if compiled is not None:
-                fn = compiled[0]
-            else:
-                okey, unpack = order.key, self.unpack
-                fn = lambda p: _FlatKey(_flatten(okey(unpack(p))))  # noqa: E731
-            self._keys[order] = fn
+            fn = self._keys[order] = order.packed_key(self)[0]
         return fn
 
     def lcm(self, a: int, b: int) -> int:
@@ -367,24 +357,6 @@ def _widening(run, nvars: int):
             return run(_packing(nvars, width))
         except _PackingOverflow:
             width *= 2
-
-
-def _flatten(key):
-    for part in key:
-        if isinstance(part, tuple):
-            yield from _flatten(part)
-        else:
-            yield part
-
-
-class _FlatKey(tuple):
-    """The flattened tuple key of an order without an integer key; negating
-    it negates every entry, as negating an int key reverses the order."""
-
-    __slots__ = ()
-
-    def __neg__(self):
-        return _FlatKey([-x for x in self])
 
 
 class _Reducers:
@@ -761,13 +733,7 @@ def normal_form(f: MPoly, G, order: TermOrder) -> MPoly:
     irreducible leading terms to the remainder, continue on the tail.  Over
     ``PiRing`` it is the weak normal form of ``_Reducers.reduce``, correct
     up to a unit of L[pi]_(pi)."""
-    basis = [g for g in G if g]
-
-    def run(pk):
-        red = _Reducers(order, f.universe, f.domain, pk, basis)
-        return red.remainder(red.reduce(red.pack_poly(f)))
-
-    return _widening(run, f.universe.nvars)
+    return normal_forms([f], G, order)[0]
 
 
 def normal_forms(fs, G, order: TermOrder) -> list:
@@ -1211,7 +1177,6 @@ def saturate(
     I: Ideal,
     elems,
     *,
-    order: TermOrder | None = None,
     pi_fast_weights=None,
     cap_seconds: float | None = None,
     trace_log: list | None = None,
@@ -1219,11 +1184,11 @@ def saturate(
 ) -> Ideal:
     """sat(I, a_1..a_l) = <I, 1 - t_1 a_1, ..., 1 - t_l a_l> ∩ A.
 
-    Fresh auxiliaries t_i sit on top of a block elimination order; basis
-    elements touching them are discarded.  With ``pi_fast_weights`` and a
-    single saturating element that is a weight-1 variable under which all
-    generators are weight homogeneous, the content-division fast path runs
-    instead and returns an equal ideal.
+    The fresh auxiliaries t_i are eliminated by ``eliminate``, and the
+    result caches its generators as its basis under ``default_order``.
+    With ``pi_fast_weights`` and a single saturating element that is a
+    weight-1 variable under which all generators are weight homogeneous,
+    the content-division fast path runs instead and returns an equal ideal.
 
     ``hilbert = (blocks, target)`` goes to ``buchberger`` on the fast path
     only, and the elimination route ignores it.  It is sound when
@@ -1264,27 +1229,10 @@ def saturate(
                 return out
 
     big, aux, lifted = _adjoin_inverses(uni, I.generators, elems)
-    inner = order or default_order(uni)
-    elim_order = Block(
-        (
-            (tuple(big.index(v) for v in aux), DegRevLex()),
-            (tuple(i for i in range(big.nvars) if big.names[i] not in aux), inner),
-        ),
-        name="sat-elim",
-    )
-    gb = buchberger(
-        lifted,
-        elim_order,
-        universe=big,
-        domain=dom,
-        cap_seconds=cap_seconds,
-        trace_log=trace_log,
-    )
-    aux_pos = [big.index(v) for v in aux]
-    kept = [g for g in gb if all(m[p] == 0 for m in g.terms for p in aux_pos)]
-    gens = [g.relabel(uni) for g in kept]
-    out = Ideal(gens, uni, dom)
-    out._gb_cache[inner] = tuple(gens)
+    out = eliminate(Ideal(lifted, big, dom), aux, cap_seconds=cap_seconds, trace_log=trace_log)
+    # the aux-free part of a reduced basis under the elimination order is
+    # the reduced basis of its ideal under the order on the rest
+    out._gb_cache[default_order(uni)] = out.generators
     return out
 
 
@@ -1292,11 +1240,12 @@ def eliminate(
     I: Ideal,
     var_names,
     *,
-    order: TermOrder | None = None,
     cap_seconds: float | None = None,
+    trace_log: list | None = None,
 ) -> Ideal:
-    """Generators of I ∩ (subring without ``var_names``); the active order
-    must put the eliminated variables in a leading block."""
+    """Generators of I ∩ (subring without ``var_names``): the reduced basis
+    under the block order with the eliminated variables (degrevlex) above
+    ``default_order`` on the rest, less the elements that involve them."""
     var_names = list(var_names)
     uni, dom = I.universe, I.domain
     targets = set(var_names)
@@ -1307,22 +1256,13 @@ def eliminate(
     )
     if I.is_zero():
         return Ideal((), small, dom)
-    if order is None:
-        rest = [i for i in range(uni.nvars) if uni.names[i] not in targets]
-        rest_nonpi = tuple(i for i in rest if uni.names[i] != "pi")
-        segments = [(tuple(uni.index(v) for v in var_names), DegRevLex())]
-        if len(rest_nonpi) != len(rest):
-            segments.append((rest_nonpi, DegRevLex()))
-            segments.append(((uni.index("pi"),), DegRevLex()))
-        else:
-            segments.append((tuple(rest), DegRevLex()))
-        order = Block(tuple(segments), name="elim")
-    elif not order_eliminates(order, uni, var_names):
-        raise DomainError("supplied order does not eliminate the variables")
+    pos = tuple(uni.index(v) for v in var_names)
+    rest = tuple(i for i in range(uni.nvars) if uni.names[i] not in targets)
+    order = Block(((pos, DegRevLex()), (rest, default_order(small))), name="elim")
     gb = buchberger(
-        list(I.generators), order, universe=uni, domain=dom, cap_seconds=cap_seconds
+        list(I.generators), order, universe=uni, domain=dom,
+        cap_seconds=cap_seconds, trace_log=trace_log,
     )
-    pos = [uni.index(v) for v in var_names]
     kept = [g for g in gb if all(m[p] == 0 for m in g.terms for p in pos)]
     return Ideal([g.relabel(small) for g in kept], small, dom)
 

@@ -65,9 +65,9 @@ class VarUniverse:
         ]
 
 
-def grid_universe(d: int, n: int, *, pi: bool = True, extras_front=(), extras_back=()) -> VarUniverse:
-    """Universe [front extras, column blocks of x[i][j], back extras, pi]."""
-    names = list(extras_front)
+def grid_universe(d: int, n: int, *, pi: bool = True, extras_back=()) -> VarUniverse:
+    """Universe [column blocks of x[i][j], back extras, pi]."""
+    names = []
     for j in range(n + 1):
         for i in range(1, d + 1):
             names.append(f"x[{i}][{j}]")
@@ -125,24 +125,22 @@ def multidegree(mono: tuple, blocks) -> tuple:
 
 class TermOrder:
     """Total order on exponent tuples with 1 minimal and translation
-    invariance.  Concrete orders supply ``key``; larger key = larger
-    monomial.  The orders here return a flat tuple of ints of fixed length,
-    and each also compiles an integer key on packed monomials
-    (``packed_key``); the Groebner kernel flattens the nested key of an
-    order without one."""
+    invariance.  Concrete orders supply ``key``, a flat tuple of ints of
+    fixed length (larger key = larger monomial), and ``packed_key``, the
+    same comparison as one int on packed monomials, which is the only key
+    the Groebner kernel uses."""
 
     name = "order"
 
     def key(self, mono: tuple):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def packed_key(self, pk):
+    def packed_key(self, pk):  # pragma: no cover - abstract
         """``key`` as one int on the monomials packed by ``pk`` (a
         ``groebner._Packing``), built from its field arithmetic: a pair
         (fn, bits) with 0 <= fn(p) < 2^bits, and fn(p) < fn(q) exactly when
-        key(unpack(p)) < key(unpack(q)).  None when the order has no such
-        form."""
-        return None
+        key(unpack(p)) < key(unpack(q))."""
+        raise NotImplementedError
 
     def compare(self, m1: tuple, m2: tuple) -> int:
         if len(m1) != len(m2):
@@ -250,8 +248,6 @@ class Block(TermOrder):
                 bits += f * len(pos) + (pk.bound * len(pos)).bit_length()
                 continue
             compiled = sub.packed_key(pk.restrict(len(pos)))
-            if compiled is None:
-                return None
             others.append((pk.gatherer(pos), compiled[0], bits))
             bits += compiled[1]
         reverse, full = pk.reverse, (1 << f * n) - 1
@@ -328,29 +324,6 @@ def default_order(universe: VarUniverse) -> TermOrder:
     pi = universe.index("pi")
     rest = tuple(i for i in range(universe.nvars) if i != pi)
     return Block(((rest, DegRevLex()), ((pi,), DegRevLex())), name="grevlex-pi-last")
-
-
-def order_eliminates(order: TermOrder, universe: VarUniverse, var_names) -> bool:
-    """True iff a monomial involving one of ``var_names`` always exceeds any
-    monomial avoiding all of them (checked structurally: the targets must
-    fill a prefix of the order's blocks, or of the lex permutation)."""
-    targets = {universe.index(v) for v in var_names}
-    if not targets:
-        return True
-    if isinstance(order, Block):
-        covered: set[int] = set()
-        for idx, _sub in order.segments:
-            block = set(idx)
-            if covered >= targets:
-                return True
-            if not block <= targets:
-                return False
-            covered |= block
-        return covered >= targets
-    if isinstance(order, Lex):
-        perm = order.perm or tuple(range(universe.nvars))
-        return set(perm[: len(targets)]) == targets
-    return False
 
 
 # ---------------------------------------------------------------------------

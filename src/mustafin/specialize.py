@@ -59,6 +59,7 @@ compares reduced bases (``_same_ideal``).
 
 from __future__ import annotations
 
+import collections
 import random
 from dataclasses import dataclass, field
 
@@ -432,13 +433,13 @@ def generic_sample(
     invertible mod pi; with obstructions, resample until every unit
     condition takes pi-valuation 0, which certifies the specialization (see
     the module docstring).  Deterministic per seed; exceeding the cap
-    raises with the last violated condition."""
+    raises with the count of rejections per reason, most frequent first."""
     from .varieties import _det
 
     fld = base_field(fld)
     d, n = shape
     rng = random.Random(("sample", seed, d, n).__repr__())
-    last_violation = ""
+    rejections: collections.Counter = collections.Counter()
     for attempt in range(1, max_attempts + 1):
         assignment = {}
         ok = True
@@ -451,14 +452,13 @@ def generic_sample(
                 for j in range(d):
                     assignment[f"A[{i + 1}][{j + 1}][{l}]"] = mat[i][j]
         if not ok:
-            last_violation = "singular matrix"
+            rejections["singular matrix"] += 1
             continue
         if obstructions is not None:
             bad = _first_violation(assignment, obstructions)
             if bad:
-                last_violation = bad
+                rejections[bad] += 1
                 continue
         return SampleReport(assignment, attempt, seed)
-    raise DomainError(
-        f"sampling cap {max_attempts} exceeded; last violation: {last_violation}"
-    )
+    counts = ", ".join(f"{reason} ({k})" for reason, k in rejections.most_common())
+    raise DomainError(f"sampling cap {max_attempts} exceeded; rejections: {counts}")

@@ -342,13 +342,9 @@ def reduce_ideal_mod_pi(I: Ideal, config: LatticeConfig) -> Ideal:
 
 
 def fibre_weight_order(config: LatticeConfig) -> WeightedOrder:
-    uni_k = fibre_universe(config.d, config.n)
-    exps = (0,) + config.n_vec
-    w = []
-    for name in uni_k.names:
-        i = int(name[2 : name.index("]")])
-        w.append(config.n_vec[-1] - exps[i - 1])
-    return WeightedOrder(tuple(w))
+    """The weights of ``LatticeConfig.weights`` on the fibre's grid variables."""
+    w = dict(zip(config.universe().names, config.weights))
+    return WeightedOrder(tuple(w[v] for v in fibre_universe(config.d, config.n).names))
 
 
 def special_fibre(

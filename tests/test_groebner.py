@@ -307,8 +307,68 @@ def test_eliminate_examples():
     one = MPoly.const(UY, F, F.one)
     E3 = eliminate(Ideal([one - piv * yv]), ["y"])
     assert E3.is_zero()
-    with pytest.raises(DomainError):
-        eliminate(Ideal([X - Y]), ["x"], order=DegRevLex())
+
+
+def flat_elimination(I, var_names):
+    """The elimination of the three flat segments, by hand: a basis under
+    degrevlex on the targets, then degrevlex on the rest but pi, then pi,
+    less the elements that involve a target, relabelled into the rest."""
+    uni = I.universe
+    pos = tuple(uni.index(v) for v in var_names)
+    rest = [i for i in range(uni.nvars) if i not in pos]
+    nonpi = tuple(i for i in rest if uni.names[i] != "pi")
+    segments = [(pos, DegRevLex()), (nonpi, DegRevLex())]
+    if len(nonpi) < len(rest):
+        segments.append(((uni.index("pi"),), DegRevLex()))
+    gb = buchberger(list(I.generators), Block(tuple(segments)))
+    small = VarUniverse(tuple(uni.names[i] for i in rest))
+    return [g.relabel(small) for g in gb if all(m[p] == 0 for m in g.terms for p in pos)]
+
+
+@st.composite
+def elimination_cases(draw):
+    """Up to three small polynomials over GF(7) on a shuffled universe of
+    two or three variables, with pi or without, and a nonempty set of them
+    to eliminate (pi among them or not)."""
+    names = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    if draw(st.booleans()):
+        names += ("pi",)
+    uni = VarUniverse(tuple(draw(st.permutations(names))))
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * uni.nvars), st.integers(1, 6), min_size=1, max_size=3
+    )
+    gens = [MPoly(uni, F7, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    targets = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1, unique=True))
+    return Ideal(gens, uni, F7), targets
+
+
+@given(elimination_cases())
+@settings(max_examples=80, deadline=None)
+def test_eliminate_matches_the_flat_segment_oracle(case):
+    I, targets = case
+    E = eliminate(I, targets)
+    assert E.universe.names == tuple(n for n in I.universe.names if n not in targets)
+    assert list(E.generators) == flat_elimination(I, targets)
+
+
+@given(elimination_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_elimination_route_saturate_is_eliminate_of_the_rabinowitsch_system(case, data):
+    I, _ = case
+    uni = I.universe
+    a = data.draw(st.sampled_from(uni.names).map(lambda v: MPoly.var(uni, F7, v)))
+    if data.draw(st.booleans()):
+        a = a + MPoly.const(uni, F7, F7.one) * a * a
+    S = saturate(I, [a])
+    # the system built by hand: t[0] after the variables, then 1 - t a
+    big = VarUniverse(uni.names + ("t[0]",))
+    t = MPoly.var(big, F7, "t[0]")
+    lifted = [g.relabel(big) for g in I.generators]
+    lifted.append(MPoly.const(big, F7, F7.one) - t * a.relabel(big))
+    assert S.generators == eliminate(Ideal(lifted, big, F7), ["t[0]"]).generators
+    # the basis cached under the default order is the reduced one
+    order = default_order(uni)
+    assert list(S.groebner_basis(order)) == buchberger(list(S.generators), order, universe=uni)
 
 
 def test_radical_membership_examples():
@@ -508,22 +568,6 @@ def test_normal_form_matches_textbook_division(order, f, basis):
     # the batch entry point reduces against one table: same remainders
     g = basis[0] * f + basis[-1]
     assert normal_forms([f, g, f], basis, order) == [expected, normal_form(g, basis, order), expected]
-
-
-class SquaredDegRevLex(TermOrder):
-    """Degrevlex through a nested key, which the kernel has to flatten."""
-
-    def key(self, mono):
-        return (sum(mono) ** 2, tuple(-e for e in reversed(mono)))
-
-
-def test_order_with_a_nested_key_is_flattened():
-    x, y, pi = (MPoly.var(U3, F7, v) for v in ("x", "y", "pi"))
-    gens = [x * x - y * pi, x * y - pi * pi, y * y * y - x]
-    order = SquaredDegRevLex()
-    assert buchberger(gens, order) == buchberger(gens, DegRevLex())
-    f = x * x * y + y * y * pi + x
-    assert normal_form(f, gens, order) == normal_form(f, gens, DegRevLex())
 
 
 def test_packing_fields_of_one_and_two_bytes():
@@ -1450,14 +1494,15 @@ def test_packed_key_orders_monomials_as_the_tuple_key(case):
 
 def specialization_blocks():
     """The nested blocks the specialization check runs, on 5 variables: the
-    elimination order of ``saturate`` over the pi-last default order, and
-    the symbolic order with and without parameters and pi."""
+    order of ``eliminate`` (elimination-route ``saturate``) over the pi-last
+    default order, and the symbolic order with and without parameters and
+    pi."""
     from mustafin.polyring import default_order
     from mustafin.specialize import _symbolic_order
 
     inner = default_order(VarUniverse(("x", "y", "z", "pi")))
     assert isinstance(inner, Block)
-    orders = [Block((((4,), DegRevLex()), ((0, 1, 2, 3), inner)), name="sat-elim")]
+    orders = [Block((((4,), DegRevLex()), ((0, 1, 2, 3), inner)), name="elim")]
     for names, aux in (
         (("t[0]", "x", "A[1][1][0]", "A[2][1][0]", "pi"), "t[0]"),
         (("x", "y", "A[1][1][0]", "z", "pi"), None),
@@ -1481,7 +1526,7 @@ def test_specialization_blocks_sort_as_their_tuple_keys(width):
 def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
     calls = collections.Counter()
     nvars = 5
-    for cls in (Lex, DegRevLex, Block, WeightedOrder, WeightedPiOrder, SquaredDegRevLex):
+    for cls in (Lex, DegRevLex, Block, WeightedOrder, WeightedPiOrder):
         def counted(self, mono, _key=cls.key, _name=cls.__name__):
             calls[_name] += 1
             return _key(self, mono)
@@ -1503,13 +1548,6 @@ def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
             for m in itertools.product([0, 1, pk.bound], repeat=nvars):
                 red.key(pk.pack(m))
     assert not calls
-    # an order with a nested key takes the tuple path, so the counter counts
-    red = _Reducers(Block((((0, 1), SquaredDegRevLex()),)), uni, F, _Packing(nvars))
-    assert red.key(red.pk.pack((1, 2, 0, 0, 0))) == (-9, 2, 1)
-    assert calls == {"SquaredDegRevLex": 1, "Block": 1}
-    # so does a block holding one inside a nested block
-    deep = Block((((4,), DegRevLex()), ((0, 1, 2), Block((((2, 0), SquaredDegRevLex()),)))))
-    assert deep.packed_key(_Packing(nvars)) is None
 
 
 @st.composite

@@ -20,7 +20,6 @@ from mustafin.polyring import (
     from_pi_element,
     grid_universe,
     multidegree,
-    order_eliminates,
     parse_poly,
     to_pi_coefficients,
 )
@@ -189,15 +188,6 @@ def test_pi_element_as_a_polynomial():
     assert not from_pi_element(ring.zero, U, F)
     with pytest.raises(DomainError, match="needs a pi variable"):
         from_pi_element(c, U, F)
-
-
-def test_order_eliminates():
-    uni = VarUniverse(("a", "b", "c"))
-    order = Block((((0,), DegRevLex()), ((1, 2), DegRevLex())))
-    assert order_eliminates(order, uni, ["a"])
-    assert not order_eliminates(order, uni, ["b"])
-    assert order_eliminates(Lex(), uni, ["a"])
-    assert not order_eliminates(DegRevLex(), uni, ["a"])
 
 
 def test_default_order_puts_pi_last():

@@ -592,8 +592,8 @@ def test_violated_condition_messages():
     assert check_specialization(gens, pi, assignment, obstructions=unit).diagnosis == (
         "unit condition A[2][1][0] violated"
     )
-    # sampling reports the last violation without the suffix; neither pi
-    # nor the zero polynomial ever takes valuation 0
+    # sampling counts the rejections per violation, without the suffix;
+    # neither pi nor the zero polynomial ever takes valuation 0
     small = VarUniverse(("pi",))
     for obs, text in (
         (ObstructionSet([MPoly.var(small, F, "pi")]), "unit condition pi"),
@@ -601,7 +601,14 @@ def test_violated_condition_messages():
     ):
         with pytest.raises(DomainError) as exc:
             generic_sample(1, F, (2, 1), obs, max_attempts=3)
-        assert str(exc.value) == f"sampling cap 3 exceeded; last violation: {text}"
+        assert str(exc.value) == f"sampling cap 3 exceeded; rejections: {text} (3)"
+    # over GF(2) most draws have a singular matrix: that reason comes first
+    F2 = GF(2)
+    with pytest.raises(DomainError) as exc:
+        generic_sample(0, F2, (2, 1), ObstructionSet([MPoly.var(small, F2, "pi")]), max_attempts=50)
+    assert str(exc.value) == (
+        "sampling cap 50 exceeded; rejections: singular matrix (43), unit condition pi (7)"
+    )
 
 
 def first_violation_one_call_per_condition(assignment, obstructions):
