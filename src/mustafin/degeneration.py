@@ -3,22 +3,64 @@
 Given a lattice configuration and a subvariety X = V(I') in coordinates
 y[1..d], the model ideal is the multihomogeneous ideal of the closure of the
 image of X under the product of the inverse lattice trivializations, with
-coefficients in L[pi].  It is one pi-saturation on the content-division
-fast path.  Write u_j = g_j . x_col j for the column forms of factor j.  A
+coefficients in L[pi].  Write u_j = g_j . x_col j for the column forms of
+factor j and J for the ideal of the 2x2 minors of (u_0 | ... | u_n).  A
 generator f of degree e is lifted into every multidegree b of the n+1
 factors with |b| = e: in each monomial of f the first b_0 of its y-factors
-become entries of u_0, the next b_1 entries of u_1, and so on.  The model is
+become entries of u_0, the next b_1 entries of u_1, and so on.  With Lf the
+ideal of these lifts F_b(f), f in I', the model is
 
-    sat( <2x2 minors of (u_0 | ... | u_n),  F_b(f) for f in I', |b| = deg f>,  pi ).
+    sat(J + Lf, pi).
 
 It is exact:
 
 * every entry of every u_j has weight n_{d-1}, so all generators are
-  weight-homogeneous and the fast path applies;
+  weight-homogeneous and the content-division fast path applies;
 * modulo the prime ideal of the minors, multidegree a of K[x] (K = L(pi))
   is K[y]_{|a|} and F_b maps to lambda^b f, so over K the generators span
   (I')_{|a|} in every multidegree: the ideal of the image;
 * no multinomial coefficients occur, so this holds in every characteristic.
+
+The model extends the ambient saturation S = sat(J, pi) (``mustafin_ideal``,
+which ``support_analysis`` has already computed for its ambient check):
+
+* Prefix identity.  sat(J + Lf) = sat(S + Lf).  J + Lf lies in S + Lf,
+  and S + Lf lies in sat(J + Lf), since S = sat(J) does; saturating both
+  inclusions gives equality.  So the run starts from the reduced basis G of
+  S under the weighted pi order W of the fast path, as a known prefix whose
+  pairs are never formed, and inserts only the lifts.
+* The prefix stays a basis under content division.  The fast path divides
+  every element it inserts by its pi content, and the argument that it
+  ends at the saturation needs every element of its basis free of pi
+  content.  G is: were g = pi^c h in G with c > 0, then h would lie in S,
+  as S is saturated, so some leading monomial of G would divide lm(h),
+  and lm(h) strictly divides lm(g) = pi^c lm(h) (W respects products) --
+  two leading monomials of a reduced basis, one dividing the other.  So
+  content division leaves G as it is, the pairs inside G reduce to zero
+  on G, and the run is the fast path on the generators of S + Lf.
+
+Flatness gives the Hilbert target of that run, Traverso's pruning (JSC 22,
+1996) as the ambient saturation uses it.  Let M_a be the multidegree-a part
+of L[pi][x] / sat(J + Lf): an L[pi]-module spanned by the finitely many
+monomials of multidegree a, on which pi is a nonzerodivisor.  Localized at
+(pi) it is a finitely generated torsion-free module over the discrete
+valuation ring L[pi]_(pi), hence free, and its rank is the dimension of
+its generic fibre as of its special one:
+
+    HF_special(a) = HF_generic(a) = dim K[y]_{|a|} / (I')_{|a|} = HF_{K[y]/I'}(|a|),
+
+the middle step by the second point above.  The lifts span (I')_{|a|}
+itself, not its saturation, so this holds for a non-saturated I' as well:
+for I' = (y1^2, y1 y2, y1 y3) it counts 3 in every multidegree of degree
+1, where V(y1) would count 2.  The leading monomials of the result are
+free of pi, so the basis read mod pi is a basis of the special fibre
+(``varieties.special_fibre``) with the same leading monomials, and
+HF_special(a) is the number of standard x-monomials of multidegree a.
+When a coefficient of X holds pi, HF_{K[y]/I'} is not read off I' over L,
+and the run goes without a target.  When a coefficient of X or an entry of
+the configuration mixes pi powers, the generators are not
+weight-homogeneous, and ``saturate`` takes its elimination route on the
+generators of S plus the lifts.
 
 Reducing the model mod pi gives its special fibre.  ``support_analysis``
 locates that fibre inside the stratification of the ambient fibre by the
@@ -41,6 +83,7 @@ from .groebner import (
     Deadline,
     buchberger,
     compositions,
+    hilbert_function,
     intersect_monomial_ideals,
     radical_membership,
     saturate,
@@ -54,12 +97,11 @@ from .polyring import (
 )
 from .varieties import (
     LatticeConfig,
-    column_forms,
     component_vectors,
     conjecture_check,
     ideal_Iv,
     fibre_universe,
-    minors_ideal,
+    mustafin_ideal,
     reduce_ideal_mod_pi,
 )
 
@@ -106,55 +148,112 @@ class SubvarietyInput:
         return cls(gens, dim, degree)
 
 
-def _lifts(f: MPoly, cols, uni: VarUniverse, n: int) -> list:
+def _lifts(f: MPoly, config: LatticeConfig, uni: VarUniverse) -> list:
     """The lifts F_b of a homogeneous f in y[1..d] (coefficients may hold
     pi), one per b in N^{n+1} with |b| = deg f: the k-th y-factor of each
     monomial, counted in variable order, becomes the matching entry of the
-    column form of factor j when b_0 + .. + b_{j-1} <= k < b_0 + .. + b_j."""
-    dom = f.domain
-    d = len(cols[0])
+    column form of factor j when b_0 + .. + b_{j-1} <= k < b_0 + .. + b_j.
+    They are read off the entries, as ``minors_ideal`` reads the minors:
+    entry r of the column form of factor j is sum_i G[j][r][i] x[i][j] with
+    G = M_j diag(1, pi^{n_1}, ..) over the pi-ring, so a product of entries
+    expands into x-monomials with pi-ring coefficients, spread over the
+    powers of pi at the end."""
+    ring, d, n = config.pi_ring, config.d, config.n
+    exps, pos = (0,) + config.n_vec, uni.index("pi")
+    x = [[uni.index(f"x[{i + 1}][{j}]") for i in range(d)] for j in range(n + 1)]
+    G = [[[ring.shift(e, exps[i]) for i, e in enumerate(row)] for row in mat]
+         for mat in config.entries]
     ypos = [f.universe.index(f"y[{l}]") for l in range(1, d + 1)]
-    pipos, upi = f.universe.index("pi"), uni.index("pi")
-    terms = []
-    for m, c in f.terms.items():
-        pimono = [0] * uni.nvars
-        pimono[upi] = m[pipos]
-        factors = [l for l in range(d) for _ in range(m[ypos[l]])]
-        terms.append((MPoly.term(uni, dom, c, tuple(pimono)), factors))
-    degree = len(terms[0][1])
+    fpi = f.universe.index("pi")
+    terms = [
+        (ring.shift((c,), m[fpi]), [l for l in range(d) for _ in range(m[ypos[l]])])
+        for m, c in f.terms.items()
+    ]
+    zero, add, mul = (0,) * uni.nvars, ring.add, ring.mul
     out = []
-    for b in compositions(degree, n + 1):
+    for b in compositions(len(terms[0][1]), n + 1):
         owner = [j for j in range(n + 1) for _ in range(b[j])]
-        F = MPoly.zero(uni, dom)
+        acc: dict = {}  # x-monomial -> pi-ring coefficient
         for coeff, factors in terms:
-            for k, l in enumerate(factors):
-                coeff = coeff * cols[owner[k]][l]
-            F = F + coeff
-        out.append(F)
+            part = {zero: coeff}
+            for j, l in zip(owner, factors):
+                step: dict = {}
+                for mono, c in part.items():
+                    for i, e in enumerate(G[j][l]):
+                        if e:
+                            nm = list(mono)
+                            nm[x[j][i]] += 1
+                            nm = tuple(nm)
+                            step[nm] = add(step.get(nm, ()), mul(c, e))
+                part = step
+            for mono, c in part.items():
+                acc[mono] = add(acc.get(mono, ()), c)
+        F = {}
+        for mono, c in acc.items():
+            for k, a in enumerate(c):
+                if not ring.base.is_zero(a):
+                    F[mono[:pos] + (k,) + mono[pos + 1:]] = a
+        out.append(MPoly(uni, config.field, F, _clean=True))
     return out
 
 
+def _hilbert_target(X: SubvarietyInput, deadline: Deadline):
+    """The Hilbert target of the model of X on the column blocks, a ->
+    HF_{K[y]/I'}(|a|) (see the module docstring), or None when a
+    coefficient of X holds pi.  The basis of I' is taken under
+    ``deadline``, in phase ``model``; the counts come from
+    ``hilbert_function`` on I' alone, in a table grown as degrees are asked
+    about."""
+    pos = X.universe.index("pi")
+    if any(m[pos] for g in X.generators for m in g.terms):
+        return None
+    I = Ideal(X.generators, X.universe, X.domain)
+    deadline.run("model", I.groebner_basis, DegRevLex())
+    ys = [tuple(i for i, name in enumerate(X.universe.names) if name.startswith("y["))]
+    table: dict = {}
+
+    def target(a):
+        k = sum(a)
+        if k not in table:
+            table.update((c[0], v) for c, v in hilbert_function(I, ys, (2 * k + 1,)).items())
+        return table[k]
+
+    return target
+
+
 def model_ideal(
-    config: LatticeConfig, X: SubvarietyInput, *, cap_seconds: float | None = None
+    config: LatticeConfig,
+    X: SubvarietyInput,
+    *,
+    cap_seconds: float | None = None,
+    saturation: Ideal | None = None,
 ) -> Ideal:
     """Integral model of X: the pi-saturation of the ambient minors and of
-    the lifts of every generator of X into every column multidegree (see the
-    module docstring for why this is the ideal of the image closure).  The
-    result is a basis under the weighted pi order of the fast path; when a
-    coefficient of X or an entry of the configuration mixes pi powers, the
-    generators are not weight-homogeneous and ``saturate`` takes its
-    elimination route to the same ideal."""
+    the lifts of every generator of X into every column multidegree, as an
+    extension of the ambient saturation (the module docstring proves both
+    steps).  ``saturation`` is ``mustafin_ideal(config)``, computed here
+    when not given; ``saturate`` adds only the lifts to its fast-path
+    basis, with the Hilbert target a -> HF_{K[y]/I'}(|a|) when X has
+    pi-free coefficients.  The result is a basis under the weighted pi
+    order of the fast path, or, when X or the configuration mixes pi
+    powers, the elimination route's basis of the same ideal.  A cap hit
+    anywhere names phase ``model``."""
     if config.is_symbolic:
         raise DomainError("model ideal needs concrete entries")
-    minors = minors_ideal(config)
-    uni, dom = minors.universe, config.field
-    cols = column_forms(config)
-    gens = list(minors.generators)
-    for f in X.generators:
-        gens.extend(_lifts(f, cols, uni, config.n))
-    pi = MPoly.var(uni, dom, "pi")
-    return saturate(
-        Ideal(gens, uni, dom), [pi], pi_fast_weights=config.weights, cap_seconds=cap_seconds
+    deadline = Deadline(cap_seconds)
+    if saturation is None:
+        saturation = deadline.run("model", mustafin_ideal, config)
+    uni, dom = saturation.universe, config.field
+    lifts = [F for f in X.generators for F in _lifts(f, config, uni)]
+    target = _hilbert_target(X, deadline)
+    return deadline.run(
+        "model",
+        saturate,
+        Ideal(lifts, uni, dom),
+        [MPoly.var(uni, dom, "pi")],
+        pi_fast_weights=config.weights,
+        hilbert=None if target is None else (uni.grid_indices(), target),
+        saturated=saturation,
     )
 
 
@@ -172,13 +271,15 @@ def special_fibre_of_model(
     *,
     cap_seconds: float | None = None,
     deadline: Deadline | None = None,
+    saturation: Ideal | None = None,
 ) -> Ideal:
     """Reduction mod pi of the model of X, over the residue field, as its
     reduced degrevlex basis.  ``deadline`` is a caller's running budget;
-    without one, ``cap_seconds`` starts a new one."""
+    without one, ``cap_seconds`` starts a new one.  ``saturation`` goes to
+    ``model_ideal``."""
     if deadline is None:
         deadline = Deadline(cap_seconds)
-    model = deadline.run("model", model_ideal, config, X)
+    model = deadline.run("model", model_ideal, config, X, saturation=saturation)
     reduced = reduce_ideal_mod_pi(model, config)
     uni_k, dom = reduced.universe, reduced.domain
     basis = deadline.run(
@@ -261,7 +362,7 @@ def support_analysis(
         )
     d, n = config.d, config.n
     dom = config.field
-    fibre = special_fibre_of_model(config, X, deadline=deadline)
+    fibre = special_fibre_of_model(config, X, deadline=deadline, saturation=amb.saturation)
     vecs = component_vectors(d, n)
     known: dict = {}
 

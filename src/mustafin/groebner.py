@@ -1181,6 +1181,7 @@ def saturate(
     cap_seconds: float | None = None,
     trace_log: list | None = None,
     hilbert=None,
+    saturated: Ideal | None = None,
 ) -> Ideal:
     """sat(I, a_1..a_l) = <I, 1 - t_1 a_1, ..., 1 - t_l a_l> ∩ A.
 
@@ -1189,6 +1190,14 @@ def saturate(
     With ``pi_fast_weights`` and a single saturating element that is a
     weight-1 variable under which all generators are weight homogeneous,
     the content-division fast path runs instead and returns an equal ideal.
+
+    ``saturated`` extends a saturation already known: an ideal S with
+    S = sat(S), in the universe of I.  The result is sat(S + I), which is
+    sat(J + I) for every J with sat(J) = S, since J + I lies in S + I and
+    S + I in sat(J + I).  On the fast path, the basis of S the fast path
+    caches (under its weighted order) goes first as ``buchberger``'s
+    ``gb_prefix``, so only I's generators are new; on the elimination
+    route, or when S holds no such basis, S's generators join I's.
 
     ``hilbert = (blocks, target)`` goes to ``buchberger`` on the fast path
     only, and the elimination route ignores it.  It is sound when
@@ -1199,36 +1208,43 @@ def saturate(
     """
     elems = list(elems)
     uni, dom = I.universe, I.domain
+    if saturated is not None and I.is_zero():
+        return saturated
     if I.is_zero() or not elems:
         return I
     for a in elems:
         if not a or a.is_constant():
             raise DomainError("saturating elements must be nonzero non-units")
+    gens = list(I.generators)
+    if saturated is not None:
+        gens = list(saturated.generators) + gens
 
     if pi_fast_weights is not None and len(elems) == 1 and elems[0].is_monomial():
         mono = next(iter(elems[0].terms))
         if sum(mono) == 1:
             pos = mono.index(1)
             wts = tuple(pi_fast_weights)
-            if wts[pos] == 1 and all(
-                weight_homogeneous(g, wts) for g in I.generators
-            ):
+            if wts[pos] == 1 and all(weight_homogeneous(g, wts) for g in gens):
                 worder = WeightedPiOrder(wts, pos)
+                prefix = () if saturated is None else saturated._gb_cache.get(worder, ())
+                if prefix:
+                    gens = list(prefix) + list(I.generators)
                 gb = buchberger(
-                    list(I.generators),
+                    gens,
                     worder,
                     universe=uni,
                     domain=dom,
                     sat_var=pos,
                     cap_seconds=cap_seconds,
                     trace_log=trace_log,
+                    gb_prefix=len(prefix),
                     hilbert=hilbert,
                 )
                 out = Ideal(gb, uni, dom)
                 out._gb_cache[worder] = tuple(gb)
                 return out
 
-    big, aux, lifted = _adjoin_inverses(uni, I.generators, elems)
+    big, aux, lifted = _adjoin_inverses(uni, gens, elems)
     out = eliminate(Ideal(lifted, big, dom), aux, cap_seconds=cap_seconds, trace_log=trace_log)
     # the aux-free part of a reduced basis under the elimination order is
     # the reduced basis of its ideal under the order on the rest

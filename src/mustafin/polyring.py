@@ -528,13 +528,6 @@ class MPoly:
             out[tuple(nm)] = c
         return MPoly(new_universe, self.domain, out, _clean=True)
 
-    def substitute(self, assignment: dict, universe: VarUniverse | None = None):
-        """Image under the ring homomorphism sending named variables to
-        polynomials or coefficients; unassigned variables map to themselves.
-        The image lives in ``universe`` (default: this polynomial's); see
-        ``Substitution``, which this applies once."""
-        return Substitution(self.universe, self.domain, assignment, universe)(self)
-
     # equality / hashing ---------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, MPoly):

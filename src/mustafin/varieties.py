@@ -352,6 +352,7 @@ def special_fibre(
     *,
     cap_seconds: float | None = None,
     trace_log: list | None = None,
+    saturation: Ideal | None = None,
 ) -> Ideal:
     """Ideal of the special fibre: reduce a pi-saturated basis mod pi.
 
@@ -366,10 +367,13 @@ def special_fibre(
     term, so none is searched for; over Q, where dropping the pi terms
     changes the content, the generators are normalized again.  Otherwise a
     fresh basis over the residue field is computed.  Both steps share one
-    time budget, with phases ``saturation`` and ``fibre``.
+    time budget, with phases ``saturation`` and ``fibre``.  ``saturation``
+    is the result of ``mustafin_ideal`` when the caller already has it.
     """
     deadline = Deadline(cap_seconds)
-    sat = deadline.run("saturation", mustafin_ideal, config, trace_log=trace_log)
+    sat = saturation
+    if sat is None:
+        sat = deadline.run("saturation", mustafin_ideal, config, trace_log=trace_log)
     if sat.is_zero():
         return Ideal((), fibre_universe(config.d, config.n), config.field)
     worder = WeightedPiOrder(config.weights, sat.universe.index("pi"))
@@ -499,8 +503,9 @@ class ConjectureReport:
     """Outcome of one containment/equality check of the fibre ideal against
     the intersection of the I_v.
 
-    ``fibre`` is the fibre ideal that was checked, None for a capped run; it
-    is left out of ``to_dict``.
+    ``fibre`` is the fibre ideal that was checked and ``saturation`` the
+    pi-saturation of the minors it was read off (``mustafin_ideal``), both
+    None for a capped run; they are left out of ``to_dict``.
     """
 
     equal: bool
@@ -514,6 +519,7 @@ class ConjectureReport:
     seed: int | None = None
     capped: bool = False
     fibre: Ideal | None = field(default=None, compare=False, repr=False)
+    saturation: Ideal | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -543,7 +549,8 @@ def conjecture_check(
     both-containments mode): every fibre basis element lies in the monomial
     intersection, a term-by-term divisibility scan.  One containment plus
     the shared Hilbert polynomial already forces equality, which is why
-    forward-only mode exists.
+    forward-only mode exists.  The saturation and the fibre share one
+    time budget; a capped run reports ``capped``.
     """
     if mode not in ("both-containments", "forward-only"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -556,12 +563,14 @@ def conjecture_check(
         field_name=config.field.name,
         seed=config.seed,
     )
+    deadline = Deadline(cap_seconds)
     try:
-        fibre = special_fibre(config, cap_seconds=cap_seconds)
+        sat = deadline.run("saturation", mustafin_ideal, config)
+        fibre = deadline.run("fibre", special_fibre, config, saturation=sat)
     except ResourceCapExceeded:
         report.capped = True
         return report
-    report.fibre = fibre
+    report.fibre, report.saturation = fibre, sat
     korder = fibre_weight_order(config)
     fibre_gb = list(fibre.groebner_basis(korder))
     inter = expected_intersection(config.d, config.n, config.field)

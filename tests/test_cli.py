@@ -309,16 +309,10 @@ def test_degen_cap_is_a_resource_cap_not_a_traceback(
     assert "genericity" not in res.output
 
 
-@pytest.mark.parametrize(
-    "command, phase", [("model", "model"), ("fibre", "fibre"), ("support", "model")]
-)
-def test_degen_cap_bounds_the_whole_command(
-    runner, d3_config, line_curve, tmp_path, monkeypatch, command, phase
-):
-    # a stubbed engine needs 0.4 s per field-mode call: every call fits the
-    # 0.6 s cap, two do not, so the command stops in its second engine call
-    # (support: ambient check, then model; fibre: model, then fibre; model:
-    # the saturation, then the grevlex basis)
+def _slow_mustafin_engine(monkeypatch):
+    """Stub the field engine so that every call in a Mustafin universe (the
+    grid variables) needs 0.4 s; the small basis of I' in y[1..d], which
+    the model's Hilbert target reads, stays fast."""
     import time
 
     from mustafin import groebner
@@ -326,24 +320,66 @@ def test_degen_cap_bounds_the_whole_command(
     real = groebner._buchberger_field
 
     def slow(gens, order, universe, domain, sat_var, cap_seconds, *rest, **kw):
+        if universe.grid is None:
+            return real(gens, order, universe, domain, sat_var, cap_seconds, *rest, **kw)
         time.sleep(0.4)
         if cap_seconds is not None and cap_seconds < 0.4:
             raise groebner.ResourceCapExceeded(f"stub exceeded {cap_seconds:g}s")
         return real(gens, order, universe, domain, sat_var, None, *rest, **kw)
 
     monkeypatch.setattr(groebner, "_buchberger_field", slow)
+
+
+@pytest.mark.parametrize(
+    "command, phase", [("model", "model"), ("fibre", "fibre"), ("support", "model")]
+)
+def test_degen_cap_bounds_the_whole_command(
+    runner, d3_config, line_curve, tmp_path, monkeypatch, command, phase
+):
+    # a stubbed engine needs 0.4 s per Mustafin call, and the cap holds all
+    # calls but the last one named: model (0.6 s) stops in its second call
+    # (the ambient saturation, then its extension by the lifts), fibre
+    # (1.0 s) in its third (saturation, extension, fibre), support (0.6 s)
+    # in its second (the ambient check, whose saturation the model extends)
+    cap = {"model": 0.6, "fibre": 1.0, "support": 0.6}[command]
+    _slow_mustafin_engine(monkeypatch)
     out = tmp_path / "capped.json"
     res = runner.invoke(
         degen_group,
         [command, "--config", d3_config, "--curve", line_curve,
-         "--cap-seconds", "0.6", "--out", str(out)],
+         "--cap-seconds", str(cap), "--out", str(out)],
     )
     assert res.exit_code == 1, res.output
     assert "resource cap exceeded" in res.stderr
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "resource-capped"
     assert rep["phase"] == phase
-    assert rep["detail"].startswith(f"{phase}: exceeded 0.6s")
+    assert rep["detail"].startswith(f"{phase}: exceeded {cap:g}s")
+
+
+@pytest.mark.parametrize(
+    "cap, phase", [(0.2, "ambient check"), (0.6, "model"), (1.0, "fibre")]
+)
+def test_degen_support_cap_names_each_phase(
+    runner, d3_config, line_curve, tmp_path, monkeypatch, cap, phase
+):
+    # support makes one Mustafin engine call per phase: the ambient
+    # saturation, its extension by the lifts, the fibre's basis; at 0.4 s a
+    # call, the cap stops it in the first, second or third
+    _slow_mustafin_engine(monkeypatch)
+    out = tmp_path / "capped.json"
+    res = runner.invoke(
+        degen_group,
+        ["support", "--config", d3_config, "--curve", line_curve,
+         "--cap-seconds", str(cap), "--out", str(out)],
+    )
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "resource cap exceeded" in res.stderr and "Traceback" not in res.output
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] == "resource-capped"
+    assert rep["phase"] == phase
+    assert rep["detail"].startswith(f"{phase}: exceeded {cap:g}s")
 
 
 def test_fibre_cap_bounds_saturation_and_fibre_together(runner, tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 The model ideal is checked against the graph formulation below, which
 eliminates the ambient coordinates and one scaling and one inverse
-auxiliary per factor under a block order: the slow oracle.
+auxiliary per factor under a block order: the slow oracle.  A second
+oracle saturates the minors plus the lifts, multiplied out of the column
+forms, in one run from scratch, with no known prefix and no Hilbert target.
 """
 
 import pathlib
@@ -26,11 +28,24 @@ from mustafin.degeneration import (
     support_analysis,
 )
 from mustafin.groebner import ResourceCapExceeded, buchberger, compositions, radical_membership
-from mustafin.polyring import Block, DegRevLex, Ideal, MPoly, VarUniverse, default_order, grid_universe
+from mustafin.polyring import (
+    Block,
+    DegRevLex,
+    Ideal,
+    MPoly,
+    VarUniverse,
+    WeightedPiOrder,
+    default_order,
+    grid_universe,
+    parse_poly,
+)
 from mustafin.syzygy import _adjugate
 from mustafin.varieties import (
     LatticeConfig,
+    column_forms,
     fibre_universe,
+    minors_ideal,
+    mustafin_ideal,
     random_config,
     reduce_ideal_mod_pi,
     special_fibre,
@@ -457,6 +472,167 @@ def test_model_matches_oracle_property(n, degree, seed, coeffs):
         f = MPoly.var(uni, dom, "y[1]") ** degree
     cfg = random_config(3, n, (1, 2), dom, seed=seed)
     assert_routes_agree(cfg, SubvarietyInput((f,), 1, degree))
+
+
+# ---------------------------------------------------------------------------
+# the extension of the ambient saturation against saturating from scratch
+
+
+def column_form_lifts(f, config, uni):
+    """The lifts F_b(f) as products of the column-form ``MPoly``s."""
+    cols = column_forms(config)
+    d, n, dom = config.d, config.n, f.domain
+    ypos = [f.universe.index(f"y[{l}]") for l in range(1, d + 1)]
+    pipos, upi = f.universe.index("pi"), uni.index("pi")
+    terms = []
+    for m, c in f.terms.items():
+        pimono = [0] * uni.nvars
+        pimono[upi] = m[pipos]
+        factors = [l for l in range(d) for _ in range(m[ypos[l]])]
+        terms.append((MPoly.term(uni, dom, c, tuple(pimono)), factors))
+    out = []
+    for b in compositions(len(terms[0][1]), n + 1):
+        owner = [j for j in range(n + 1) for _ in range(b[j])]
+        F = MPoly.zero(uni, dom)
+        for coeff, factors in terms:
+            for k, l in enumerate(factors):
+                coeff = coeff * cols[owner[k]][l]
+            F = F + coeff
+        out.append(F)
+    return out
+
+
+def model_ideal_from_scratch(config, X):
+    """sat(minors + lifts, pi) in one saturation, with no known prefix and
+    no Hilbert target: the second oracle of ``model_ideal``."""
+    minors = minors_ideal(config)
+    uni, dom = minors.universe, config.field
+    gens = list(minors.generators)
+    for f in X.generators:
+        gens.extend(column_form_lifts(f, config, uni))
+    pi = MPoly.var(uni, dom, "pi")
+    return groebner.saturate(Ideal(gens, uni, dom), [pi], pi_fast_weights=config.weights)
+
+
+def assert_extension_matches_scratch(cfg, X):
+    fast, slow = model_ideal(cfg, X), model_ideal_from_scratch(cfg, X)
+    assert [g.text() for g in fast.generators] == [g.text() for g in slow.generators]
+    order = default_order(fast.universe)
+    assert [g.text(order) for g in fast.groebner_basis(order)] == [
+        g.text(order) for g in slow.groebner_basis(order)
+    ]
+    return fast
+
+
+def test_lifts_read_off_the_entries_equal_the_column_form_products():
+    from mustafin.degeneration import _lifts
+
+    cases = [
+        (random_config(3, 2, (1, 2), F, seed=5), "y[1]*y[2] + 2*y[3]^2 + pi*y[1]*y[3]"),
+        (random_config(4, 1, (1, 3, 7), QQ, seed=2), "y[1]*y[4] - y[2]*y[3] + 3*y[1]^2"),
+        (SPECIAL_CASES["pi-coefficients"][0](), "y[1] + pi*y[2] + (1 + pi^2)*y[3]"),
+        (identity_config(3, 2, (1, 2)), "y[1]^3"),
+    ]
+    for cfg, text in cases:
+        uni = minors_ideal(cfg).universe
+        f = parse_poly(text, ambient_universe(cfg.d), cfg.field)
+        assert _lifts(f, cfg, uni) == column_form_lifts(f, cfg, uni)
+
+
+def test_model_extends_the_ambient_saturation_on_a_d4_quadric_surface():
+    # the first surface any test covers
+    cfg = random_config(4, 2, (1, 3, 7), F, seed=1)
+    X = SubvarietyInput.from_strings(["y[1]*y[4] - y[2]*y[3] + 3*y[1]^2"], 2, 2, 4, F)
+    assert_extension_matches_scratch(cfg, X)
+
+
+def test_model_extends_the_ambient_saturation_on_a_space_curve():
+    # a curve in P^3 cut out by two quadrics
+    cfg = random_config(4, 1, (1, 3, 7), F, seed=3)
+    rng = random.Random(3)
+    X = SubvarietyInput(tuple(random_form(rng, F, 2, d=4) for _ in range(2)), 1, 4)
+    assert_extension_matches_scratch(cfg, X)
+
+
+@pytest.mark.parametrize("case", sorted(SPECIAL_CASES))
+def test_model_extends_the_ambient_saturation_on_special_inputs(case):
+    # "pi-coefficients" takes the elimination route on both sides
+    make, texts, degree = SPECIAL_CASES[case]
+    cfg = make()
+    X = SubvarietyInput.from_strings(texts, 1, degree, 3, cfg.field)
+    fast = assert_extension_matches_scratch(cfg, X)
+    worder = WeightedPiOrder(cfg.weights, fast.universe.index("pi"))
+    assert (worder in fast._gb_cache) == (case != "pi-coefficients")
+
+
+def conic_case():
+    cfg = random_config(3, 2, (1, 2), F, seed=11)
+    X = SubvarietyInput.from_strings(["y[1]^2 + 2*y[2]*y[3] - y[3]^2"], 1, 2, 3, F)
+    return cfg, X, mustafin_ideal(cfg)
+
+
+def test_the_model_run_of_a_conic_prunes_pairs_by_its_hilbert_target(monkeypatch):
+    cfg, X, sat = conic_case()
+    plain = model_ideal(cfg, X, saturation=sat)
+    answers = []
+    real = groebner._HilbertGate.complete
+
+    def complete(self, lms, l):
+        answers.append(real(self, lms, l))
+        return answers[-1]
+
+    runs = []
+    real_buchberger = groebner.buchberger
+
+    def buchberger(gens, order, **kwargs):
+        runs.append((len(gens), kwargs.get("gb_prefix", 0)))
+        return real_buchberger(gens, order, **kwargs)
+
+    monkeypatch.setattr(groebner._HilbertGate, "complete", complete)
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    gated = model_ideal(cfg, X, saturation=sat)
+    assert any(answers)
+    assert gated.generators == plain.generators
+    # the basis of I' in y, then the model: the saturation as a known
+    # prefix, followed by the six lifts of the conic into n + 1 = 3 columns
+    assert runs[-1] == (len(sat.generators) + 6, len(sat.generators))
+
+
+def test_a_wrong_hilbert_target_raises_instead_of_returning_a_basis(monkeypatch):
+    from mustafin import degeneration
+
+    cfg, X, sat = conic_case()
+    real = degeneration._hilbert_target
+
+    def too_high(X, deadline):
+        target = real(X, deadline)
+        return lambda a: target(a) + 1
+
+    monkeypatch.setattr(degeneration, "_hilbert_target", too_high)
+    with pytest.raises(DomainError, match="below its Hilbert target"):
+        model_ideal(cfg, X, saturation=sat)
+
+
+def test_support_analysis_saturates_the_minors_once(monkeypatch):
+    from mustafin import degeneration, varieties
+
+    calls = {"mustafin_ideal": 0, "minors_ideal": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (varieties, degeneration):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(varieties, name)))
+    cfg = random_config(3, 2, (1, 2), F, seed=11)
+    rep = support_analysis(cfg, random_line(99))
+    assert rep.delta == 1
+    assert calls == {"mustafin_ideal": 1, "minors_ideal": 1}
 
 
 # ---------------------------------------------------------------------------

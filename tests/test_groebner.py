@@ -1,11 +1,12 @@
 import collections
 import itertools
 import math
+import operator
 import pytest
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from pi_euclid import divides, extended_gcd
 
@@ -1256,6 +1257,60 @@ def test_hilbert_pruning_keeps_the_saturated_basis(rung):
     assert [g.text(worder) for g in pruned.generators] == [g.text(worder) for g in plain.generators]
     assert len(pruned_log) == len(plain_log)
     assert not any(line.endswith("-> pruned") for line in plain_log)
+
+
+@given(
+    pi_rungs(),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_saturate_extends_a_known_saturation(rung, extras):
+    # sat(sat(J) + I) = sat(J + I): the known saturation's fast-path basis as
+    # a prefix gives the from-scratch basis, on both routes
+    field, d, n, seed, exps = rung
+    assume(d <= 3 and n <= 2)
+    J, weights = column_minors(field, d, n, seed, exps)
+    uni = J.universe
+    pi = MPoly.var(uni, field, "pi")
+    grid = [p for blk in uni.grid_indices() for p in blk]
+    gens = []
+    for a, b, c1, c2 in extras:
+        # a binomial of two grid monomials, pi powers evening out the weights
+        m1, m2 = [0] * uni.nvars, [0] * uni.nvars
+        m1[grid[a % len(grid)]] += 1
+        m1[grid[b % len(grid)]] += 1
+        m2[grid[(a + b) % len(grid)]] += 2
+        w1, w2 = (sum(map(operator.mul, weights, m)) for m in (m1, m2))
+        m1[uni.index("pi")] += max(w2 - w1, 0)
+        m2[uni.index("pi")] += max(w1 - w2, 0)
+        gens.append(MPoly(uni, field, {tuple(m1): field.from_int(c1)})
+                    + MPoly(uni, field, {tuple(m2): field.from_int(c2)}))
+    I = Ideal(gens, uni, field)
+    both = Ideal(list(J.generators) + gens, uni, field)
+    known = saturate(J, [pi], pi_fast_weights=weights)
+    worder = WeightedPiOrder(weights, uni.index("pi"))
+    extended = saturate(I, [pi], pi_fast_weights=weights, saturated=known)
+    scratch = saturate(both, [pi], pi_fast_weights=weights)
+    assert worder in extended._gb_cache
+    assert [g.text(worder) for g in extended.generators] == [g.text(worder) for g in scratch.generators]
+    assert saturate(Ideal([], uni, field), [pi], saturated=known) is known
+
+
+def test_elimination_route_saturate_takes_the_known_saturation_as_generators():
+    J, weights = column_minors(GF(7), 2, 1, 3, [[0, 1], [1, 0]])
+    uni = J.universe
+    pi = MPoly.var(uni, GF(7), "pi")
+    x10, x21 = MPoly.var(uni, GF(7), "x[1][0]"), MPoly.var(uni, GF(7), "x[2][1]")
+    I = Ideal([x10 * x10 + pi * x21 * x10], uni, GF(7))  # not weight-homogeneous
+    known = saturate(J, [pi], pi_fast_weights=weights)
+    both = Ideal(list(J.generators) + list(I.generators), uni, GF(7))
+    extended = saturate(I, [pi], pi_fast_weights=weights, saturated=known)
+    assert extended.generators == saturate(both, [pi]).generators
+    assert default_order(uni) in extended._gb_cache
 
 
 def test_hilbert_target_needs_every_other_variable_in_a_block():

@@ -10,6 +10,7 @@ from mustafin.polyring import (
     Ideal,
     Lex,
     MPoly,
+    Substitution,
     UniverseError,
     VarUniverse,
     WeightedOrder,
@@ -23,6 +24,7 @@ from mustafin.polyring import (
     parse_poly,
     to_pi_coefficients,
 )
+from substitution_oracle import substitute
 
 F = GF(32003)
 U = VarUniverse(("x", "y"))
@@ -77,9 +79,10 @@ def test_substitute_examples():
     x = MPoly.var(UA, F, "x")
     y = MPoly.var(UA, F, "y")
     f = A1 * x + A2 * y
-    g = f.substitute({"A[1][1][0]": F.from_int(2), "A[2][1][0]": F.from_int(3)})
-    assert g == x.scale(F.from_int(2)) + y.scale(F.from_int(3))
-    assert x.substitute({}) == x
+    values = {"A[1][1][0]": F.from_int(2), "A[2][1][0]": F.from_int(3)}
+    g = Substitution(UA, F, values)(f)
+    assert g == x.scale(F.from_int(2)) + y.scale(F.from_int(3)) == substitute(f, values)
+    assert Substitution(UA, F, {})(x) == x
 
 
 def test_multidegree():
@@ -139,9 +142,10 @@ def test_ring_axioms(f, g, h):
 @given(polys, polys)
 @settings(max_examples=40)
 def test_substitute_is_a_homomorphism(f, g):
-    target = {"x": Y + MPoly.const(U, F, F.one)}
-    assert (f + g).substitute(target) == f.substitute(target) + g.substitute(target)
-    assert (f * g).substitute(target) == f.substitute(target) * g.substitute(target)
+    plan = Substitution(U, F, {"x": Y + MPoly.const(U, F, F.one)})
+    assert plan(f + g) == plan(f) + plan(g)
+    assert plan(f * g) == plan(f) * plan(g)
+    assert plan(f) == substitute(f, {"x": Y + MPoly.const(U, F, F.one)})
 
 
 @given(polys)
