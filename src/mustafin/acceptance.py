@@ -19,8 +19,10 @@ from .groebner import (
     hilbert_function,
     intersect_monomial_ideals,
     is_groebner,
+    linear_relations,
     normal_form,
     saturate,
+    span_member,
 )
 from .polyring import (
     Block,
@@ -209,69 +211,31 @@ def _monos_up_to(nv, dd):
     return out
 
 
-def _echelon(vec, pivots, dom, combo=None):
-    """Reduce the dict-vector ``vec`` (key -> nonzero coefficient) in place
-    against ``pivots`` (leading key -> (row, combination)), largest key
-    first, until it is zero or its largest key has no pivot; a nonzero
-    remainder then becomes that key's pivot, scaled to leading coefficient
-    one.  ``combo`` (input index -> coefficient) undergoes the same row
-    operations.  Returns True iff ``vec`` reduced to zero."""
-    combo = {} if combo is None else combo
-    while vec:
-        lead = max(vec)
-        if lead not in pivots:
-            inv = dom.inv(vec[lead])
-            pivots[lead] = (
-                {k: dom.mul(inv, v) for k, v in vec.items()},
-                {k: dom.mul(inv, v) for k, v in combo.items()},
-            )
-            return False
-        factor = vec[lead]
-        row, row_combo = pivots[lead]
-        for target, source in ((vec, row), (combo, row_combo)):
-            for k, v in source.items():
-                w = dom.sub(target.get(k, dom.zero), dom.mul(factor, v))
-                if dom.is_zero(w):
-                    target.pop(k, None)
-                else:
-                    target[k] = w
-    return True
-
-
 def _zfree_span(columns, zpos, dom):
     """Members of the span of ``columns`` with no z-variable: for each of
-    the first ten columns whose z-part reduces to zero against the earlier
-    columns, its tracked combination (the kernel vector that the reduced
-    row-echelon form assigns to that free column)."""
-    pivots: dict = {}
+    the first ten columns whose z-part is a combination of the earlier
+    columns' z-parts, that relation applied to the columns themselves (the
+    kernel vector that the reduced row-echelon form assigns to that free
+    column)."""
+    zparts = [
+        MPoly(col.universe, dom, {m: v for m, v in col.terms.items() if m[zpos]}, _clean=True)
+        for col in columns
+    ]
     out = []
-    free = 0
-    for c, col in enumerate(columns):
-        combo = {c: dom.one}
-        if not _echelon({m: v for m, v in col.terms.items() if m[zpos]}, pivots, dom, combo):
-            continue
-        member = MPoly.zero(col.universe, dom)
+    for combo in linear_relations(zparts, 10):
+        member = MPoly.zero(columns[0].universe, dom)
         for k, lam in sorted(combo.items()):
             member = member + columns[k].scale(lam)
         if member:
             out.append(member)
-        free += 1
-        if free == 10:
-            break
     return out
 
 
 def _la_membership(f, gens, deg_bound):
     """Degree-bounded linear-algebra membership oracle: is f a combination
     sum h_i g_i with deg(h_i) <= deg_bound - deg(g_i)?  Exact elimination
-    over the coefficient field: f reduces to zero against the echelon form
-    of the products m * g_i."""
-    uni, dom = f.universe, f.domain
-    pivots: dict = {}
-    for g in gens:
-        for q in _monos_up_to(uni.nvars, deg_bound - g.total_degree()):
-            _echelon(dict(g.mono_shift(q).terms), pivots, dom)
-    return _echelon(dict(f.terms), pivots, dom)
+    over the coefficient field (``groebner.span_member``)."""
+    return span_member(f, gens, deg_bound)
 
 
 def criterion_5(ctx, quick=False):

@@ -45,6 +45,12 @@ polynomial by the reducer's unit part, so every coefficient stays in
 L[pi].  The field-mode ``_Reducers.reduce`` takes one observer, called
 before every step with the step it takes.
 
+Beside ``_Reducers`` sits the one linear-algebra kernel, ``_Echelon``: a
+sparse row-echelon form on packed monomials, with rows of ints reduced
+mod p over GF(p) and fraction-free primitive integer rows over Q.
+``span_member`` (membership in a degree-bounded Macaulay matrix) and
+``linear_relations`` run on it under ``_widening``.
+
 Saturation by a single variable has a fast path: when every generator is
 homogeneous for a supplied weight vector (weight 1 on that variable),
 running Buchberger under ``WeightedPiOrder`` while dividing every inserted
@@ -75,7 +81,7 @@ import itertools
 import operator
 import time
 from fractions import Fraction
-from math import comb, gcd as int_gcd, prod
+from math import comb, gcd as int_gcd, lcm as int_lcm, prod
 
 from .coeffs import DomainError
 from .polyring import (
@@ -749,6 +755,165 @@ def normal_forms(fs, G, order: TermOrder) -> list:
         return [red.remainder(red.reduce(red.pack_poly(f))) for f in fs]
 
     return _widening(run, fs[0].universe.nvars)
+
+
+# ---------------------------------------------------------------------------
+# the linear-algebra kernel
+
+
+class _Echelon:
+    """A sparse row-echelon form over GF(p) or Q on packed monomials.  A
+    row is a dict from packed monomial to int; ``insert`` reduces it in
+    place, largest monomial first, until it has no monomial left (True) or
+    its largest monomial has no pivot, where the remainder becomes that
+    monomial's pivot (False).  A row may carry its combination of the
+    input rows under negative keys, ~k for input k: below every packed
+    monomial, those entries are never a lead and undergo the same steps.
+
+    Over GF(p) a pivot is a monic tail list, the lead removed, and a step
+    subtracts c times it with no reduction: a coefficient is reduced mod p
+    only when it is read as a lead.  Over Q rows are primitive integer
+    vectors (``row`` clears denominators and content once): a step with
+    pivot lead a and row lead b sets the row to (a v - b r) / g, with a and
+    b divided by their gcd and g the content of the result, so no
+    ``Fraction`` enters the loop."""
+
+    __slots__ = ("p", "pivots", "insert")
+
+    def __init__(self, domain):
+        if not getattr(domain, "is_field", False):
+            raise DomainError(f"linear algebra needs GF(p) or Q, not {domain!r}")
+        self.p = domain.characteristic
+        self.pivots: dict = {}
+        self.insert = self._insert_mod if self.p else self._insert_int
+
+    def row(self, f: MPoly, pack) -> tuple:
+        """(packed terms of f as a list, s) with the ints of the list equal
+        to s times f's coefficients: s = 1 over GF(p), and over Q the s
+        that makes them primitive integers."""
+        terms = f.terms
+        if self.p or not terms:
+            return [(pack(m), c) for m, c in terms.items()], 1
+        den = int_lcm(*[c.denominator for c in terms.values()])
+        ints = [(pack(m), c.numerator * (den // c.denominator)) for m, c in terms.items()]
+        g = int_gcd(*[c for _, c in ints])
+        return [(m, c // g) for m, c in ints], Fraction(den, g)
+
+    def _insert_mod(self, vec: dict) -> bool:
+        p, pivots = self.p, self.pivots
+        while vec:
+            lead = max(vec)
+            if lead < 0:
+                break
+            c = vec.pop(lead) % p
+            if not c:
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(c, -1, p)
+                pivots[lead] = [(m, w) for m, v in vec.items() if (w := v * inv % p)]
+                return False
+            get = vec.get
+            for m, v in pivot:
+                vec[m] = get(m, 0) - c * v
+        return True
+
+    def _insert_int(self, vec: dict) -> bool:
+        pivots = self.pivots
+        while vec:
+            lead = max(vec)
+            if lead < 0:
+                break
+            pivot = pivots.get(lead)
+            b = vec.pop(lead)
+            if pivot is None:
+                pivots[lead] = (b, list(vec.items()))
+                return False
+            a, tail = pivot
+            g = int_gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for m in vec:
+                    vec[m] *= a
+            get = vec.get
+            for m, v in tail:
+                w = get(m, 0) - b * v
+                if w:
+                    vec[m] = w
+                else:
+                    del vec[m]
+            g = int_gcd(*vec.values())
+            if g > 1:
+                for m in vec:
+                    vec[m] //= g
+        return True
+
+
+def span_member(f: MPoly, gens, degree: int) -> bool:
+    """Is f a linear combination of the products x^q g, for g in ``gens``
+    and deg(x^q) <= ``degree`` - deg(g)?  This is membership in the
+    degree-bounded Macaulay matrix of the ideal.  Each g is packed once and
+    a product is one addition per term; with q of degree at most k, a
+    product overflows the packing exactly when g's fieldwise largest
+    exponents plus k in every field do, so one guard test per g covers all
+    its products."""
+
+    def run(pk):
+        ech, pack = _Echelon(f.domain), pk.pack
+        units = [1 << pk.field * i for i in range(pk.nvars)]
+        levels = [{0}]  # the packed monomials of each degree
+        shifts = {}  # k -> the packed monomials of degree at most k, sorted
+        for g in gens:
+            k = degree - g.total_degree()
+            if k < 0:
+                continue
+            row = ech.row(g, pack)[0]
+            top = functools.reduce(pk.lcm, [m for m, _ in row], 0)
+            if k > pk.bound or (top + k * sum(units)) & pk.guard:
+                raise pk.overflow()
+            while len(levels) <= k:
+                levels.append({m + u for m in levels[-1] for u in units})
+            if k not in shifts:
+                shifts[k] = sorted(itertools.chain.from_iterable(levels[: k + 1]))
+            for s in shifts[k]:
+                ech.insert({m + s: c for m, c in row})
+        return ech.insert(dict(ech.row(f, pack)[0]))
+
+    return _widening(run, f.universe.nvars)
+
+
+def linear_relations(vectors, limit: int) -> list:
+    """The relations among ``vectors`` (polynomials over GF(p) or Q) that
+    the echelon form meets, for the first ``limit`` vectors that are
+    combinations of the ones before them: the coefficients {index: lambda}
+    with sum lambda_k vectors[k] = 0, one on that vector and otherwise
+    nonzero only on earlier vectors that are not such combinations.
+    Those vectors are independent, so the relation is unique."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+
+    def run(pk):
+        ech, out, scales = _Echelon(vectors[0].domain), [], []
+        for k, v in enumerate(vectors):
+            row, s = ech.row(v, pk.pack)
+            scales.append(s)
+            vec = dict(row)
+            vec[~k] = 1
+            if ech.insert(vec):
+                out.append((k, {~j: c for j, c in vec.items()}))
+                if len(out) == limit:
+                    break
+        return out, scales
+
+    relations, scales = _widening(run, vectors[0].universe.nvars)
+    p = vectors[0].domain.characteristic
+    if p:
+        return [{j: w for j, v in combo.items() if (w := v % p)} for _, combo in relations]
+    return [
+        {j: Fraction(v) * scales[j] / (combo[k] * scales[k]) for j, v in combo.items() if v}
+        for k, combo in relations
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Exact linear algebra: the sparse echelon behind the criterion-5 oracles
-against dense Gauss-Jordan elimination, and the one determinant against the
-Leibniz formula and the adjugate identity."""
+"""Exact linear algebra: the sparse echelon kernel of ``groebner`` and the
+criterion-5 oracles on it against dense Gauss-Jordan elimination, and the
+one determinant against the Leibniz formula and the adjugate identity."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mustafin import groebner
 from mustafin.acceptance import _la_membership, _monos_up_to, _zfree_span
-from mustafin.coeffs import GF, QQ, PiRing
+from mustafin.coeffs import GF, QQ, DomainError, PiRing
+from mustafin.groebner import _Echelon, _packing, linear_relations, span_member
 from mustafin.polyring import MPoly, VarUniverse
 from mustafin.syzygy import _adjugate
 from mustafin.varieties import LatticeConfig, _det, random_config
@@ -200,6 +202,155 @@ def test_membership_with_monomials_outside_every_column():
     assert not _la_membership(stray, gens, 3) and not dense_la_membership(stray, gens, 3)
     # a bound below every generator's degree leaves no columns at all
     assert not _la_membership(x, gens, 1) and not dense_la_membership(x, gens, 1)
+
+
+# ---------------------------------------------------------------------------
+# the kernel itself: pivot set, relations and membership
+
+
+def dense_leading_monomials(vectors, dom):
+    """The leading monomials (largest exponent tuple) of the span of
+    ``vectors``, by forward elimination on rows with the monomials as
+    columns in descending order; their number is the rank."""
+    monos = sorted({m for v in vectors for m in v.terms}, reverse=True)
+    rows = [[v.terms.get(m, dom.zero) for m in monos] for v in vectors]
+    leads = []
+    for c, m in enumerate(monos):
+        r = len(leads)
+        sel = next((i for i in range(r, len(rows)) if not dom.is_zero(rows[i][c])), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = dom.inv(rows[r][c])
+        for i in range(r + 1, len(rows)):
+            if not dom.is_zero(rows[i][c]):
+                f = dom.mul(rows[i][c], inv)
+                rows[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        leads.append(m)
+    return leads
+
+
+def dense_relations(vectors, dom, limit):
+    """For the first ``limit`` vectors in the span of the ones before them,
+    the relation with coefficient one on that vector and support on the
+    earlier independent vectors, solved by Gauss-Jordan on the matrix
+    whose columns are the earlier independent vectors and that vector."""
+    out, basis = [], []
+    rank = 0
+    for k, v in enumerate(vectors):
+        new_rank = len(dense_leading_monomials([vectors[j] for j in basis] + [v], dom))
+        if new_rank > rank:
+            basis.append(k)
+            rank = new_rank
+            continue
+        monos = sorted({m for j in basis for m in vectors[j].terms} | set(v.terms))
+        rows = [
+            [vectors[j].terms.get(m, dom.zero) for j in basis] + [dom.neg(v.terms.get(m, dom.zero))]
+            for m in monos
+        ]
+        pivot_row = {}
+        for c in range(len(basis)):
+            r = len(pivot_row)
+            sel = next(i for i in range(r, len(rows)) if not dom.is_zero(rows[i][c]))
+            rows[r], rows[sel] = rows[sel], rows[r]
+            inv = dom.inv(rows[r][c])
+            rows[r] = [dom.mul(inv, a) for a in rows[r]]
+            for i in range(len(rows)):
+                if i != r and not dom.is_zero(rows[i][c]):
+                    f = rows[i][c]
+                    rows[i] = [dom.sub(a, dom.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+            pivot_row[c] = r
+        relation = {
+            basis[c]: rows[r][-1] for c, r in pivot_row.items() if not dom.is_zero(rows[r][-1])
+        }
+        relation[k] = dom.one
+        out.append(relation)
+        if len(out) == limit:
+            break
+    return out
+
+
+@st.composite
+def vector_case(draw):
+    """A few polynomials over GF(7), GF(32003) or QQ, some of them replaced
+    by combinations of the others, so that relations occur."""
+    dom = draw(st.sampled_from(DOMAINS))
+    mono = st.tuples(*[st.integers(0, 2)] * 3)
+    poly = st.dictionaries(mono, coefficient(dom), max_size=4).map(lambda t: MPoly(UNI, dom, t))
+    vectors = draw(st.lists(poly, min_size=1, max_size=8))
+    pick = st.lists(st.tuples(st.integers(0, 7), coefficient(dom)), max_size=3)
+    for k, picks in draw(st.lists(st.tuples(st.integers(0, 7), pick), max_size=3)):
+        combo = MPoly.zero(UNI, dom)
+        for j, lam in picks:
+            combo = combo + vectors[j % len(vectors)].scale(lam)
+        vectors[k % len(vectors)] = combo
+    return dom, vectors, draw(st.integers(1, 4))
+
+
+X, Y = (MPoly.var(UNI, QQ, v) for v in "xy")
+
+
+# x - y reduces to -2y with combination (-1, 1): the content of a
+# fraction-free row is taken over its combination too
+@example(case=(QQ, [X + Y, X - Y, X], 1))
+@given(vector_case())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dense_gauss_jordan(case):
+    dom, vectors, limit = case
+    # rank: the pivots are the leading monomials of the span
+    pk = _packing(3, 1)
+    ech = _Echelon(dom)
+    for v in vectors:
+        ech.insert(dict(ech.row(v, pk.pack)[0]))
+    assert sorted(map(pk.unpack, ech.pivots)) == sorted(dense_leading_monomials(vectors, dom))
+    # tracked combinations: one on the dependent vector, exact field values
+    relations = linear_relations(vectors, limit)
+    assert relations == dense_relations(vectors, dom, limit)
+    for relation in relations:
+        assert not sum((vectors[j].scale(lam) for j, lam in relation.items()), MPoly.zero(UNI, dom))
+        if dom is QQ:
+            assert all(type(lam) is Fraction for lam in relation.values())
+    # membership: the last vector against the products of the others
+    f, gens = vectors[-1], vectors[:-1]
+    assert span_member(f, gens, limit - 1) == dense_la_membership(f, gens, limit - 1)
+
+
+def test_exponents_past_one_byte_widen_the_packing(monkeypatch):
+    widths = []
+
+    def spy(nvars, width):
+        widths.append(width)
+        return _packing(nvars, width)
+
+    monkeypatch.setattr(groebner, "_packing", spy)
+    uni = VarUniverse(("x",))
+    x7, xq = MPoly.var(uni, F7, "x"), MPoly.var(uni, QQ, "x")
+    g7 = x7 * x7 + MPoly.const(uni, F7, 1)
+    # x^100 = (x^2)^50 = 1 modulo x^2 + 1; f fits one byte, the products
+    # x^q g up to degree 200 do not
+    assert _la_membership(x7 ** 100 - MPoly.const(uni, F7, 1), [g7], 200)
+    assert widths == [1, 2]
+    assert not _la_membership(x7 ** 100 + MPoly.const(uni, F7, 1), [g7], 200)
+    assert _la_membership(x7 ** 200 - MPoly.const(uni, F7, 1), [g7], 200)
+    assert not _la_membership(x7 ** 200, [g7], 200)
+    assert not _la_membership(x7 ** 200 - MPoly.const(uni, F7, 1), [g7], 199)
+    # over Q, x^2 = 1/2 gives x^200 = 2^-100: the fraction-free rows carry it
+    gq = xq * xq - MPoly.const(uni, QQ, Fraction(1, 2))
+    assert _la_membership(xq ** 200 - MPoly.const(uni, QQ, Fraction(1, 2 ** 100)), [gq], 200)
+    assert not _la_membership(xq ** 200 - MPoly.const(uni, QQ, Fraction(1, 2 ** 99)), [gq], 200)
+    # a relation among vectors past the bound
+    vectors = [xq ** 200, xq ** 150 + xq, xq.scale(3), (xq ** 150).scale(2)]
+    assert linear_relations(vectors, 5) == [{1: Fraction(-2), 2: Fraction(2, 3), 3: Fraction(1)}]
+
+
+def test_the_kernel_rejects_a_pi_ring():
+    uni = VarUniverse(("x", "pi"))
+    ring = PiRing(F7)
+    x = MPoly.var(uni, ring, "x")
+    with pytest.raises(DomainError, match="GF\\(p\\) or Q"):
+        _la_membership(x * x, [x], 2)
+    with pytest.raises(DomainError, match="GF\\(p\\) or Q"):
+        linear_relations([x, x], 1)
 
 
 # ---------------------------------------------------------------------------
