@@ -270,15 +270,11 @@ def special_fibre_of_model(
     X: SubvarietyInput,
     *,
     cap_seconds: float | None = None,
-    deadline: Deadline | None = None,
     saturation: Ideal | None = None,
 ) -> Ideal:
     """Reduction mod pi of the model of X, over the residue field, as its
-    reduced degrevlex basis.  ``deadline`` is a caller's running budget;
-    without one, ``cap_seconds`` starts a new one.  ``saturation`` goes to
-    ``model_ideal``."""
-    if deadline is None:
-        deadline = Deadline(cap_seconds)
+    reduced degrevlex basis.  ``saturation`` goes to ``model_ideal``."""
+    deadline = Deadline(cap_seconds)
     model = deadline.run("model", model_ideal, config, X, saturation=saturation)
     reduced = reduce_ideal_mod_pi(model, config)
     uni_k, dom = reduced.universe, reduced.domain
@@ -362,7 +358,7 @@ def support_analysis(
         )
     d, n = config.d, config.n
     dom = config.field
-    fibre = special_fibre_of_model(config, X, deadline=deadline, saturation=amb.saturation)
+    fibre = deadline.run("model", special_fibre_of_model, config, X, saturation=amb.saturation)
     vecs = component_vectors(d, n)
     known: dict = {}
 

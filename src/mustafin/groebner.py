@@ -19,24 +19,24 @@ One reduction kernel, ``_Reducers``, has two coefficient modes:
   ``buchberger`` needs a field.
 
 The kernel is behind ``normal_form``, ``interreduce``, ``is_groebner`` and
-the Buchberger loop.  It works on packed monomials: an exponent tuple
-becomes one int with a fixed-width field per variable, so a product is an
-addition and a divisibility test is a subtraction and a mask (see
-``_Packing``).  A field of w bytes holds
-exponents up to 2^(8w - 1) - 1.  Every computation starts with one-byte
-fields (exponents up to 127); an input or intermediate monomial past the
-bound raises an overflow inside the kernel, never a silent carry, and the
-computation reruns with fields twice as wide (``_widening``).  The
+the Buchberger loop.  It works on the packed monomials of ``polyring``
+(``_Packing``, which lives beside the term orders that compile against
+it): an exponent tuple becomes one int with a fixed-width field per
+variable, so a product is an addition and a divisibility test is a
+subtraction and a mask.  A field of w bytes holds exponents up to
+2^(8w - 1) - 1.  Every computation starts with one-byte fields (exponents
+up to 127); an input or intermediate monomial past the bound raises an
+overflow inside the kernel, never a silent carry, and the computation
+reruns with fields twice as wide (``polyring._widening``).  The
 table holds each basis element's packed leading monomial, leading
 coefficient and monic tail once per basis, and the working polynomial keeps
 a heap of order keys, so each step finds its largest term without a scan.
-An order key is one int per packed monomial, computed with field
-arithmetic (``_Packing.order_key``, ``TermOrder.packed_key``, which every
-order of ``polyring`` compiles) and cached per table.  A field-mode run
-sorts its inputs by that key (``_Reducers.lead``), finding each leading
-term once, and keeps its pending pairs in a dict from pair to the lcm of
-the leading monomials: each lcm is computed once, when the pair is made,
-and the Gebauer-Moeller update and the pair heap read it back
+An order key is one int per packed monomial, the order's own definition
+(``_Packing.order_key`` of ``TermOrder.packed_key``), cached per table.  A
+field-mode run sorts its inputs by their leading terms
+(``_Reducers.lead``), and keeps its pending pairs in a dict from pair to
+the lcm of the leading monomials: each lcm is computed once, when the pair
+is made, and the Gebauer-Moeller update and the pair heap read it back
 (``_gm_update``).
 In valuation mode the pair criteria read packed leading terms: the
 monomial with the valuation of the leading coefficient in one more field
@@ -93,6 +93,9 @@ from .polyring import (
     TermOrder,
     VarUniverse,
     WeightedPiOrder,
+    _Packing,
+    _packing,
+    _widening,
 )
 
 
@@ -135,234 +138,7 @@ class Deadline:
 
 
 # ---------------------------------------------------------------------------
-# packed monomials and the field-mode kernel
-
-class _PackingOverflow(DomainError):
-    """A monomial has an exponent above the bound of its packing."""
-
-
-class _Packing:
-    """Exponent tuples of one length as ints: a field of ``width`` bytes per
-    variable, the first variable in the most significant field.  Exponents
-    stay at most ``bound`` = 2^(8 width - 1) - 1, so the top bit of every
-    field is a guard bit that is clear in every valid monomial.  A product of
-    two valid monomials is their sum (no carry leaves a field), and it is
-    valid exactly when its guard bits are clear; a divides b exactly when
-    b - a is nonnegative with clear guard bits.  Sorting by (degree, packed)
-    sorts by (degree, exponent tuple).
-
-    Every term order of ``polyring`` compiles an integer key on packed
-    monomials from the field arithmetic here (``order_key``): degrees and
-    weighted degrees are sums over the fields, the reverse-lex part reverses
-    the fields, and a block order gathers the fields of each of its leaf
-    segments, the reverse-lex ones from one reversal (``runs``).  Every
-    width-dependent constant lives in the packing."""
-
-    __slots__ = (
-        "nvars", "width", "field", "bound", "guard", "degree", "_swaps", "_keys",
-    )
-
-    def __init__(self, nvars: int, width: int = 1):
-        self.nvars, self.width = nvars, width
-        self.field = 8 * width  # bits per field
-        self.bound = (1 << (self.field - 1)) - 1
-        self.guard = int.from_bytes((b"\x80" + bytes(width - 1)) * nvars, "big")
-        self.degree = self._summer(self.mask(range(nvars)))  # p -> total degree
-        # byte swaps inside each field, undoing the byte order that a
-        # whole-int byte reversal leaves there
-        self._swaps = []
-        half = self.field // 2
-        while half >= 8:
-            units = nvars * self.field // (2 * half)
-            low = sum(((1 << half) - 1) << (2 * half * u) for u in range(units))
-            self._swaps.append((half, low))
-            half //= 2
-        self._keys: dict = {}
-
-    def pack(self, mono) -> int:
-        w = self.width
-        try:
-            raw = bytes(mono) if w == 1 else b"".join([e.to_bytes(w, "big") for e in mono])
-        except (ValueError, OverflowError):  # an exponent outside the fields
-            if min(mono) < 0:
-                raise DomainError("negative exponent") from None
-            raise self.overflow() from None
-        p = int.from_bytes(raw, "big")
-        if p & self.guard:
-            raise self.overflow()
-        return p
-
-    def unpack(self, p: int) -> tuple:
-        w = self.width
-        raw = p.to_bytes(self.nvars * w, "big")
-        if w == 1:
-            return tuple(raw)
-        return tuple([int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w)])
-
-    def mask(self, positions) -> int:
-        """Every bit of the fields of the variables at ``positions``."""
-        full, f, n = (1 << self.field) - 1, self.field, self.nvars
-        return sum(full << f * (n - 1 - i) for i in set(positions))
-
-    def _classes(self, top: int, strict: bool):
-        """Split the fields into c = 2^k interleaved classes (every c-th
-        field) so that a field of f * c bits holds ``top`` (less than its
-        all-ones value when ``strict``).  Returns (c, f * c, E), E selecting
-        the fields whose index from the right is a multiple of c."""
-        f, n = self.field, self.nvars
-        c = 1
-        while top >= (1 << f * c) - strict:
-            c *= 2
-        E = sum(((1 << f) - 1) << f * j for j in range(0, n, c))
-        return c, f * c, E
-
-    def _summer(self, mask: int):
-        """p -> the sum of p's fields inside ``mask``: the classes of fields
-        are added into wide fields that cannot carry, and a wide field of G
-        bits is summed by the residue mod 2^G - 1."""
-        f = self.field
-        c, G, E = self._classes(self.bound * self.nvars, True)
-        mod = (1 << G) - 1
-        if c == 1:
-            return lambda p: (p & mask) % mod
-        if c == 2:
-            e0, e1 = E & mask, E & (mask >> f)
-            return lambda p: ((p & e0) + ((p >> f) & e1)) % mod
-        parts = [(f * r, E & (mask >> f * r)) for r in range(c)]
-
-        def fn(p):
-            out = 0
-            for s, e in parts:
-                out += (p >> s) & e
-            return out % mod
-
-        return fn
-
-    def degree_in(self, positions):
-        """p -> p's total degree in the variables at ``positions``."""
-        return self._summer(self.mask(positions))
-
-    def block_degrees(self, blocks):
-        """p -> the tuple of p's degrees in the variables of each block."""
-        sums = [self.degree_in(blk) for blk in blocks]
-        return lambda p: tuple([s(p) for s in sums])
-
-    def weigher(self, weights):
-        """(fn, bits): fn(p) is the weighted degree sum_i weights[i] e_i
-        less its least possible value, so it lies in [0, 2^bits).  Each
-        class of fields, spread into wide fields, is multiplied by the
-        weights in reverse field order: the middle wide field of the product
-        is the weighted sum, and no wide field carries into it.  A negative
-        weight acts as its absolute value on the complemented field."""
-        f, n = self.field, self.nvars
-        flip = self.mask([i for i, w in enumerate(weights) if w < 0]) & ~self.guard
-        ws = [abs(w) for w in weights]
-        top = self.bound * sum(ws)
-        c, G, E = self._classes(top, False)
-        m = max(-(-n // c), 1)
-        parts = []
-        for r in range(c):
-            W = sum(ws[n - 1 - j] << G * (m - 1 - j // c) for j in range(r, n, c))
-            if W:
-                parts.append((f * r, W))
-        sh, mod, bits = G * (m - 1), (1 << G) - 1, top.bit_length()
-        if len(parts) == 2 and not flip:  # the common case, unrolled
-            (s0, W0), (s1, W1) = parts
-            return (lambda p: (((p >> s0) & E) * W0 + ((p >> s1) & E) * W1) >> sh & mod), bits
-
-        def fn(p):
-            p ^= flip
-            out = 0
-            for s, W in parts:
-                out += ((p >> s) & E) * W
-            return (out >> sh) & mod
-
-        return fn, bits
-
-    def reverse(self, p: int) -> int:
-        """The fields of p in reverse order."""
-        p = int.from_bytes(p.to_bytes(self.nvars * self.width, "big"), "little")
-        for s, low in self._swaps:
-            p = ((p & low) << s) | ((p >> s) & low)
-        return p
-
-    def runs(self, positions) -> list:
-        """The moves that gather the fields of p at ``positions``, in that
-        order, into a monomial of ``restrict(len(positions))``: a triple
-        (src, low, dst) per run of consecutive positions, the run being
-        (p >> src) & low placed at bit dst."""
-        f, n, m = self.field, self.nvars, len(positions)
-        out = []
-        k = 0
-        while k < m:
-            size = 1
-            while k + size < m and positions[k + size] == positions[k] + size:
-                size += 1
-            out.append((f * (n - positions[k] - size), (1 << f * size) - 1, f * (m - k - size)))
-            k += size
-        return out
-
-    def gatherer(self, positions):
-        """p -> the fields of p at ``positions``, in that order, as a
-        monomial of ``restrict(len(positions))``: one shift and mask per run
-        of consecutive positions (``runs``)."""
-        if tuple(positions) == tuple(range(self.nvars)):
-            return lambda p: p
-        runs = self.runs(positions)
-        if len(runs) == 1:
-            src, low, _ = runs[0]
-            return lambda p: (p >> src) & low
-
-        def gather(p):
-            out = 0
-            for src, low, dst in runs:
-                out |= ((p >> src) & low) << dst
-            return out
-
-        return gather
-
-    def restrict(self, nvars: int) -> "_Packing":
-        """A packing of the same width over ``nvars`` variables."""
-        return _packing(nvars, self.width)
-
-    def order_key(self, order: TermOrder):
-        """p -> the key of ``order`` on packed monomials
-        (``order.packed_key``), compiled once per packing."""
-        fn = self._keys.get(order)
-        if fn is None:
-            fn = self._keys[order] = order.packed_key(self)[0]
-        return fn
-
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise maximum: a field of (a | guard) - b keeps its guard bit
-        exactly when a's exponent is at least b's."""
-        ge = ((a | self.guard) - b) & self.guard
-        take_a = ge - (ge >> (8 * self.width - 1))
-        return (a & take_a) | (b & ~take_a)
-
-    def overflow(self) -> _PackingOverflow:
-        return _PackingOverflow(f"exponent above the packing bound {self.bound}")
-
-
-@functools.cache
-def _packing(nvars: int, width: int) -> _Packing:
-    """The one packing of its shape: a packing holds only constants and the
-    keys compiled on it, so every table of that shape shares it, and an
-    order's key is compiled once per process."""
-    return _Packing(nvars, width)
-
-
-def _widening(run, nvars: int):
-    """``run(packing)`` with one-byte fields, run again with fields twice as
-    wide whenever a monomial overflows them.  Nothing the kernel decides
-    depends on the width, so the result is the one a wide enough first
-    packing would give."""
-    width = 1
-    while True:
-        try:
-            return run(_packing(nvars, width))
-        except _PackingOverflow:
-            width *= 2
+# the reduction kernel
 
 
 class _Reducers:
@@ -487,22 +263,8 @@ class _Reducers:
 
     def lead(self, f: MPoly):
         """Negated order key (as ``key``) of the leading monomial of the
-        nonzero f, the least among its packed terms.  The leading term is
-        recorded on f, so ``MPoly.leading_term`` reads it back."""
-        cache = f._lt
-        if cache is None:
-            cache = f._lt = {}
-        hit = cache.get(self.order)
-        if hit is not None:
-            return self.key(self.pk.pack(hit[1]))
-        pack, key = self.pk.pack, self.key
-        best = lm = None
-        for m in f.terms:
-            k = key(pack(m))
-            if lm is None or k < best:
-                best, lm = k, m
-        cache[self.order] = (f.terms[lm], lm)
-        return best
+        nonzero f (``MPoly.leading_term``)."""
+        return self.key(self.pk.pack(f.leading_term(self.order)[1]))
 
     def pack_poly(self, f: MPoly) -> dict:
         pack = self.pk.pack
@@ -1126,7 +888,7 @@ def _buchberger_field(
                 return {m - c: v for m, v in work.items()}
 
         # smallest leading monomial first (``red.lead`` is negated; the sort
-        # is stable), each found once by the table's key and kept on f
+        # is stable)
         for f in sorted(gens[gb_prefix:], key=red.lead, reverse=True):
             check_cap()
             r = red.reduce(divided(red.pack_poly(f)))

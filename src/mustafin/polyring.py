@@ -3,6 +3,9 @@
 Variables live in a ``VarUniverse``: an immutable, ordered list of names with
 a stable name <-> position bijection.  Monomials are plain exponent tuples
 over that universe; polynomials are dicts monomial -> nonzero coefficient.
+A term order is defined by one integer key on packed monomials (an
+exponent tuple as one int, ``_Packing``), which leading terms, printing
+and the Groebner kernel of ``groebner`` all compare.
 
 Canonical variable names follow the grid convention: ``x[i][j]`` for row i,
 column j, plus ``pi``, parameters ``A[i][j][l]``, ambient coordinates
@@ -120,36 +123,254 @@ def multidegree(mono: tuple, blocks) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+
+class _PackingOverflow(DomainError):
+    """A monomial has an exponent above the bound of its packing."""
+
+
+class _Packing:
+    """Exponent tuples of one length as ints: a field of ``width`` bytes per
+    variable, the first variable in the most significant field.  Exponents
+    stay at most ``bound`` = 2^(8 width - 1) - 1, so the top bit of every
+    field is a guard bit that is clear in every valid monomial.  A product of
+    two valid monomials is their sum (no carry leaves a field), and it is
+    valid exactly when its guard bits are clear; a divides b exactly when
+    b - a is nonnegative with clear guard bits.  Sorting by (degree, packed)
+    sorts by (degree, exponent tuple).
+
+    Every term order below compiles its integer key on packed monomials
+    from the field arithmetic here (``order_key``): degrees and
+    weighted degrees are sums over the fields, the reverse-lex part reverses
+    the fields, and a block order gathers the fields of each of its leaf
+    segments, the reverse-lex ones from one reversal (``runs``).  Every
+    width-dependent constant lives in the packing."""
+
+    __slots__ = (
+        "nvars", "width", "field", "bound", "guard", "degree", "_swaps", "_keys",
+    )
+
+    def __init__(self, nvars: int, width: int = 1):
+        self.nvars, self.width = nvars, width
+        self.field = 8 * width  # bits per field
+        self.bound = (1 << (self.field - 1)) - 1
+        self.guard = int.from_bytes((b"\x80" + bytes(width - 1)) * nvars, "big")
+        self.degree = self._summer(self.mask(range(nvars)))  # p -> total degree
+        # byte swaps inside each field, undoing the byte order that a
+        # whole-int byte reversal leaves there
+        self._swaps = []
+        half = self.field // 2
+        while half >= 8:
+            units = nvars * self.field // (2 * half)
+            low = sum(((1 << half) - 1) << (2 * half * u) for u in range(units))
+            self._swaps.append((half, low))
+            half //= 2
+        self._keys: dict = {}
+
+    def pack(self, mono) -> int:
+        w = self.width
+        try:
+            raw = bytes(mono) if w == 1 else b"".join([e.to_bytes(w, "big") for e in mono])
+        except (ValueError, OverflowError):  # an exponent outside the fields
+            if min(mono) < 0:
+                raise DomainError("negative exponent") from None
+            raise self.overflow() from None
+        p = int.from_bytes(raw, "big")
+        if p & self.guard:
+            raise self.overflow()
+        return p
+
+    def unpack(self, p: int) -> tuple:
+        w = self.width
+        raw = p.to_bytes(self.nvars * w, "big")
+        if w == 1:
+            return tuple(raw)
+        return tuple([int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w)])
+
+    def mask(self, positions) -> int:
+        """Every bit of the fields of the variables at ``positions``."""
+        full, f, n = (1 << self.field) - 1, self.field, self.nvars
+        return sum(full << f * (n - 1 - i) for i in set(positions))
+
+    def _classes(self, top: int, strict: bool):
+        """Split the fields into c = 2^k interleaved classes (every c-th
+        field) so that a field of f * c bits holds ``top`` (less than its
+        all-ones value when ``strict``).  Returns (c, f * c, E), E selecting
+        the fields whose index from the right is a multiple of c."""
+        f, n = self.field, self.nvars
+        c = 1
+        while top >= (1 << f * c) - strict:
+            c *= 2
+        E = sum(((1 << f) - 1) << f * j for j in range(0, n, c))
+        return c, f * c, E
+
+    def _summer(self, mask: int):
+        """p -> the sum of p's fields inside ``mask``: the classes of fields
+        are added into wide fields that cannot carry, and a wide field of G
+        bits is summed by the residue mod 2^G - 1."""
+        f = self.field
+        c, G, E = self._classes(self.bound * self.nvars, True)
+        mod = (1 << G) - 1
+        if c == 1:
+            return lambda p: (p & mask) % mod
+        if c == 2:
+            e0, e1 = E & mask, E & (mask >> f)
+            return lambda p: ((p & e0) + ((p >> f) & e1)) % mod
+        parts = [(f * r, E & (mask >> f * r)) for r in range(c)]
+
+        def fn(p):
+            out = 0
+            for s, e in parts:
+                out += (p >> s) & e
+            return out % mod
+
+        return fn
+
+    def degree_in(self, positions):
+        """p -> p's total degree in the variables at ``positions``."""
+        return self._summer(self.mask(positions))
+
+    def block_degrees(self, blocks):
+        """p -> the tuple of p's degrees in the variables of each block."""
+        sums = [self.degree_in(blk) for blk in blocks]
+        return lambda p: tuple([s(p) for s in sums])
+
+    def weigher(self, weights):
+        """(fn, bits): fn(p) is the weighted degree sum_i weights[i] e_i
+        less its least possible value, so it lies in [0, 2^bits).  Each
+        class of fields, spread into wide fields, is multiplied by the
+        weights in reverse field order: the middle wide field of the product
+        is the weighted sum, and no wide field carries into it.  A negative
+        weight acts as its absolute value on the complemented field."""
+        f, n = self.field, self.nvars
+        flip = self.mask([i for i, w in enumerate(weights) if w < 0]) & ~self.guard
+        ws = [abs(w) for w in weights]
+        top = self.bound * sum(ws)
+        c, G, E = self._classes(top, False)
+        m = max(-(-n // c), 1)
+        parts = []
+        for r in range(c):
+            W = sum(ws[n - 1 - j] << G * (m - 1 - j // c) for j in range(r, n, c))
+            if W:
+                parts.append((f * r, W))
+        sh, mod, bits = G * (m - 1), (1 << G) - 1, top.bit_length()
+        if len(parts) == 2 and not flip:  # the common case, unrolled
+            (s0, W0), (s1, W1) = parts
+            return (lambda p: (((p >> s0) & E) * W0 + ((p >> s1) & E) * W1) >> sh & mod), bits
+
+        def fn(p):
+            p ^= flip
+            out = 0
+            for s, W in parts:
+                out += ((p >> s) & E) * W
+            return (out >> sh) & mod
+
+        return fn, bits
+
+    def reverse(self, p: int) -> int:
+        """The fields of p in reverse order."""
+        p = int.from_bytes(p.to_bytes(self.nvars * self.width, "big"), "little")
+        for s, low in self._swaps:
+            p = ((p & low) << s) | ((p >> s) & low)
+        return p
+
+    def runs(self, positions) -> list:
+        """The moves that gather the fields of p at ``positions``, in that
+        order, into a monomial of ``restrict(len(positions))``: a triple
+        (src, low, dst) per run of consecutive positions, the run being
+        (p >> src) & low placed at bit dst."""
+        f, n, m = self.field, self.nvars, len(positions)
+        out = []
+        k = 0
+        while k < m:
+            size = 1
+            while k + size < m and positions[k + size] == positions[k] + size:
+                size += 1
+            out.append((f * (n - positions[k] - size), (1 << f * size) - 1, f * (m - k - size)))
+            k += size
+        return out
+
+    def gatherer(self, positions):
+        """p -> the fields of p at ``positions``, in that order, as a
+        monomial of ``restrict(len(positions))``: one shift and mask per run
+        of consecutive positions (``runs``)."""
+        if tuple(positions) == tuple(range(self.nvars)):
+            return lambda p: p
+        runs = self.runs(positions)
+        if len(runs) == 1:
+            src, low, _ = runs[0]
+            return lambda p: (p >> src) & low
+
+        def gather(p):
+            out = 0
+            for src, low, dst in runs:
+                out |= ((p >> src) & low) << dst
+            return out
+
+        return gather
+
+    def restrict(self, nvars: int) -> "_Packing":
+        """A packing of the same width over ``nvars`` variables."""
+        return _packing(nvars, self.width)
+
+    def order_key(self, order: TermOrder):
+        """p -> the key of ``order`` on packed monomials
+        (``order.packed_key``), compiled once per packing."""
+        fn = self._keys.get(order)
+        if fn is None:
+            fn = self._keys[order] = order.packed_key(self)[0]
+        return fn
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum: a field of (a | guard) - b keeps its guard bit
+        exactly when a's exponent is at least b's."""
+        ge = ((a | self.guard) - b) & self.guard
+        take_a = ge - (ge >> (8 * self.width - 1))
+        return (a & take_a) | (b & ~take_a)
+
+    def overflow(self) -> _PackingOverflow:
+        return _PackingOverflow(f"exponent above the packing bound {self.bound}")
+
+
+@functools.cache
+def _packing(nvars: int, width: int) -> _Packing:
+    """The one packing of its shape: a packing holds only constants and the
+    keys compiled on it, so every table of that shape shares it, and an
+    order's key is compiled once per process."""
+    return _Packing(nvars, width)
+
+
+def _widening(run, nvars: int):
+    """``run(packing)`` with one-byte fields, run again with fields twice as
+    wide whenever a monomial overflows them.  Nothing a run decides
+    depends on the width, so the result is the one a wide enough first
+    packing would give."""
+    width = 1
+    while True:
+        try:
+            return run(_packing(nvars, width))
+        except _PackingOverflow:
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
 # term orders
 
 
 class TermOrder:
     """Total order on exponent tuples with 1 minimal and translation
-    invariance.  Concrete orders supply ``key``, a flat tuple of ints of
-    fixed length (larger key = larger monomial), and ``packed_key``, the
-    same comparison as one int on packed monomials, which is the only key
-    the Groebner kernel uses."""
+    invariance.  ``packed_key`` is its definition: leading terms, printing
+    and the Groebner kernel all compare monomials by it."""
 
     name = "order"
 
-    def key(self, mono: tuple):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def packed_key(self, pk):  # pragma: no cover - abstract
-        """``key`` as one int on the monomials packed by ``pk`` (a
-        ``groebner._Packing``), built from its field arithmetic: a pair
-        (fn, bits) with 0 <= fn(p) < 2^bits, and fn(p) < fn(q) exactly when
-        key(unpack(p)) < key(unpack(q))."""
+        """The order as one int on the monomials packed by ``pk`` (a
+        ``_Packing``), built from its field arithmetic: a pair (fn, bits)
+        with 0 <= fn(p) < 2^bits, and p below q in the order exactly when
+        fn(p) < fn(q)."""
         raise NotImplementedError
-
-    def compare(self, m1: tuple, m2: tuple) -> int:
-        if len(m1) != len(m2):
-            raise UniverseError("monomials from different universes")
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
-
-    def sorted_desc(self, monos):
-        return sorted(monos, key=self.key, reverse=True)
 
 
 def _degrevlex_parts(pk):
@@ -168,11 +389,6 @@ class Lex(TermOrder):
     perm: tuple[int, ...] | None = None
     name: str = "lex"
 
-    def key(self, mono):
-        if self.perm is None:
-            return mono
-        return tuple(mono[i] for i in self.perm)
-
     def packed_key(self, pk):
         # the first variable sits in the most significant field
         perm = range(pk.nvars) if self.perm is None else self.perm
@@ -185,9 +401,6 @@ class DegRevLex(TermOrder):
 
     name: str = "degrevlex"
 
-    def key(self, mono):
-        return (sum(mono), *[-e for e in reversed(mono)])
-
     def packed_key(self, pk):
         degree, reverse, low, bits = _degrevlex_parts(pk)
         full = (1 << low) - 1
@@ -199,20 +412,11 @@ class Block(TermOrder):
     """Block order: compare segment by segment with per-segment suborders.
 
     ``segments`` is a tuple of (positions, suborder) pairs covering a subset
-    of the universe; remaining variables form an implicit final degrevlex
-    segment if ``rest`` is given.
+    of the universe; the variables of no segment take no part.
     """
 
     segments: tuple[tuple[tuple[int, ...], TermOrder], ...]
     name: str = "block"
-
-    def key(self, mono):
-        # segment keys have fixed lengths, so concatenating them compares
-        # segment by segment
-        out: list = []
-        for idx, sub in self.segments:
-            out.extend(sub.key(tuple([mono[i] for i in idx])))
-        return tuple(out)
 
     def _leaves(self, positions=None):
         """The segments with every nested block opened, most significant
@@ -252,7 +456,7 @@ class Block(TermOrder):
             bits += compiled[1]
         reverse, full = pk.reverse, (1 << f * n) - 1
 
-        def key(p):
+        def flat_key(p):
             out = 0
             if runs:
                 c = full ^ reverse(p)
@@ -264,7 +468,7 @@ class Block(TermOrder):
                 out |= fn(gather(p)) << at
             return out
 
-        return key, bits
+        return flat_key, bits
 
 
 @dataclass(frozen=True)
@@ -273,10 +477,6 @@ class WeightedOrder(TermOrder):
 
     weights: tuple[int, ...]
     name: str = "weighted"
-
-    def key(self, mono):
-        w = sum(a * b for a, b in zip(mono, self.weights))
-        return (w, sum(mono), *[-e for e in reversed(mono)])
 
     def packed_key(self, pk):
         weight, wbits = pk.weigher(self.weights)
@@ -300,10 +500,6 @@ class WeightedPiOrder(TermOrder):
     pi_index: int
     name: str = "wpi"
 
-    def key(self, mono):
-        w = sum(a * b for a, b in zip(mono, self.weights))
-        return (w, -mono[self.pi_index], sum(mono), *[-e for e in reversed(mono)])
-
     def packed_key(self, pk):
         weight, wbits = pk.weigher(self.weights)
         degree, reverse, low, bits = _degrevlex_parts(pk)
@@ -324,6 +520,17 @@ def default_order(universe: VarUniverse) -> TermOrder:
     pi = universe.index("pi")
     rest = tuple(i for i in range(universe.nvars) if i != pi)
     return Block(((rest, DegRevLex()), ((pi,), DegRevLex())), name="grevlex-pi-last")
+
+
+def _by_order(pick, monos, order: TermOrder, nvars: int):
+    """``pick(monos, key=...)`` (``max`` or a sort) with the packed key of
+    ``order``, under ``_widening``."""
+
+    def run(pk):
+        pack, key = pk.pack, pk.order_key(order)
+        return pick(monos, key=lambda m: key(pack(m)))
+
+    return _widening(run, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +673,7 @@ class MPoly:
             self._lt = cache
         hit = cache.get(order)
         if hit is None:
-            m = max(self.terms, key=order.key)
+            m = _by_order(max, self.terms, order, self.universe.nvars)
             hit = (self.terms[m], m)
             cache[order] = hit
         return hit
@@ -834,10 +1041,10 @@ def _format_coeff(domain, c) -> tuple[str, bool]:
 def format_poly(f: MPoly, order: TermOrder | None = None) -> str:
     if not f.terms:
         return "0"
-    order = order or DegRevLex()
     names = f.universe.names
+    descending = functools.partial(sorted, reverse=True)
     out = ""
-    for m in order.sorted_desc(f.terms):
+    for m in _by_order(descending, f.terms, order or DegRevLex(), len(names)):
         c = f.terms[m]
         factors = [
             (names[i] + (f"^{e}" if e > 1 else "")) for i, e in enumerate(m) if e
@@ -1013,10 +1220,9 @@ class Ideal:
     def is_monomial(self) -> bool:
         return all(g.is_monomial() for g in self.generators)
 
-    def groebner_basis(self, order: TermOrder | None = None, *, cap_seconds=None):
+    def groebner_basis(self, order: TermOrder, *, cap_seconds=None):
         from . import groebner  # local import to avoid a cycle
 
-        order = order or DegRevLex()
         if order not in self._gb_cache:
             self._gb_cache[order] = tuple(
                 groebner.buchberger(

@@ -1,4 +1,4 @@
-import collections
+import functools
 import itertools
 import math
 import operator
@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
+import order_oracle
 from pi_euclid import divides, extended_gcd
 
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
@@ -27,10 +28,8 @@ from mustafin.groebner import (
     ResourceCapExceeded,
     saturate,
     _HilbertGate,
-    _Packing,
     _Reducers,
     _gm_update,
-    _widening,
     compositions,
     divide_var_power,
     field_normalize,
@@ -53,6 +52,8 @@ from mustafin.polyring import (
     mono_divides,
     multidegree,
     parse_poly,
+    _Packing,
+    _widening,
 )
 
 F = GF(32003)
@@ -980,7 +981,8 @@ def criteria_case(draw):
         g = G[draw(st.integers(0, len(G) - 1))]
         lm = g.leading_term(order)[1]
         unit = draw(st.sampled_from(UNITS7))
-        below = {m: c for m, c in draw(poly).terms.items() if order.key(m) < order.key(lm)}
+        okey = functools.partial(order_oracle.key, order)
+        below = {m: c for m, c in draw(poly).terms.items() if okey(m) < okey(lm)}
         G = G + [g.scale(unit) + MPoly(UR, R7, below)]
     return order, G
 
@@ -1360,7 +1362,8 @@ class StandardSetGate:
     monomials instead."""
 
     def __init__(self, pk, nvars, blocks, target):
-        from mustafin.groebner import _BoxMonomials, _packing
+        from mustafin.groebner import _BoxMonomials
+        from mustafin.polyring import _packing
 
         self.monos = _BoxMonomials(pk, nvars, blocks)
         self.target, self.multidegree = target, pk.block_degrees(blocks)
@@ -1540,9 +1543,10 @@ def test_packed_key_orders_monomials_as_the_tuple_key(case):
     keys = [fn(pk.pack(m)) for m in monos]
     assert all(isinstance(k, int) and 0 <= k < 1 << bits for k in keys)
     assert [pk.order_key(order)(pk.pack(m)) for m in monos] == keys
+    okey = functools.partial(order_oracle.key, order)
     for a, ka in zip(monos, keys):
         for b, kb in zip(monos, keys):
-            assert sign(ka, kb) == sign(order.key(a), order.key(b))
+            assert sign(ka, kb) == sign(okey(a), okey(b))
     for m in monos:
         assert pk.degree(pk.pack(m)) == sum(m)
 
@@ -1575,34 +1579,8 @@ def test_specialization_blocks_sort_as_their_tuple_keys(width):
     monos = list(itertools.product([0, 1, 2, pk.bound], repeat=5))
     for order in specialization_blocks():
         fn = pk.order_key(order)
-        assert sorted(monos, key=lambda m: fn(pk.pack(m))) == sorted(monos, key=order.key)
-
-
-def test_kernel_keys_never_call_the_tuple_key(monkeypatch):
-    calls = collections.Counter()
-    nvars = 5
-    for cls in (Lex, DegRevLex, Block, WeightedOrder, WeightedPiOrder):
-        def counted(self, mono, _key=cls.key, _name=cls.__name__):
-            calls[_name] += 1
-            return _key(self, mono)
-        monkeypatch.setattr(cls, "key", counted)
-    orders = [
-        Lex(),
-        Lex((4, 0, 2, 1, 3)),
-        DegRevLex(),
-        WeightedOrder((3, 0, 1, 2, 5)),
-        WeightedPiOrder((1, 2, 3, 4, 1), 2),
-        Block((((3, 1), DegRevLex()), ((), Lex()), ((0, 4, 2), WeightedPiOrder((2, 1, 1), 1)))),
-    ]
-    orders += specialization_blocks()
-    uni = VarUniverse(tuple(f"v{i}" for i in range(nvars)))
-    for width in (1, 2, 4):
-        pk = _Packing(nvars, width)
-        for order in orders:
-            red = _Reducers(order, uni, F, pk)
-            for m in itertools.product([0, 1, pk.bound], repeat=nvars):
-                red.key(pk.pack(m))
-    assert not calls
+        okey = functools.partial(order_oracle.key, order)
+        assert sorted(monos, key=lambda m: fn(pk.pack(m))) == sorted(monos, key=okey)
 
 
 @st.composite
@@ -1648,10 +1626,34 @@ def test_a_nested_block_keys_as_its_flattened_form(case):
     keys = [fn(pk.pack(m)) for m in monos]
     assert keys == [flat_fn(pk.pack(m)) for m in monos]
     assert all(0 <= k < 1 << bits for k in keys)
+    okey = functools.partial(order_oracle.key, nested)
     for a, ka in zip(monos, keys):
-        assert nested.key(a) == flat.key(a)
+        assert okey(a) == order_oracle.key(flat, a)
         for b, kb in zip(monos, keys):
-            assert sign(ka, kb) == sign(nested.key(a), nested.key(b))
+            assert sign(ka, kb) == sign(okey(a), okey(b))
+
+
+@st.composite
+def ordered_polys(draw):
+    """(order, f): an order of ``polyring_orders`` or a nested block, and a
+    polynomial with coefficient one whose exponents lie on both sides of
+    the one-byte packing bound 127."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.one_of(polyring_orders(n), nested_blocks(tuple(range(n))).map(lambda b: b[0])))
+    exps = st.one_of(st.integers(0, 3), st.integers(125, 130), st.integers(0, 300))
+    monos = draw(st.lists(st.tuples(*[exps] * n), min_size=1, max_size=8, unique=True))
+    uni = VarUniverse(tuple(f"v{i}" for i in range(n)))
+    return order, MPoly(uni, F, {m: F.one for m in monos})
+
+
+@given(ordered_polys())
+@settings(max_examples=300, deadline=None)
+def test_leading_terms_and_printing_follow_the_tuple_key(case):
+    order, f = case
+    okey = functools.partial(order_oracle.key, order)
+    assert f.leading_term(order) == (F.one, max(f.terms, key=okey))
+    desc = sorted(f.terms, key=okey, reverse=True)
+    assert f.text(order) == " + ".join(MPoly.term(f.universe, F, F.one, m).text() for m in desc)
 
 
 def old_gm_update(red, pairs, t):
@@ -1771,7 +1773,7 @@ def skip_interreduce(G, order):
     """The interreduction that reduced each whole minimal element against
     a table of the others, kept as the oracle: minimal elements by
     tuple-key leading monomials, sorted the same way."""
-    okey = order.key
+    okey = functools.partial(order_oracle.key, order)
     items = sorted([g for g in G if g], key=lambda g: okey(g.leading_term(order)[1]))
     if not items:
         return []

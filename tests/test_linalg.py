@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mustafin import groebner
+from mustafin import polyring
 from mustafin.acceptance import _la_membership, _monos_up_to, _zfree_span
 from mustafin.coeffs import GF, QQ, DomainError, PiRing
-from mustafin.groebner import _Echelon, _packing, linear_relations, span_member
-from mustafin.polyring import MPoly, VarUniverse
+from mustafin.groebner import _Echelon, linear_relations, span_member
+from mustafin.polyring import MPoly, VarUniverse, _packing
 from mustafin.syzygy import _adjugate
 from mustafin.varieties import LatticeConfig, _det, random_config
 
@@ -322,7 +322,7 @@ def test_exponents_past_one_byte_widen_the_packing(monkeypatch):
         widths.append(width)
         return _packing(nvars, width)
 
-    monkeypatch.setattr(groebner, "_packing", spy)
+    monkeypatch.setattr(polyring, "_packing", spy)
     uni = VarUniverse(("x",))
     x7, xq = MPoly.var(uni, F7, "x"), MPoly.var(uni, QQ, "x")
     g7 = x7 * x7 + MPoly.const(uni, F7, 1)

@@ -24,6 +24,7 @@ from mustafin.polyring import (
     parse_poly,
     to_pi_coefficients,
 )
+from order_oracle import compare, key
 from substitution_oracle import substitute
 
 F = GF(32003)
@@ -45,12 +46,12 @@ def test_universe_uniqueness_and_lookup():
 def test_compare_examples():
     lex = Lex()
     # x vs y^2 under lex with x > y
-    assert lex.compare((1, 0), (0, 2)) == 1
-    assert lex.compare((1, 1), (1, 1)) == 0
+    assert compare(lex, (1, 0), (0, 2)) == 1
+    assert compare(lex, (1, 1), (1, 1)) == 0
     # 1 vs x: the empty monomial is minimal
-    assert lex.compare((0, 0), (1, 0)) == -1
+    assert compare(lex, (0, 0), (1, 0)) == -1
     with pytest.raises(UniverseError):
-        lex.compare((1, 0), (1, 0, 0))
+        compare(lex, (1, 0), (1, 0, 0))
 
 
 def test_leading_term_examples():
@@ -110,16 +111,16 @@ orders = st.sampled_from(
 
 @given(orders, mono3, mono3, mono3)
 def test_order_axioms(order, a, b, c):
-    assert order.compare(a, b) == -order.compare(b, a)
-    if order.compare(a, b) >= 0 and order.compare(b, c) >= 0:
-        assert order.compare(a, c) >= 0
+    assert compare(order, a, b) == -compare(order, b, a)
+    if compare(order, a, b) >= 0 and compare(order, b, c) >= 0:
+        assert compare(order, a, c) >= 0
     shift = tuple(x + y for x, y in zip(a, c))
     shift2 = tuple(x + y for x, y in zip(b, c))
-    assert order.compare(a, b) == order.compare(shift, shift2)
+    assert compare(order, a, b) == compare(order, shift, shift2)
     if a != (0, 0, 0):
-        assert order.compare(a, (0, 0, 0)) == 1
+        assert compare(order, a, (0, 0, 0)) == 1
     # every order here keys by a flat tuple of ints of one length
-    ka, kb = order.key(a), order.key(b)
+    ka, kb = key(order, a), key(order, b)
     assert all(type(x) is int for x in ka + kb) and len(ka) == len(kb)
 
 
@@ -198,7 +199,7 @@ def test_default_order_puts_pi_last():
     uni = VarUniverse(("x", "pi"))
     order = default_order(uni)
     # x beats any power of pi
-    assert order.compare((1, 0), (0, 5)) == 1
+    assert compare(order, (1, 0), (0, 5)) == 1
 
 
 def test_ideal_cache_is_per_order():
