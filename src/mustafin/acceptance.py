@@ -91,7 +91,7 @@ def criterion_1(ctx, quick=False):
 
 def criterion_2(ctx, quick=False):
     t0 = time.monotonic()
-    exp = varieties.expected_fibre_d4(3, FIELD)
+    exp = varieties.expected_fibre_d4(FIELD)
     inter = varieties.expected_intersection(4, 3, FIELD)
     elapsed = time.monotonic() - t0
     exp_texts = [g.text() for g in exp.generators]
@@ -280,7 +280,7 @@ def criterion_5(ctx, quick=False):
         I = Ideal(gens, uni, dom)
         gb = list(I.groebner_basis(order))
         # GB idempotence
-        gb2 = buchberger(list(gb), order, universe=uni, domain=dom)
+        gb2 = buchberger(list(gb), order)
         if [g.leading_term(order)[1] for g in gb] != [
             g.leading_term(order)[1] for g in gb2
         ]:
@@ -338,7 +338,7 @@ def criterion_5(ctx, quick=False):
         gens = [g for g in (_random_poly(rng, uni, FIELD, max_deg=2, terms=3) for _ in range(2)) if g]
         if not gens:
             continue
-        gb = buchberger(list(gens), order, universe=uni, domain=FIELD)
+        gb = buchberger(list(gens), order)
         for label, G in (("basis", gb), ("generators", gens), ("dropped", gb[:-1])):
             lifted = [g.map_coeffs(ring.from_base, ring) for g in G]
             if is_groebner(lifted, order)[0] != is_groebner(G, order)[0]:
@@ -580,7 +580,7 @@ def criterion_8(ctx, quick=False):
 
 def criterion_9(ctx, quick=False):
     checks = {}
-    exp = varieties.expected_fibre_d4(3, FIELD)
+    exp = varieties.expected_fibre_d4(FIELD)
     checks["expected_fibre_d4"] = varieties.borel_fixed_check(exp, 4, 3)
     for n in (2, 3):
         inter = varieties.expected_intersection(3, n, FIELD)

@@ -34,7 +34,7 @@ from . import varieties
 from . import degeneration
 from . import specialize as spec_mod
 from . import syzygy as syz_mod
-from .polyring import default_order, parse_poly
+from .polyring import DegRevLex, default_order, parse_poly
 
 
 def _resolve_field(field_flag, config_data):
@@ -271,7 +271,7 @@ def mustafin_borel(config_path, seed, field_flag, out_path, cap_mb):
         "verdict": "pass" if ok else "fail",
     }
     if cfg.d == 4 and cfg.n == 3:
-        exp = varieties.expected_fibre_d4(3, cfg.field)
+        exp = varieties.expected_fibre_d4(cfg.field)
         report["explicit_family_matches"] = sorted(
             g.text() for g in exp.generators
         ) == sorted(g.text() for g in inter.generators)
@@ -336,7 +336,8 @@ def degen_model(curve_path, config_path, seed, field_flag, out_path, cap_seconds
 @_curve_opt
 @_options("config", "seed", "field", "out", "cap-seconds", "cap-mb")
 def degen_fibre(curve_path, config_path, seed, field_flag, out_path, cap_seconds, cap_mb):
-    """Special fibre of the model of the subvariety."""
+    """Special fibre of the model of the subvariety, as its reduced
+    degrevlex basis."""
     _apply_mem_cap(cap_mb)
     cfg, _ = _config_from_flags(config_path, field_flag, seed)
     X = _load_curve(curve_path, cfg)
@@ -347,7 +348,7 @@ def degen_fibre(curve_path, config_path, seed, field_flag, out_path, cap_seconds
     _emit(
         {
             "config": cfg.to_dict(),
-            "generators": sorted(g.text() for g in fib.generators),
+            "generators": sorted(g.text() for g in fib.groebner_basis(DegRevLex())),
             "verdict": "pass",
         },
         out_path,
@@ -445,10 +446,6 @@ def spec_obstructions(gens_path, config_path, field_flag, out_path, cap_seconds,
         shape = None
     else:
         cfg, _ = _config_from_flags(config_path, field_flag, None)
-        if cfg.d > 3 or cfg.n > 2:
-            raise SystemExit(
-                _usage_error("symbolic runs are capped at d<=3, n<=2; larger cases are certified statistically (see `spec check`)")
-            )
         gens, elem = _symbolic_minors(cfg)
         shape = (cfg.d, cfg.n)
     obs = spec_mod.obstruction_polynomials(gens, elem, cap_seconds=cap_seconds)

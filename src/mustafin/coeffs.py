@@ -101,9 +101,6 @@ class Rationals:
     def parse(self, s: str):
         return Fraction(s)
 
-    def sort_key(self, a):
-        return (a.numerator, a.denominator)
-
     def __repr__(self):
         return "Q"
 
@@ -162,9 +159,6 @@ class PrimeField:
 
     def parse(self, s: str):
         return int(s) % self.p
-
-    def sort_key(self, a):
-        return a
 
     def __repr__(self):
         return self.name
@@ -370,10 +364,6 @@ class PiRing:
             raise DomainError("inexact division in " + self.name)
         return q
 
-    def is_unit(self, f) -> bool:
-        """Units of the polynomial ring itself: nonzero constants."""
-        return len(f) == 1
-
     def pi_valuation(self, f) -> int:
         if not f:
             raise DomainError("valuation of zero undefined")
@@ -399,14 +389,6 @@ class PiRing:
         if self.pi_valuation(f) < k:
             raise DomainError("inexact division by pi^%d" % k)
         return tuple(f[k:])
-
-    def inv(self, f):
-        if not self.is_unit(f):
-            raise DomainError(f"{self.format(f)} is not a unit of {self.name}")
-        return (self.base.inv(f[0]),)
-
-    def random(self, rng, max_degree: int = 0):
-        return self._trim([self.base.random(rng) for _ in range(max_degree + 1)])
 
     # text form: sum of "c*pi^k" with k ascending, e.g. "3 + 5*pi^2"
     def format(self, f) -> str:
@@ -463,9 +445,6 @@ class PiRing:
         for k, c in coeffs.items():
             out[k] = c
         return self._trim(out)
-
-    def sort_key(self, f):
-        return (len(f), tuple(self.base.sort_key(c) for c in f))
 
     def __repr__(self):
         return self.name

@@ -62,11 +62,16 @@ the configuration mixes pi powers, the generators are not
 weight-homogeneous, and ``saturate`` takes its elimination route on the
 generators of S plus the lifts.
 
-Reducing the model mod pi gives its special fibre.  ``support_analysis``
-locates that fibre inside the stratification of the ambient fibre by the
-component vectors: level l keeps the vectors with support of size at most
-l, and delta is the least level whose monomial intersection ideal is
-radically contained in the fibre ideal.
+``special_fibre_of_model`` reads the fibre off the model by the same
+route as the ambient fibre, ``varieties.special_fibre``: on the fast path
+the model's basis mod pi is already the reduced fibre basis under
+``fibre_weight_order``; on the elimination route a basis over the residue
+field is computed from it.  The fibre's reduced degrevlex basis is what
+``degen fibre`` prints.  ``support_analysis`` locates that fibre inside
+the stratification of the ambient fibre by the component vectors: level l
+keeps the vectors with support of size at most l, and delta is the least
+level whose monomial intersection ideal is radically contained in the
+fibre ideal.
 
 A time cap applies to a whole command: ``support_analysis`` and
 ``special_fibre_of_model`` start one ``Deadline`` and give each inner call
@@ -81,7 +86,6 @@ from dataclasses import dataclass, field
 from .coeffs import DomainError
 from .groebner import (
     Deadline,
-    buchberger,
     compositions,
     hilbert_function,
     intersect_monomial_ideals,
@@ -102,7 +106,7 @@ from .varieties import (
     ideal_Iv,
     fibre_universe,
     mustafin_ideal,
-    reduce_ideal_mod_pi,
+    special_fibre,
 )
 
 
@@ -272,18 +276,17 @@ def special_fibre_of_model(
     cap_seconds: float | None = None,
     saturation: Ideal | None = None,
 ) -> Ideal:
-    """Reduction mod pi of the model of X, over the residue field, as its
-    reduced degrevlex basis.  ``saturation`` goes to ``model_ideal``."""
+    """Reduction mod pi of the model of X, over the residue field: the
+    model's basis read mod pi by ``varieties.special_fibre``, with its
+    reduced degrevlex basis computed and cached, as ``degen fibre`` prints
+    it and the radical queries of ``support_analysis`` start from it.
+    ``saturation`` goes to ``model_ideal``; one time budget covers the
+    phases ``model`` and ``fibre``."""
     deadline = Deadline(cap_seconds)
     model = deadline.run("model", model_ideal, config, X, saturation=saturation)
-    reduced = reduce_ideal_mod_pi(model, config)
-    uni_k, dom = reduced.universe, reduced.domain
-    basis = deadline.run(
-        "fibre", buchberger, list(reduced.generators), DegRevLex(), universe=uni_k, domain=dom
-    )
-    out = Ideal(basis, uni_k, dom)
-    out._gb_cache[DegRevLex()] = tuple(basis)
-    return out
+    fibre = deadline.run("fibre", special_fibre, config, saturation=model)
+    deadline.run("fibre", fibre.groebner_basis, DegRevLex())
+    return fibre
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def _family_ideal(vecs, d, n, domain) -> Ideal:
     if not vecs:
         one = MPoly.const(uni, domain, domain.one)
         return Ideal([one], uni, domain)
-    return intersect_monomial_ideals([ideal_Iv(v, n, uni, domain) for v in vecs])
+    return intersect_monomial_ideals([ideal_Iv(v, uni, domain) for v in vecs])
 
 
 def _radically_contains(J: Ideal, F: Ideal, known: dict, deadline: Deadline, phase: str):

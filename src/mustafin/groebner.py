@@ -783,8 +783,6 @@ def buchberger(
     gens,
     order: TermOrder,
     *,
-    universe: VarUniverse | None = None,
-    domain=None,
     sat_var: int | None = None,
     cap_seconds: float | None = None,
     trace_log: list | None = None,
@@ -794,6 +792,8 @@ def buchberger(
     _tables: dict | None = None,
 ):
     """Groebner basis of <gens> with respect to ``order``, over a field.
+    The ring is the one of the generators: the universe and domain of the
+    first nonzero one, which all the others share.
 
     ``sat_var`` divides every inserted polynomial by its content in that
     variable; with a compatible weighted order this computes a basis of the
@@ -825,8 +825,7 @@ def buchberger(
     gens = [g for g in gens if g]
     if not gens:
         return []
-    universe = universe or gens[0].universe
-    domain = domain or gens[0].domain
+    universe, domain = gens[0].universe, gens[0].domain
     if not getattr(domain, "is_field", False):
         raise DomainError("buchberger needs field coefficients")
     if hilbert is not None:
@@ -1061,11 +1060,11 @@ def _is_groebner_packed(G, members, order, pk, t0, cap_seconds):
     return True, None
 
 
-def fresh_aux_names(universe: VarUniverse, count: int, stem: str = "t") -> list[str]:
+def fresh_aux_names(universe: VarUniverse, count: int) -> list[str]:
     out: list[str] = []
     k = 0
     while len(out) < count:
-        name = f"{stem}[{k}]"
+        name = f"t[{k}]"
         if name not in universe:
             out.append(name)
         k += 1
@@ -1159,8 +1158,6 @@ def saturate(
                 gb = buchberger(
                     gens,
                     worder,
-                    universe=uni,
-                    domain=dom,
                     sat_var=pos,
                     cap_seconds=cap_seconds,
                     trace_log=trace_log,
@@ -1202,10 +1199,7 @@ def eliminate(
     pos = tuple(uni.index(v) for v in var_names)
     rest = tuple(i for i in range(uni.nvars) if uni.names[i] not in targets)
     order = Block(((pos, DegRevLex()), (rest, default_order(small))), name="elim")
-    gb = buchberger(
-        list(I.generators), order, universe=uni, domain=dom,
-        cap_seconds=cap_seconds, trace_log=trace_log,
-    )
+    gb = buchberger(list(I.generators), order, cap_seconds=cap_seconds, trace_log=trace_log)
     kept = [g for g in gb if all(m[p] == 0 for m in g.terms for p in pos)]
     return Ideal([g.relabel(small) for g in kept], small, dom)
 
@@ -1260,8 +1254,6 @@ def radical_membership(f: MPoly, I: Ideal, *, cap_seconds: float | None = None) 
     gb = buchberger(
         gens,
         ext_order,
-        universe=big,
-        domain=I.domain,
         cap_seconds=left,
         reduced=False,
         gb_prefix=len(lifted),

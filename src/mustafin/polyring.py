@@ -1225,13 +1225,7 @@ class Ideal:
 
         if order not in self._gb_cache:
             self._gb_cache[order] = tuple(
-                groebner.buchberger(
-                    list(self.generators),
-                    order,
-                    universe=self.universe,
-                    domain=self.domain,
-                    cap_seconds=cap_seconds,
-                )
+                groebner.buchberger(list(self.generators), order, cap_seconds=cap_seconds)
             )
         return self._gb_cache[order]
 

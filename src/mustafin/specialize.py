@@ -249,7 +249,7 @@ def obstruction_polynomials(
     big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
     order, group_pos = _symbolic_order(big, aux)
     try:
-        gb = Deadline(cap_seconds).run("basis", buchberger, lifted, order, universe=big, domain=dom)
+        gb = Deadline(cap_seconds).run("basis", buchberger, lifted, order)
     except ResourceCapExceeded:
         return ObstructionSet([], True)
     group = set(group_pos)
@@ -325,7 +325,7 @@ def check_specialization(
     else:
         big, (aux,), lifted = _adjoin_inverses(gens[0].universe, gens, [a_elem])
         order, _group = _symbolic_order(big, aux)
-        gb = deadline.run("basis", buchberger, lifted, order, universe=big, domain=dom)
+        gb = deadline.run("basis", buchberger, lifted, order)
 
     # every polynomial below, substituted once with one plan
     a_big = a_elem.relabel(big)

@@ -20,6 +20,7 @@ from .groebner import Deadline, divide_var_power, radical_membership, saturate, 
 from .polyring import (
     Ideal,
     MPoly,
+    Substitution,
     VarUniverse,
     parse_poly,
     to_pi_coefficients,
@@ -92,11 +93,13 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
 
     Returns (h, e) with the value equal to pi^e * h up to multiplication by
     units of the valuation ring; h carries no pi content.  Each block-j
-    variable vector maps to adj(g_j) applied to the ambient coordinates, and
-    each block-j degree contributes a division by det(g_j) = unit * pi^N.
-    When the unit is a base-field constant the division is exact; a
-    pi-dependent unit that does not divide exactly is left in place (same
-    zero locus, and membership predicates are unit-invariant).
+    variable vector maps to adj(g_j) applied to the ambient coordinates, by
+    one ``Substitution`` from the grid universe into the ambient one (pi
+    maps to itself), and each block-j degree contributes a division by
+    det(g_j) = unit * pi^N.  When the unit is a base-field constant the
+    division is exact; a pi-dependent unit that does not divide exactly is
+    left in place (same zero locus, and membership predicates are
+    unit-invariant).
     """
     if config.is_symbolic:
         raise DomainError("substitution needs concrete entries")
@@ -125,24 +128,7 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
                 form = form + adj[r][l] * yvec[l]
             images[f"x[{r + 1}][{j}]"] = form
 
-    out = MPoly.zero(amb, dom)
-    uni = F.universe
-    pow_cache: dict = {}
-    pi_amb = MPoly.var(amb, dom, "pi")
-    for m, c in F.terms.items():
-        term = MPoly.const(amb, dom, c)
-        for pos, e in enumerate(m):
-            if not e:
-                continue
-            name = uni.names[pos]
-            if name == "pi":
-                term = term * pi_amb ** e
-                continue
-            key = (name, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[name] ** e
-            term = term * pow_cache[key]
-        out = out + term
+    out = Substitution(F.universe, dom, images, amb)(F)
     if not out:
         return out, 0
 

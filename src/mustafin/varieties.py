@@ -190,16 +190,15 @@ def _det(matrix, dom):
     return out
 
 
-def random_config(
-    d: int, n: int, n_vec, field, seed: int, *, max_resample: int = 200
-) -> LatticeConfig:
+def random_config(d: int, n: int, n_vec, field, seed: int) -> LatticeConfig:
     """Uniform random matrices over the base field (constant in pi), each
-    resampled until invertible mod pi.  Deterministic per seed."""
+    resampled until invertible mod pi, up to 200 draws.  Deterministic per
+    seed."""
     fld = base_field(field)
     rng = random.Random(("config", seed, d, n, tuple(n_vec)).__repr__())
     mats = []
     for _ in range(n + 1):
-        for _attempt in range(max_resample):
+        for _attempt in range(200):
             mat = [[fld.random(rng) for _ in range(d)] for _ in range(d)]
             if not fld.is_zero(_det(mat, fld)):
                 break
@@ -368,7 +367,9 @@ def special_fibre(
     changes the content, the generators are normalized again.  Otherwise a
     fresh basis over the residue field is computed.  Both steps share one
     time budget, with phases ``saturation`` and ``fibre``.  ``saturation``
-    is the result of ``mustafin_ideal`` when the caller already has it.
+    is a pi-saturation the caller already has: the result of
+    ``mustafin_ideal``, or the model of a subvariety from
+    ``degeneration.model_ideal``, whose fast path uses the same order.
     """
     deadline = Deadline(cap_seconds)
     sat = saturation
@@ -389,14 +390,7 @@ def special_fibre(
         if config.field.characteristic == 0:
             gens = [field_normalize(g, korder) for g in gens]
     else:
-        gens = deadline.run(
-            "fibre",
-            buchberger,
-            list(reduced.generators),
-            korder,
-            universe=reduced.universe,
-            domain=reduced.domain,
-        )
+        gens = deadline.run("fibre", buchberger, list(reduced.generators), korder)
     out = Ideal(gens, reduced.universe, reduced.domain)
     out._gb_cache[korder] = tuple(gens)
     return out
@@ -446,17 +440,14 @@ def component_vectors(d: int, n: int) -> list[ComponentVector]:
     return out
 
 
-def ideal_Iv(vec: ComponentVector, n: int | None = None, universe: VarUniverse | None = None, domain=None) -> Ideal:
-    """I_v = < x[i][j] : 1 <= i <= v_j >, over the grid universe."""
-    d = vec.d
-    n = len(vec.v) - 1 if n is None else n
-    uni = universe or fibre_universe(d, n)
-    dom = domain if domain is not None else base_field({"Fp": 32003})
+def ideal_Iv(vec: ComponentVector, universe: VarUniverse, domain) -> Ideal:
+    """I_v = < x[i][j] : 1 <= i <= v_j >, over the grid universe of ``vec``'s
+    d and n."""
     gens = []
     for j, vj in enumerate(vec.v):
         for i in range(1, vj + 1):
-            gens.append(MPoly.var(uni, dom, f"x[{i}][{j}]"))
-    return Ideal(gens, uni, dom)
+            gens.append(MPoly.var(universe, domain, f"x[{i}][{j}]"))
+    return Ideal(gens, universe, domain)
 
 
 def expected_intersection(d: int, n: int, domain) -> Ideal:
@@ -612,15 +603,12 @@ def fibre_hilbert_tables(config: LatticeConfig, bound: int = 2, fibre: Ideal | N
 # the explicit d=4 fibre
 
 
-def expected_fibre_d4(n: int = 3, domain=None) -> Ideal:
+def expected_fibre_d4(domain) -> Ideal:
     """The explicit generator families of the d=4, n=3 fibre ideal."""
-    if n != 3:
-        raise DomainError("the explicit fibre is stated for n = 3")
-    dom = domain if domain is not None else base_field({"Fp": 32003})
     uni = fibre_universe(4, 3)
 
     def xv(i, j):
-        return MPoly.var(uni, dom, f"x[{i}][{j}]")
+        return MPoly.var(uni, domain, f"x[{i}][{j}]")
 
     gens = []
     rng = range(4)
@@ -636,7 +624,7 @@ def expected_fibre_d4(n: int = 3, domain=None) -> Ideal:
         gens.append(xv(2, i) * xv(3, j) * xv(3, l))
     gens.append(xv(3, 0) * xv(3, 1) * xv(3, 2) * xv(3, 3))
     monos = minimalize_monomials([next(iter(g.terms)) for g in gens])
-    return Ideal([MPoly.term(uni, dom, dom.one, m) for m in sorted(monos)], uni, dom)
+    return Ideal([MPoly.term(uni, domain, domain.one, m) for m in sorted(monos)], uni, domain)
 
 
 # ---------------------------------------------------------------------------

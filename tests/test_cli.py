@@ -495,6 +495,42 @@ def test_spec_obstructions_cap_covers_the_basis(runner, minors_gens, monkeypatch
     assert rep["unit_conditions"] == []
 
 
+def _symbolic_config(tmp_path, d, n):
+    path = tmp_path / f"symbolic-d{d}n{n}.json"
+    path.write_text(
+        json.dumps(
+            {"d": d, "n": n, "n_vec": list(range(1, d)), "field": {"Fp": 32003}, "entries": "symbolic"}
+        )
+    )
+    return str(path)
+
+
+def test_spec_obstructions_runs_past_d3_n2(runner, tmp_path):
+    # no size limit: the symbolic d=4 n=1 minors give their unit
+    # conditions, each a polynomial in the parameters alone
+    res = runner.invoke(spec_group, ["obstructions", "--config", _symbolic_config(tmp_path, 4, 1)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.stdout)
+    assert rep["shape"] == [4, 1] and rep["verdict"] == "pass" and rep["incomplete"] is False
+    assert len(rep["unit_conditions"]) == 17
+    for cond in rep["unit_conditions"]:
+        assert "x[" not in cond and "pi" not in cond and "A[" in cond
+
+
+def test_spec_obstructions_on_a_large_shape_is_bounded_by_its_cap(runner, tmp_path):
+    # d=3 n=3 takes seconds; a tiny cap stops its basis with an honest
+    # incomplete report
+    res = runner.invoke(
+        spec_group,
+        ["obstructions", "--config", _symbolic_config(tmp_path, 3, 3), "--cap-seconds", "0.05"],
+    )
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    rep = json.loads(res.stdout)
+    assert rep["shape"] == [3, 3] and rep["verdict"] == "incomplete"
+    assert rep["unit_conditions"] == []
+
+
 def test_spec_check_cap_bounds_both_calls(runner, minors_gens, tmp_path, monkeypatch):
     # a stubbed engine needs 0.4 s per field-mode call: the obstruction basis
     # fits the 0.6 s cap, and the check reuses it, but the saturation on

@@ -370,7 +370,7 @@ def test_elimination_route_saturate_is_eliminate_of_the_rabinowitsch_system(case
     assert S.generators == eliminate(Ideal(lifted, big, F7), ["t[0]"]).generators
     # the basis cached under the default order is the reduced one
     order = default_order(uni)
-    assert list(S.groebner_basis(order)) == buchberger(list(S.generators), order, universe=uni)
+    assert list(S.groebner_basis(order)) == buchberger(list(S.generators), order)
 
 
 def test_radical_membership_examples():

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 from mustafin import groebner
 from mustafin.coeffs import DomainError, GF
 from mustafin.degeneration import SubvarietyInput, ambient_universe
-from mustafin.groebner import ResourceCapExceeded, buchberger
-from mustafin.polyring import MPoly, default_order
+from mustafin.groebner import ResourceCapExceeded, buchberger, var_content
+from mustafin.polyring import MPoly, default_order, from_pi_element
 from mustafin.syzygy import (
     SyzygyDatum,
+    _adjugate,
     admissibility_certificate,
     curve_cover_check,
     sigma_membership,
     upsilon,
 )
-from mustafin.varieties import LatticeConfig, random_config
+from mustafin.varieties import LatticeConfig, _det, random_config
+from substitution_oracle import substitute
 
 F = GF(32003)
 
@@ -56,6 +58,59 @@ def test_upsilon_profile_errors():
     mixed = grid_var(cfg, "x[1][1]") + grid_var(cfg, "x[1][0]")
     with pytest.raises(DomainError):
         upsilon(mixed, 0, cfg)  # not multihomogeneous
+
+
+@st.composite
+def witness_case(draw):
+    """A random configuration, a factor index i and a multihomogeneous
+    witness of degree 0 in block i, with pi powers in its terms."""
+    d, n = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    cfg = random_config(d, n, tuple(range(1, d)), F, seed=draw(st.integers(0, 40)))
+    i = draw(st.integers(0, n))
+    degs = [0 if j == i else draw(st.integers(0, 2)) for j in range(n + 1)]
+    uni = cfg.universe()
+    w = MPoly.zero(uni, F)
+    for _ in range(draw(st.integers(1, 4))):
+        term = MPoly.const(uni, F, draw(st.integers(1, 32002))) * grid_var(cfg, "pi") ** draw(
+            st.integers(0, 2)
+        )
+        for j, e in enumerate(degs):
+            for _ in range(e):
+                term = term * grid_var(cfg, f"x[{draw(st.integers(1, d))}][{j}]")
+        w = w + term
+    return cfg, i, degs, w
+
+
+@given(witness_case())
+@settings(max_examples=60, deadline=None)
+def test_upsilon_matches_the_per_term_substitution(case):
+    # the per-term oracle with the same images adj(g_j) . y gives the value;
+    # upsilon returns it as pi^e * h divided by prod_j det(g_j)^{deg_j}
+    cfg, i, degs, w = case
+    if not w:
+        return
+    h, e = upsilon(w, i, cfg)
+    amb = ambient_universe(cfg.d)
+    ys = [MPoly.var(amb, F, f"y[{l}]") for l in range(1, cfg.d + 1)]
+    images = {}
+    for j, dj in enumerate(degs):
+        if dj:
+            adj = _adjugate(cfg, j, amb)
+            for r in range(cfg.d):
+                images[f"x[{r + 1}][{j}]"] = sum((a * y for a, y in zip(adj[r], ys)), MPoly.zero(amb, F))
+    value = substitute(w, images, amb)
+    if not value:
+        assert not h and e == 0
+        return
+    ring = cfg.pi_ring
+    unit = ring.one
+    for j, dj in enumerate(degs):
+        for _ in range(dj):
+            unit = ring.mul(unit, _det(cfg.entries[j], ring))
+    pi = MPoly.var(amb, F, "pi")
+    shift = e + sum(cfg.n_vec) * sum(degs)
+    assert shift >= 0 and var_content(h, amb.index("pi")) == 0
+    assert value == pi ** shift * h * from_pi_element(unit, amb, F)
 
 
 def test_sigma_membership_examples():
@@ -148,7 +203,7 @@ def two_auxiliary_cover_check(X, sections):
         gens = [g.relabel(big) for g in base]
         gens.append(one - MPoly.var(big, dom, "t[0]") * MPoly.var(big, dom, f"y[{l}]"))
         gens.append(inv_pi)
-        gb = buchberger(gens, default_order(big), universe=big, domain=dom)
+        gb = buchberger(gens, default_order(big))
         if not any(g.is_constant() for g in gb):
             return False
     return True
