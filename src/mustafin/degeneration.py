@@ -157,7 +157,7 @@ def _lifts(f: MPoly, config: LatticeConfig, uni: VarUniverse) -> list:
     pi), one per b in N^{n+1} with |b| = deg f: the k-th y-factor of each
     monomial, counted in variable order, becomes the matching entry of the
     column form of factor j when b_0 + .. + b_{j-1} <= k < b_0 + .. + b_j.
-    They are read off the entries, as ``minors_ideal`` reads the minors:
+    They are read off the entries, as ``varieties._minors`` reads the minors:
     entry r of the column form of factor j is sum_i G[j][r][i] x[i][j] with
     G = M_j diag(1, pi^{n_1}, ..) over the pi-ring, so a product of entries
     expands into x-monomials with pi-ring coefficients, spread over the

@@ -33,11 +33,11 @@ coefficient and monic tail once per basis, and the working polynomial keeps
 a heap of order keys, so each step finds its largest term without a scan.
 An order key is one int per packed monomial, the order's own definition
 (``_Packing.order_key`` of ``TermOrder.packed_key``), cached per table.  A
-field-mode run sorts its inputs by their leading terms
-(``_Reducers.lead``), and keeps its pending pairs in a dict from pair to
-the lcm of the leading monomials: each lcm is computed once, when the pair
-is made, and the Gebauer-Moeller update and the pair heap read it back
-(``_gm_update``).
+field-mode run packs each input once, sorts the packed inputs by the
+least of their cached negated keys (the leading term's), and keeps its
+pending pairs in a dict from pair to the lcm of the leading monomials:
+each lcm is computed once, when the pair is made, and the Gebauer-Moeller
+update and the pair heap read it back (``_gm_update``).
 In valuation mode the pair criteria read packed leading terms: the
 monomial with the valuation of the leading coefficient in one more field
 (``_Reducers.lts``).  A reduction step there multiplies the working
@@ -260,11 +260,6 @@ class _Reducers:
             k = self._keys[p] = -self._okey(p)
             self._monos[k] = p
         return k
-
-    def lead(self, f: MPoly):
-        """Negated order key (as ``key``) of the leading monomial of the
-        nonzero f (``MPoly.leading_term``)."""
-        return self.key(self.pk.pack(f.leading_term(self.order)[1]))
 
     def pack_poly(self, f: MPoly) -> dict:
         pack = self.pk.pack
@@ -703,31 +698,6 @@ def field_normalize(f: MPoly, order: TermOrder) -> MPoly:
     return f.scale(dom.inv(lc))
 
 
-def var_content(f: MPoly, pos: int) -> int:
-    """Largest e with (variable at pos)^e dividing the nonzero polynomial."""
-    return min(m[pos] for m in f.terms)
-
-
-def divide_var_power(f: MPoly, pos: int, e: int) -> MPoly:
-    if e == 0:
-        return f
-    out = {}
-    for m, c in f.terms.items():
-        mm = list(m)
-        mm[pos] -= e
-        if mm[pos] < 0:
-            raise DomainError("inexact division by variable power")
-        out[tuple(mm)] = c
-    q = MPoly(f.universe, f.domain, out, _clean=True)
-    if f._lt:
-        # a term order is translation invariant: the quotients of the terms
-        # by one monomial compare as the terms do
-        q._lt = {
-            o: (lc, lm[:pos] + (lm[pos] - e,) + lm[pos + 1:]) for o, (lc, lm) in f._lt.items()
-        }
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Buchberger, field mode
 
@@ -886,11 +856,13 @@ def _buchberger_field(
                 c <<= at
                 return {m - c: v for m, v in work.items()}
 
-        # smallest leading monomial first (``red.lead`` is negated; the sort
-        # is stable)
-        for f in sorted(gens[gb_prefix:], key=red.lead, reverse=True):
+        # smallest leading monomial first: a packed input's least negated
+        # key is its leading monomial's (the sort is stable)
+        inputs = [red.pack_poly(f) for f in gens[gb_prefix:]]
+        inputs.sort(key=lambda work: min(map(red.key, work)), reverse=True)
+        for work in inputs:
             check_cap()
-            r = red.reduce(divided(red.pack_poly(f)))
+            r = red.reduce(divided(work))
             if r:
                 red.append_monic(divided(r))
                 _gm_update(red, pairs, len(red.lms) - 1)

@@ -698,14 +698,6 @@ class MPoly:
                 return False
         return True
 
-    def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(self.universe.names[i])
-        return out
-
     # structure maps ------------------------------------------------------
     def map_coeffs(self, fn, new_domain=None):
         dom = new_domain or self.domain
@@ -1023,6 +1015,27 @@ def from_pi_element(c, universe: VarUniverse, dom) -> MPoly:
                 mono[pos] = k
             out[tuple(mono)] = coeff
     return MPoly(universe, dom, out, _clean=True)
+
+
+def pi_content(f: MPoly) -> tuple:
+    """(c, f / pi^c) for the largest c with pi^c dividing f; (0, f) when f
+    is zero or its universe has no pi.  The quotient keeps f's recorded
+    leading terms: a term order is translation invariant, so the quotients
+    of the terms by one monomial compare as the terms do."""
+    if not f or "pi" not in f.universe:
+        return 0, f
+    pos = f.universe.index("pi")
+    c = min(m[pos] for m in f.terms)
+    if not c:
+        return 0, f
+
+    def divided(m):
+        return m[:pos] + (m[pos] - c,) + m[pos + 1:]
+
+    q = MPoly(f.universe, f.domain, {divided(m): v for m, v in f.terms.items()}, _clean=True)
+    if f._lt:
+        q._lt = {o: (lc, divided(lm)) for o, (lc, lm) in f._lt.items()}
+    return c, q
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,8 @@ from .groebner import (
     ResourceCapExceeded,
     _adjoin_inverses,
     buchberger,
-    divide_var_power,
     is_groebner,
     saturate,
-    var_content,
 )
 from .polyring import (
     Block,
@@ -85,6 +83,7 @@ from .polyring import (
     default_order,
     format_poly,
     from_pi_element,
+    pi_content,
     to_pi_coefficients,
 )
 
@@ -191,14 +190,6 @@ def _symbolic_order(uni: VarUniverse, aux: str | None):
     return Block(tuple(segments), name="sym"), top + main
 
 
-def _strip_pi_content(f: MPoly) -> MPoly:
-    if not f or "pi" not in f.universe:
-        return f
-    pos = f.universe.index("pi")
-    c = var_content(f, pos)
-    return divide_var_power(f, pos, c) if c else f
-
-
 # ---------------------------------------------------------------------------
 # obstruction extraction
 
@@ -262,7 +253,7 @@ def obstruction_polynomials(
             for m, c in g.terms.items()
             if all(m[i] == lm[i] for i in group)
         }
-        h = _strip_pi_content(MPoly(big, dom, coeff, _clean=True))
+        h = pi_content(MPoly(big, dom, coeff, _clean=True))[1]
         if not h.is_constant():
             unit.setdefault(h)
     return ObstructionSet(list(unit), False, gb, lifted, gens, a_elem)
@@ -392,15 +383,9 @@ def _first_violation(assignment, obstructions: ObstructionSet) -> str:
     substituted by one ``subst`` call, whose errors are raised first."""
     units = obstructions.unit_conditions
     for cond, val in zip(units, subst(assignment, units)):
-        if (not val) or _pi_valuation_of_poly(val) > 0:
+        if (not val) or pi_content(val)[0] > 0:
             return f"unit condition {format_poly(cond)}"
     return ""
-
-
-def _pi_valuation_of_poly(f: MPoly) -> int:
-    if "pi" not in f.universe:
-        return 0
-    return var_content(f, f.universe.index("pi"))
 
 
 # ---------------------------------------------------------------------------

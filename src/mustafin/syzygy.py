@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeffs import DomainError
-from .groebner import Deadline, divide_var_power, radical_membership, saturate, var_content
+from .groebner import Deadline, radical_membership, saturate
 from .polyring import (
     Ideal,
     MPoly,
     Substitution,
     VarUniverse,
     parse_poly,
+    pi_content,
     to_pi_coefficients,
     from_pi_coefficients,
     from_pi_element,
@@ -142,8 +143,7 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
         det_j = _det(config.entries[j], ring)
         for _ in range(e):
             det_unit = ring.mul(det_unit, det_j)
-    content = var_content(out, amb.index("pi"))
-    h = divide_var_power(out, amb.index("pi"), content)
+    content, h = pi_content(out)
     # strip the unit if it divides exactly in the pi-ring
     val = ring.pi_valuation(det_unit)
     det_unit = ring.unshift(det_unit, val)
@@ -165,26 +165,11 @@ def sigma_membership(F: MPoly, i: int, d: int, n: int) -> bool:
     uni = F.universe
     if not 0 <= i <= n:
         raise DomainError(f"factor index {i} out of range")
-    pi_pos = uni.index("pi") if "pi" in uni else None
-    work = F
-    if pi_pos is not None:
-        c = var_content(work, pi_pos)
-        if c:
-            work = divide_var_power(work, pi_pos, c)
-        kept = {m: cf for m, cf in work.terms.items() if m[pi_pos] == 0}
-        work = MPoly(uni, F.domain, kept, _clean=True)
-    if not work:
-        return False
-    allowed = set()
-    for j in range(n + 1):
-        if j != i:
-            allowed.add(uni.index(f"x[{d}][{j}]"))
-    if pi_pos is not None:
-        allowed.add(pi_pos)
-    for m in work.terms:
-        if all(pos in allowed for pos, e in enumerate(m) if e):
-            return True
-    return False
+    allowed = {uni.index(f"x[{d}][{j}]") for j in range(n + 1) if j != i}
+    # the reduction of F / pi^c mod pi drops the terms holding pi; pi is not
+    # in ``allowed``, so those terms fail the test anyway
+    _, work = pi_content(F)
+    return any(all(pos in allowed for pos, e in enumerate(m) if e) for m in work.terms)
 
 
 def admissibility_certificate(data: SyzygyDatum, config: LatticeConfig):

@@ -5,7 +5,7 @@ it determines matrices g_l = M_l * diag(1, pi^{n_1}, ..., pi^{n_{d-1}}), a
 determinantal ideal of 2x2 minors, its saturation with respect to pi (the
 ideal of the model), and the reduction mod pi (the ideal of the special
 fibre).  The expected decomposition of that fibre intersects the monomial
-ideals I_v attached to component vectors v; ``decomposition_check`` verifies
+ideals I_v attached to component vectors v; ``conjecture_check`` verifies
 it on concrete data, and ``minor_pipeline_d4`` replays the explicit
 minor-combination argument available at d = 4.
 """
@@ -35,7 +35,6 @@ from .polyring import (
     VarUniverse,
     WeightedOrder,
     WeightedPiOrder,
-    from_pi_element,
     grid_universe,
     mono_divides,
 )
@@ -212,53 +211,15 @@ def random_config(d: int, n: int, n_vec, field, seed: int) -> LatticeConfig:
 # matrices and minors
 
 
-def build_g(config: LatticeConfig) -> list:
-    """Matrices g_l = M_l * diag(1, pi^{n_1}, .., pi^{n_{d-1}}) with entries
-    as polynomials in the configuration's universe."""
-    uni = config.universe()
-    dom = config.field
-    exps = (0,) + config.n_vec
-    pi = MPoly.var(uni, dom, "pi")
-    out = []
-    for l in range(config.n + 1):
-        rows = []
-        for r in range(config.d):
-            row = []
-            for i in range(config.d):
-                if config.is_symbolic:
-                    entry = MPoly.var(uni, dom, f"A[{r + 1}][{i + 1}][{l}]")
-                else:
-                    entry = from_pi_element(config.entries[l][r][i], uni, dom)
-                row.append(entry * pi ** exps[i])
-            rows.append(row)
-        out.append(rows)
-    return out
-
-
-def column_forms(config: LatticeConfig) -> list:
-    """Column l gives the d linear forms (g_l . x_col)_r in x[.][l]."""
-    uni = config.universe()
-    dom = config.field
-    g = build_g(config)
-    cols = []
-    for l in range(config.n + 1):
-        forms = []
-        for r in range(config.d):
-            f = MPoly.zero(uni, dom)
-            for i in range(config.d):
-                f = f + g[l][r][i] * MPoly.var(uni, dom, f"x[{i + 1}][{l}]")
-            forms.append(f)
-        cols.append(forms)
-    return cols
-
-
-def minors_ideal(config: LatticeConfig) -> Ideal:
-    """All 2x2 minors of the d x (n+1) matrix of column forms: rows gamma <
-    delta, columns alpha < beta; C(d,2)*C(n+1,2) generators.  They are read
-    off the entries, not multiplied out: the minor of columns a < b and rows
-    r < s has the coefficient M_a[r][i] M_b[s][j] - M_a[s][i] M_b[r][j] at
-    x[i][a] x[j][b] pi^(e_i + e_j), a pi-ring element spread over the powers
-    of pi, or for symbolic entries a difference of two products of A's."""
+def _minors(config: LatticeConfig) -> list:
+    """All 2x2 minors of the d x (n+1) matrix of column forms (entry r of
+    column l is (g_l . x_col l)_r), zeros kept: columns alpha < beta, and
+    for each pair rows gamma < delta, C(n+1,2)*C(d,2) polynomials.  They are
+    read off the entries, not multiplied out: the minor of columns a < b
+    and rows r < s has the coefficient M_a[r][i] M_b[s][j] - M_a[s][i]
+    M_b[r][j] at x[i][a] x[j][b] pi^(e_i + e_j), a pi-ring element spread
+    over the powers of pi, or for symbolic entries a difference of two
+    products of A's."""
     uni, dom, d = config.universe(), config.field, config.d
     exps, pos, cols = (0,) + config.n_vec, uni.index("pi"), range(config.n + 1)
     x = [[uni.index(f"x[{i + 1}][{l}]") for i in range(d)] for l in cols]
@@ -286,7 +247,12 @@ def minors_ideal(config: LatticeConfig) -> Ideal:
                     mono[pos] = exps[i] + exps[j] + k
                     terms[tuple(mono)] = c
         gens.append(MPoly(uni, dom, terms, _clean=True))
-    return Ideal(gens, uni, dom)
+    return gens
+
+
+def minors_ideal(config: LatticeConfig) -> Ideal:
+    """The ideal of the minors (``_minors``), the vanishing ones dropped."""
+    return Ideal(_minors(config), config.universe(), config.field)
 
 
 def mustafin_ideal(
@@ -717,7 +683,10 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
     dom = config.field
     pi_pos = uni.index("pi")
     exps = (0,) + config.n_vec
-    cols = column_forms(config)
+    # the minor of columns a < b and rows r < s (1-based), keyed ((a, b), (r, s))
+    rows = list(itertools.combinations(range(1, 5), 2))
+    keys = itertools.product(itertools.combinations(range(4), 2), rows)
+    minor_of = dict(zip(keys, _minors(config)))
     stages: list[StageReport] = []
     report = PipelineReport(
         ok=True,
@@ -753,12 +722,14 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
         """Every term must be pi^{sum of row exponents - offset} times a
         monomial from the alphabet (the offset counts bare x3 factors that
         entered without their pi power); the slice at the claimed pi content
-        must equal the expected set with nonzero coefficients."""
+        must equal the expected set with nonzero coefficients.  Terms are
+        read in sorted monomial order, so a failure names the least
+        offending monomial, however f was built."""
         if not f:
             fail(stage, "combination vanished identically")
             return False
         slice_monos = set()
-        for m in f.terms:
+        for m in sorted(f.terms):
             rows_cols = []
             for pos, e in enumerate(m):
                 if e and pos != pi_pos:
@@ -781,10 +752,6 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
             return False
         return True
 
-    def minor(a, b, r, s):
-        """Columns (a, b) ordered, rows r < s (1-based)."""
-        return cols[a][r - 1] * cols[b][s - 1] - cols[a][s - 1] * cols[b][r - 1]
-
     def aval(i, j, l):
         c = config.entries[l][i - 1][j - 1]
         return config.pi_ring.reduce_mod_pi(c)
@@ -794,7 +761,11 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
         alphabet_m = {
             tuple(sorted([(i, a), (j, b)])): None for i in range(1, 5) for j in range(1, 5)
         }
-        minors = {(r, s): minor(a, b, r, s) for r, s in itertools.combinations(range(1, 5), 2)}
+        # columns (a, b) in this order: swapping the columns negates a minor
+        minors = {
+            rs: minor_of[(a, b), rs] if a < b else -minor_of[(b, a), rs]
+            for rs in rows
+        }
         tag = f"(a,b)=({a},{b})"
         for (r, s), mm in minors.items():
             if not support_check(

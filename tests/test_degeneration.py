@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from column_form_oracle import column_forms
 from mustafin import groebner
 from mustafin.cli import degen_group
 from mustafin.coeffs import QQ, DomainError, GF
@@ -38,11 +39,11 @@ from mustafin.polyring import (
     default_order,
     grid_universe,
     parse_poly,
+    pi_content,
 )
 from mustafin.syzygy import _adjugate
 from mustafin.varieties import (
     LatticeConfig,
-    column_forms,
     fibre_universe,
     fibre_weight_order,
     minors_ideal,
@@ -226,11 +227,7 @@ def content_clearing_integral_model(tilde_I):
     uni, dom = tilde_I.universe, tilde_I.domain
     if tilde_I.is_zero():
         return tilde_I
-    pos = uni.index("pi")
-    cleared = []
-    for g in tilde_I.generators:
-        c = groebner.var_content(g, pos)
-        cleared.append(groebner.divide_var_power(g, pos, c) if c else g)
+    cleared = [pi_content(g)[1] for g in tilde_I.generators]
     return groebner.saturate(Ideal(cleared, uni, dom), [MPoly.var(uni, dom, "pi")])
 
 

@@ -31,10 +31,8 @@ from mustafin.groebner import (
     _Reducers,
     _gm_update,
     compositions,
-    divide_var_power,
     field_normalize,
     in_monomial_ideal,
-    var_content,
     weight_homogeneous,
 )
 from mustafin.polyring import (
@@ -52,6 +50,7 @@ from mustafin.polyring import (
     mono_divides,
     multidegree,
     parse_poly,
+    pi_content,
     _Packing,
     _widening,
 )
@@ -1742,18 +1741,22 @@ def test_in_monomial_ideal_matches_tuple_divisibility(monos, fs, k):
     assert in_monomial_ideal(fs, monos) == expected
 
 
-@given(st.sampled_from(KERNEL_ORDERS), polys3.filter(bool), st.integers(1, 6))
+@given(
+    st.sampled_from(KERNEL_ORDERS), polys3.filter(bool), st.integers(1, 6), st.integers(0, 3)
+)
 @settings(max_examples=100, deadline=None)
-def test_recorded_leading_terms_survive_scaling_and_content_division(order, f, c):
+def test_recorded_leading_terms_survive_scaling_and_content_division(order, f, c, k):
     # the kernel records a remainder's leading term; a nonzero multiple and
-    # the quotient by a power of pi must report the leading term they have
+    # the quotient by its pi content must report the leading term they have
     def fresh(g):
         return MPoly(g.universe, g.domain, dict(g.terms)).leading_term(order)
 
-    r = normal_form(f * MPoly.var(U3, F7, "pi"), [], order)
+    pi = MPoly.var(U3, F7, "pi")
+    r = normal_form(f * pi ** k, [], order)
     assert r.leading_term(order) == fresh(r)
-    q = divide_var_power(r, 2, var_content(r, 2))
-    assert q.leading_term(order) == fresh(q)
+    e, q = pi_content(r)
+    assert e >= k and pi ** e * q == r and pi_content(q)[0] == 0
+    assert order in q._lt and q.leading_term(order) == fresh(q)
     assert q.scale(c).leading_term(order) == fresh(q.scale(c))
 
 
@@ -1915,7 +1918,7 @@ def test_unreduced_rows_of_the_pruned_fast_path_are_field_normalized(rung):
     assert_field_normalized(rows, worder)
     # content division leaves no row divisible by pi, and no row reducible
     # by the rows before it: a remainder divided by pi^c needs no reduction
-    assert all(var_content(g, pos) == 0 for g in rows)
+    assert all(pi_content(g)[0] == 0 for g in rows)
     for k, g in enumerate(rows):
         leads = [h.leading_term(worder)[1] for h in rows[:k]]
         assert not any(mono_divides(lm, m) for lm in leads for m in g.terms)

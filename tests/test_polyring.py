@@ -22,6 +22,7 @@ from mustafin.polyring import (
     grid_universe,
     multidegree,
     parse_poly,
+    pi_content,
     to_pi_coefficients,
 )
 from order_oracle import compare, key
@@ -193,6 +194,18 @@ def test_pi_element_as_a_polynomial():
     assert not from_pi_element(ring.zero, U, F)
     with pytest.raises(DomainError, match="needs a pi variable"):
         from_pi_element(c, U, F)
+
+
+UPI = VarUniverse(("x", "y", "pi"))
+
+
+def test_pi_content_of_zero_and_of_content_free_polynomials():
+    # the quotient by pi^c in general: test_groebner's
+    # test_recorded_leading_terms_survive_scaling_and_content_division
+    for f in (X * Y + X, MPoly.zero(UPI, F), parse_poly("x*pi + y", UPI, F)):
+        c, q = pi_content(f)
+        assert c == 0 and q is f
+    assert pi_content(parse_poly("x*pi^2 + y*pi^3", UPI, F)) == (2, parse_poly("x + y*pi", UPI, F))
 
 
 def test_default_order_puts_pi_last():

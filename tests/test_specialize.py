@@ -24,6 +24,7 @@ from mustafin.polyring import (
     VarUniverse,
     default_order,
     parse_poly,
+    pi_content,
 )
 from mustafin.specialize import (
     ObstructionSet,
@@ -217,7 +218,8 @@ def subst_oracle(assignment, f):
     """Reference substitution: the values spread into the shrunk universe,
     then the per-term ``substitute``."""
     uni, dom = f.universe, f.domain
-    missing = {n for n in f.variables() if n.startswith("A[") and n not in assignment}
+    used = {f.universe.names[i] for m in f.terms for i, e in enumerate(m) if e}
+    missing = {n for n in used if n.startswith("A[") and n not in assignment}
     if missing:
         raise DomainError(f"assignment misses parameters {sorted(missing)}")
     small = specialize._shrunk_universe(uni, assignment)
@@ -472,7 +474,7 @@ def mpoly_unit_conditions(gb, order, group_pos):
     non-constant ones once each in basis order."""
     unit = []
     for g in gb:
-        stripped = specialize._strip_pi_content(leading_group(g, order, group_pos)[1])
+        stripped = pi_content(leading_group(g, order, group_pos)[1])[1]
         if not stripped.is_constant() and stripped not in unit:
             unit.append(stripped)
     return unit
@@ -607,7 +609,7 @@ def first_violation_one_call_per_condition(assignment, obstructions):
     the first violated one: the reference for the batched version."""
     for cond in obstructions.unit_conditions:
         val = subst(assignment, cond)
-        if not val or specialize._pi_valuation_of_poly(val) > 0:
+        if not val or pi_content(val)[0] > 0:
             return f"unit condition {specialize.format_poly(cond)}"
     return ""
 
@@ -630,7 +632,7 @@ def first_violation_substituting_each_first(assignment, obstructions):
     batched version, which must be those of the first failing call."""
     values = [subst(assignment, cond) for cond in obstructions.unit_conditions]
     for cond, val in zip(obstructions.unit_conditions, values):
-        if (not val) or specialize._pi_valuation_of_poly(val) > 0:
+        if (not val) or pi_content(val)[0] > 0:
             return f"unit condition {specialize.format_poly(cond)}"
     return ""
 
@@ -702,7 +704,7 @@ def test_a_pi_dependent_assignment_meeting_every_condition_is_certified():
     obs = small_field_obstructions(5)
     assert specialize._first_violation(assignment, obs) == ""
     values = subst(assignment, obs.unit_conditions)
-    assert all(specialize._pi_valuation_of_poly(v) == 0 for v in values)
+    assert all(pi_content(v)[0] == 0 for v in values)
     assert any(not v.is_constant() for v in values)
     rep = check_specialization(obs.gens, obs.a, assignment, obstructions=obs)
     assert rep.groebner_ok and rep.ok and rep.diagnosis == ""
@@ -747,7 +749,7 @@ def test_meeting_every_unit_condition_passes_the_basis_test(case):
     p, assignment = case
     obs = small_field_obstructions(p)
     values = subst(assignment, obs.unit_conditions)
-    if all(v and specialize._pi_valuation_of_poly(v) == 0 for v in values):
+    if all(v and pi_content(v)[0] == 0 for v in values):
         assert check_specialization(obs.gens, obs.a, assignment, obstructions=obs).groebner_ok
 
 

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import pathlib
@@ -8,6 +9,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from column_form_oracle import build_g, column_forms
+
 from mustafin.cli import mustafin_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
 from mustafin.groebner import interreduce, intersect_monomial_ideals, normal_form, saturate
@@ -15,8 +18,8 @@ from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder, mono_div
 from mustafin.varieties import (
     ComponentVector,
     LatticeConfig,
+    _minors,
     borel_fixed_check,
-    build_g,
     component_vectors,
     conjecture_check,
     expected_fibre_d4,
@@ -86,28 +89,26 @@ def test_minors_counts_and_example():
 
 
 def column_form_minors(cfg):
-    """The minors as products of the column forms, as ``minors_ideal``
-    built them before it read them off the entries; kept as the oracle."""
-    import itertools
-
-    from mustafin.varieties import column_forms
-
+    """The minors as products of the column forms, keyed (columns, rows) in
+    the order of ``_minors``, which reads them off the entries."""
     cols = column_forms(cfg)
-    return [
-        cols[a][r] * cols[b][s] - cols[a][s] * cols[b][r]
+    return {
+        ((a, b), (r, s)): cols[a][r] * cols[b][s] - cols[a][s] * cols[b][r]
         for a, b in itertools.combinations(range(cfg.n + 1), 2)
         for r, s in itertools.combinations(range(cfg.d), 2)
-    ]
+    }
 
 
 def assert_minors_match_the_column_form_products(cfg):
-    expected = [g for g in column_form_minors(cfg) if g]
-    got = minors_ideal(cfg).generators
-    # generator for generator in order, and term for term (monomial and
-    # coefficient; a term dict's insertion order is not part of a polynomial)
+    expected = column_form_minors(cfg)
+    got = _minors(cfg)
+    # key for key, a vanishing minor included, and term for term (monomial
+    # and coefficient; a term dict's insertion order is not part of a
+    # polynomial)
     assert len(got) == len(expected)
-    for g, h in zip(got, expected):
-        assert g.terms == h.terms
+    for g, (key, h) in zip(got, expected.items()):
+        assert g.terms == h.terms, key
+    assert minors_ideal(cfg).generators == tuple(g for g in got if g)
 
 
 @st.composite
@@ -144,6 +145,17 @@ def test_minors_of_random_configs_match_the_column_form_products():
         for seed in range(5):
             assert_minors_match_the_column_form_products(random_config(3, 2, (1, 2), field, seed))
     assert_minors_match_the_column_form_products(random_config(4, 4, (1, 3, 7), F, 1))
+
+
+def test_minors_keep_a_vanishing_minor_in_its_place():
+    # row 1 of M_0 and of M_1 is zero, so the minors of rows (1, 2) and
+    # (1, 3) vanish; ``LatticeConfig`` rejects such matrices, so the rows
+    # are zeroed after validation
+    cfg = identity_config(3, 1, (1, 2))
+    object.__setattr__(cfg, "entries", tuple((((),) * 3,) + mat[1:] for mat in cfg.entries))
+    assert [bool(g) for g in _minors(cfg)] == [False, False, True]
+    assert len(minors_ideal(cfg).generators) == 1
+    assert_minors_match_the_column_form_products(cfg)
 
 
 def test_mustafin_ideal_properties():
@@ -431,6 +443,24 @@ def test_minor_pipeline_generic_and_degenerate():
         minor_pipeline_d4(random_config(4, 3, (1, 2, 3), F, seed=1))
     with pytest.raises(DomainError):
         minor_pipeline_d4(random_config(3, 2, (1, 2), F, seed=1))
+
+
+def test_minor_pipeline_names_the_least_offending_monomial():
+    # entries that depend on pi: the generic configuration of seed 4 (whose
+    # pipeline passes) plus pi in every entry.  The minor of columns (0, 1)
+    # has terms at pi powers other than the row exponents; the detail names
+    # the least of them in sorted monomial order, x[4][0]*x[4][1]*pi^15
+    # (the claim is 2*n_3 = 14), whichever route built the minor.
+    base = random_config(4, 3, (1, 3, 7), F, seed=4)
+    entries = tuple(
+        tuple(tuple((e[0] if e else F.zero, F.one) for e in row) for row in mat)
+        for mat in base.entries
+    )
+    rep = minor_pipeline_d4(LatticeConfig(4, 3, (1, 3, 7), F, entries, seed=4))
+    assert [(s.stage, s.ok, s.detail) for s in rep.stages] == [
+        ("minor(a,b)=(0,1)", False, "pi power off for ((4, 0), (4, 1)): 15")
+    ]
+    assert not rep.ok
 
 
 def test_random_config_deterministic():
