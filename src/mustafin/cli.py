@@ -293,14 +293,13 @@ def _load_curve(curve_path, cfg):
         raise SystemExit(_usage_error("--curve is required"))
     payload = _load_json(curve_path, "curve")
     try:
+        dim, degree = payload["dim"], payload["degree"]
+        if type(dim) is not int or type(degree) is not int:
+            raise TypeError(f"dim and degree must be integers, not {dim!r} and {degree!r}")
         return degeneration.SubvarietyInput.from_strings(
-            payload["generators"],
-            int(payload.get("dim", payload.get("dimX", 1))),
-            int(payload.get("degree", payload.get("degX", 1))),
-            cfg.d,
-            cfg.field,
+            payload["generators"], dim, degree, cfg.d, cfg.field
         )
-    except (DomainError, KeyError) as exc:
+    except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise SystemExit(_usage_error(f"bad curve file: {exc}"))
 
 

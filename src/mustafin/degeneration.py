@@ -97,10 +97,13 @@ from .polyring import (
     Ideal,
     MPoly,
     VarUniverse,
+    from_pi_coefficients,
     parse_poly,
+    to_pi_coefficients,
 )
 from .varieties import (
     LatticeConfig,
+    _g_matrix,
     component_vectors,
     conjecture_check,
     ideal_Iv,
@@ -158,22 +161,18 @@ def _lifts(f: MPoly, config: LatticeConfig, uni: VarUniverse) -> list:
     monomial, counted in variable order, becomes the matching entry of the
     column form of factor j when b_0 + .. + b_{j-1} <= k < b_0 + .. + b_j.
     They are read off the entries, as ``varieties._minors`` reads the minors:
-    entry r of the column form of factor j is sum_i G[j][r][i] x[i][j] with
-    G = M_j diag(1, pi^{n_1}, ..) over the pi-ring, so a product of entries
-    expands into x-monomials with pi-ring coefficients, spread over the
-    powers of pi at the end."""
-    ring, d, n = config.pi_ring, config.d, config.n
-    exps, pos = (0,) + config.n_vec, uni.index("pi")
-    x = [[uni.index(f"x[{i + 1}][{j}]") for i in range(d)] for j in range(n + 1)]
-    G = [[[ring.shift(e, exps[i]) for i, e in enumerate(row)] for row in mat]
-         for mat in config.entries]
-    ypos = [f.universe.index(f"y[{l}]") for l in range(1, d + 1)]
-    fpi = f.universe.index("pi")
+    entry r of the column form of factor j is sum_i g_j[r][i] x[i][j], so a
+    product of entries expands into x-monomials with pi-ring coefficients."""
+    d, n, ring = config.d, config.n, config.pi_ring
+    small = fibre_universe(d, n)
+    x = [[small.index(f"x[{i + 1}][{j}]") for i in range(d)] for j in range(n + 1)]
+    G = [_g_matrix(config, j) for j in range(n + 1)]
+    f_ring = to_pi_coefficients(f)
+    ypos = [f_ring.universe.index(f"y[{l}]") for l in range(1, d + 1)]
     terms = [
-        (ring.shift((c,), m[fpi]), [l for l in range(d) for _ in range(m[ypos[l]])])
-        for m, c in f.terms.items()
+        (c, [l for l in range(d) for _ in range(m[ypos[l]])]) for m, c in f_ring.terms.items()
     ]
-    zero, add, mul = (0,) * uni.nvars, ring.add, ring.mul
+    zero, add, mul = (0,) * small.nvars, ring.add, ring.mul
     out = []
     for b in compositions(len(terms[0][1]), n + 1):
         owner = [j for j in range(n + 1) for _ in range(b[j])]
@@ -192,12 +191,7 @@ def _lifts(f: MPoly, config: LatticeConfig, uni: VarUniverse) -> list:
                 part = step
             for mono, c in part.items():
                 acc[mono] = add(acc.get(mono, ()), c)
-        F = {}
-        for mono, c in acc.items():
-            for k, a in enumerate(c):
-                if not ring.base.is_zero(a):
-                    F[mono[:pos] + (k,) + mono[pos + 1:]] = a
-        out.append(MPoly(uni, config.field, F, _clean=True))
+        out.append(from_pi_coefficients(MPoly(small, ring, acc), uni))
     return out
 
 

@@ -237,15 +237,12 @@ class _Packing:
         return lambda p: tuple([s(p) for s in sums])
 
     def weigher(self, weights):
-        """(fn, bits): fn(p) is the weighted degree sum_i weights[i] e_i
-        less its least possible value, so it lies in [0, 2^bits).  Each
-        class of fields, spread into wide fields, is multiplied by the
-        weights in reverse field order: the middle wide field of the product
-        is the weighted sum, and no wide field carries into it.  A negative
-        weight acts as its absolute value on the complemented field."""
-        f, n = self.field, self.nvars
-        flip = self.mask([i for i, w in enumerate(weights) if w < 0]) & ~self.guard
-        ws = [abs(w) for w in weights]
+        """(fn, bits): fn(p) is the weighted degree sum_i weights[i] e_i,
+        the weights nonnegative, so it lies in [0, 2^bits).  Each class of
+        fields, spread into wide fields, is multiplied by the weights in
+        reverse field order: the middle wide field of the product is the
+        weighted sum, and no wide field carries into it."""
+        f, n, ws = self.field, self.nvars, weights
         top = self.bound * sum(ws)
         c, G, E = self._classes(top, False)
         m = max(-(-n // c), 1)
@@ -255,12 +252,11 @@ class _Packing:
             if W:
                 parts.append((f * r, W))
         sh, mod, bits = G * (m - 1), (1 << G) - 1, top.bit_length()
-        if len(parts) == 2 and not flip:  # the common case, unrolled
+        if len(parts) == 2:  # the common case, unrolled
             (s0, W0), (s1, W1) = parts
             return (lambda p: (((p >> s0) & E) * W0 + ((p >> s1) & E) * W1) >> sh & mod), bits
 
         def fn(p):
-            p ^= flip
             out = 0
             for s, W in parts:
                 out += ((p >> s) & E) * W
@@ -478,6 +474,10 @@ class WeightedOrder(TermOrder):
     weights: tuple[int, ...]
     name: str = "weighted"
 
+    def __post_init__(self):
+        if any(w < 0 for w in self.weights):
+            raise DomainError("a weighted term order needs nonnegative weights")
+
     def packed_key(self, pk):
         weight, wbits = pk.weigher(self.weights)
         degree, reverse, low, bits = _degrevlex_parts(pk)
@@ -499,6 +499,10 @@ class WeightedPiOrder(TermOrder):
     weights: tuple[int, ...]
     pi_index: int
     name: str = "wpi"
+
+    def __post_init__(self):
+        if any(w < 0 for w in self.weights):
+            raise DomainError("a weighted term order needs nonnegative weights")
 
     def packed_key(self, pk):
         weight, wbits = pk.weigher(self.weights)
@@ -945,8 +949,8 @@ def _gatherer(positions):
 @functools.cache
 def _pi_split(uni: VarUniverse, dom) -> tuple:
     """(pi-ring over ``dom``, ``uni`` without pi, position of pi), built once
-    per source universe and domain, so that every element of one converted
-    basis shares its ring and universe."""
+    per universe and domain, so that every element of one converted basis
+    shares its ring and universe."""
     small = VarUniverse(tuple(n for n in uni.names if n != "pi"), uni.grid)
     return PiRing(dom), small, uni.index("pi")
 
@@ -974,46 +978,26 @@ def to_pi_coefficients(f: MPoly) -> MPoly:
     return MPoly(small, ring, out, _clean=True)
 
 
-def from_pi_coefficients(f: MPoly, universe: VarUniverse | None = None) -> MPoly:
-    """Inverse of ``to_pi_coefficients``: spread pi-ring coefficients over an
-    explicit ``pi`` variable."""
+def from_pi_coefficients(f: MPoly, universe: VarUniverse) -> MPoly:
+    """Inverse of ``to_pi_coefficients``: spread the pi-ring coefficients of
+    f over the ``pi`` variable of ``universe``, which holds every variable
+    of f.  Coefficients constant in pi need no pi variable."""
     ring = f.domain
     if not isinstance(ring, PiRing):
         raise DomainError("expected pi-ring coefficients")
+    if "pi" not in universe:
+        if any(len(c) > 1 for c in f.terms.values()):
+            raise DomainError("pi-polynomial value needs a pi variable")
+        return from_pi_coefficients(f, universe.extend(["pi"])).relabel(universe)
     dom = ring.base
-    big = universe or f.universe.extend(["pi"])
-    pos = big.index("pi")
-    out: dict[tuple, object] = {}
-    for m, c in f.terms.items():
-        base_mono = [0] * big.nvars
-        for i, e in enumerate(m):
-            if e:
-                base_mono[big.index(f.universe.names[i])] = e
-        for k, coeff in enumerate(c):
-            if dom.is_zero(coeff):
-                continue
-            mono = list(base_mono)
-            mono[pos] += k
-            key = tuple(mono)
-            cur = out.get(key)
-            out[key] = coeff if cur is None else dom.add(cur, coeff)
-    return MPoly(big, dom, out)
-
-
-def from_pi_element(c, universe: VarUniverse, dom) -> MPoly:
-    """A pi-ring element (its coefficient tuple over ``dom``) as a
-    polynomial in the ``pi`` variable of ``universe``; a constant needs no
-    pi variable."""
-    if len(c) > 1 and "pi" not in universe:
-        raise DomainError("pi-polynomial value needs a pi variable")
-    pos = universe.index("pi") if len(c) > 1 else None
+    _, small, pos = _pi_split(universe, dom)
+    if f.universe.names != small.names:
+        f = f.relabel(small)
     out = {}
-    for k, coeff in enumerate(c):
-        if not dom.is_zero(coeff):
-            mono = [0] * universe.nvars
-            if k:
-                mono[pos] = k
-            out[tuple(mono)] = coeff
+    for m, c in f.terms.items():
+        lo, hi = m[:pos], m[pos:]
+        for k in itertools.compress(itertools.count(), c):  # base-field zeros are falsy
+            out[lo + (k,) + hi] = c[k]
     return MPoly(universe, dom, out, _clean=True)
 
 

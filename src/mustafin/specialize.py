@@ -63,7 +63,7 @@ import collections
 import random
 from dataclasses import dataclass, field
 
-from .coeffs import DomainError, base_field
+from .coeffs import DomainError, PiRing, base_field
 from .groebner import (
     Deadline,
     ResourceCapExceeded,
@@ -82,7 +82,7 @@ from .polyring import (
     VarUniverse,
     default_order,
     format_poly,
-    from_pi_element,
+    from_pi_coefficients,
     pi_content,
     to_pi_coefficients,
 )
@@ -148,7 +148,7 @@ def _plan(assignment: dict, uni: VarUniverse, dom) -> Substitution:
         if isinstance(val, MPoly):
             val = val.relabel(small)
         elif isinstance(val, tuple):  # pi-ring element, spread over the pi variable
-            val = from_pi_element(val, small, dom)
+            val = from_pi_coefficients(MPoly.const(VarUniverse(()), PiRing(dom), val), small)
         values[name] = val
     return Substitution(uni, dom, values, small)
 

@@ -26,10 +26,9 @@ from .polyring import (
     pi_content,
     to_pi_coefficients,
     from_pi_coefficients,
-    from_pi_element,
 )
 from .degeneration import ambient_universe, SubvarietyInput
-from .varieties import LatticeConfig, _det
+from .varieties import LatticeConfig, _det, _g_matrix
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,15 @@ def check_witness_profile(F: MPoly, i: int, data: SyzygyDatum, d: int):
 def _adjugate(config: LatticeConfig, j: int, uni: VarUniverse):
     """Adjugate (cofactor transpose) of g_j, computed over the pi-ring of
     the configuration; entries are returned as polynomials in ``uni``."""
-    d, ring = config.d, config.pi_ring
-    exps = (0,) + config.n_vec
-    g = [[ring.shift(config.entries[j][r][i], exps[i]) for i in range(d)] for r in range(d)]
+    d, ring, g = config.d, config.pi_ring, _g_matrix(config, j)
+    point = VarUniverse(())
     adj = [[None] * d for _ in range(d)]
     for i in range(d):
         for r in range(d):
             minor = [[g[a][b] for b in range(d) if b != i] for a in range(d) if a != r]
             c = _det(minor, ring)
-            adj[i][r] = from_pi_element(ring.neg(c) if (i + r) % 2 else c, uni, config.field)
+            c = ring.neg(c) if (i + r) % 2 else c
+            adj[i][r] = from_pi_coefficients(MPoly.const(point, ring, c), uni)
     return adj
 
 
@@ -97,10 +96,10 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
     variable vector maps to adj(g_j) applied to the ambient coordinates, by
     one ``Substitution`` from the grid universe into the ambient one (pi
     maps to itself), and each block-j degree contributes a division by
-    det(g_j) = unit * pi^N.  When the unit is a base-field constant the
-    division is exact; a pi-dependent unit that does not divide exactly is
-    left in place (same zero locus, and membership predicates are
-    unit-invariant).
+    det(g_j) = det(M_j) * pi^N, N = n_1 + .. + n_{d-1}.  When det(M_j) is a
+    base-field constant the division is exact; a pi-dependent unit that
+    does not divide exactly is left in place (same zero locus, and
+    membership predicates are unit-invariant).
     """
     if config.is_symbolic:
         raise DomainError("substitution needs concrete entries")
@@ -117,10 +116,12 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
     amb = ambient_universe(d)
     yvec = [MPoly.var(amb, dom, f"y[{l}]") for l in range(1, d + 1)]
 
-    # adj(g_j) . y, one linear form per grid row
+    # adj(g_j) . y, one linear form per grid row, and the divisor
+    # det = prod_j det(g_j)^{deg_j}
     images: dict[str, MPoly] = {}
-    for j in range(n + 1):
-        if degs[j] == 0:
+    det = ring.one
+    for j, e in enumerate(degs):
+        if e == 0:
             continue
         adj = _adjugate(config, j, amb)
         for r in range(d):
@@ -128,32 +129,25 @@ def upsilon(F: MPoly, i: int, config: LatticeConfig):
             for l in range(d):
                 form = form + adj[r][l] * yvec[l]
             images[f"x[{r + 1}][{j}]"] = form
+        det_j = _det(_g_matrix(config, j), ring)
+        for _ in range(e):
+            det = ring.mul(det, det_j)
 
     out = Substitution(F.universe, dom, images, amb)(F)
     if not out:
         return out, 0
 
-    # divide by prod_j det(g_j)^{deg_j} = (prod det(M_j)^{deg_j]) * pi^(N*total)
-    N = sum(config.n_vec)
-    total = sum(e for j, e in enumerate(degs) if j != i)
-    det_unit = ring.one
-    for j, e in enumerate(degs):
-        if j == i or e == 0:
-            continue
-        det_j = _det(config.entries[j], ring)
-        for _ in range(e):
-            det_unit = ring.mul(det_unit, det_j)
+    # the pi power of det goes to the exponent, its unit is divided out of h
+    # when that division is exact
     content, h = pi_content(out)
-    # strip the unit if it divides exactly in the pi-ring
-    val = ring.pi_valuation(det_unit)
-    det_unit = ring.unshift(det_unit, val)
-    h_ring = to_pi_coefficients(h)
+    val = ring.pi_valuation(det)
+    unit = ring.unshift(det, val)
     try:
-        divided = h_ring.map_coeffs(lambda c: ring.exact_div(c, det_unit))
+        divided = to_pi_coefficients(h).map_coeffs(lambda c: ring.exact_div(c, unit))
         h = from_pi_coefficients(divided, amb)
     except DomainError:
         pass  # unit multiple is fine; zero loci and memberships agree
-    return h, content - N * total - val
+    return h, content - val
 
 
 def sigma_membership(F: MPoly, i: int, d: int, n: int) -> bool:

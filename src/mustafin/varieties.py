@@ -35,6 +35,7 @@ from .polyring import (
     VarUniverse,
     WeightedOrder,
     WeightedPiOrder,
+    from_pi_coefficients,
     grid_universe,
     mono_divides,
 )
@@ -211,42 +212,48 @@ def random_config(d: int, n: int, n_vec, field, seed: int) -> LatticeConfig:
 # matrices and minors
 
 
+def _g_matrix(config: LatticeConfig, l: int) -> list:
+    """g_l = M_l * diag(1, pi^{n_1}, ..., pi^{n_{d-1}}) over the pi-ring."""
+    exps, ring = (0,) + config.n_vec, config.pi_ring
+    return [[ring.shift(e, exps[i]) for i, e in enumerate(row)] for row in config.entries[l]]
+
+
 def _minors(config: LatticeConfig) -> list:
     """All 2x2 minors of the d x (n+1) matrix of column forms (entry r of
     column l is (g_l . x_col l)_r), zeros kept: columns alpha < beta, and
     for each pair rows gamma < delta, C(n+1,2)*C(d,2) polynomials.  They are
     read off the entries, not multiplied out: the minor of columns a < b
-    and rows r < s has the coefficient M_a[r][i] M_b[s][j] - M_a[s][i]
-    M_b[r][j] at x[i][a] x[j][b] pi^(e_i + e_j), a pi-ring element spread
-    over the powers of pi, or for symbolic entries a difference of two
-    products of A's."""
-    uni, dom, d = config.universe(), config.field, config.d
-    exps, pos, cols = (0,) + config.n_vec, uni.index("pi"), range(config.n + 1)
-    x = [[uni.index(f"x[{i + 1}][{l}]") for i in range(d)] for l in cols]
-    symbolic, M, ring = config.is_symbolic, config.entries, config.pi_ring
+    and rows r < s has at x[i][a] x[j][b] the pi-ring coefficient
+    (M_a[r][i] M_b[s][j] - M_a[s][i] M_b[r][j]) pi^(e_i + e_j), and for
+    symbolic entries the same difference of products of A's."""
+    uni, d, ring = config.universe(), config.d, config.pi_ring
+    exps, cols = (0,) + config.n_vec, range(config.n + 1)
+    symbolic, M = config.is_symbolic, config.entries
+    small = VarUniverse(tuple(v for v in uni.names if v != "pi"), uni.grid)
+    x = [[small.index(f"x[{i + 1}][{l}]") for i in range(d)] for l in cols]
     if symbolic:  # M[l][r][i] is the position of A[r+1][i+1][l]
-        M = [[[uni.index(f"A[{r + 1}][{i + 1}][{l}]") for i in range(d)] for r in range(d)]
+        M = [[[small.index(f"A[{r + 1}][{i + 1}][{l}]") for i in range(d)] for r in range(d)]
              for l in cols]
     gens = []
-    for (a, b), (r, s) in itertools.product(
-        itertools.combinations(cols, 2), itertools.combinations(range(d), 2)
-    ):
-        terms = {}
+    for a, b in itertools.combinations(cols, 2):
+        cells = []  # (i, j, x[i][a] x[j][b], its pi power e_i + e_j)
         for i, j in itertools.product(range(d), repeat=2):
-            mono = [0] * uni.nvars
+            mono = [0] * small.nvars
             mono[x[a][i]] = mono[x[b][j]] = 1
-            mono[pos] = exps[i] + exps[j]
-            if symbolic:
-                plus = list(mono)
-                plus[M[a][r][i]] = plus[M[b][s][j]] = mono[M[a][s][i]] = mono[M[b][r][j]] = 1
-                terms[tuple(plus)], terms[tuple(mono)] = dom.one, dom.neg(dom.one)
-                continue
-            coeff = ring.sub(ring.mul(M[a][r][i], M[b][s][j]), ring.mul(M[a][s][i], M[b][r][j]))
-            for k, c in enumerate(coeff):
-                if not dom.is_zero(c):
-                    mono[pos] = exps[i] + exps[j] + k
-                    terms[tuple(mono)] = c
-        gens.append(MPoly(uni, dom, terms, _clean=True))
+            cells.append((i, j, tuple(mono), exps[i] + exps[j]))
+        for r, s in itertools.combinations(range(d), 2):
+            terms = {}
+            for i, j, mono, power in cells:
+                if symbolic:
+                    plus, minus = list(mono), list(mono)
+                    plus[M[a][r][i]] = plus[M[b][s][j]] = minus[M[a][s][i]] = minus[M[b][r][j]] = 1
+                    terms[tuple(plus)] = ring.shift(ring.one, power)
+                    terms[tuple(minus)] = ring.shift(ring.neg(ring.one), power)
+                    continue
+                coeff = ring.sub(ring.mul(M[a][r][i], M[b][s][j]), ring.mul(M[a][s][i], M[b][r][j]))
+                if coeff:
+                    terms[mono] = ring.shift(coeff, power)
+            gens.append(from_pi_coefficients(MPoly(small, ring, terms, _clean=True), uni))
     return gens
 
 
@@ -669,7 +676,9 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
 
     Every stage is checked for (a) divisibility by its pi power, (b) the
     support of the normalized reduction mod pi, and finally (c) the
-    nonvanishing of the coefficient of pi^{2 n_2} x3a*x3b*x3c*x3d.
+    nonvanishing of the coefficient of pi^{2 n_2} x3a*x3b*x3c*x3d.  The
+    argument reads the coefficient of x[i][a] x[j][b] at pi^(e_i + e_j)
+    alone, so the entries must be constant in pi.
     """
     if config.d != 4 or config.n != 3:
         raise DomainError("pipeline is specific to d=4, n=3")
@@ -678,6 +687,8 @@ def minor_pipeline_d4(config: LatticeConfig) -> PipelineReport:
         raise DomainError("pipeline needs 2*n_1 < n_2 and 2*n_2 < n_3")
     if config.is_symbolic:
         raise DomainError("pipeline needs concrete generic entries")
+    if any(len(e) > 1 for mat in config.entries for row in mat for e in row):
+        raise DomainError("pipeline needs entries constant in pi")
 
     uni = config.universe()
     dom = config.field

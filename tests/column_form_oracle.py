@@ -2,7 +2,7 @@
 oracle of the minors and lifts that ``varieties._minors`` and
 ``degeneration._lifts`` read off the entries."""
 
-from mustafin.polyring import MPoly, from_pi_element
+from mustafin.polyring import MPoly, VarUniverse, from_pi_coefficients
 from mustafin.varieties import LatticeConfig
 
 
@@ -22,7 +22,8 @@ def build_g(config: LatticeConfig) -> list:
                 if config.is_symbolic:
                     entry = MPoly.var(uni, dom, f"A[{r + 1}][{i + 1}][{l}]")
                 else:
-                    entry = from_pi_element(config.entries[l][r][i], uni, dom)
+                    c = MPoly.const(VarUniverse(()), config.pi_ring, config.entries[l][r][i])
+                    entry = from_pi_coefficients(c, uni)
                 row.append(entry * pi ** exps[i])
             rows.append(row)
         out.append(rows)

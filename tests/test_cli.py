@@ -774,6 +774,43 @@ def test_syz_data_without_a_key_is_a_usage_error(runner, d3_config, tmp_path, mi
     assert_usage_error(res, "bad data file", f"'{missing}'")
 
 
+LINE = {"generators": ["y[1] + 7*y[2] + 11*y[3]"], "dim": 1, "degree": 1}
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "change,words",
+    [
+        ({"generators": DROP}, ("'generators'",)),
+        ({"dim": DROP}, ("'dim'",)),
+        ({"degree": DROP}, ("'degree'",)),
+        ({"degree": "one"}, ("'one'",)),
+        ({"degree": 2.7}, ("2.7",)),
+        ({"dim": True}, ("True",)),
+        ({"generators": None}, ("NoneType",)),
+    ],
+    ids=["no-generators", "no-dim", "no-degree", "degree-not-a-number", "fractional-degree",
+         "boolean-dim", "null-generators"],
+)
+def test_malformed_curve_files_are_usage_errors(runner, d3_config, tmp_path, change, words):
+    # a missing key has no default: a conic without "degree" is no line
+    payload = {k: v for k, v in {**LINE, **change}.items() if v is not DROP}
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(payload))
+    res = runner.invoke(degen_group, ["bound", "--config", d3_config, "--curve", str(curve)])
+    assert_usage_error(res, "bad curve file", *words)
+    assert res.stdout == ""
+
+
+def test_pipeline_rejects_entries_that_depend_on_pi(runner, tmp_path):
+    entries = [[["1 + 5*pi" if r == i else "0" for i in range(4)] for r in range(4)]] * 4
+    cfg = tmp_path / "d4.json"
+    cfg.write_text(json.dumps({"d": 4, "n": 3, "n_vec": [1, 3, 7], "entries": entries}))
+    res = runner.invoke(mustafin_group, ["pipeline", "--config", str(cfg)])
+    assert_usage_error(res, "constant in pi")
+    assert res.stdout == ""
+
+
 def test_malformed_spec_assignment_is_a_usage_error(runner, tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps(SPEC_GENS))

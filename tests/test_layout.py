@@ -12,7 +12,7 @@ NO_SRC_CALLER = {
     # bench/spans.py wraps both by name
     "integral_model",
     "interreduce",
-    # no command runs it yet; ROADMAP item 8 decides its fate
+    # no command runs it yet; ROADMAP item 9 decides its fate
     "curve_cover_check",
 }
 

@@ -18,7 +18,6 @@ from mustafin.polyring import (
     default_order,
     format_poly,
     from_pi_coefficients,
-    from_pi_element,
     grid_universe,
     multidegree,
     parse_poly,
@@ -110,6 +109,14 @@ orders = st.sampled_from(
 )
 
 
+def test_weighted_orders_reject_negative_weights():
+    # under weights (-1, 0) the variable x would sort below 1: no term order
+    with pytest.raises(DomainError, match="nonnegative weights"):
+        WeightedOrder((-1, 0))
+    with pytest.raises(DomainError, match="nonnegative weights"):
+        WeightedPiOrder((-1, 1), 1)
+
+
 @given(orders, mono3, mono3, mono3)
 def test_order_axioms(order, a, b, c):
     assert compare(order, a, b) == -compare(order, b, a)
@@ -175,25 +182,67 @@ def test_leading_term_multiplicative_over_domain():
     assert cfg == F.mul(cf, cg)
 
 
-def test_pi_representation_roundtrip():
-    big = VarUniverse(("x", "y", "pi"))
-    f = parse_poly("x*pi^2 + 3*x + y*pi", big, F)
+@st.composite
+def pi_universes(draw):
+    """GF(7) or Q, and a universe of up to three variables with pi at any
+    position."""
+    dom = draw(st.sampled_from([GF(7), QQ]))
+    names = ["x", "y", "z"][: draw(st.integers(0, 3))]
+    names.insert(draw(st.integers(0, len(names))), "pi")
+    return dom, VarUniverse(tuple(names))
+
+
+def small_ints(dom):
+    return st.integers(-4, 4).map(dom.from_int)
+
+
+@given(pi_universes(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pi_representation_roundtrip(case, data):
+    dom, uni = case
+    pos = uni.index("pi")
+    monos = st.tuples(*[st.integers(0, 3)] * uni.nvars)
+    f = MPoly(uni, dom, data.draw(st.dictionaries(monos, small_ints(dom), max_size=6)))
     ring_form = to_pi_coefficients(f)
-    assert ring_form.universe.names == ("x", "y")
-    back = from_pi_coefficients(ring_form, big)
-    assert back == f
+    assert ring_form.universe.names == uni.names[:pos] + uni.names[pos + 1:]
+    assert ring_form.domain == PiRing(dom)
+    assert from_pi_coefficients(ring_form, uni) == f
+    # the other way round: a pi-ring polynomial, spread over pi and read back
+    ring = PiRing(dom)
+    elements = st.lists(small_ints(dom), max_size=4).map(ring.element)
+    rest = st.tuples(*[st.integers(0, 3)] * (uni.nvars - 1))
+    g = MPoly(ring_form.universe, ring, data.draw(st.dictionaries(rest, elements, max_size=6)))
+    spread = from_pi_coefficients(g, uni)
+    pi = MPoly.var(uni, dom, "pi")
+    assert spread == sum(
+        (
+            MPoly.term(uni, dom, a, m[:pos] + (0,) + m[pos:]) * pi**k
+            for m, c in g.terms.items()
+            for k, a in enumerate(c)
+        ),
+        MPoly.zero(uni, dom),
+    )
+    assert to_pi_coefficients(spread) == g
 
 
 def test_pi_element_as_a_polynomial():
     big = VarUniverse(("x", "pi"))
     ring = PiRing(F)
+    point = VarUniverse(())
+
+    def spread(c, uni):
+        return from_pi_coefficients(MPoly.const(point, ring, c), uni)
+
     c = ring.parse("3 + 2*pi^2")
-    assert from_pi_element(c, big, F) == parse_poly("3 + 2*pi^2", big, F)
+    assert spread(c, big) == parse_poly("3 + 2*pi^2", big, F)
     # a constant needs no pi variable; a pi-polynomial does
-    assert from_pi_element(ring.parse("5"), U, F) == MPoly.const(U, F, F.from_int(5))
-    assert not from_pi_element(ring.zero, U, F)
+    assert spread(ring.parse("5"), U) == MPoly.const(U, F, F.from_int(5))
+    assert not spread(ring.zero, U)
     with pytest.raises(DomainError, match="needs a pi variable"):
-        from_pi_element(c, U, F)
+        spread(c, U)
+    # the target holds every variable of the source
+    with pytest.raises(UniverseError):
+        from_pi_coefficients(MPoly.var(VarUniverse(("z",)), ring, "z"), big)
 
 
 UPI = VarUniverse(("x", "y", "pi"))

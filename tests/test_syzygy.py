@@ -8,7 +8,13 @@ from mustafin import groebner
 from mustafin.coeffs import DomainError, GF
 from mustafin.degeneration import SubvarietyInput, ambient_universe
 from mustafin.groebner import ResourceCapExceeded, buchberger
-from mustafin.polyring import MPoly, default_order, from_pi_element, pi_content
+from mustafin.polyring import (
+    MPoly,
+    VarUniverse,
+    default_order,
+    from_pi_coefficients,
+    pi_content,
+)
 from mustafin.syzygy import (
     SyzygyDatum,
     _adjugate,
@@ -110,7 +116,7 @@ def test_upsilon_matches_the_per_term_substitution(case):
     pi = MPoly.var(amb, F, "pi")
     shift = e + sum(cfg.n_vec) * sum(degs)
     assert shift >= 0 and pi_content(h)[0] == 0
-    assert value == pi ** shift * h * from_pi_element(unit, amb, F)
+    assert value == pi ** shift * h * from_pi_coefficients(MPoly.const(VarUniverse(()), ring, unit), amb)
 
 
 def test_sigma_membership_examples():

@@ -14,10 +14,19 @@ from column_form_oracle import build_g, column_forms
 from mustafin.cli import mustafin_group
 from mustafin.coeffs import DomainError, GF, PiRing, QQ
 from mustafin.groebner import interreduce, intersect_monomial_ideals, normal_form, saturate
-from mustafin.polyring import DegRevLex, Ideal, MPoly, WeightedPiOrder, mono_divides
+from mustafin.polyring import (
+    DegRevLex,
+    Ideal,
+    MPoly,
+    VarUniverse,
+    WeightedPiOrder,
+    from_pi_coefficients,
+    mono_divides,
+)
 from mustafin.varieties import (
     ComponentVector,
     LatticeConfig,
+    _g_matrix,
     _minors,
     borel_fixed_check,
     component_vectors,
@@ -70,6 +79,28 @@ def test_build_g_examples():
     sym = LatticeConfig(2, 1, (1,), F, "symbolic")
     gs = build_g(sym)
     assert gs[1][0][1].text() == "A[1][2][1]*pi"
+
+
+@pytest.mark.parametrize("field", [F, GF(7), QQ], ids=["F32003", "F7", "Q"])
+@pytest.mark.parametrize("seed", range(4))
+def test_g_matrices_equal_the_column_form_oracle(field, seed):
+    # entries constant in pi, and the same entries plus pi-polynomials
+    base = random_config(3, 2, (1, 2), field, seed)
+    ring = base.pi_ring
+    rng = random.Random(seed)
+
+    def plus_pi(e):
+        return ring.add(e, ring.shift((field.from_int(rng.randrange(1, 7)),), rng.randrange(1, 3)))
+
+    mixed = tuple(tuple(tuple(plus_pi(e) for e in row) for row in mat) for mat in base.entries)
+    for cfg in (base, LatticeConfig(3, 2, (1, 2), field, mixed)):
+        uni, oracle = cfg.universe(), build_g(cfg)
+        for l in range(cfg.n + 1):
+            spread = [
+                [from_pi_coefficients(MPoly.const(VarUniverse(()), ring, e), uni) for e in row]
+                for row in _g_matrix(cfg, l)
+            ]
+            assert spread == oracle[l]
 
 
 def test_minors_counts_and_example():
@@ -445,22 +476,19 @@ def test_minor_pipeline_generic_and_degenerate():
         minor_pipeline_d4(random_config(3, 2, (1, 2), F, seed=1))
 
 
-def test_minor_pipeline_names_the_least_offending_monomial():
-    # entries that depend on pi: the generic configuration of seed 4 (whose
-    # pipeline passes) plus pi in every entry.  The minor of columns (0, 1)
-    # has terms at pi powers other than the row exponents; the detail names
-    # the least of them in sorted monomial order, x[4][0]*x[4][1]*pi^15
-    # (the claim is 2*n_3 = 14), whichever route built the minor.
-    base = random_config(4, 3, (1, 3, 7), F, seed=4)
-    entries = tuple(
-        tuple(tuple((e[0] if e else F.zero, F.one) for e in row) for row in mat)
-        for mat in base.entries
-    )
-    rep = minor_pipeline_d4(LatticeConfig(4, 3, (1, 3, 7), F, entries, seed=4))
-    assert [(s.stage, s.ok, s.detail) for s in rep.stages] == [
-        ("minor(a,b)=(0,1)", False, "pi power off for ((4, 0), (4, 1)): 15")
-    ]
-    assert not rep.ok
+def test_minor_pipeline_rejects_entries_that_depend_on_pi():
+    # the argument reads the coefficient of x[i][a] x[j][b] at pi^(e_i + e_j)
+    # alone; a generic configuration plus a multiple of pi in every entry
+    # (seed 4 passes the pipeline, seed 1 is the configuration of the sweep
+    # that found every such input failing at the first stage)
+    for seed, shift in ((4, F.one), (1, F.from_int(5))):
+        base = random_config(4, 3, (1, 3, 7), F, seed=seed)
+        entries = tuple(
+            tuple(tuple((e[0] if e else F.zero, shift) for e in row) for row in mat)
+            for mat in base.entries
+        )
+        with pytest.raises(DomainError, match="constant in pi"):
+            minor_pipeline_d4(LatticeConfig(4, 3, (1, 3, 7), F, entries, seed=seed))
 
 
 def test_random_config_deterministic():
